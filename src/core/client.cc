@@ -53,6 +53,18 @@ net::Task<net::RpcResponse> CallDmsWrite(net::Channel& channel,
   co_return co_await net::Call(channel, owner, opcode, std::move(payload));
 }
 
+// Every DMS and FMS replies with its entries in name order (they come from
+// an ordered prefix scan), so a listing merges the replies, never sorts.
+template <typename Entry>
+void MergeByName(std::vector<Entry>* merged, std::vector<Entry> reply) {
+  const auto mid = static_cast<std::ptrdiff_t>(merged->size());
+  merged->insert(merged->end(), std::make_move_iterator(reply.begin()),
+                 std::make_move_iterator(reply.end()));
+  std::inplace_merge(
+      merged->begin(), merged->begin() + mid, merged->end(),
+      [](const Entry& a, const Entry& b) { return a.name < b.name; });
+}
+
 }  // namespace
 
 void NotifyFanout::Add(LocoClient* client) {
@@ -309,9 +321,7 @@ net::Task<Result<std::vector<fs::DirEntry>>> LocoClient::Readdir(
         co_return ErrStatus(ErrCode::kCorruption);
       }
       if (i == 0) dir_attr = shard_attr;
-      entries.insert(entries.end(),
-                     std::make_move_iterator(shard_entries.begin()),
-                     std::make_move_iterator(shard_entries.end()));
+      MergeByName(&entries, std::move(shard_entries));
     }
   } else {
     net::RpcResponse resp = co_await net::Call(
@@ -345,13 +355,8 @@ net::Task<Result<std::vector<fs::DirEntry>>> LocoClient::Readdir(
     if (!r.ok()) co_return ErrStatus(r.code);
     std::vector<fs::DirEntry> files;
     if (!fs::Unpack(r.payload, files)) co_return ErrStatus(ErrCode::kCorruption);
-    entries.insert(entries.end(), std::make_move_iterator(files.begin()),
-                   std::make_move_iterator(files.end()));
+    MergeByName(&entries, std::move(files));
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const fs::DirEntry& a, const fs::DirEntry& b) {
-              return a.name < b.name;
-            });
   co_return entries;
 }
 
@@ -591,9 +596,7 @@ net::Task<Result<std::vector<LocoClient::EntryPlus>>> LocoClient::ReaddirPlus(
         co_return ErrStatus(ErrCode::kCorruption);
       }
       if (i == 0) dir_attr = shard_attr;
-      subdirs.insert(subdirs.end(),
-                     std::make_move_iterator(shard_subdirs.begin()),
-                     std::make_move_iterator(shard_subdirs.end()));
+      MergeByName(&subdirs, std::move(shard_subdirs));
     }
   } else {
     net::RpcResponse resp = co_await net::Call(
@@ -622,6 +625,8 @@ net::Task<Result<std::vector<LocoClient::EntryPlus>>> LocoClient::ReaddirPlus(
     if (!net::wire::DecodeBatchResponse(r.payload, &items)) {
       co_return ErrStatus(ErrCode::kCorruption);
     }
+    std::vector<EntryPlus> files;
+    files.reserve(items.size());
     for (net::wire::BatchItem& item : items) {
       EntryPlus e;
       e.code = item.code;
@@ -632,11 +637,10 @@ net::Task<Result<std::vector<LocoClient::EntryPlus>>> LocoClient::ReaddirPlus(
       } else if (!fs::Unpack(item.payload, e.name)) {
         co_return ErrStatus(ErrCode::kCorruption);
       }
-      entries.push_back(std::move(e));
+      files.push_back(std::move(e));
     }
+    MergeByName(&entries, std::move(files));
   }
-  std::sort(entries.begin(), entries.end(),
-            [](const EntryPlus& a, const EntryPlus& b) { return a.name < b.name; });
   co_return entries;
 }
 
@@ -1075,7 +1079,7 @@ net::Task<Status> LocoClient::RenameAcrossShards(std::string from,
   const std::uint64_t txid = MintTxid();
 
   // Phase 1: prepare — persist the intent, lock the subtree against other
-  // mutations, and package its d-inodes + dirent lists.
+  // mutations, and package its d-inodes + dirent names.
   net::RpcResponse prep =
       co_await net::Call(channel_, src_node, proto::kDmsRenamePrepare,
                          fs::Pack(from, to, txid, identity_));
@@ -1093,8 +1097,9 @@ net::Task<Status> LocoClient::RenameAcrossShards(std::string from,
   fs::Uuid moved_uuid;
   bool have_uuid = false;
   for (const std::string& e : entries) {
-    std::string rel, dinode, dirent_value;
-    if (!fs::Unpack(e, rel, dinode, dirent_value) || !rel.empty()) continue;
+    std::string rel, dinode;
+    std::vector<std::string> names;
+    if (!fs::Unpack(e, rel, dinode, names) || !rel.empty()) continue;
     moved_uuid = DirInodeLayout::Parse(dinode).uuid;
     have_uuid = true;
     break;

@@ -72,13 +72,16 @@ DirectoryMetadataServer::DirectoryMetadataServer(const Options& options)
         return lease;
       }()) {
   sid_ = options.sid;
-  // Each store gets its own subdirectory so their WALs never collide.
+  // Each store gets its own subdirectory so their WALs never collide.  The
+  // dirent records use "dirent_records", not the concatenated lists' old
+  // "dirents": a store directory written in that format is never replayed
+  // as records.
   kv::KvOptions dirs_opt = options.kv;
   kv::KvOptions dirents_opt = options.kv;
   kv::KvOptions intents_opt = options.kv;
   if (!options.kv.dir.empty()) {
     dirs_opt.dir = options.kv.dir + "/dirs";
-    dirents_opt.dir = options.kv.dir + "/dirents";
+    dirents_opt.dir = options.kv.dir + "/dirent_records";
     intents_opt.dir = options.kv.dir + "/intents";
     std::error_code ec;
     std::filesystem::create_directories(dirs_opt.dir, ec);
@@ -88,8 +91,10 @@ DirectoryMetadataServer::DirectoryMetadataServer(const Options& options)
   dirs_ = std::move(kv::MakeStripedKv(options.backend, dirs_opt,
                                       options.kv_stripes))
               .value();
-  dirents_ = std::move(kv::MakeStripedKv(kv::KvBackend::kHash, dirents_opt,
-                                         options.kv_stripes))
+  // One record per subdirectory, striped by the parent's uuid so a listing
+  // is one ordered scan of one stripe (layout.h).
+  dirents_ = std::move(kv::MakeStripedKv(kv::KvBackend::kBTree, dirents_opt,
+                                         options.kv_stripes, kDirentRouteBytes))
                  .value();
   // The rename intent log stays tiny (one record per in-flight cross-shard
   // transfer); a single stripe avoids 16 extra WAL files per daemon.
@@ -427,14 +432,10 @@ net::RpcResponse DirectoryMetadataServer::Mkdir(std::string_view payload) {
     return Fail(ErrCode::kIo);
   }
 
-  // Record the new subdirectory in the parent's concatenated dirent value.
-  const std::string dirent_key = DirentKey(parent->uuid);
-  std::string dirent_value;
-  (void)dirents_->Get(dirent_key, &dirent_value);
-  AppendDirent(&dirent_value, fs::BaseName(path));
-  if (!dirents_->Put(dirent_key, dirent_value).ok()) {
-    // Roll back the d-inode: without its dirent entry the directory would be
-    // invisible to Readdir yet block any future mkdir of the same path.
+  // Record the new subdirectory under its parent.
+  if (!dirents_->Put(DirentKey(parent->uuid, fs::BaseName(path)), {}).ok()) {
+    // Roll back the d-inode: without its dirent record the directory would
+    // be invisible to Readdir yet block any future mkdir of the same path.
     (void)dirs_->Delete(path);
     return Fail(ErrCode::kIo);
   }
@@ -482,25 +483,14 @@ net::RpcResponse DirectoryMetadataServer::Rmdir(std::string_view payload) {
 
   // Subdirectory emptiness is local; file emptiness was verified by the
   // client against every FMS (files_checked is the protocol attestation).
-  std::string dirent_value;
-  if (dirents_->Get(DirentKey(attr.uuid), &dirent_value).ok() &&
-      !ParseDirentList(dirent_value).empty()) {
-    return Fail(ErrCode::kNotEmpty);
-  }
+  if (HasDirents(*dirents_, attr.uuid)) return Fail(ErrCode::kNotEmpty);
   if (files_checked == 0) return Fail(ErrCode::kInvalid);
 
   auto parent = ResolveDir(fs::ParentPath(path), who, fs::kModeWrite);
   if (!parent.ok()) return Fail(parent.code());
 
   (void)dirs_->Delete(path);
-  (void)dirents_->Delete(DirentKey(attr.uuid));
-  const std::string parent_key = DirentKey(parent->uuid);
-  std::string parent_dirents;
-  if (dirents_->Get(parent_key, &parent_dirents).ok()) {
-    if (RemoveDirent(&parent_dirents, fs::BaseName(path))) {
-      (void)dirents_->Put(parent_key, parent_dirents);
-    }
-  }
+  (void)dirents_->Delete(DirentKey(parent->uuid, fs::BaseName(path)));
   return Ok();
 }
 
@@ -512,16 +502,13 @@ net::RpcResponse DirectoryMetadataServer::Lookup(std::string_view payload) {
   if (!fs::Unpack(payload, path, who, want, shadow_name)) return BadRequest();
   auto attr = ResolveDir(path, who, want);
   if (!attr.ok()) return Fail(attr.code());
-  std::string dirent_value;
-  (void)dirents_->Get(DirentKey(attr->uuid), &dirent_value);
-  std::vector<std::string> names = ParseDirentList(dirent_value);
   if (!shadow_name.empty() &&
-      std::find(names.begin(), names.end(), shadow_name) != names.end()) {
+      dirents_->Contains(DirentKey(attr->uuid, shadow_name))) {
     return Fail(ErrCode::kExists);
   }
   // The reply carries the subdirectory names so the client can keep
   // enforcing the shadow check locally for the lease lifetime (§3.2.2).
-  return OkPayload(fs::Pack(*attr, names));
+  return OkPayload(fs::Pack(*attr, ListDirents(*dirents_, attr->uuid)));
 }
 
 net::RpcResponse DirectoryMetadataServer::Stat(std::string_view payload) {
@@ -539,10 +526,8 @@ net::RpcResponse DirectoryMetadataServer::Readdir(std::string_view payload) {
   if (!fs::Unpack(payload, path, who)) return BadRequest();
   auto attr = ResolveDir(path, who, fs::kModeRead);
   if (!attr.ok()) return Fail(attr.code());
-  std::string dirent_value;
-  (void)dirents_->Get(DirentKey(attr->uuid), &dirent_value);
   std::vector<fs::DirEntry> entries;
-  for (std::string& name : ParseDirentList(dirent_value)) {
+  for (std::string& name : ListDirents(*dirents_, attr->uuid)) {
     entries.push_back(fs::DirEntry{std::move(name), true});
   }
   return OkPayload(fs::Pack(*attr, entries));
@@ -651,7 +636,7 @@ net::RpcResponse DirectoryMetadataServer::Rename(std::string_view payload) {
   // Relocate the subtree's d-inodes.  With the B+-tree backend this is an
   // ordered range scan of exactly the subtree (§3.4.3); with the hash
   // backend ScanPrefix degrades to a full table walk (Fig. 14's contrast).
-  // Children (files and the subtree's dirent lists) are keyed by uuid and
+  // Children (files and the subtree's dirent records) are keyed by uuid and
   // never move (§3.4.2).
   std::vector<kv::Entry> subtree;
   (void)dirs_->ScanPrefix(from + "/", 0, &subtree);
@@ -666,18 +651,9 @@ net::RpcResponse DirectoryMetadataServer::Rename(std::string_view payload) {
   (void)dirs_->Put(to, value);
   ++moved;
 
-  // Fix both parents' dirent lists.
-  const std::string src_key = DirentKey(src_parent->uuid);
-  std::string src_dirents;
-  if (dirents_->Get(src_key, &src_dirents).ok() &&
-      RemoveDirent(&src_dirents, fs::BaseName(from))) {
-    (void)dirents_->Put(src_key, src_dirents);
-  }
-  const std::string dst_key = DirentKey(dst_parent->uuid);
-  std::string dst_dirents;
-  (void)dirents_->Get(dst_key, &dst_dirents);
-  AppendDirent(&dst_dirents, fs::BaseName(to));
-  (void)dirents_->Put(dst_key, dst_dirents);
+  // Move the entry from the source parent's records to the destination's.
+  (void)dirents_->Delete(DirentKey(src_parent->uuid, fs::BaseName(from)));
+  (void)dirents_->Put(DirentKey(dst_parent->uuid, fs::BaseName(to)), {});
   return OkPayload(fs::Pack(moved));
 }
 
@@ -730,12 +706,12 @@ void DirectoryMetadataServer::DeleteSubtree(const std::string& root) {
   std::vector<kv::Entry> subtree;
   (void)dirs_->ScanPrefix(root + "/", 0, &subtree);
   for (const auto& [key, inode] : subtree) {
-    (void)dirents_->Delete(DirentKey(DirInodeLayout::Parse(inode).uuid));
+    (void)DeleteDirents(dirents_.get(), DirInodeLayout::Parse(inode).uuid);
     (void)dirs_->Delete(key);
   }
   std::string inode;
   if (dirs_->Get(root, &inode).ok()) {
-    (void)dirents_->Delete(DirentKey(DirInodeLayout::Parse(inode).uuid));
+    (void)DeleteDirents(dirents_.get(), DirInodeLayout::Parse(inode).uuid);
     (void)dirs_->Delete(root);
   }
 }
@@ -785,16 +761,14 @@ net::RpcResponse DirectoryMetadataServer::RenamePrepare(
   std::string root_inode;
   if (!dirs_->Get(from, &root_inode).ok()) return Fail(ErrCode::kNotFound);
 
-  // Package the subtree: one entry per d-inode, with its uuid-keyed dirent
-  // list riding along (the uuids move to the destination shard with their
-  // directories).  rel_path is "" for the subtree root.
+  // Package the subtree: one entry per d-inode, with the names of its
+  // subdirectory records riding along (the uuids move to the destination
+  // shard with their directories).  rel_path is "" for the subtree root.
   std::vector<std::string> entries;
   auto package = [this, &entries](std::string rel, std::string_view inode) {
-    std::string dirent_value;
-    (void)dirents_->Get(DirentKey(DirInodeLayout::Parse(inode).uuid),
-                        &dirent_value);
-    entries.push_back(
-        fs::Pack(std::move(rel), std::string(inode), dirent_value));
+    entries.push_back(fs::Pack(
+        std::move(rel), std::string(inode),
+        ListDirents(*dirents_, DirInodeLayout::Parse(inode).uuid)));
   };
   package("", root_inode);
   std::vector<kv::Entry> subtree;
@@ -846,39 +820,29 @@ net::RpcResponse DirectoryMetadataServer::RenameCommit(
 
   // Durable order: marker first (so a crash mid-install is recognizably a
   // partial transfer), children next, the subtree root *last* (the commit
-  // point), then the parent dirent entry, then the marker drop.
+  // point), then the parent dirent record, then the marker drop.
   if (!PutIntent(1, txid, "", to)) return Fail(ErrCode::kIo);
   std::string root_inode;
   for (const std::string& entry : entries) {
-    std::string rel, inode, dirent_value;
-    if (!fs::Unpack(entry, rel, inode, dirent_value)) {
+    std::string rel, inode;
+    std::vector<std::string> names;
+    if (!fs::Unpack(entry, rel, inode, names)) {
       return BadRequest();  // marker stays; fsck rolls the partial back
     }
     if (rel.empty()) {
       root_inode = inode;
-      if (!dirent_value.empty()) {
-        (void)dirents_->Put(DirentKey(DirInodeLayout::Parse(inode).uuid),
-                            dirent_value);
-      }
-      continue;
+    } else if (!dirs_->Put(to + "/" + rel, inode).ok()) {
+      return Fail(ErrCode::kIo);
     }
-    const std::string path = to + "/" + rel;
-    if (!dirs_->Put(path, inode).ok()) return Fail(ErrCode::kIo);
-    if (!dirent_value.empty()) {
-      (void)dirents_->Put(DirentKey(DirInodeLayout::Parse(inode).uuid),
-                          dirent_value);
+    const fs::Uuid uuid = DirInodeLayout::Parse(inode).uuid;
+    for (const std::string& name : names) {
+      (void)dirents_->Put(DirentKey(uuid, name), {});
     }
   }
   if (root_inode.empty()) return Fail(ErrCode::kInvalid);
   if (!dirs_->Put(to, root_inode).ok()) return Fail(ErrCode::kIo);
 
-  const std::string dst_key = DirentKey(dst_parent->uuid);
-  std::string dst_dirents;
-  (void)dirents_->Get(dst_key, &dst_dirents);
-  if (!DirentListContains(dst_dirents, fs::BaseName(to))) {
-    AppendDirent(&dst_dirents, fs::BaseName(to));
-    (void)dirents_->Put(dst_key, dst_dirents);
-  }
+  (void)dirents_->Put(DirentKey(dst_parent->uuid, fs::BaseName(to)), {});
   EraseIntent(1, txid);
   return Ok();
 }
@@ -894,17 +858,12 @@ net::RpcResponse DirectoryMetadataServer::RenameFinish(
     if (it == pending_renames_.end()) return Ok();  // already finished
     p = it->second;
   }
-  // The destination owns the subtree now: delete the source copy, fix the
-  // source parent's dirent list, drop the intent.
+  // The destination owns the subtree now: delete the source copy, drop the
+  // source parent's record of it, drop the intent.
   std::string parent_inode;
   if (dirs_->Get(std::string(fs::ParentPath(p.from)), &parent_inode).ok()) {
-    const std::string src_key =
-        DirentKey(DirInodeLayout::Parse(parent_inode).uuid);
-    std::string src_dirents;
-    if (dirents_->Get(src_key, &src_dirents).ok() &&
-        RemoveDirent(&src_dirents, fs::BaseName(p.from))) {
-      (void)dirents_->Put(src_key, src_dirents);
-    }
+    (void)dirents_->Delete(DirentKey(DirInodeLayout::Parse(parent_inode).uuid,
+                                     fs::BaseName(p.from)));
   }
   DeleteSubtree(p.from);
   // Push while `from` is still known (Finish carries only the txid, so the
@@ -989,16 +948,6 @@ std::string DirectoryMetadataServer::ScanDirsPayload() {
   return fs::Pack(entries);
 }
 
-std::string DirectoryMetadataServer::ScanDirentsPayload() {
-  std::vector<std::string> entries;
-  dirents_->ForEach([&entries](std::string_view key, std::string_view value) {
-    const fs::Uuid uuid(common::LoadAt<std::uint64_t>(key, 0));
-    entries.push_back(fs::Pack(uuid, ParseDirentList(value)));
-    return true;
-  });
-  return fs::Pack(entries);
-}
-
 net::RpcResponse DirectoryMetadataServer::ScanDirs(std::string_view payload) {
   if (!payload.empty()) {
     std::uint64_t epoch = 0;
@@ -1022,13 +971,13 @@ net::RpcResponse DirectoryMetadataServer::ScanDirents(std::string_view payload) 
     if (it == snapshots_.end()) return Fail(ErrCode::kNotFound);
     return OkPayload(it->second.dirents);
   }
-  return OkPayload(ScanDirentsPayload());
+  return OkPayload(DirentScanPayload(*dirents_));
 }
 
 net::RpcResponse DirectoryMetadataServer::SnapshotBegin() {
   Snapshot snap;
   snap.dirs = ScanDirsPayload();
-  snap.dirents = ScanDirentsPayload();
+  snap.dirents = DirentScanPayload(*dirents_);
   snap.intents = ScanIntentsPayload();
   std::lock_guard<std::mutex> lock(snap_mu_);
   const std::uint64_t epoch = next_snapshot_epoch_++;
@@ -1079,17 +1028,12 @@ net::RpcResponse DirectoryMetadataServer::RepairDirent(std::string_view payload)
   const auto guard = dir_locks_.Lock(PathLockKey(dir_path));
   std::string value;
   if (!dirs_->Get(dir_path, &value).ok()) return Fail(ErrCode::kNotFound);
-  const fs::Attr attr = DirInodeLayout::Parse(value);
-  const std::string dirent_key = DirentKey(attr.uuid);
-  std::string dirent_value;
-  (void)dirents_->Get(dirent_key, &dirent_value);
-  if (add != 0) {
-    if (DirentListContains(dirent_value, name)) return Ok();
-    AppendDirent(&dirent_value, name);
-  } else {
-    if (!RemoveDirent(&dirent_value, name)) return Ok();
+  const std::string key = DirentKey(DirInodeLayout::Parse(value).uuid, name);
+  if (add == 0) {
+    (void)dirents_->Delete(key);
+  } else if (!dirents_->Put(key, {}).ok()) {
+    return Fail(ErrCode::kIo);
   }
-  if (!dirents_->Put(dirent_key, dirent_value).ok()) return Fail(ErrCode::kIo);
   return Ok();
 }
 
@@ -1098,7 +1042,7 @@ net::RpcResponse DirectoryMetadataServer::DropDirents(std::string_view payload) 
   if (!fs::Unpack(payload, uuid)) return BadRequest();
   // Only reasonable against a uuid whose d-inode is gone (rmdir crash
   // leftovers); fsck verifies that before asking.
-  (void)dirents_->Delete(DirentKey(uuid));
+  (void)DeleteDirents(dirents_.get(), uuid);
   return Ok();
 }
 
@@ -1110,26 +1054,20 @@ bool DirectoryMetadataServer::GcFixDirent(const std::string& dir_path,
   const auto guard = dir_locks_.Lock(PathLockKey(dir_path));
   std::string value;
   if (!dirs_->Get(dir_path, &value).ok()) return false;
-  const fs::Attr attr = DirInodeLayout::Parse(value);
   const std::string child_path =
       dir_path == "/" ? "/" + name : dir_path + "/" + name;
   const bool child_exists = dirs_->Contains(child_path);
-  const std::string dirent_key = DirentKey(attr.uuid);
-  std::string dirent_value;
-  (void)dirents_->Get(dirent_key, &dirent_value);
-  const bool listed = DirentListContains(dirent_value, name);
+  const std::string key = DirentKey(DirInodeLayout::Parse(value).uuid, name);
+  const bool listed = dirents_->Contains(key);
   if (add) {
-    // I4: the child d-inode must still exist and still be unlisted.  Holding
-    // the same lock Mkdir appends under makes a duplicate entry impossible.
+    // I4: the child d-inode must still exist and still be unlisted.
     if (!child_exists || listed) return false;
-    AppendDirent(&dirent_value, name);
-  } else {
-    // I2: the entry must still be dangling.  A child mid-Mkdir cannot look
-    // like this (the inode is written before the dirent entry).
-    if (child_exists || !listed) return false;
-    if (!RemoveDirent(&dirent_value, name)) return false;
+    return dirents_->Put(key, {}).ok();
   }
-  return dirents_->Put(dirent_key, dirent_value).ok();
+  // I2: the record must still be dangling.  A child mid-Mkdir cannot look
+  // like this (the inode is written before the dirent record).
+  if (child_exists || !listed) return false;
+  return dirents_->Delete(key).ok();
 }
 
 GcStepResult DirectoryMetadataServer::GcStep(std::uint32_t budget) {
@@ -1173,10 +1111,11 @@ GcStepResult DirectoryMetadataServer::GcStep(std::uint32_t budget) {
         }
         break;
       case GcPending::kDropList: {
-        // I3: confirmed dead in two consecutive harvests.  Uuids are minted
-        // monotonically and never reissued, so a dead uuid cannot return.
+        // I3: records under a uuid confirmed dead in two consecutive
+        // harvests.  Uuids are minted monotonically and never reissued, so
+        // a dead uuid cannot return.
         std::shared_lock ns(ns_mu_);
-        (void)dirents_->Delete(DirentKey(fs::Uuid(p.uuid_raw)));
+        (void)DeleteDirents(dirents_.get(), fs::Uuid(p.uuid_raw));
         result.reclaimed += 1;
         gc_i3_repaired_->Add();
         break;
@@ -1197,10 +1136,7 @@ GcStepResult DirectoryMetadataServer::GcStep(std::uint32_t budget) {
       dirs[std::string(key)] = DirInodeLayout::Parse(value).uuid.raw();
       return true;
     });
-    dirents_->ForEach([&lists](std::string_view key, std::string_view value) {
-      lists[common::LoadAt<std::uint64_t>(key, 0)] = ParseDirentList(value);
-      return true;
-    });
+    lists = DirentsByDir(*dirents_);
   }
   result.ops += static_cast<std::uint32_t>(dirs.size() + lists.size() + 1);
 
@@ -1238,7 +1174,7 @@ GcStepResult DirectoryMetadataServer::GcStep(std::uint32_t budget) {
     }
   }
 
-  // I2: names in a live directory's list whose d-inode is gone.
+  // I2: records of a live directory whose child d-inode is gone.
   for (const auto& [path, uuid_raw] : dirs) {
     auto it = lists.find(uuid_raw);
     if (it == lists.end()) continue;
@@ -1250,8 +1186,8 @@ GcStepResult DirectoryMetadataServer::GcStep(std::uint32_t budget) {
     }
   }
 
-  // I4: live directories missing from their (live) parent's list.  A parent
-  // queued for I1 recreation gets its list fixed on the next pass.
+  // I4: live directories without a record in their (live) parent.  A parent
+  // queued for I1 recreation gets its record fixed on the next pass.
   for (const auto& [path, uuid_raw] : dirs) {
     if (path == "/") continue;
     const std::string parent(fs::ParentPath(path));
@@ -1259,15 +1195,15 @@ GcStepResult DirectoryMetadataServer::GcStep(std::uint32_t budget) {
     if (pit == dirs.end()) continue;
     const std::string name(fs::BaseName(path));
     auto lit = lists.find(pit->second);
-    const bool listed = lit != lists.end() &&
-                        std::find(lit->second.begin(), lit->second.end(),
-                                  name) != lit->second.end();
+    const bool listed =
+        lit != lists.end() &&
+        std::binary_search(lit->second.begin(), lit->second.end(), name);
     if (!listed) {
       gc_queue_.push_back(GcPending{GcPending::kAddName, parent, name, 0});
     }
   }
 
-  // I3: dirent lists keyed by a uuid with no d-inode — two-cycle confirmed
+  // I3: records under a uuid prefix with no d-inode — two-cycle confirmed
   // before the (destructive) drop.
   {
     std::set<std::uint64_t> live;

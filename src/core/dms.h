@@ -5,13 +5,14 @@
 //   * any directory is located with one local get (flattened tree);
 //   * ancestor ACL checks for a whole path are local gets, never RPCs;
 //   * a directory rename is an ordered range move (§3.4.3).
-// Sub-directory dirent lists are concatenated values keyed by the owning
-// directory's uuid in a separate hash KV (§3.2.1).
+// Sub-directory dirents are one empty-valued record each, keyed by the
+// parent directory's uuid + the entry name, in a separate B+-tree KV striped
+// by the uuid (core/layout.h).
 //
 // Concurrency: handlers may run on many TcpServer workers at once.  A
 // shared/exclusive namespace lock isolates Rename — which rewrites path keys
 // across a whole subtree — from every other handler; mutations that touch a
-// directory's dirent list or its children's existence (Mkdir, Rmdir)
+// directory's dirent records or its children's existence (Mkdir, Rmdir)
 // serialize on a striped lock table keyed by the directory path's hash; the
 // remaining single-key attribute ops rely on the lock-striped KV stores
 // (kvstore/striped_kv.h).
@@ -87,9 +88,9 @@ class DirectoryMetadataServer final : public net::RpcHandler {
 
   // One incremental GC step (docs/HOUSEKEEPING.md): apply queued repairs,
   // else harvest both stores and detect the DMS-local invariants — I1
-  // (missing parent d-inodes), I2 (dangling dirent entries), I3 (dirent
-  // lists of dead uuids, two-cycle confirmed), I4 (directories missing from
-  // their parent's list).  Called from a single GcManager thread; repairs
+  // (missing parent d-inodes), I2 (dangling dirent records), I3 (records
+  // under a dead uuid prefix, two-cycle confirmed), I4 (directories without
+  // a record in their parent).  Called from a single GcManager thread; repairs
   // re-verify under the serving locks before touching the stores.
   GcStepResult GcStep(std::uint32_t budget);
 
@@ -175,7 +176,6 @@ class DirectoryMetadataServer final : public net::RpcHandler {
 
   // Materialized scan payloads (shared by live scans and SnapshotBegin).
   std::string ScanDirsPayload();
-  std::string ScanDirentsPayload();
   std::string ScanIntentsPayload() const;
 
   // True when `path` lies inside a subtree locked by a pending outgoing
@@ -187,17 +187,19 @@ class DirectoryMetadataServer final : public net::RpcHandler {
   bool PutIntent(std::uint8_t kind, std::uint64_t txid, std::string_view from,
                  std::string_view to);
   void EraseIntent(std::uint8_t kind, std::uint64_t txid);
-  // Delete every d-inode at/under `root` plus their uuid-keyed dirent lists.
+  // Delete every d-inode at/under `root` plus the dirent records under
+  // their uuids.
   void DeleteSubtree(const std::string& root);
 
-  // GC repair primitive: add (or drop) `name` in `dir_path`'s dirent list
-  // iff the child d-inode's existence still justifies it, checked inside the
-  // same per-directory lock Mkdir/Rmdir hold.  Returns true when applied.
+  // GC repair primitive: add (or drop) the record of `name` under
+  // `dir_path` iff the child d-inode's existence still justifies it, checked
+  // inside the same per-directory lock Mkdir/Rmdir hold.  Returns true when
+  // applied.
   bool GcFixDirent(const std::string& dir_path, const std::string& name,
                    bool add);
 
   std::unique_ptr<kv::Kv> dirs_;     // full path -> 48-byte d-inode
-  std::unique_ptr<kv::Kv> dirents_;  // dir uuid -> concatenated subdir names
+  std::unique_ptr<kv::Kv> dirents_;  // dir uuid + subdir name -> empty
   // Cross-shard rename intent log: [kind u8 | txid u64] -> Pack(from, to).
   // Tiny (one record per in-flight transfer) but durable — recovery after a
   // crash is driven entirely from this store.
@@ -214,8 +216,8 @@ class DirectoryMetadataServer final : public net::RpcHandler {
   // Rename takes this exclusively (it moves path keys under every other
   // handler's feet); all other handlers take it shared.
   mutable std::shared_mutex ns_mu_;
-  // Per-directory serialization for dirent-list updates and child
-  // create/remove, keyed by the directory path's hash.
+  // Per-directory serialization for child create/remove and their dirent
+  // records, keyed by the directory path's hash.
   common::LockTable dir_locks_{64};
 
   // Push plane: notify sink (owned by the hosting server) + lease watches.
@@ -234,7 +236,7 @@ class DirectoryMetadataServer final : public net::RpcHandler {
   std::map<std::uint64_t, Snapshot> snapshots_;
 
   // Housekeeping (single GcManager thread): pending repairs and the I3
-  // candidates of the previous harvest (dropping a dirent list is
+  // candidates of the previous harvest (dropping a dead uuid's records is
   // destructive, so it needs two consecutive sightings).
   struct GcPending {
     enum Kind : std::uint8_t { kMkdir, kAddName, kDropName, kDropList };

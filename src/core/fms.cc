@@ -85,9 +85,14 @@ FileMetadataServer::FileMetadataServer(const Options& options)
                                            options_.kv_stripes))
                    .value();
   }
-  dirents_ = std::move(kv::MakeStripedKv(kv::KvBackend::kHash,
-                                         sub_options("dirents"),
-                                         options_.kv_stripes))
+  // One record per file, striped by the directory uuid so a listing is one
+  // ordered scan of one stripe (layout.h).  "dirent_records", not the
+  // concatenated lists' old "dirents": a store directory written in that
+  // format is never replayed as records.
+  dirents_ = std::move(kv::MakeStripedKv(kv::KvBackend::kBTree,
+                                         sub_options("dirent_records"),
+                                         options_.kv_stripes,
+                                         kDirentRouteBytes))
                  .value();
   if (options_.kv_decorator) {
     if (access_) access_ = options_.kv_decorator(std::move(access_));
@@ -217,29 +222,6 @@ net::RpcResponse FileMetadataServer::Dispatch(std::uint16_t opcode,
   }
 }
 
-Status FileMetadataServer::AppendToDirent(fs::Uuid dir_uuid,
-                                          std::string_view name) {
-  const std::string key = DirentKey(dir_uuid);
-  std::string value;
-  (void)dirents_->Get(key, &value);
-  AppendDirent(&value, name);
-  return dirents_->Put(key, value);
-}
-
-void FileMetadataServer::RemoveFromDirent(fs::Uuid dir_uuid,
-                                          std::string_view name) {
-  const std::string key = DirentKey(dir_uuid);
-  std::string value;
-  if (!dirents_->Get(key, &value).ok()) return;
-  if (RemoveDirent(&value, name)) {
-    if (value.empty()) {
-      (void)dirents_->Delete(key);
-    } else {
-      (void)dirents_->Put(key, value);
-    }
-  }
-}
-
 net::RpcResponse FileMetadataServer::Create(std::string_view payload,
                                             std::uint64_t client) {
   fs::Uuid dir_uuid;
@@ -252,7 +234,7 @@ net::RpcResponse FileMetadataServer::Create(std::string_view payload,
   const fs::Uuid uuid = fs::Uuid::Make(
       options_.sid, next_fid_.fetch_add(1, std::memory_order_relaxed));
   // Serialize against same-directory creates/removes: the existence check,
-  // the inode puts, and the dirent-list RMW must be one atomic step.
+  // the inode puts, and the dirent record must be one atomic step.
   const auto guard = dir_locks_.Lock(dir_uuid.raw());
 
   if (options_.decoupled) {
@@ -282,8 +264,9 @@ net::RpcResponse FileMetadataServer::Create(std::string_view payload,
     inode.name = name;
     if (!coupled_->Put(key, inode.Serialize()).ok()) return Fail(ErrCode::kIo);
   }
-  if (!AppendToDirent(dir_uuid, name).ok()) {
-    // Roll back the inode: a file absent from its dirent list would survive
+  // The dirent record shares the inode's key.
+  if (!dirents_->Put(key, {}).ok()) {
+    // Roll back the inode: a file without its dirent record would survive
     // as an orphan invisible to Readdir yet blocking future creates.
     if (options_.decoupled) {
       (void)access_->Delete(key);
@@ -317,7 +300,7 @@ net::RpcResponse FileMetadataServer::Remove(std::string_view payload) {
   } else {
     (void)coupled_->Delete(key);
   }
-  RemoveFromDirent(dir_uuid, name);
+  (void)dirents_->Delete(key);
   sessions_.DropFile(dir_uuid, name);
   return OkPayload(fs::Pack(attr->uuid));
 }
@@ -592,13 +575,24 @@ net::RpcResponse FileMetadataServer::SetAtime(std::string_view payload) {
 net::RpcResponse FileMetadataServer::Readdir(std::string_view payload) {
   fs::Uuid dir_uuid;
   if (!fs::Unpack(payload, dir_uuid)) return BadRequest();
-  std::string value;
-  (void)dirents_->Get(DirentKey(dir_uuid), &value);
-  std::vector<fs::DirEntry> entries;
-  for (std::string& name : ParseDirentList(value)) {
-    entries.push_back(fs::DirEntry{std::move(name), false});
-  }
-  return OkPayload(fs::Pack(entries));
+  // Encode the fs::Pack(std::vector<fs::DirEntry>) reply straight from the
+  // records, which arrive in name order: a u32 count (patched in once
+  // known), then each name and a zero is_dir byte.
+  std::string reply(sizeof(std::uint32_t), '\0');
+  common::Writer w(&reply);
+  std::uint32_t count = 0;
+  (void)dirents_->VisitPrefix(DirentPrefix(dir_uuid), 0,
+                              [&w, &count](std::string_view key,
+                                           std::string_view) {
+                                w.PutBytes(key.substr(kDirentRouteBytes));
+                                w.PutU8(0);
+                                ++count;
+                                return true;
+                              });
+  common::Writer count_bytes;
+  count_bytes.PutU32(count);
+  reply.replace(0, sizeof(std::uint32_t), count_bytes.str());
+  return OkPayload(std::move(reply));
 }
 
 net::RpcResponse FileMetadataServer::BatchCreate(std::string_view payload,
@@ -656,17 +650,12 @@ net::RpcResponse FileMetadataServer::BatchSetSize(std::string_view payload) {
 net::RpcResponse FileMetadataServer::ReaddirPlus(std::string_view payload) {
   fs::Uuid dir_uuid;
   if (!fs::Unpack(payload, dir_uuid)) return BadRequest();
-  std::string value;
-  {
-    // Snapshot the dirent list under the directory lock, then stat outside
-    // it — a concurrent remove turns into a per-entry kNotFound, exactly
-    // what a readdir+stat sequence could observe anyway.
-    const auto guard = dir_locks_.Lock(dir_uuid.raw());
-    (void)dirents_->Get(DirentKey(dir_uuid), &value);
-  }
+  // List first (one scan under the stripe lock), then stat each name — a
+  // concurrent remove turns into a per-entry kNotFound, exactly what a
+  // readdir+stat sequence could observe anyway.
   std::vector<net::wire::BatchItem> items;
   std::size_t failed = 0;
-  for (std::string& name : ParseDirentList(value)) {
+  for (std::string& name : ListDirents(*dirents_, dir_uuid)) {
     auto attr = GetAttrInternal(FileKey(dir_uuid, name));
     net::wire::BatchItem item;
     if (attr.ok()) {
@@ -685,11 +674,7 @@ net::RpcResponse FileMetadataServer::ReaddirPlus(std::string_view payload) {
 net::RpcResponse FileMetadataServer::CheckEmpty(std::string_view payload) {
   fs::Uuid dir_uuid;
   if (!fs::Unpack(payload, dir_uuid)) return BadRequest();
-  std::string value;
-  if (dirents_->Get(DirentKey(dir_uuid), &value).ok() &&
-      !ParseDirentList(value).empty()) {
-    return Fail(ErrCode::kNotEmpty);
-  }
+  if (HasDirents(*dirents_, dir_uuid)) return Fail(ErrCode::kNotEmpty);
   return Ok();
 }
 
@@ -734,7 +719,7 @@ net::RpcResponse FileMetadataServer::InsertRaw(std::string_view payload) {
     inode.name = name;
     if (!coupled_->Put(key, inode.Serialize()).ok()) return Fail(ErrCode::kIo);
   }
-  if (!AppendToDirent(dir_uuid, name).ok()) {
+  if (!dirents_->Put(key, {}).ok()) {
     if (options_.decoupled) {
       (void)access_->Delete(key);
       (void)content_->Delete(key);
@@ -774,16 +759,6 @@ std::string FileMetadataServer::ScanFilesPayload() {
   return fs::Pack(entries);
 }
 
-std::string FileMetadataServer::ScanDirentsPayload() {
-  std::vector<std::string> entries;
-  dirents_->ForEach([&entries](std::string_view key, std::string_view value) {
-    const fs::Uuid dir_uuid(common::LoadAt<std::uint64_t>(key, 0));
-    entries.push_back(fs::Pack(dir_uuid, ParseDirentList(value)));
-    return true;
-  });
-  return fs::Pack(entries);
-}
-
 net::RpcResponse FileMetadataServer::ScanFiles(std::string_view payload) {
   if (!payload.empty()) {
     std::uint64_t epoch = 0;
@@ -807,13 +782,13 @@ net::RpcResponse FileMetadataServer::ScanDirents(std::string_view payload) {
     if (it == snapshots_.end()) return Fail(ErrCode::kNotFound);
     return OkPayload(it->second.dirents);
   }
-  return OkPayload(ScanDirentsPayload());
+  return OkPayload(DirentScanPayload(*dirents_));
 }
 
 net::RpcResponse FileMetadataServer::SnapshotBegin() {
   Snapshot snap;
   snap.files = ScanFilesPayload();
-  snap.dirents = ScanDirentsPayload();
+  snap.dirents = DirentScanPayload(*dirents_);
   std::lock_guard<std::mutex> lock(snap_mu_);
   const std::uint64_t epoch = next_snapshot_epoch_++;
   snapshots_[epoch] = std::move(snap);
@@ -912,13 +887,11 @@ net::RpcResponse FileMetadataServer::RepairDirent(std::string_view payload) {
   if (!fs::Unpack(payload, dir_uuid, name, add)) return BadRequest();
   if (name.empty()) return Fail(ErrCode::kInvalid);
   const auto guard = dir_locks_.Lock(dir_uuid.raw());
-  if (add != 0) {
-    std::string value;
-    (void)dirents_->Get(DirentKey(dir_uuid), &value);
-    if (DirentListContains(value, name)) return Ok();
-    if (!AppendToDirent(dir_uuid, name).ok()) return Fail(ErrCode::kIo);
-  } else {
-    RemoveFromDirent(dir_uuid, name);
+  const std::string key = DirentKey(dir_uuid, name);
+  if (add == 0) {
+    (void)dirents_->Delete(key);
+  } else if (!dirents_->Put(key, {}).ok()) {
+    return Fail(ErrCode::kIo);
   }
   return Ok();
 }
@@ -941,7 +914,7 @@ net::RpcResponse FileMetadataServer::PurgeFile(std::string_view payload) {
   } else {
     (void)coupled_->Delete(key);
   }
-  RemoveFromDirent(dir_uuid, name);
+  (void)dirents_->Delete(key);
   sessions_.DropFile(dir_uuid, name);
   return OkPayload(fs::Pack(uuid));
 }
@@ -969,19 +942,17 @@ GcStepResult FileMetadataServer::GcStep(std::uint32_t budget,
     const std::string key = FileKey(dir, p.name);
     const bool have_inode =
         options_.decoupled ? access_->Contains(key) : coupled_->Contains(key);
-    std::string dirent_value;
-    (void)dirents_->Get(DirentKey(dir), &dirent_value);
-    const bool listed = DirentListContains(dirent_value, p.name);
+    const bool listed = dirents_->Contains(key);
     switch (p.kind) {
-      case GcPending::kAddDirent:  // I6: inode present, dirent entry missing
-        if (have_inode && !listed && AppendToDirent(dir, p.name).ok()) {
+      case GcPending::kAddDirent:  // I6: inode present, dirent record missing
+        if (have_inode && !listed && dirents_->Put(key, {}).ok()) {
           result.reclaimed += 1;
           gc_i6_repaired_->Add();
         }
         break;
-      case GcPending::kDropDirent:  // I7: dirent entry without an inode
+      case GcPending::kDropDirent:  // I7: dirent record without an inode
         if (!have_inode && listed) {
-          RemoveFromDirent(dir, p.name);
+          (void)dirents_->Delete(key);
           result.reclaimed += 1;
           gc_i7_repaired_->Add();
         }
@@ -995,7 +966,7 @@ GcStepResult FileMetadataServer::GcStep(std::uint32_t budget,
             (void)coupled_->Delete(key);
           }
         }
-        if (listed) RemoveFromDirent(dir, p.name);
+        if (listed) (void)dirents_->Delete(key);
         if (have_inode || listed) {
           result.reclaimed += 1;
           gc_i5_purged_->Add();
@@ -1033,22 +1004,18 @@ GcStepResult FileMetadataServer::GcStep(std::uint32_t budget,
         return true;
       });
     }
-    dirents_->ForEach([&lists](std::string_view key, std::string_view value) {
-      lists[common::LoadAt<std::uint64_t>(key, 0)] = ParseDirentList(value);
-      return true;
-    });
+    lists = DirentsByDir(*dirents_);
   }
   result.ops += static_cast<std::uint32_t>(files.size() + lists.size() + 1);
 
-  // I6/I7: files vs dirent lists, both directions.
+  // I6/I7: files vs dirent records, both directions.
   std::set<std::pair<std::uint64_t, std::string>> file_set;
   for (const FileRec& f : files) file_set.emplace(f.dir_raw, f.name);
   for (const FileRec& f : files) {
     auto it = lists.find(f.dir_raw);
     const bool listed =
         it != lists.end() &&
-        std::find(it->second.begin(), it->second.end(), f.name) !=
-            it->second.end();
+        std::binary_search(it->second.begin(), it->second.end(), f.name);
     if (!listed) {
       gc_queue_.push_back(GcPending{GcPending::kAddDirent, f.dir_raw, f.name});
     }

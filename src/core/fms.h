@@ -13,14 +13,15 @@
 //     list §3.3.2 removes; every update deserializes, modifies, and
 //     reserializes the whole record.
 //
-// File dirent lists (names of this directory's files that hash to this
-// server) are concatenated values keyed by directory uuid (§3.2.1).
+// File dirents (this directory's files that hash to this server) are one
+// empty-valued record per file, keyed like the inode by directory uuid +
+// name, in an ordered store striped by the uuid (core/layout.h).
 //
 // Concurrency: handlers may run on many TcpServer workers at once.  Create,
 // Remove and InsertRaw serialize per directory (a lock table keyed by
-// dir_uuid guards the dirent-list read-modify-write and the existence
-// check); attribute updates that read-modify-write one inode serialize per
-// file key; everything else relies on the lock-striped KV stores
+// dir_uuid makes the existence check, the inode writes and the dirent record
+// one step); attribute updates that read-modify-write one inode serialize
+// per file key; everything else relies on the lock-striped KV stores
 // (kvstore/striped_kv.h).
 #pragma once
 
@@ -149,10 +150,6 @@ class FileMetadataServer final : public net::RpcHandler {
 
   // Materialized scan payloads (shared by live scans and SnapshotBegin).
   std::string ScanFilesPayload();
-  std::string ScanDirentsPayload();
-
-  Status AppendToDirent(fs::Uuid dir_uuid, std::string_view name);
-  void RemoveFromDirent(fs::Uuid dir_uuid, std::string_view name);
 
   Options options_;
   // Decoupled mode stores.
@@ -161,12 +158,12 @@ class FileMetadataServer final : public net::RpcHandler {
   // Coupled mode store.
   std::unique_ptr<kv::Kv> coupled_;  // key -> serialized whole inode
   // Both modes.
-  std::unique_ptr<kv::Kv> dirents_;  // dir uuid -> concatenated file names
+  std::unique_ptr<kv::Kv> dirents_;  // key -> empty: one record per file
   std::atomic<std::uint64_t> next_fid_{1};
 
-  // Per-directory serialization (dirent list + existence checks), keyed by
-  // dir_uuid; per-file serialization for inode read-modify-writes, keyed by
-  // the file key's hash.
+  // Per-directory serialization (existence checks + dirent records), keyed
+  // by dir_uuid; per-file serialization for inode read-modify-writes, keyed
+  // by the file key's hash.
   common::LockTable dir_locks_{64};
   common::LockTable file_locks_{128};
 

@@ -389,8 +389,9 @@ std::vector<FsckFinding> FsckRunner::Analyze(const Snapshot& snap) const {
     findings.push_back(std::move(f));
   }
 
-  // I2 / I3: DMS dirent lists point only at live children and are keyed by
-  // live directories.  Repairs are routed to the shard the list lives on.
+  // I2 / I3: DMS dirent records name only live children and sit only under
+  // live directories' uuids (the scan groups them per directory).  Repairs
+  // are routed to the shard the records live on.
   for (const auto& list : snap.dms_dirents) {
     auto it = snap.path_by_uuid.find(list.uuid.raw());
     if (it == snap.path_by_uuid.end()) {
@@ -413,8 +414,8 @@ std::vector<FsckFinding> FsckRunner::Analyze(const Snapshot& snap) const {
     }
   }
 
-  // I4: every directory is listed in its parent's dirent list.  The root's
-  // list is partitioned: each shard holds the slice naming its own
+  // I4: every directory has a record under its parent.  The root's records
+  // are partitioned: each shard holds the slice naming its own
   // subtrees, so the per-uuid union below is the full membership view.
   std::unordered_map<std::uint64_t, std::unordered_set<std::string>>
       dirents_by_uuid;
@@ -478,7 +479,7 @@ std::vector<FsckFinding> FsckRunner::Analyze(const Snapshot& snap) const {
   }
 
   // I5 / I6: file inodes under live directories are listed in their FMS
-  // dirent list; inodes under dead directories are purged with their data.
+  // dirent records; inodes under dead directories are purged with their data.
   std::vector<std::unordered_map<std::uint64_t, std::unordered_set<std::string>>>
       fms_dirents(snap.fms.size());
   for (std::size_t i = 0; i < snap.fms.size(); ++i) {

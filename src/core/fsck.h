@@ -12,18 +12,18 @@
 // Invariants checked (and the repair applied with --repair):
 //   I1  every d-inode path except "/" has a parent d-inode
 //         -> recreate the missing parent (root-owned, mode 0755)
-//   I2  every name in a DMS dirent list names a live child d-inode
-//         -> remove the dangling name
-//   I3  every DMS dirent list is keyed by a live directory uuid
-//         -> drop the whole list
-//   I4  every d-inode except "/" appears in its parent's dirent list
-//         -> re-add the missing name
+//   I2  every DMS dirent record names a live child d-inode
+//         -> delete the dangling record
+//   I3  no DMS dirent record sits under a dead directory uuid prefix
+//         -> delete every record under that prefix
+//   I4  every d-inode except "/" has a record under its parent's uuid
+//         -> put the missing record
 //   I5  every file inode's parent directory uuid is live
 //         -> purge the file inode and its data objects
-//   I6  every file inode appears in its FMS dirent list
-//         -> re-add the missing name
-//   I7  every name in an FMS dirent list has a file inode on that server
-//         -> remove the dangling name (purge it when the directory is dead)
+//   I6  every file inode has a dirent record on its FMS
+//         -> put the missing record
+//   I7  every FMS dirent record has a file inode on that server
+//         -> delete the dangling record (purge it when the directory is dead)
 //   I8  a file uuid exists at exactly one (server, dir, name)
 //         -> keep one deterministic winner, purge the other keys (stale
 //            f-rename intermediates; data objects are NOT purged — the
@@ -68,10 +68,10 @@ namespace loco::core {
 enum class FsckFindingType : std::uint8_t {
   kMissingParent,     // I1: d-inode whose parent path has no d-inode
   kDanglingDmsDirent, // I2: DMS dirent name without a child d-inode
-  kDeadDirentList,    // I3: DMS dirent list keyed by a dead uuid
-  kOrphanDir,         // I4: d-inode missing from its parent's dirent list
+  kDeadDirentList,    // I3: DMS dirent records under a dead uuid
+  kOrphanDir,         // I4: d-inode without a record in its parent
   kOrphanFile,        // I5: file inode under a dead directory uuid
-  kMissingFmsDirent,  // I6: file inode missing from its FMS dirent list
+  kMissingFmsDirent,  // I6: file inode without its FMS dirent record
   kDanglingFmsDirent, // I7: FMS dirent name without a file inode
   kDuplicateUuid,     // I8: same file uuid at more than one FMS key
   kLeakedObject,      // I9: object data no file inode references

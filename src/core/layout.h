@@ -20,12 +20,14 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/codec.h"
 #include "fs/types.h"
+#include "kvstore/kv.h"
 
 namespace loco::core {
 
@@ -177,7 +179,7 @@ struct CoupledInode {
 
 // --------------------------------------------------------------- KV keys ----
 // File metadata key: 8-byte parent uuid + name (the consistent-hash key of
-// §3.1).  Dirent-list key: the 8-byte owner uuid alone.
+// §3.1).
 inline std::string FileKey(fs::Uuid dir_uuid, std::string_view name) {
   std::string key(8, '\0');
   common::StoreAt<std::uint64_t>(&key, 0, dir_uuid.raw());
@@ -185,18 +187,38 @@ inline std::string FileKey(fs::Uuid dir_uuid, std::string_view name) {
   return key;
 }
 
-inline std::string DirentKey(fs::Uuid dir_uuid) {
-  std::string key(8, '\0');
-  common::StoreAt<std::uint64_t>(&key, 0, dir_uuid.raw());
-  return key;
+// -------------------------------------------------------- dirent records ----
+// One record per directory entry — subdirectories on the DMS, files on each
+// FMS — keyed by the 8-byte directory uuid + the entry name, with an empty
+// value.  A directory's records share the uuid prefix, so in an ordered store
+// they are one contiguous run in name order, and dirent stores route stripes
+// by that prefix (kDirentRouteBytes, kv::MakeStripedKv) so the run never
+// spans stripes.  Adding or removing an entry is one record put or delete.
+// The paper instead concatenates a directory's names into one value
+// (§3.2.1); DESIGN.md §2 gives the measured reason for the departure.
+constexpr std::size_t kDirentRouteBytes = 8;
+
+inline std::string DirentPrefix(fs::Uuid dir_uuid) {
+  std::string prefix(kDirentRouteBytes, '\0');
+  common::StoreAt<std::uint64_t>(&prefix, 0, dir_uuid.raw());
+  return prefix;
 }
 
-// Dirent lists are stored as one concatenated value per directory (§3.2.1):
-// a sequence of length-prefixed names.
-std::vector<std::string> ParseDirentList(std::string_view value);
-void AppendDirent(std::string* value, std::string_view name);
-// Returns false if absent.
-bool RemoveDirent(std::string* value, std::string_view name);
-bool DirentListContains(std::string_view value, std::string_view name);
+inline std::string DirentKey(fs::Uuid dir_uuid, std::string_view name) {
+  return FileKey(dir_uuid, name);
+}
+
+// Names of `dir`'s entries, in name order.
+std::vector<std::string> ListDirents(const kv::Kv& store, fs::Uuid dir);
+// True when `dir` has at least one entry.
+bool HasDirents(const kv::Kv& store, fs::Uuid dir);
+// Delete every record of `dir`; returns how many there were.
+std::size_t DeleteDirents(kv::Kv* store, fs::Uuid dir);
+// Every directory that has records, with its names in name order.
+std::map<std::uint64_t, std::vector<std::string>> DirentsByDir(
+    const kv::Kv& store);
+// The fsck scan payload (kDmsScanDirents / kFmsScanDirents): one
+// Pack(dir uuid, names) per directory that has records.
+std::string DirentScanPayload(const kv::Kv& store);
 
 }  // namespace loco::core

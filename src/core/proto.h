@@ -58,18 +58,19 @@ enum DmsOp : std::uint16_t {
   //    from the persisted intents alone. --
   // Validate the rename on the source shard, persist an outgoing intent
   // record, lock the subtree against other mutations, and return the packed
-  // subtree: one entry per d-inode, Pack(rel_path, dinode_raw, dirent_raw)
-  // where rel_path is "" for the subtree root and "name" / "name/sub" below
-  // it.  [from, to, txid u64, Identity] -> [entries]
+  // subtree: one entry per d-inode, Pack(rel_path, dinode_raw, names) where
+  // rel_path is "" for the subtree root and "name" / "name/sub" below it,
+  // and names lists the d-inode's subdirectory records.
+  // [from, to, txid u64, Identity] -> [entries]
   kDmsRenamePrepare = 12,
   // Install the transferred subtree under `to` on the destination shard.
   // Persists an incoming marker first, installs children, installs the
   // subtree root *last* (so "root of `to` exists" is the durable commit
-  // point), appends `to` to its parent's dirent list, then drops the marker.
+  // point), records `to` under its parent, then drops the marker.
   // [txid u64, to, Identity, entries] -> []
   kDmsRenameCommit = 13,
   // Source-side cleanup after a successful commit: delete the moved subtree
-  // and the source parent dirent entry, drop the intent.  Unknown txid ->
+  // and the source parent's dirent record, drop the intent.  Unknown txid ->
   // kOk (a retry after completion).  [txid u64] -> []
   kDmsRenameFinish = 14,
   // Source-side rollback before commit: drop the intent and release the
@@ -84,13 +85,14 @@ enum DmsOp : std::uint16_t {
   //    cluster like any offline consistency checker) --
   // [] -> [entries] ; entry = Pack(path, uuid) for every d-inode
   kDmsScanDirs = 20,
-  // [] -> [entries] ; entry = Pack(dir_uuid, names) for every dirent list
+  // [] -> [entries] ; entry = Pack(dir_uuid, names) for every directory
+  // that has dirent records
   kDmsScanDirents = 21,
-  // Add (add=1) or remove (add=0) `name` in the dirent list of the directory
+  // Add (add=1) or remove (add=0) the record of `name` under the directory
   // at `dir_path`.  [dir_path, name, add u8] -> []
   kDmsRepairDirent = 22,
-  // Drop the whole dirent list keyed by a uuid whose d-inode no longer
-  // exists (rmdir crash leftovers).  [dir_uuid] -> []
+  // Drop every dirent record under a uuid whose d-inode no longer exists
+  // (rmdir crash leftovers).  [dir_uuid] -> []
   kDmsDropDirents = 23,
 
   // Breaker gossip: a daemon (FMS/OSD — or the DMS itself via its startup
@@ -177,11 +179,11 @@ enum FmsOp : std::uint16_t {
   // -- fsck / admin --
   // [] -> [entries] ; entry = Pack(dir_uuid, name, file_uuid) per file inode
   kFmsScanFiles = 56,
-  // [] -> [entries] ; entry = Pack(dir_uuid, names) per dirent list
+  // [] -> [entries] ; entry = Pack(dir_uuid, names) per directory with records
   kFmsScanDirents = 57,
-  // [dir_uuid, name, add u8] -> [] ; fix one dirent entry
+  // [dir_uuid, name, add u8] -> [] ; add or drop one dirent record
   kFmsRepairDirent = 58,
-  // Unconditionally drop a file inode (both parts) and its dirent entry.
+  // Unconditionally drop a file inode (both parts) and its dirent record.
   // [dir_uuid, name] -> [file_uuid]
   kFmsPurgeFile = 59,
 

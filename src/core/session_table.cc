@@ -1,8 +1,21 @@
 #include "core/session_table.h"
 
 #include <algorithm>
+#include <tuple>
 
 namespace loco::core {
+
+bool SessionTable::KeyLess::operator()(const Key& a, const Key& b) const {
+  return std::tie(a.dir, a.name, a.client) < std::tie(b.dir, b.name, b.client);
+}
+
+bool SessionTable::KeyLess::operator()(const Key& a, const FileRef& b) const {
+  return a.dir != b.dir ? a.dir < b.dir : std::string_view(a.name) < b.name;
+}
+
+bool SessionTable::KeyLess::operator()(const FileRef& a, const Key& b) const {
+  return a.dir != b.dir ? a.dir < b.dir : a.name < std::string_view(b.name);
+}
 
 SessionTable::SessionTable(Options options) : options_(std::move(options)) {
   if (!options_.metrics_prefix.empty()) {
@@ -23,26 +36,27 @@ bool SessionTable::Open(fs::Uuid dir_uuid, const std::string& name,
                         std::uint64_t client, bool exclusive,
                         std::uint64_t now) {
   std::lock_guard<std::mutex> lock(mu_);
-  const FileKey key{dir_uuid.raw(), name};
-  auto it = sessions_.find(key);
-  if (it != sessions_.end()) {
-    for (const auto& [holder, h] : it->second) {
-      if (holder == client || ExpiryLocked(holder, h) <= now) continue;
-      if (exclusive || h.exclusive) {
-        if (rejected_) rejected_->Add();
-        return false;
-      }
+  bool fresh = true;
+  const auto [first, last] =
+      sessions_.equal_range(FileRef{dir_uuid.raw(), name});
+  for (auto it = first; it != last; ++it) {
+    const std::uint64_t holder = it->first.client;
+    if (holder == client) {
+      fresh = false;
+      continue;
+    }
+    if (ExpiryLocked(holder, it->second) <= now) continue;
+    if (exclusive || it->second.exclusive) {
+      if (rejected_) rejected_->Add();
+      return false;
     }
   }
-  const bool fresh =
-      it == sessions_.end() || it->second.find(client) == it->second.end();
-  if (fresh && count_ >= options_.max_sessions) MakeRoomLocked(now);
-  auto& holder = sessions_[key][client];
+  if (fresh && sessions_.size() >= options_.max_sessions) MakeRoomLocked(now);
+  Holder& holder = sessions_[Key{dir_uuid.raw(), name, client}];
   holder.expiry = now + options_.ttl_ns;
   holder.exclusive = exclusive;
   if (fresh) {
-    by_client_[client][key] = true;
-    ++count_;
+    ++clients_[client].sessions;
     if (opened_) opened_->Add();
   }
   return true;
@@ -51,12 +65,9 @@ bool SessionTable::Open(fs::Uuid dir_uuid, const std::string& name,
 bool SessionTable::Close(fs::Uuid dir_uuid, const std::string& name,
                          std::uint64_t client) {
   std::lock_guard<std::mutex> lock(mu_);
-  const FileKey key{dir_uuid.raw(), name};
-  auto it = sessions_.find(key);
-  if (it == sessions_.end() || it->second.find(client) == it->second.end()) {
-    return false;
-  }
-  EraseLocked(key, client);
+  auto it = sessions_.find(Key{dir_uuid.raw(), name, client});
+  if (it == sessions_.end()) return false;
+  EraseLocked(it);
   if (closed_) closed_->Add();
   return true;
 }
@@ -67,129 +78,115 @@ void SessionTable::Touch(std::uint64_t client, std::uint64_t now) {
   // holds.  Walking them eagerly made each RPC cost O(sessions held), which
   // for a client mid-ingest (one implicit session per created file) turned
   // the per-op metadata path quadratic.
-  auto it = by_client_.find(client);
-  if (it == by_client_.end()) return;
-  last_seen_[client] = now;
+  auto it = clients_.find(client);
+  if (it != clients_.end()) it->second.last_seen = now;
 }
 
 std::size_t SessionTable::DropClient(std::uint64_t client) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_client_.find(client);
-  if (it == by_client_.end()) return 0;
-  // EraseLocked mutates by_client_; detach the key list first.
-  std::vector<FileKey> keys;
-  keys.reserve(it->second.size());
-  for (const auto& [key, unused] : it->second) keys.push_back(key);
-  for (const FileKey& key : keys) EraseLocked(key, client);
-  if (pruned_) pruned_->Add(keys.size());
-  return keys.size();
+  if (clients_.find(client) == clients_.end()) return 0;
+  std::size_t dropped = 0;
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    if (it->first.client == client) {
+      it = EraseLocked(it);
+      ++dropped;
+    } else {
+      ++it;
+    }
+  }
+  if (pruned_) pruned_->Add(dropped);
+  return dropped;
 }
 
 void SessionTable::DropFile(fs::Uuid dir_uuid, const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  const FileKey key{dir_uuid.raw(), name};
-  auto it = sessions_.find(key);
-  if (it == sessions_.end()) return;
-  std::vector<std::uint64_t> clients;
-  clients.reserve(it->second.size());
-  for (const auto& [client, h] : it->second) clients.push_back(client);
-  for (std::uint64_t client : clients) EraseLocked(key, client);
-  if (closed_) closed_->Add(clients.size());
+  auto [it, last] = sessions_.equal_range(FileRef{dir_uuid.raw(), name});
+  std::size_t dropped = 0;
+  while (it != last) {
+    it = EraseLocked(it);
+    ++dropped;
+  }
+  if (closed_ && dropped > 0) closed_->Add(dropped);
 }
 
 std::size_t SessionTable::SweepExpired(std::uint64_t now) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<FileKey, std::uint64_t>> doomed;
-  for (const auto& [key, holders] : sessions_) {
-    for (const auto& [client, h] : holders) {
-      if (ExpiryLocked(client, h) <= now) doomed.emplace_back(key, client);
-    }
-  }
-  for (const auto& [key, client] : doomed) EraseLocked(key, client);
-  if (expired_) expired_->Add(doomed.size());
-  return doomed.size();
+  const std::size_t dropped = SweepLocked(now);
+  if (expired_) expired_->Add(dropped);
+  return dropped;
 }
 
 bool SessionTable::HasLiveSession(fs::Uuid dir_uuid, const std::string& name,
                                   std::uint64_t now) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(FileKey{dir_uuid.raw(), name});
-  if (it == sessions_.end()) return false;
-  return std::any_of(it->second.begin(), it->second.end(),
-                     [this, now](const auto& kv) {
-                       return ExpiryLocked(kv.first, kv.second) > now;
-                     });
+  const auto [first, last] =
+      sessions_.equal_range(FileRef{dir_uuid.raw(), name});
+  return std::any_of(first, last, [this, now](const auto& session) {
+    return ExpiryLocked(session.first.client, session.second) > now;
+  });
 }
 
 std::vector<SessionTable::Entry> SessionTable::List() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Entry> out;
-  out.reserve(count_);
-  for (const auto& [key, holders] : sessions_) {
-    for (const auto& [client, h] : holders) {
-      out.push_back(Entry{fs::Uuid(key.first), key.second, client,
-                          ExpiryLocked(client, h), h.exclusive});
-    }
+  out.reserve(sessions_.size());
+  for (const auto& [key, holder] : sessions_) {
+    out.push_back(Entry{fs::Uuid(key.dir), key.name, key.client,
+                        ExpiryLocked(key.client, holder), holder.exclusive});
   }
   return out;
 }
 
 std::size_t SessionTable::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return count_;
+  return sessions_.size();
 }
 
-void SessionTable::EraseLocked(const FileKey& key, std::uint64_t client) {
-  auto it = sessions_.find(key);
-  if (it == sessions_.end()) return;
-  if (it->second.erase(client) == 0) return;
-  if (it->second.empty()) sessions_.erase(it);
-  auto cit = by_client_.find(client);
-  if (cit != by_client_.end()) {
-    cit->second.erase(key);
-    if (cit->second.empty()) {
-      by_client_.erase(cit);
-      last_seen_.erase(client);  // no sessions left; the heartbeat with it
+SessionTable::Map::iterator SessionTable::EraseLocked(Map::iterator it) {
+  auto c = clients_.find(it->first.client);
+  if (c != clients_.end() && --c->second.sessions == 0) {
+    clients_.erase(c);  // no sessions left; the heartbeat with it
+  }
+  return sessions_.erase(it);
+}
+
+std::size_t SessionTable::SweepLocked(std::uint64_t now) {
+  std::size_t dropped = 0;
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    if (ExpiryLocked(it->first.client, it->second) <= now) {
+      it = EraseLocked(it);
+      ++dropped;
+    } else {
+      ++it;
     }
   }
-  --count_;
+  return dropped;
 }
 
 std::uint64_t SessionTable::ExpiryLocked(std::uint64_t client,
                                          const Holder& h) const {
-  const auto it = last_seen_.find(client);
-  if (it == last_seen_.end()) return h.expiry;
-  return std::max(h.expiry, it->second + options_.ttl_ns);
+  const auto it = clients_.find(client);
+  if (it == clients_.end()) return h.expiry;
+  return std::max(h.expiry, it->second.last_seen + options_.ttl_ns);
 }
 
 void SessionTable::MakeRoomLocked(std::uint64_t now) {
   // Sweep expired sessions first.
-  std::vector<std::pair<FileKey, std::uint64_t>> doomed;
-  for (const auto& [key, holders] : sessions_) {
-    for (const auto& [client, h] : holders) {
-      if (ExpiryLocked(client, h) <= now) doomed.emplace_back(key, client);
-    }
-  }
-  for (const auto& [key, client] : doomed) EraseLocked(key, client);
-  if (expired_ && !doomed.empty()) expired_->Add(doomed.size());
-  if (count_ < options_.max_sessions) return;
+  const std::size_t swept = SweepLocked(now);
+  if (expired_ && swept > 0) expired_->Add(swept);
+  if (sessions_.size() < options_.max_sessions) return;
   // Still full: evict the soonest-to-expire live session.
-  const FileKey* victim_key = nullptr;
-  std::uint64_t victim_client = 0;
+  auto victim = sessions_.end();
   std::uint64_t soonest = ~0ull;
-  for (const auto& [key, holders] : sessions_) {
-    for (const auto& [client, h] : holders) {
-      const std::uint64_t expiry = ExpiryLocked(client, h);
-      if (expiry < soonest) {
-        soonest = expiry;
-        victim_key = &key;
-        victim_client = client;
-      }
+  for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
+    const std::uint64_t expiry = ExpiryLocked(it->first.client, it->second);
+    if (expiry < soonest) {
+      soonest = expiry;
+      victim = it;
     }
   }
-  if (victim_key != nullptr) {
-    const FileKey key = *victim_key;
-    EraseLocked(key, victim_client);
+  if (victim != sessions_.end()) {
+    EraseLocked(victim);
     if (expired_) expired_->Add();
   }
 }

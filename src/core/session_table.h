@@ -25,6 +25,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -74,7 +75,7 @@ class SessionTable {
   void Touch(std::uint64_t client, std::uint64_t now);
 
   // Drop every session of `client` (its connections are gone).  Returns the
-  // number dropped.
+  // number dropped.  Scans the whole table: it runs only on disconnect.
   std::size_t DropClient(std::uint64_t client);
 
   // Drop every session on one file (the file was removed or purged).
@@ -92,14 +93,40 @@ class SessionTable {
   std::uint64_t ttl_ns() const noexcept { return options_.ttl_ns; }
 
  private:
+  // One session: (directory uuid, file name, holding client).  Ordered by
+  // file first, so the holders of one file are one contiguous range.
+  struct Key {
+    std::uint64_t dir = 0;
+    std::string name;
+    std::uint64_t client = 0;
+  };
+  // A whole file: equal_range over its holders without copying the name.
+  struct FileRef {
+    std::uint64_t dir = 0;
+    std::string_view name;
+  };
+  struct KeyLess {
+    using is_transparent = void;
+    bool operator()(const Key& a, const Key& b) const;
+    bool operator()(const Key& a, const FileRef& b) const;
+    bool operator()(const FileRef& a, const Key& b) const;
+  };
   struct Holder {
     std::uint64_t expiry = 0;
     bool exclusive = false;
   };
-  using FileKey = std::pair<std::uint64_t, std::string>;  // (dir uuid, name)
+  using Map = std::map<Key, Holder, KeyLess>;
+  struct ClientState {
+    std::size_t sessions = 0;
+    // Instant of the client's most recent RPC; 0 before the first.  Every
+    // expiry is at least one TTL, so 0 never extends one.
+    std::uint64_t last_seen = 0;
+  };
 
-  // Caller holds mu_.  Removes one (file, client) session and its indexes.
-  void EraseLocked(const FileKey& key, std::uint64_t client);
+  // Caller holds mu_.  Removes one session; returns the next.
+  Map::iterator EraseLocked(Map::iterator it);
+  // Caller holds mu_.  Drops every expired session; returns how many.
+  std::size_t SweepLocked(std::uint64_t now);
   // Caller holds mu_.  Frees at least one slot: sweep expired, then evict
   // the soonest-to-expire live session.
   void MakeRoomLocked(std::uint64_t now);
@@ -109,15 +136,12 @@ class SessionTable {
 
   const Options options_;
   mutable std::mutex mu_;
-  // file -> {client -> holder}
-  std::map<FileKey, std::map<std::uint64_t, Holder>> sessions_;
-  // client -> its open files (DropClient without a full scan)
-  std::map<std::uint64_t, std::map<FileKey, bool>> by_client_;
-  // client -> instant of its most recent RPC (only clients holding sessions;
-  // erased with the client's last session).  Touch writes here in O(log n)
-  // instead of renewing each session eagerly.
-  std::map<std::uint64_t, std::uint64_t> last_seen_;
-  std::size_t count_ = 0;
+  // Every session, its holder state inline: the table's one index.
+  Map sessions_;
+  // client -> session count and last RPC, for clients holding sessions
+  // (erased with the client's last session).  Touch writes one timestamp
+  // here instead of renewing each session.
+  std::map<std::uint64_t, ClientState> clients_;
 
   // sessions.* counters (null when metrics_prefix is empty).
   common::Counter* opened_ = nullptr;

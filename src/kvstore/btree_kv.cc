@@ -438,21 +438,22 @@ Status BTreeKV::ReadValueAt(std::string_view key, std::size_t offset,
   return OkStatus();
 }
 
-Status BTreeKV::ScanRange(std::string_view lo, std::string_view hi,
-                          std::size_t limit, std::vector<Entry>* out) const {
+Status BTreeKV::VisitRange(std::string_view lo, std::string_view hi,
+                           std::size_t limit, const Visitor& fn) const {
   stats_.scans += 1;
   Leaf* leaf = FindLeaf(lo);
   std::size_t pos = static_cast<std::size_t>(
       std::lower_bound(leaf->keys.begin(), leaf->keys.end(), lo) -
       leaf->keys.begin());
+  std::size_t visited = 0;
   while (leaf != nullptr) {
     for (; pos < leaf->keys.size(); ++pos) {
       const std::string& k = leaf->keys[pos];
       if (!hi.empty() && k >= hi) return OkStatus();
       stats_.scan_items += 1;
-      out->emplace_back(k, leaf->vals[pos]);
       stats_.bytes_read += leaf->vals[pos].size();
-      if (limit != 0 && out->size() >= limit) return OkStatus();
+      if (!fn(k, leaf->vals[pos])) return OkStatus();
+      if (limit != 0 && ++visited >= limit) return OkStatus();
     }
     leaf = leaf->next;
     pos = 0;
@@ -460,9 +461,23 @@ Status BTreeKV::ScanRange(std::string_view lo, std::string_view hi,
   return OkStatus();
 }
 
+Status BTreeKV::ScanRange(std::string_view lo, std::string_view hi,
+                          std::size_t limit, std::vector<Entry>* out) const {
+  return VisitRange(lo, hi, limit,
+                    [out](std::string_view key, std::string_view value) {
+                      out->emplace_back(key, value);
+                      return true;
+                    });
+}
+
 Status BTreeKV::ScanPrefix(std::string_view prefix, std::size_t limit,
                            std::vector<Entry>* out) const {
   return ScanRange(prefix, PrefixUpperBound(prefix), limit, out);
+}
+
+Status BTreeKV::VisitPrefix(std::string_view prefix, std::size_t limit,
+                            const Visitor& fn) const {
+  return VisitRange(prefix, PrefixUpperBound(prefix), limit, fn);
 }
 
 void BTreeKV::ForEach(

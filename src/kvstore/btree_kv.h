@@ -34,6 +34,8 @@ class BTreeKV final : public Kv {
   std::size_t Size() const override { return size_; }
   Status ScanPrefix(std::string_view prefix, std::size_t limit,
                     std::vector<Entry>* out) const override;
+  Status VisitPrefix(std::string_view prefix, std::size_t limit,
+                     const Visitor& fn) const override;
   void ForEach(const std::function<bool(std::string_view, std::string_view)>& fn)
       const override;
   bool Ordered() const noexcept override { return true; }
@@ -61,6 +63,10 @@ class BTreeKV final : public Kv {
   void InsertNoLog(std::string_view key, std::string_view value);
   bool EraseNoLog(std::string_view key);
   std::string* FindValue(std::string_view key) const noexcept;
+  // The leaf walk behind ScanRange, ScanPrefix and VisitPrefix: hands
+  // entries with lo <= key < hi (empty hi = unbounded) to `fn` in order.
+  Status VisitRange(std::string_view lo, std::string_view hi,
+                    std::size_t limit, const Visitor& fn) const;
 
   Status LogAppend(std::string record);
 

@@ -66,6 +66,11 @@ class FaultyKv final : public Kv {
     return inner_->ScanPrefix(prefix, limit, out);
   }
 
+  Status VisitPrefix(std::string_view prefix, std::size_t limit,
+                     const Visitor& fn) const override {
+    return inner_->VisitPrefix(prefix, limit, fn);
+  }
+
   void ForEach(const std::function<bool(std::string_view, std::string_view)>&
                    fn) const override {
     inner_->ForEach(fn);

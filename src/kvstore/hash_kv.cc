@@ -1,6 +1,7 @@
 #include "kvstore/hash_kv.h"
 
-#include <cassert>
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/codec.h"
@@ -11,6 +12,8 @@ namespace loco::kv {
 namespace {
 constexpr std::size_t kInitialCapacity = 64;
 constexpr double kMaxLoad = 0.70;
+// Slots keep 32-bit lengths.
+constexpr std::size_t kMaxLen = std::numeric_limits<std::uint32_t>::max();
 
 // WAL record tags.
 constexpr std::uint8_t kOpPut = 1;
@@ -20,6 +23,16 @@ constexpr std::uint8_t kOpPatch = 3;
 std::uint64_t KeyHash(std::string_view key) noexcept {
   // Never zero/used as "empty" marker; Mix64 of FNV avoids clustering.
   return common::Mix64(common::Fnv1a64(key)) | 1;
+}
+
+std::unique_ptr<char[]> MakeBlock(std::string_view key,
+                                  std::string_view value) {
+  // At least one byte: a null block marks an empty slot.
+  std::unique_ptr<char[]> block(
+      new char[std::max<std::size_t>(1, key.size() + value.size())]);
+  std::copy(key.begin(), key.end(), block.get());
+  std::copy(value.begin(), value.end(), block.get() + key.size());
+  return block;
 }
 }  // namespace
 
@@ -47,8 +60,8 @@ Status HashKV::Open() {
       std::string_view patch = r.GetBytes();
       if (r.ok()) {
         if (Slot* s = Find(key);
-            s != nullptr && off + patch.size() <= s->value.size()) {
-          s->value.replace(static_cast<std::size_t>(off), patch.size(), patch);
+            s != nullptr && off + patch.size() <= s->value_len) {
+          std::copy(patch.begin(), patch.end(), s->value_data() + off);
         }
       }
     }
@@ -71,33 +84,41 @@ void HashKV::Rehash(std::size_t new_capacity) {
   slots_.resize(new_capacity);
   size_ = 0;
   for (Slot& s : old) {
-    if (s.used) InsertNoLog(s.key, s.value);
+    if (s.used()) Place(std::move(s));
   }
 }
 
 void HashKV::InsertNoLog(std::string_view key, std::string_view value) {
+  if (Slot* s = Find(key)) {  // overwrite; a new block only if the size changes
+    if (s->value_len == value.size()) {
+      std::copy(value.begin(), value.end(), s->value_data());
+    } else {
+      s->block = MakeBlock(key, value);
+      s->value_len = static_cast<std::uint32_t>(value.size());
+    }
+    return;
+  }
   if (static_cast<double>(size_ + 1) >
       kMaxLoad * static_cast<double>(slots_.size())) {
     Rehash(slots_.size() * 2);
   }
-  const std::size_t mask = slots_.size() - 1;
   Slot incoming;
   incoming.hash = KeyHash(key);
-  incoming.used = true;
-  incoming.key.assign(key);
-  incoming.value.assign(value);
+  incoming.block = MakeBlock(key, value);
+  incoming.key_len = static_cast<std::uint32_t>(key.size());
+  incoming.value_len = static_cast<std::uint32_t>(value.size());
+  Place(std::move(incoming));
+}
 
+void HashKV::Place(Slot incoming) {
+  const std::size_t mask = slots_.size() - 1;
   std::size_t idx = static_cast<std::size_t>(incoming.hash) & mask;
   std::size_t dist = 0;
   for (;;) {
     Slot& s = slots_[idx];
-    if (!s.used) {
+    if (!s.used()) {
       s = std::move(incoming);
       ++size_;
-      return;
-    }
-    if (s.hash == incoming.hash && s.key == incoming.key) {
-      s.value = std::move(incoming.value);  // overwrite existing
       return;
     }
     const std::size_t their_dist = ProbeDistance(idx, s.hash);
@@ -116,27 +137,23 @@ bool HashKV::EraseNoLog(std::string_view key) {
   std::size_t idx = static_cast<std::size_t>(hash) & mask;
   std::size_t dist = 0;
   for (;;) {
-    Slot& s = slots_[idx];
-    if (!s.used || dist > ProbeDistance(idx, s.hash)) return false;
-    if (s.hash == hash && s.key == key) break;
+    const Slot& s = slots_[idx];
+    if (!s.used() || dist > ProbeDistance(idx, s.hash)) return false;
+    if (s.hash == hash && s.key() == key) break;
     idx = (idx + 1) & mask;
     ++dist;
   }
-  // Backward-shift deletion keeps probe chains dense.
+  // Backward-shift deletion keeps probe chains dense.  The first shift
+  // frees the erased block.
   std::size_t hole = idx;
   for (;;) {
     const std::size_t next = (hole + 1) & mask;
     Slot& n = slots_[next];
-    if (!n.used || ProbeDistance(next, n.hash) == 0) break;
+    if (!n.used() || ProbeDistance(next, n.hash) == 0) break;
     slots_[hole] = std::move(n);
-    n.used = false;
-    n.key.clear();
-    n.value.clear();
     hole = next;
   }
-  slots_[hole].used = false;
-  slots_[hole].key.clear();
-  slots_[hole].value.clear();
+  slots_[hole] = Slot{};
   --size_;
   return true;
 }
@@ -152,8 +169,8 @@ const HashKV::Slot* HashKV::Find(std::string_view key) const noexcept {
   std::size_t dist = 0;
   for (;;) {
     const Slot& s = slots_[idx];
-    if (!s.used || dist > ProbeDistance(idx, s.hash)) return nullptr;
-    if (s.hash == hash && s.key == key) return &s;
+    if (!s.used() || dist > ProbeDistance(idx, s.hash)) return nullptr;
+    if (s.hash == hash && s.key() == key) return &s;
     idx = (idx + 1) & mask;
     ++dist;
   }
@@ -194,6 +211,9 @@ Status HashKV::LogPatch(std::string_view key, std::size_t offset,
 }
 
 Status HashKV::Put(std::string_view key, std::string_view value) {
+  if (key.size() > kMaxLen || value.size() > kMaxLen) {
+    return ErrStatus(ErrCode::kInvalid, "entry too large");
+  }
   stats_.puts += 1;
   stats_.bytes_written += key.size() + value.size();
   InsertNoLog(key, value);
@@ -204,8 +224,8 @@ Status HashKV::Get(std::string_view key, std::string* value) const {
   stats_.gets += 1;
   const Slot* s = Find(key);
   if (s == nullptr) return ErrStatus(ErrCode::kNotFound);
-  value->assign(s->value);
-  stats_.bytes_read += s->value.size();
+  value->assign(s->value());
+  stats_.bytes_read += s->value_len;
   return OkStatus();
 }
 
@@ -225,10 +245,10 @@ Status HashKV::PatchValue(std::string_view key, std::size_t offset,
   stats_.patches += 1;
   Slot* s = Find(key);
   if (s == nullptr) return ErrStatus(ErrCode::kNotFound);
-  if (offset + patch.size() > s->value.size()) {
+  if (offset + patch.size() > s->value_len) {
     return ErrStatus(ErrCode::kInvalid, "patch out of range");
   }
-  s->value.replace(offset, patch.size(), patch);
+  std::copy(patch.begin(), patch.end(), s->value_data() + offset);
   stats_.bytes_written += patch.size();
   return LogPatch(key, offset, patch);
 }
@@ -238,28 +258,36 @@ Status HashKV::ReadValueAt(std::string_view key, std::size_t offset,
   stats_.gets += 1;
   const Slot* s = Find(key);
   if (s == nullptr) return ErrStatus(ErrCode::kNotFound);
-  if (offset + len > s->value.size()) {
+  if (offset + len > s->value_len) {
     return ErrStatus(ErrCode::kInvalid, "read out of range");
   }
-  out->assign(s->value, offset, len);
+  out->assign(s->value().substr(offset, len));
   stats_.bytes_read += len;
   return OkStatus();
 }
 
 Status HashKV::ScanPrefix(std::string_view prefix, std::size_t limit,
                           std::vector<Entry>* out) const {
+  return VisitPrefix(prefix, limit,
+                     [out](std::string_view key, std::string_view value) {
+                       out->emplace_back(key, value);
+                       return true;
+                     });
+}
+
+Status HashKV::VisitPrefix(std::string_view prefix, std::size_t limit,
+                           const Visitor& fn) const {
   stats_.scans += 1;
   // Hash mode has no key order: every record must be visited (the cost the
   // paper's Fig. 14 attributes to "hash DB" renames).
+  std::size_t matched = 0;
   for (const Slot& s : slots_) {
-    if (!s.used) continue;
+    if (!s.used()) continue;
     stats_.scan_items += 1;
-    if (s.key.size() >= prefix.size() &&
-        std::string_view(s.key).substr(0, prefix.size()) == prefix) {
-      out->emplace_back(s.key, s.value);
-      stats_.bytes_read += s.value.size();
-      if (limit != 0 && out->size() >= limit) break;
-    }
+    if (!s.key().starts_with(prefix)) continue;
+    stats_.bytes_read += s.value_len;
+    if (!fn(s.key(), s.value())) break;
+    if (limit != 0 && ++matched >= limit) break;
   }
   return OkStatus();
 }
@@ -268,9 +296,9 @@ void HashKV::ForEach(
     const std::function<bool(std::string_view, std::string_view)>& fn) const {
   stats_.scans += 1;
   for (const Slot& s : slots_) {
-    if (!s.used) continue;
+    if (!s.used()) continue;
     stats_.scan_items += 1;
-    if (!fn(s.key, s.value)) return;
+    if (!fn(s.key(), s.value())) return;
   }
 }
 

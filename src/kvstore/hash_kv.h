@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@ class HashKV final : public Kv {
   // appending.  Must be called once before use when persistence is enabled.
   Status Open();
 
+  // Keys and values longer than 4 GiB - 1 are refused with kInvalid.
   Status Put(std::string_view key, std::string_view value) override;
   Status Get(std::string_view key, std::string* value) const override;
   Status Delete(std::string_view key) override;
@@ -33,6 +35,8 @@ class HashKV final : public Kv {
   std::size_t Size() const override { return size_; }
   Status ScanPrefix(std::string_view prefix, std::size_t limit,
                     std::vector<Entry>* out) const override;
+  Status VisitPrefix(std::string_view prefix, std::size_t limit,
+                     const Visitor& fn) const override;
   void ForEach(const std::function<bool(std::string_view, std::string_view)>& fn)
       const override;
   bool Ordered() const noexcept override { return false; }
@@ -41,16 +45,27 @@ class HashKV final : public Kv {
   std::size_t Capacity() const noexcept { return slots_.size(); }
 
  private:
+  // One entry, in one heap block: the key bytes, then the value bytes.  A
+  // slot is 24 bytes, and a rehash moves blocks instead of copying entries.
   struct Slot {
     std::uint64_t hash = 0;
-    bool used = false;
-    std::string key;
-    std::string value;
+    std::unique_ptr<char[]> block;  // null: the slot is empty
+    std::uint32_t key_len = 0;
+    std::uint32_t value_len = 0;
+
+    bool used() const noexcept { return block != nullptr; }
+    std::string_view key() const noexcept { return {block.get(), key_len}; }
+    std::string_view value() const noexcept {
+      return {block.get() + key_len, value_len};
+    }
+    char* value_data() noexcept { return block.get() + key_len; }
   };
 
   // Mutating primitives shared by the public ops and WAL replay.
   void InsertNoLog(std::string_view key, std::string_view value);
   bool EraseNoLog(std::string_view key);
+  // Robin-hood placement of an entry known to be absent.
+  void Place(Slot incoming);
   Slot* Find(std::string_view key) noexcept;
   const Slot* Find(std::string_view key) const noexcept;
 

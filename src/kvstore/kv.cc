@@ -32,6 +32,16 @@ Status Kv::ReadValueAt(std::string_view key, std::size_t offset, std::size_t len
   return OkStatus();
 }
 
+Status Kv::VisitPrefix(std::string_view prefix, std::size_t limit,
+                       const Visitor& fn) const {
+  std::vector<Entry> entries;
+  LOCO_RETURN_IF_ERROR(ScanPrefix(prefix, limit, &entries));
+  for (const auto& [key, value] : entries) {
+    if (!fn(key, value)) break;
+  }
+  return OkStatus();
+}
+
 std::string_view KvBackendName(KvBackend backend) noexcept {
   switch (backend) {
     case KvBackend::kHash: return "hash";

@@ -78,6 +78,11 @@ struct KvOptions {
 // A key-value entry returned by scans.
 using Entry = std::pair<std::string, std::string>;
 
+// Scan callback: sees one entry in place, valid only during the call.
+// Return false to stop the scan.
+using Visitor =
+    std::function<bool(std::string_view key, std::string_view value)>;
+
 class Kv {
  public:
   virtual ~Kv() = default;
@@ -115,6 +120,14 @@ class Kv {
   // `limit` == 0 means unlimited.
   virtual Status ScanPrefix(std::string_view prefix, std::size_t limit,
                             std::vector<Entry>* out) const = 0;
+
+  // The entries ScanPrefix would return — same order, limit and counters —
+  // handed to `fn` in place instead of copied out; `fn` returning false
+  // stops the scan.  `fn` may run under the store's locks, so it must not
+  // call back into the store.  This default copies through ScanPrefix;
+  // stores that can walk their index in place override it.
+  virtual Status VisitPrefix(std::string_view prefix, std::size_t limit,
+                             const Visitor& fn) const;
 
   // Visit every entry (arbitrary order).  Return false from `fn` to stop.
   virtual void ForEach(

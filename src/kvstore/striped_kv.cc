@@ -22,7 +22,14 @@ std::size_t RoundUpPow2(std::size_t n) {
 }  // namespace
 
 std::size_t StripedKv::StripeOf(std::string_view key) const noexcept {
+  if (route_prefix_ != 0) key = key.substr(0, route_prefix_);
   return common::WyMix(key, kRingSeed) & (stripes_.size() - 1);
+}
+
+const StripedKv::Stripe* StripedKv::PrefixStripe(
+    std::string_view prefix) const noexcept {
+  if (route_prefix_ == 0 || prefix.size() < route_prefix_) return nullptr;
+  return stripes_[StripeOf(prefix)].get();
 }
 
 Status StripedKv::Put(std::string_view key, std::string_view value) {
@@ -75,6 +82,10 @@ std::size_t StripedKv::Size() const {
 Status StripedKv::ScanPrefix(std::string_view prefix, std::size_t limit,
                              std::vector<Entry>* out) const {
   out->clear();
+  if (const Stripe* s = PrefixStripe(prefix)) {
+    std::scoped_lock lock(s->mu);
+    return s->kv->ScanPrefix(prefix, limit, out);
+  }
   for (const auto& s : stripes_) {
     std::vector<Entry> part;
     {
@@ -91,6 +102,16 @@ Status StripedKv::ScanPrefix(std::string_view prefix, std::size_t limit,
   }
   if (limit != 0 && out->size() > limit) out->resize(limit);
   return OkStatus();
+}
+
+Status StripedKv::VisitPrefix(std::string_view prefix, std::size_t limit,
+                              const Visitor& fn) const {
+  if (const Stripe* s = PrefixStripe(prefix)) {
+    std::scoped_lock lock(s->mu);
+    return s->kv->VisitPrefix(prefix, limit, fn);
+  }
+  // Matches may sit in every stripe: visit the merged copy.
+  return Kv::VisitPrefix(prefix, limit, fn);
 }
 
 void StripedKv::ForEach(
@@ -127,10 +148,12 @@ void StripedKv::ResetStats() noexcept {
 
 Result<std::unique_ptr<Kv>> MakeStripedKv(KvBackend backend,
                                           const KvOptions& options,
-                                          std::size_t stripes) {
+                                          std::size_t stripes,
+                                          std::size_t route_prefix) {
   const std::size_t n = RoundUpPow2(std::max<std::size_t>(stripes, 1));
   auto striped = std::unique_ptr<StripedKv>(new StripedKv);
   striped->stripes_.reserve(n);
+  striped->route_prefix_ = route_prefix;
   for (std::size_t i = 0; i < n; ++i) {
     KvOptions stripe_opt = options;
     if (!options.dir.empty()) {

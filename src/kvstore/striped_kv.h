@@ -9,15 +9,22 @@
 // place keys on servers (core/ring.cc), so concurrent operations on
 // different keys serialize only on stripe collisions.
 //
+// Routing: by default the whole key is hashed.  An owner whose keys group
+// under fixed-length prefixes — a directory's dirent records share its
+// 8-byte uuid (core/layout.h) — hashes only the first `route_prefix` bytes
+// instead, so every key of one group lands in one stripe and a ScanPrefix /
+// VisitPrefix of a prefix at least that long reads that stripe alone, in
+// order, without a merge.
+//
 // Persistence: each stripe owns `options.dir/stripeNN` with its own WAL, so
-// recovery opens the same stripes the writer produced.  Stripe count is
-// fixed for the lifetime of a store directory.
+// recovery opens the same stripes the writer produced.  Stripe count and
+// routing are fixed for the lifetime of a store directory.
 //
 // Cross-stripe reads (Size, ScanPrefix, ForEach, stats) lock stripes one at
 // a time: they see every entry that existed throughout the call but are not
 // a point-in-time snapshot with respect to concurrent writers — the same
 // read-committed behavior the directory-granularity locks in DMS/FMS rely
-// on.
+// on.  ForEach and VisitPrefix call `fn` under a stripe's lock.
 #pragma once
 
 #include <memory>
@@ -41,6 +48,8 @@ class StripedKv final : public Kv {
   std::size_t Size() const override;
   Status ScanPrefix(std::string_view prefix, std::size_t limit,
                     std::vector<Entry>* out) const override;
+  Status VisitPrefix(std::string_view prefix, std::size_t limit,
+                     const Visitor& fn) const override;
   void ForEach(const std::function<bool(std::string_view, std::string_view)>&
                    fn) const override;
   bool Ordered() const noexcept override { return ordered_; }
@@ -52,23 +61,29 @@ class StripedKv final : public Kv {
  private:
   friend Result<std::unique_ptr<Kv>> MakeStripedKv(KvBackend,
                                                    const KvOptions&,
-                                                   std::size_t);
+                                                   std::size_t, std::size_t);
   struct Stripe {
     mutable std::mutex mu;
     std::unique_ptr<Kv> kv;
   };
 
   std::size_t StripeOf(std::string_view key) const noexcept;
+  // The one stripe holding every key that starts with `prefix`, or null
+  // when such keys may sit in any stripe.
+  const Stripe* PrefixStripe(std::string_view prefix) const noexcept;
 
   std::vector<std::unique_ptr<Stripe>> stripes_;
+  std::size_t route_prefix_ = 0;  // 0: route by the whole key
   bool ordered_ = false;
 };
 
 // Create a striped store over `stripes` inner `backend` stores (rounded up
 // to a power of two; default 16).  With options.dir set, stripe N persists
-// under "<dir>/stripeNN".
+// under "<dir>/stripeNN".  A nonzero `route_prefix` routes keys by their
+// first `route_prefix` bytes (see Routing above).
 Result<std::unique_ptr<Kv>> MakeStripedKv(KvBackend backend,
                                           const KvOptions& options = {},
-                                          std::size_t stripes = 16);
+                                          std::size_t stripes = 16,
+                                          std::size_t route_prefix = 0);
 
 }  // namespace loco::kv

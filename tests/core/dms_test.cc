@@ -183,8 +183,27 @@ TEST_F(DmsTest, RenameSameParentKeepsSiblings) {
                   .ok());
   const auto entries = Readdir("/p");
   ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].name, "two");  // dirent order: append semantics
+  EXPECT_EQ(entries[0].name, "two");  // name order
   EXPECT_EQ(entries[1].name, "uno");
+}
+
+TEST_F(DmsTest, ReaddirAndLookupReplyInNameOrder) {
+  ASSERT_TRUE(Mkdir("/p").ok());
+  for (const char* name : {"m", "b", "z", "a", "k"}) {
+    ASSERT_TRUE(Mkdir(std::string("/p/") + name).ok());
+  }
+  std::vector<std::string> listed;
+  for (const auto& e : Readdir("/p")) listed.push_back(e.name);
+  const std::vector<std::string> sorted = {"a", "b", "k", "m", "z"};
+  EXPECT_EQ(listed, sorted);
+  auto resp = dms_.Handle(proto::kDmsLookup,
+                          fs::Pack(std::string("/p"), kAlice, std::uint32_t{0},
+                                   std::string()));
+  ASSERT_TRUE(resp.ok());
+  fs::Attr attr;
+  std::vector<std::string> names;
+  ASSERT_TRUE(fs::Unpack(resp.payload, attr, names));
+  EXPECT_EQ(names, sorted);
 }
 
 TEST_F(DmsTest, RenamePrefixConfusionAvoided) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/proto.h"
 #include "fs/wire.h"
 #include "net/wire.h"
@@ -153,6 +155,35 @@ TEST_P(FmsModeTest, ReaddirAndCheckEmptyPerDirectory) {
   resp = fms_.Handle(proto::kFmsReaddir, fs::Pack(other));
   ASSERT_TRUE(fs::Unpack(resp.payload, entries));
   EXPECT_TRUE(entries.empty());
+}
+
+TEST_P(FmsModeTest, ReaddirRepliesInNameOrder) {
+  const std::vector<std::string> order = {"m", "b", "zz", "a", "k", "ab"};
+  for (const std::string& name : order) ASSERT_TRUE(Create(name).ok());
+  std::vector<std::string> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+
+  auto resp = fms_.Handle(proto::kFmsReaddir, fs::Pack(kDir));
+  std::vector<fs::DirEntry> entries;
+  ASSERT_TRUE(fs::Unpack(resp.payload, entries));
+  std::vector<std::string> listed;
+  for (const auto& e : entries) {
+    EXPECT_FALSE(e.is_dir);
+    listed.push_back(e.name);
+  }
+  EXPECT_EQ(listed, sorted);
+
+  resp = fms_.Handle(proto::kFmsReaddirPlus, fs::Pack(kDir));
+  std::vector<net::wire::BatchItem> items;
+  ASSERT_TRUE(net::wire::DecodeBatchResponse(resp.payload, &items));
+  std::vector<std::string> plus;
+  for (const auto& item : items) {
+    std::string name;
+    fs::Attr attr;
+    ASSERT_TRUE(fs::Unpack(item.payload, name, attr));
+    plus.push_back(name);
+  }
+  EXPECT_EQ(plus, sorted);
 }
 
 TEST_P(FmsModeTest, RawRelocationPreservesEverything) {

@@ -203,6 +203,7 @@ TEST(FsckTest, DeadDirentListDropped) {
   // Give /gone a subdirectory so its dirent list is non-empty, then lose
   // both d-inodes but keep the list (rmdir crash leftovers).
   ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/gone/sub", 0755)).ok());
+  const fs::Uuid gone = fx.DirUuid("/gone");
   ASSERT_TRUE(fx.dms.mutable_dir_kv().Delete("/gone/sub").ok());
   ASSERT_TRUE(fx.dms.mutable_dir_kv().Delete("/gone").ok());
   ASSERT_TRUE(
@@ -213,9 +214,12 @@ TEST(FsckTest, DeadDirentListDropped) {
   const FsckReport dry = fx.DryRun();
   EXPECT_EQ(fx.CountType(dry, FsckFindingType::kDeadDirentList), 1u);
   EXPECT_EQ(dry.findings.size(), 1u);
+  EXPECT_TRUE(HasDirents(fx.dms.dirent_kv(), gone));
 
+  // The repair drops every record under the dead uuid prefix.
   const FsckReport repaired = fx.RepairRun();
   EXPECT_TRUE(repaired.clean());
+  EXPECT_FALSE(HasDirents(fx.dms.dirent_kv(), gone));
 }
 
 TEST(FsckTest, OrphanFilePurgedWithItsObjects) {

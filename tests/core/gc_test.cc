@@ -313,16 +313,17 @@ TEST(DmsGcStepTest, DeadDirentListNeedsTwoSightings) {
                       fs::Pack(std::string("/"), std::string("gone"),
                                std::uint8_t{0}))
                   .ok());
-  ASSERT_TRUE(fx.dms.dirent_kv().Contains(DirentKey(uuid)));
+  // The dead uuid still has its record ("sub").
+  ASSERT_TRUE(HasDirents(fx.dms.dirent_kv(), uuid));
 
   // Sighting #1: candidate only — nothing destructive yet.
   fx.dms.GcStep(kBigBudget);
-  EXPECT_TRUE(fx.dms.dirent_kv().Contains(DirentKey(uuid)));
+  EXPECT_TRUE(HasDirents(fx.dms.dirent_kv(), uuid));
   // Sighting #2 queues the drop; the next step applies it.
   fx.dms.GcStep(kBigBudget);
   const GcStepResult r = fx.dms.GcStep(kBigBudget);
   EXPECT_GE(r.reclaimed, 1u);
-  EXPECT_FALSE(fx.dms.dirent_kv().Contains(DirentKey(uuid)));
+  EXPECT_FALSE(HasDirents(fx.dms.dirent_kv(), uuid));
 }
 
 TEST(DmsGcStepTest, CheckUuidsBitmapAndGcStatusRpc) {

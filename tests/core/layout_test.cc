@@ -2,8 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "fs/wire.h"
+#include "kvstore/striped_kv.h"
+
 namespace loco::core {
 namespace {
+
+// A dirent store as the DMS and FMS build it: B+-tree stripes routed by the
+// directory uuid.
+std::unique_ptr<kv::Kv> DirentStore() {
+  return std::move(kv::MakeStripedKv(kv::KvBackend::kBTree, {}, 8,
+                                     kDirentRouteBytes))
+      .value();
+}
 
 TEST(LayoutTest, DirInodeRoundTrip) {
   fs::Attr attr;
@@ -103,39 +116,73 @@ TEST(LayoutTest, FileKeyEmbedsUuidAndName) {
   EXPECT_EQ(key.size(), 8u + 8u);
   EXPECT_EQ(common::LoadAt<std::uint64_t>(key, 0), fs::Uuid::Make(1, 2).raw());
   EXPECT_EQ(key.substr(8), "file.txt");
-  EXPECT_EQ(DirentKey(fs::Uuid::Make(1, 2)), key.substr(0, 8));
+  EXPECT_EQ(DirentPrefix(fs::Uuid::Make(1, 2)), key.substr(0, 8));
+  // A file's dirent record shares its inode's key.
+  EXPECT_EQ(DirentKey(fs::Uuid::Make(1, 2), "file.txt"), key);
 }
 
-TEST(LayoutTest, DirentListAppendRemove) {
-  std::string list;
-  AppendDirent(&list, "aa");
-  AppendDirent(&list, "b");
-  AppendDirent(&list, "ccc");
-  EXPECT_EQ(ParseDirentList(list),
+TEST(LayoutTest, DirentRecordsListInNameOrder) {
+  auto store = DirentStore();
+  const fs::Uuid dir = fs::Uuid::Make(1, 2);
+  const fs::Uuid other = fs::Uuid::Make(1, 3);
+  for (const char* name : {"ccc", "aa", "b"}) {
+    ASSERT_TRUE(store->Put(DirentKey(dir, name), {}).ok());
+  }
+  ASSERT_TRUE(store->Put(DirentKey(other, "zz"), {}).ok());
+  EXPECT_EQ(ListDirents(*store, dir),
             (std::vector<std::string>{"aa", "b", "ccc"}));
-  EXPECT_TRUE(DirentListContains(list, "b"));
-  EXPECT_FALSE(DirentListContains(list, "zz"));
-  EXPECT_TRUE(RemoveDirent(&list, "b"));
-  EXPECT_EQ(ParseDirentList(list), (std::vector<std::string>{"aa", "ccc"}));
-  EXPECT_FALSE(RemoveDirent(&list, "b"));
-  EXPECT_TRUE(RemoveDirent(&list, "aa"));
-  EXPECT_TRUE(RemoveDirent(&list, "ccc"));
-  EXPECT_TRUE(list.empty());
+  ASSERT_TRUE(store->Delete(DirentKey(dir, "b")).ok());
+  EXPECT_EQ(ListDirents(*store, dir), (std::vector<std::string>{"aa", "ccc"}));
+  EXPECT_EQ(ListDirents(*store, other), (std::vector<std::string>{"zz"}));
+  const auto by_dir = DirentsByDir(*store);
+  ASSERT_EQ(by_dir.size(), 2u);
+  EXPECT_EQ(by_dir.at(dir.raw()), (std::vector<std::string>{"aa", "ccc"}));
 }
 
-TEST(LayoutTest, DirentListDuplicateNamesRemoveOne) {
-  std::string list;
-  AppendDirent(&list, "x");
-  AppendDirent(&list, "x");
-  EXPECT_TRUE(RemoveDirent(&list, "x"));
-  EXPECT_EQ(ParseDirentList(list), (std::vector<std::string>{"x"}));
+TEST(LayoutTest, DirentRecordPutIsIdempotent) {
+  auto store = DirentStore();
+  const fs::Uuid dir = fs::Uuid::Make(1, 2);
+  ASSERT_TRUE(store->Put(DirentKey(dir, "x"), {}).ok());
+  ASSERT_TRUE(store->Put(DirentKey(dir, "x"), {}).ok());
+  EXPECT_EQ(ListDirents(*store, dir), (std::vector<std::string>{"x"}));
+  ASSERT_TRUE(store->Delete(DirentKey(dir, "x")).ok());
+  EXPECT_EQ(store->Delete(DirentKey(dir, "x")).code(), ErrCode::kNotFound);
 }
 
-TEST(LayoutTest, EmptyDirentList) {
-  std::string list;
-  EXPECT_TRUE(ParseDirentList(list).empty());
-  EXPECT_FALSE(DirentListContains(list, "a"));
-  EXPECT_FALSE(RemoveDirent(&list, "a"));
+TEST(LayoutTest, EmptyDirectoryHasNoRecords) {
+  auto store = DirentStore();
+  const fs::Uuid dir = fs::Uuid::Make(1, 2);
+  EXPECT_TRUE(ListDirents(*store, dir).empty());
+  EXPECT_FALSE(HasDirents(*store, dir));
+  EXPECT_EQ(DeleteDirents(store.get(), dir), 0u);
+  ASSERT_TRUE(store->Put(DirentKey(dir, "a"), {}).ok());
+  ASSERT_TRUE(store->Put(DirentKey(dir, "b"), {}).ok());
+  EXPECT_TRUE(HasDirents(*store, dir));
+  EXPECT_EQ(DeleteDirents(store.get(), dir), 2u);
+  EXPECT_FALSE(HasDirents(*store, dir));
+}
+
+TEST(LayoutTest, DirentScanPayloadKeepsTheListWireFormat) {
+  // fsck reads kDmsScanDirents / kFmsScanDirents as one Pack(uuid, names)
+  // per directory, as in the concatenated-list days.
+  auto store = DirentStore();
+  const fs::Uuid a = fs::Uuid::Make(1, 2);
+  const fs::Uuid b = fs::Uuid::Make(1, 3);
+  ASSERT_TRUE(store->Put(DirentKey(a, "y"), {}).ok());
+  ASSERT_TRUE(store->Put(DirentKey(a, "x"), {}).ok());
+  ASSERT_TRUE(store->Put(DirentKey(b, "z"), {}).ok());
+  std::vector<std::string> entries;
+  ASSERT_TRUE(fs::Unpack(DirentScanPayload(*store), entries));
+  ASSERT_EQ(entries.size(), 2u);
+  std::map<std::uint64_t, std::vector<std::string>> got;
+  for (const std::string& entry : entries) {
+    fs::Uuid uuid;
+    std::vector<std::string> names;
+    ASSERT_TRUE(fs::Unpack(entry, uuid, names));
+    got[uuid.raw()] = names;
+  }
+  EXPECT_EQ(got[a.raw()], (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(got[b.raw()], (std::vector<std::string>{"z"}));
 }
 
 }  // namespace

@@ -249,8 +249,9 @@ TEST_F(RenameTwoPhaseTest, AbortIncomingPurgesPartialInstallOnly) {
   // were written but BEFORE the subtree root (the commit point).
   std::vector<std::string> partial;
   for (const std::string& e : entries) {
-    std::string rel, inode, dirents;
-    ASSERT_TRUE(fs::Unpack(e, rel, inode, dirents));
+    std::string rel, inode;
+    std::vector<std::string> subdir_names;
+    ASSERT_TRUE(fs::Unpack(e, rel, inode, subdir_names));
     if (!rel.empty()) partial.push_back(e);  // children only, no root
   }
   partial.push_back("not-a-valid-entry");

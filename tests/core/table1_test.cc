@@ -142,6 +142,22 @@ TEST_F(Table1Test, RemoveDeletesBothPartsAndDirent) {
   EXPECT_GT(Writes(d.dirent), 0u);
 }
 
+TEST_F(Table1Test, CreateAndRemoveWriteOneDirentRecord) {
+  // One empty-valued record per entry: a create puts its key (8-byte dir
+  // uuid + name) and reads nothing back; a remove deletes it.  No list
+  // value is read, rewritten or logged, however big the directory.
+  const Deltas c = Run(proto::kFmsCreate,
+                       fs::Pack(kDir, std::string("g"), 0644u, kOwner,
+                                std::uint64_t{5}));
+  EXPECT_EQ(c.dirent.puts, 1u);
+  EXPECT_EQ(c.dirent.bytes_written, 8u + 1u);
+  EXPECT_EQ(c.dirent.gets + c.dirent.scans + c.dirent.deletes, 0u);
+  const Deltas r = Run(proto::kFmsRemove,
+                       fs::Pack(kDir, std::string("g"), kOwner));
+  EXPECT_EQ(r.dirent.deletes, 1u);
+  EXPECT_EQ(r.dirent.gets + r.dirent.scans + r.dirent.puts, 0u);
+}
+
 TEST_F(Table1Test, ReaddirTouchesDirentOnly) {
   const Deltas d = Run(proto::kFmsReaddir, fs::Pack(kDir));
   EXPECT_GT(Touches(d.dirent), 0u);

@@ -3,15 +3,21 @@
 // (both parts), dirent lists, permissions, and the uuid allocators.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "core/client.h"
 #include "core/dms.h"
 #include "core/fms.h"
+#include "core/layout.h"
 #include "core/object_store.h"
+#include "core/proto.h"
+#include "fs/wire.h"
+#include "kvstore/striped_kv.h"
 #include "net/inproc.h"
 #include "net/task.h"
 
@@ -133,6 +139,86 @@ TEST_F(PersistenceTest, RenameSurvivesRestart) {
   ASSERT_TRUE(entries.ok());
   ASSERT_EQ(entries->size(), 1u);
   EXPECT_EQ((*entries)[0].name, "f");
+}
+
+TEST_F(PersistenceTest, DirentWalBytesPerCreateStayFlatAndReplay) {
+  // One record per entry: a create logs its own record, not the directory's
+  // whole listing, so the dirent WAL bytes per create do not grow with the
+  // directory; a restart replays the listing from those records.
+  FileMetadataServer::Options options;
+  options.sid = 1;
+  options.kv.dir = (root_ / "fms").string();
+  const fs::Uuid dir = fs::Uuid::Make(0xfffe, 9);
+  const fs::Identity who{1000, 1000};
+  int created = 0;
+  auto create_up_to = [&](FileMetadataServer& fms, int target) {
+    for (; created < target; ++created) {
+      char name[16];
+      std::snprintf(name, sizeof(name), "f%06d", created);
+      ASSERT_TRUE(fms.Handle(proto::kFmsCreate,
+                             fs::Pack(dir, std::string(name), 0644u, who,
+                                      std::uint64_t{1}))
+                      .ok());
+    }
+  };
+  auto wal_bytes_per_create = [&](FileMetadataServer& fms) {
+    const std::uint64_t before = fms.dirent_kv().stats().io_bytes;
+    create_up_to(fms, created + 200);
+    return static_cast<double>(fms.dirent_kv().stats().io_bytes - before) /
+           200.0;
+  };
+  {
+    FileMetadataServer fms(options);
+    create_up_to(fms, 1'000);
+    const double at_1k = wal_bytes_per_create(fms);
+    create_up_to(fms, 20'000);
+    const double at_20k = wal_bytes_per_create(fms);
+    EXPECT_GT(at_1k, 0.0);
+    EXPECT_LT(at_1k, 64.0);
+    EXPECT_LE(at_20k, at_1k * 1.1) << at_1k << " -> " << at_20k;
+  }
+  FileMetadataServer fms(options);
+  auto resp = fms.Handle(proto::kFmsReaddir, fs::Pack(dir));
+  ASSERT_TRUE(resp.ok());
+  std::vector<fs::DirEntry> entries;
+  ASSERT_TRUE(fs::Unpack(resp.payload, entries));
+  ASSERT_EQ(entries.size(), static_cast<std::size_t>(created));
+  EXPECT_EQ(entries.front().name, "f000000");
+  EXPECT_EQ(entries.back().name, "f020199");
+}
+
+TEST_F(PersistenceTest, ConcatenatedListStoreIsNeverReplayedAsRecords) {
+  // A store directory written before the record format holds one
+  // concatenated value per directory under "dirents".  The servers keep
+  // their records under "dirent_records", so that value never surfaces as
+  // a bogus entry.
+  const fs::Uuid dir = fs::Uuid::Make(0xfffe, 9);
+  const std::string fms_dir = (root_ / "fms").string();
+  {
+    kv::KvOptions old;
+    old.dir = fms_dir + "/dirents";
+    auto store = kv::MakeStripedKv(kv::KvBackend::kHash, old, 16);
+    ASSERT_TRUE(store.ok());
+    common::Writer list;
+    list.PutBytes("old-a");
+    list.PutBytes("old-b");
+    ASSERT_TRUE(store.value()->Put(DirentPrefix(dir), list.str()).ok());
+  }
+  FileMetadataServer::Options options;
+  options.sid = 1;
+  options.kv.dir = fms_dir;
+  FileMetadataServer fms(options);
+  EXPECT_TRUE(std::filesystem::exists(fms_dir + "/dirent_records"));
+  EXPECT_TRUE(fms.Handle(proto::kFmsCheckEmpty, fs::Pack(dir)).ok());
+  auto resp = fms.Handle(proto::kFmsReaddir, fs::Pack(dir));
+  std::vector<fs::DirEntry> entries;
+  ASSERT_TRUE(fs::Unpack(resp.payload, entries));
+  EXPECT_TRUE(entries.empty());
+
+  DirectoryMetadataServer::Options dopt;
+  dopt.kv.dir = (root_ / "dms").string();
+  DirectoryMetadataServer dms(dopt);
+  EXPECT_TRUE(std::filesystem::exists(dopt.kv.dir + "/dirent_records"));
 }
 
 TEST_F(PersistenceTest, RepeatedRestartsAreStable) {

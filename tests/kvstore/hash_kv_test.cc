@@ -54,6 +54,27 @@ TEST(HashKVTest, EmptyKeyAndValueAreLegal) {
   EXPECT_EQ(v, "");
 }
 
+TEST(HashKVTest, OverwriteWithAnotherSizeKeepsCountsAndBytes) {
+  // An entry is one block (key, then value): an overwrite with a new value
+  // size replaces the block, an equal size rewrites it in place.
+  HashKV kv;
+  ASSERT_TRUE(kv.Put("key", "a").ok());
+  ASSERT_TRUE(kv.Put("key", "a much longer value").ok());
+  ASSERT_TRUE(kv.Put("key", "").ok());
+  ASSERT_TRUE(kv.Put("key", "xyz").ok());
+  ASSERT_TRUE(kv.Put("key", "XYZ").ok());
+  std::string v;
+  ASSERT_TRUE(kv.Get("key", &v).ok());
+  EXPECT_EQ(v, "XYZ");
+  EXPECT_EQ(kv.Size(), 1u);
+  ASSERT_TRUE(kv.PatchValue("key", 1, "-").ok());
+  ASSERT_TRUE(kv.Get("key", &v).ok());
+  EXPECT_EQ(v, "X-Z");
+  const KvStats st = kv.stats();
+  EXPECT_EQ(st.puts, 5u);
+  EXPECT_EQ(st.bytes_written, 5u * 3 + 1 + 19 + 0 + 3 + 3 + 1);
+}
+
 TEST(HashKVTest, GrowsThroughManyRehashes) {
   HashKV kv;
   constexpr int kN = 20000;

@@ -107,6 +107,68 @@ TEST_P(KvConformanceTest, ScanPrefixFindsAllMatches) {
   EXPECT_EQ(out.size(), 7u);
 }
 
+TEST_P(KvConformanceTest, VisitPrefixSeesWhatScanPrefixCopies) {
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(kv_->Put("match/" + std::to_string(i), "m").ok());
+    ASSERT_TRUE(kv_->Put("other/" + std::to_string(i), "o").ok());
+  }
+  std::vector<Entry> scanned;
+  KvStats before = kv_->stats();
+  ASSERT_TRUE(kv_->ScanPrefix("match/", 0, &scanned).ok());
+  const KvStats scan = kv_->stats() - before;
+
+  std::vector<Entry> visited;
+  before = kv_->stats();
+  ASSERT_TRUE(kv_->VisitPrefix("match/", 0,
+                               [&visited](std::string_view k,
+                                          std::string_view v) {
+                                 visited.emplace_back(k, v);
+                                 return true;
+                               })
+                  .ok());
+  const KvStats visit = kv_->stats() - before;
+  // Same entries in the same order, counted the same way.
+  EXPECT_EQ(visited, scanned);
+  EXPECT_EQ(visit.scans, 1u);
+  EXPECT_EQ(visit.scans, scan.scans);
+  EXPECT_EQ(visit.scan_items, scan.scan_items);
+  EXPECT_EQ(visit.bytes_read, scan.bytes_read);
+}
+
+TEST_P(KvConformanceTest, VisitPrefixHonorsLimitAndEarlyStop) {
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(kv_->Put("match/" + std::to_string(i), "m").ok());
+    ASSERT_TRUE(kv_->Put("other/" + std::to_string(i), "o").ok());
+  }
+  std::size_t limited = 0;
+  ASSERT_TRUE(kv_->VisitPrefix("match/", 7,
+                               [&limited](std::string_view k, std::string_view) {
+                                 EXPECT_EQ(k.substr(0, 6), "match/");
+                                 ++limited;
+                                 return true;
+                               })
+                  .ok());
+  EXPECT_EQ(limited, 7u);
+
+  const KvStats before = kv_->stats();
+  std::size_t calls = 0;
+  ASSERT_TRUE(kv_->VisitPrefix("match/", 0,
+                               [&calls](std::string_view, std::string_view) {
+                                 return ++calls < 3;
+                               })
+                  .ok());
+  EXPECT_EQ(calls, 3u);
+  const KvStats d = kv_->stats() - before;
+  EXPECT_EQ(d.scans, 1u);
+  // An ordered index walks matches only, and stops where `fn` did; a hash
+  // table walks its slots until then.  LSM visits its merged copy.
+  switch (GetParam()) {
+    case KvBackend::kBTree: EXPECT_EQ(d.scan_items, 3u); break;
+    case KvBackend::kHash: EXPECT_LT(d.scan_items, 60u); break;
+    case KvBackend::kLsm: EXPECT_EQ(d.scan_items, 30u); break;
+  }
+}
+
 TEST_P(KvConformanceTest, ForEachVisitsEverything) {
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(kv_->Put(std::to_string(i), "v").ok());
   std::size_t n = 0;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -75,6 +76,103 @@ TEST(StripedKvTest, OrderedScanMergesAcrossStripes) {
   for (std::size_t i = 0; i < limited.size(); ++i) {
     EXPECT_EQ(limited[i].first, entries[i].first);
   }
+}
+
+// 8-byte group prefix + suffix, like a dirent record (core/layout.h).
+std::string GroupKey(int group, const std::string& suffix) {
+  std::string key(8, '\0');
+  key[0] = static_cast<char>(group);
+  return key + suffix;
+}
+
+TEST(StripedKvTest, PrefixRoutingKeepsAGroupInOneStripe) {
+  for (const KvBackend backend :
+       {KvBackend::kBTree, KvBackend::kHash, KvBackend::kLsm}) {
+    auto kv = MakeStripedKv(backend, {}, 8, /*route_prefix=*/8);
+    ASSERT_TRUE(kv.ok());
+    auto& striped = *kv.value();
+    for (int g = 0; g < 5; ++g) {
+      for (int i = 0; i < 40; ++i) {
+        ASSERT_TRUE(striped.Put(GroupKey(g, "n" + std::to_string(i)), "v").ok());
+      }
+    }
+    for (int g = 0; g < 5; ++g) {
+      const KvStats before = striped.stats();
+      std::vector<std::string> seen;
+      ASSERT_TRUE(striped
+                      .VisitPrefix(GroupKey(g, ""), 0,
+                                   [&seen](std::string_view k, std::string_view) {
+                                     seen.emplace_back(k);
+                                     return true;
+                                   })
+                      .ok());
+      // One stripe scanned: the whole group lives there.
+      EXPECT_EQ((striped.stats() - before).scans, 1u) << KvBackendName(backend);
+      ASSERT_EQ(seen.size(), 40u) << KvBackendName(backend);
+      if (striped.Ordered()) {
+        EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+      }
+      std::vector<Entry> copied;
+      ASSERT_TRUE(striped.ScanPrefix(GroupKey(g, ""), 0, &copied).ok());
+      EXPECT_EQ(copied.size(), 40u);
+    }
+  }
+}
+
+TEST(StripedKvTest, RoutedVisitHonorsLimitEarlyStopAndCounts) {
+  auto routed = MakeStripedKv(KvBackend::kBTree, {}, 8, /*route_prefix=*/8);
+  ASSERT_TRUE(routed.ok());
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(routed.value()->Put(GroupKey(1, "n" + std::to_string(i)), "v").ok());
+  }
+  const Kv& store = *routed.value();
+  std::size_t limited = 0;
+  ASSERT_TRUE(store
+                  .VisitPrefix(GroupKey(1, ""), 4,
+                               [&limited](std::string_view, std::string_view) {
+                                 ++limited;
+                                 return true;
+                               })
+                  .ok());
+  EXPECT_EQ(limited, 4u);
+  const KvStats before = store.stats();
+  std::size_t calls = 0;
+  ASSERT_TRUE(store
+                  .VisitPrefix(GroupKey(1, ""), 0,
+                               [&calls](std::string_view, std::string_view) {
+                                 return ++calls < 5;
+                               })
+                  .ok());
+  EXPECT_EQ(calls, 5u);
+  const KvStats d = store.stats() - before;
+  EXPECT_EQ(d.scans, 1u);
+  EXPECT_EQ(d.scan_items, 5u);
+}
+
+TEST(StripedKvTest, ShortPrefixStillScansEveryStripeInOrder) {
+  // A prefix shorter than the routing length may match keys in any stripe:
+  // the scan merges all of them.
+  auto kv = MakeStripedKv(KvBackend::kBTree, {}, 8, /*route_prefix=*/8);
+  ASSERT_TRUE(kv.ok());
+  auto& striped = *kv.value();
+  for (int g = 0; g < 6; ++g) {
+    ASSERT_TRUE(striped.Put(GroupKey(g, "x"), "v").ok());
+  }
+  const KvStats before = striped.stats();
+  std::vector<Entry> all;
+  ASSERT_TRUE(striped.ScanPrefix(std::string(1, '\0'), 0, &all).ok());
+  EXPECT_EQ((striped.stats() - before).scans, 8u);
+  ASSERT_EQ(all.size(), 1u);  // only group 0 starts with a zero byte
+  std::vector<std::string> visited;
+  ASSERT_TRUE(striped
+                  .VisitPrefix("", 0,
+                               [&visited](std::string_view k, std::string_view) {
+                                 visited.emplace_back(k);
+                                 return true;
+                               })
+                  .ok());
+  EXPECT_EQ(visited.size(), 6u);
+  EXPECT_TRUE(std::is_sorted(visited.begin(), visited.end()));
 }
 
 TEST(StripedKvTest, ForEachVisitsEverythingAndHonorsEarlyStop) {
