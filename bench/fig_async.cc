@@ -16,7 +16,7 @@
 //   per-op    one call in flight; each op pays a full round trip and a
 //             full journal commit before the next is sent.
 //   pipelined --depth (default 16) calls ride the connection back-to-back
-//             via TcpChannel::CallPipelined; the server's worker pool
+//             as one TcpChannel fan-out; the server's worker pool
 //             overlaps their journal commits.
 //   batched   --batch (default 64) sub-ops per kFmsBatchCreate /
 //             kFmsBatchStat frame; one round trip and one group commit
@@ -108,6 +108,16 @@ double Seconds(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
 }
 
+// TcpChannel completes a fan-out inline, so a plain out-param works.
+std::vector<net::RpcResponse> BlockingFanOut(net::Channel& channel,
+                                             std::vector<net::CallLeg> legs) {
+  std::vector<net::RpcResponse> out;
+  channel.FanOutAsync(
+      std::move(legs), net::CallMeta{},
+      [&out](std::vector<net::RpcResponse> r) { out = std::move(r); });
+  return out;
+}
+
 void Die(const char* what) {
   std::fprintf(stderr, "fig_async: %s failed\n", what);
   std::exit(1);
@@ -176,17 +186,17 @@ std::optional<ModeResult> RunMode(net::IoBackend backend, Mode mode,
     switch (mode) {
       case Mode::kPerOp:
         for (int i = 0; i < files; ++i) {
-          const auto resp = channel.CallPipelined(node, {{op, payload(i)}});
+          const auto resp = BlockingFanOut(channel, {{node, op, payload(i)}});
           check(resp.at(0), "per-op call");
         }
         break;
       case Mode::kPipelined:
         for (int off = 0; off < files; off += depth) {
           const int n = std::min(depth, files - off);
-          std::vector<std::pair<std::uint16_t, std::string>> calls;
-          calls.reserve(static_cast<std::size_t>(n));
-          for (int i = 0; i < n; ++i) calls.emplace_back(op, payload(off + i));
-          const auto resps = channel.CallPipelined(node, calls);
+          std::vector<net::CallLeg> legs;
+          legs.reserve(static_cast<std::size_t>(n));
+          for (int i = 0; i < n; ++i) legs.push_back({node, op, payload(off + i)});
+          const auto resps = BlockingFanOut(channel, std::move(legs));
           for (const auto& resp : resps) check(resp, "pipelined call");
         }
         break;
@@ -196,8 +206,8 @@ std::optional<ModeResult> RunMode(net::IoBackend backend, Mode mode,
           std::vector<std::string> subops;
           subops.reserve(static_cast<std::size_t>(n));
           for (int i = 0; i < n; ++i) subops.push_back(payload(off + i));
-          const auto resp = channel.CallPipelined(
-              node, {{batch_op, net::wire::EncodeBatchRequest(subops)}});
+          const auto resp = BlockingFanOut(
+              channel, {{node, batch_op, net::wire::EncodeBatchRequest(subops)}});
           check(resp.at(0), "batch frame");
           std::vector<net::wire::BatchItem> items;
           if (!net::wire::DecodeBatchResponse(resp.at(0).payload, &items) ||

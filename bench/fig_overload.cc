@@ -100,6 +100,16 @@ net::RpcResponse BlockingCall(net::Channel& channel, net::NodeId node,
   return out;
 }
 
+std::vector<net::RpcResponse> BlockingFanOut(
+    net::Channel& channel, const std::vector<net::CallLeg>& legs,
+    const net::CallMeta& meta) {
+  std::vector<net::RpcResponse> out;
+  channel.FanOutAsync(
+      legs, meta,
+      [&out](std::vector<net::RpcResponse> r) { out = std::move(r); });
+  return out;
+}
+
 struct Config {
   std::string out = "BENCH_overload.json";
   std::string connect;   // live daemon endpoint; empty -> in-proc server
@@ -228,15 +238,15 @@ class Driver {
     for (int t = 0; t < threads; ++t) {
       crew.emplace_back([&, t] {
         auto channel = NewChannel();
-        std::vector<std::pair<std::uint16_t, std::string>> calls;
+        std::vector<net::CallLeg> legs;
         for (int i = 0; i < volley; ++i) {
-          calls.emplace_back(core::proto::kFmsGetAttr,
-                             StatPayload(t * volley + i));
+          legs.push_back({kNode, core::proto::kFmsGetAttr,
+                          StatPayload(t * volley + i)});
         }
         net::CallMeta meta;
         meta.deadline_ns = static_cast<common::Nanos>(deadline_ms * 1e6);
         while (!stop.load(std::memory_order_relaxed)) {
-          const auto resps = channel->CallPipelined(kNode, calls, meta);
+          const auto resps = BlockingFanOut(*channel, legs, meta);
           for (const auto& r : resps) {
             per_thread[static_cast<std::size_t>(t)].Absorb(r);
           }
@@ -271,15 +281,15 @@ class Driver {
       // foreground traffic.
       background = std::thread([&] {
         auto channel = NewChannel();
-        std::vector<std::pair<std::uint16_t, std::string>> calls;
+        std::vector<net::CallLeg> legs;
         for (int i = 0; i < volley; ++i) {
-          calls.emplace_back(core::proto::kFmsGetAttr, StatPayload(i));
+          legs.push_back({kNode, core::proto::kFmsGetAttr, StatPayload(i)});
         }
         net::CallMeta meta;
         meta.deadline_ns = static_cast<common::Nanos>(deadline_ms * 1e6);
         meta.priority = net::Priority::kBackground;
         while (!stop.load(std::memory_order_relaxed)) {
-          for (const auto& r : channel->CallPipelined(kNode, calls, meta)) {
+          for (const auto& r : BlockingFanOut(*channel, legs, meta)) {
             bg_counts.Absorb(r);
           }
         }
@@ -343,14 +353,14 @@ class Driver {
     for (int t = 0; t < threads; ++t) {
       crew.emplace_back([&, t] {
         auto channel = NewChannel();
-        std::vector<std::pair<std::uint16_t, std::string>> calls;
+        std::vector<net::CallLeg> legs;
         for (int i = 0; i < volley; ++i) {
-          calls.emplace_back(core::proto::kFmsGetAttr,
-                             StatPayload(t * volley + i));
+          legs.push_back({kNode, core::proto::kFmsGetAttr,
+                          StatPayload(t * volley + i)});
         }
         net::CallMeta meta;
         meta.deadline_ns = static_cast<common::Nanos>(deadline_ms * 1e6);
-        for (const auto& r : channel->CallPipelined(kNode, calls, meta)) {
+        for (const auto& r : BlockingFanOut(*channel, legs, meta)) {
           per_thread[static_cast<std::size_t>(t)].Absorb(r);
         }
       });

@@ -10,6 +10,14 @@ cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
+echo "== tier-1: live-stack benchmark smoke (perfbench/run.py --smoke) =="
+# Builds perfbench/ (its own Release CMake package into .bench_build/) and
+# runs every workload briefly in both the untraced and the traced mode,
+# checking the namespace, file contents and emitted metric set.  perfbench's
+# decorators subclass net::Channel, net::RpcHandler and kv::Kv, so an
+# interface change that breaks them fails here rather than in the benchmark.
+python3 perfbench/run.py --smoke
+
 echo "== tier-1: io_uring backend smoke (daemons under --io-backend=uring) =="
 # Spawns a real daemon on the uring event loop and round-trips RPCs.  On a
 # kernel (or build) without io_uring the daemon falls back to epoll, which
@@ -83,11 +91,12 @@ cmake --build build-asan -j --target net_test kvstore_test fs_test \
 ./build-asan/tests/integration/gc_soak_test
 ./build-asan/tests/integration/notify_e2e_test
 
-echo "== tier-1: TSan pass (worker pool, striped KV, sim, concurrent handlers, GC, notify) =="
+echo "== tier-1: TSan pass (worker pool, striped KV, sim, concurrent handlers, GC, notify, resilient fan-out) =="
 cmake -B build-tsan -S . -DLOCO_SANITIZE=tsan >/dev/null
 cmake --build build-tsan -j --target net_test kvstore_test fs_test \
   sim_test core_test striped_kv_test \
-  core_concurrency_test core_housekeeping_test notify_e2e_test >/dev/null
+  core_concurrency_test core_housekeeping_test notify_e2e_test \
+  integration_test >/dev/null
 # net_test exercises both server backends, the client reactor and the
 # worker pool under TSan; core_test adds the batch handler suites over the
 # striped stores, and core_housekeeping_test runs the GcManager scan
@@ -102,5 +111,8 @@ cmake --build build-tsan -j --target net_test kvstore_test fs_test \
 ./build-tsan/tests/core/core_concurrency_test
 ./build-tsan/tests/core/core_housekeeping_test
 ./build-tsan/tests/integration/notify_e2e_test
+# The reactor completes several legs of one caller's fan-out at once, and
+# ResilientChannel retries legs of that fan-out on the calling thread.
+./build-tsan/tests/integration/integration_test --gtest_filter='ResilientChannel*'
 
 echo "tier1: OK"

@@ -65,6 +65,56 @@ void MergeByName(std::vector<Entry>* merged, std::vector<Entry> reply) {
       [](const Entry& a, const Entry& b) { return a.name < b.name; });
 }
 
+// One batch frame per server, sent as one fan-out.  groups[k] lists the
+// caller's item indices that legs[k] carries, in sub-op order.
+struct BatchFrames {
+  std::vector<net::CallLeg> legs;
+  std::vector<const std::vector<std::size_t>*> groups;
+
+  // Hand every item its reply through `on_item(i, item)`; the items of a
+  // failed frame all get the frame's code and no payload.  False when a
+  // reply is malformed or `on_item` rejects an item's payload.
+  template <typename OnItem>
+  bool Deliver(const std::vector<net::RpcResponse>& replies,
+               OnItem on_item) const {
+    for (std::size_t k = 0; k < replies.size(); ++k) {
+      const std::vector<std::size_t>& idxs = *groups[k];
+      std::vector<net::wire::BatchItem> items;
+      if (!replies[k].ok()) {
+        items.resize(idxs.size(), net::wire::BatchItem{replies[k].code, {}});
+      } else if (!net::wire::DecodeBatchResponse(replies[k].payload, &items) ||
+                 items.size() != idxs.size()) {
+        return false;
+      }
+      for (std::size_t j = 0; j < idxs.size(); ++j) {
+        if (!on_item(idxs[j], items[j])) return false;
+      }
+    }
+    return true;
+  }
+};
+
+// Encode one `opcode` batch frame per server in `groups`; `subop(i)` packs
+// item i.  The group map must outlive the returned frames.
+template <typename Subop>
+BatchFrames EncodeBatchFrames(
+    std::uint16_t opcode,
+    const std::unordered_map<net::NodeId, std::vector<std::size_t>>& groups,
+    Subop subop) {
+  BatchFrames frames;
+  frames.legs.reserve(groups.size());
+  frames.groups.reserve(groups.size());
+  for (const auto& [node, idxs] : groups) {
+    std::vector<std::string> subops;
+    subops.reserve(idxs.size());
+    for (const std::size_t i : idxs) subops.push_back(subop(i));
+    frames.legs.push_back(
+        net::CallLeg{node, opcode, net::wire::EncodeBatchRequest(subops)});
+    frames.groups.push_back(&idxs);
+  }
+  return frames;
+}
+
 }  // namespace
 
 void NotifyFanout::Add(LocoClient* client) {
@@ -285,8 +335,7 @@ net::Task<Status> LocoClient::Rmdir(std::string path) {
   }
   // Phase 2: every FMS must confirm no file of this directory lives there
   // (the paper's rmdir fan-out, §4.2.1 observation 3).
-  std::vector<net::NodeId> fms = cfg_.fms;
-  auto checks = co_await net::CallMany(channel_, std::move(fms),
+  auto checks = co_await net::CallMany(channel_, cfg_.fms,
                                        proto::kFmsCheckEmpty,
                                        fs::Pack(dir->uuid));
   for (const net::RpcResponse& check : checks) {
@@ -347,8 +396,7 @@ net::Task<Result<std::vector<fs::DirEntry>>> LocoClient::Readdir(
     }
   }
   // Pull the file entries from every FMS (the paper's readdir fan-out).
-  std::vector<net::NodeId> fms = cfg_.fms;
-  auto responses = co_await net::CallMany(channel_, std::move(fms),
+  auto responses = co_await net::CallMany(channel_, cfg_.fms,
                                           proto::kFmsReaddir,
                                           fs::Pack(dir_attr.uuid));
   for (const net::RpcResponse& r : responses) {
@@ -387,27 +435,17 @@ net::Task<Result<std::vector<ErrCode>>> LocoClient::CreateMany(
     }
     groups[FmsFor(parent->uuid, names[i])].push_back(i);
   }
-  for (auto& [node, idxs] : groups) {
-    std::vector<std::string> subops;
-    subops.reserve(idxs.size());
-    for (const std::size_t i : idxs) {
-      subops.push_back(fs::Pack(parent->uuid, names[i], mode, identity_, ts));
-    }
-    net::RpcResponse resp =
-        co_await net::Call(channel_, node, proto::kFmsBatchCreate,
-                           net::wire::EncodeBatchRequest(subops));
-    if (!resp.ok()) {
-      for (const std::size_t i : idxs) codes[i] = resp.code;
-      continue;
-    }
-    std::vector<net::wire::BatchItem> items;
-    if (!net::wire::DecodeBatchResponse(resp.payload, &items) ||
-        items.size() != idxs.size()) {
-      co_return ErrStatus(ErrCode::kCorruption);
-    }
-    for (std::size_t j = 0; j < idxs.size(); ++j) {
-      codes[idxs[j]] = items[j].code;
-    }
+  BatchFrames frames = EncodeBatchFrames(
+      proto::kFmsBatchCreate, groups, [&](std::size_t i) {
+        return fs::Pack(parent->uuid, names[i], mode, identity_, ts);
+      });
+  auto replies = co_await net::FanOut(channel_, std::move(frames.legs));
+  if (!frames.Deliver(replies, [&](std::size_t i,
+                                   const net::wire::BatchItem& item) {
+        codes[i] = item.code;
+        return true;
+      })) {
+    co_return ErrStatus(ErrCode::kCorruption);
   }
   co_return codes;
 }
@@ -422,32 +460,18 @@ net::Task<Result<std::vector<LocoClient::StatEntry>>> LocoClient::StatMany(
   for (std::size_t i = 0; i < names.size(); ++i) {
     groups[FmsFor(parent->uuid, names[i])].push_back(i);
   }
-  for (auto& [node, idxs] : groups) {
-    std::vector<std::string> subops;
-    subops.reserve(idxs.size());
-    for (const std::size_t i : idxs) {
-      subops.push_back(fs::Pack(parent->uuid, names[i]));
-    }
-    net::RpcResponse resp =
-        co_await net::Call(channel_, node, proto::kFmsBatchStat,
-                           net::wire::EncodeBatchRequest(subops));
-    if (!resp.ok()) {
-      for (const std::size_t i : idxs) results[i].code = resp.code;
-      continue;
-    }
-    std::vector<net::wire::BatchItem> items;
-    if (!net::wire::DecodeBatchResponse(resp.payload, &items) ||
-        items.size() != idxs.size()) {
-      co_return ErrStatus(ErrCode::kCorruption);
-    }
-    for (std::size_t j = 0; j < idxs.size(); ++j) {
-      StatEntry& out = results[idxs[j]];
-      out.code = items[j].code;
-      if (out.code == ErrCode::kOk &&
-          !fs::Unpack(items[j].payload, out.attr)) {
-        co_return ErrStatus(ErrCode::kCorruption);
-      }
-    }
+  BatchFrames frames =
+      EncodeBatchFrames(proto::kFmsBatchStat, groups, [&](std::size_t i) {
+        return fs::Pack(parent->uuid, names[i]);
+      });
+  auto replies = co_await net::FanOut(channel_, std::move(frames.legs));
+  if (!frames.Deliver(replies, [&](std::size_t i,
+                                   const net::wire::BatchItem& item) {
+        results[i].code = item.code;
+        return item.code != ErrCode::kOk ||
+               fs::Unpack(item.payload, results[i].attr);
+      })) {
+    co_return ErrStatus(ErrCode::kCorruption);
   }
   co_return results;
 }
@@ -460,44 +484,28 @@ net::Task<Result<std::vector<ErrCode>>> LocoClient::MkdirMany(
   // group.  Dependent paths ("a", then "a/b") share a top-level component
   // and therefore a shard, so in-order application still holds per frame.
   std::unordered_map<net::NodeId, std::vector<std::size_t>> groups;
-  std::vector<net::NodeId> order;  // deterministic frame order
   for (std::size_t i = 0; i < paths.size(); ++i) {
     if (!fs::IsValidPath(paths[i]) || paths[i] == "/") {
       codes[i] = ErrCode::kInvalid;
       continue;
     }
-    const net::NodeId node = DmsFor(paths[i]);
-    auto [it, inserted] = groups.try_emplace(node);
-    if (inserted) order.push_back(node);
-    it->second.push_back(i);
+    groups[DmsFor(paths[i])].push_back(i);
   }
-  for (const net::NodeId node : order) {
-    const std::vector<std::size_t>& sent = groups[node];
-    std::vector<std::string> subops;
-    subops.reserve(sent.size());
-    for (const std::size_t i : sent) {
-      subops.push_back(fs::Pack(paths[i], mode, identity_, ts));
-    }
-    net::RpcResponse resp =
-        co_await net::Call(channel_, node, proto::kDmsBatchMkdir,
-                           net::wire::EncodeBatchRequest(subops));
-    if (!resp.ok()) {
-      for (const std::size_t i : sent) codes[i] = resp.code;
-      continue;
-    }
-    std::vector<net::wire::BatchItem> items;
-    if (!net::wire::DecodeBatchResponse(resp.payload, &items) ||
-        items.size() != sent.size()) {
-      co_return ErrStatus(ErrCode::kCorruption);
-    }
-    for (std::size_t j = 0; j < sent.size(); ++j) {
-      const std::size_t i = sent[j];
-      codes[i] = items[j].code;
-      if (codes[i] == ErrCode::kOk) {
-        // Keep any live lease on the parent shadow-accurate, like Mkdir.
-        NoteSubdir(fs::ParentPath(paths[i]), fs::BaseName(paths[i]), true);
-      }
-    }
+  BatchFrames frames =
+      EncodeBatchFrames(proto::kDmsBatchMkdir, groups, [&](std::size_t i) {
+        return fs::Pack(paths[i], mode, identity_, ts);
+      });
+  auto replies = co_await net::FanOut(channel_, std::move(frames.legs));
+  if (!frames.Deliver(replies, [&](std::size_t i,
+                                   const net::wire::BatchItem& item) {
+        codes[i] = item.code;
+        if (codes[i] == ErrCode::kOk) {
+          // Keep any live lease on the parent shadow-accurate, like Mkdir.
+          NoteSubdir(fs::ParentPath(paths[i]), fs::BaseName(paths[i]), true);
+        }
+        return true;
+      })) {
+    co_return ErrStatus(ErrCode::kCorruption);
   }
   co_return codes;
 }
@@ -518,35 +526,22 @@ net::Task<Result<std::vector<ErrCode>>> LocoClient::PutMany(
   for (std::size_t i = 0; i < entries.size(); ++i) {
     fms_groups[FmsFor(parent->uuid, entries[i].name)].push_back(i);
   }
-  for (auto& [node, idxs] : fms_groups) {
-    std::vector<std::string> subops;
-    subops.reserve(idxs.size());
-    for (const std::size_t i : idxs) {
-      subops.push_back(fs::Pack(parent->uuid, entries[i].name, identity_,
-                                static_cast<std::uint64_t>(entries[i].data.size()),
-                                std::uint8_t{1}, ts));
-    }
-    net::RpcResponse resp =
-        co_await net::Call(channel_, node, proto::kFmsBatchSetSize,
-                           net::wire::EncodeBatchRequest(subops));
-    if (!resp.ok()) {
-      for (const std::size_t i : idxs) codes[i] = resp.code;
-      continue;
-    }
-    std::vector<net::wire::BatchItem> items;
-    if (!net::wire::DecodeBatchResponse(resp.payload, &items) ||
-        items.size() != idxs.size()) {
-      co_return ErrStatus(ErrCode::kCorruption);
-    }
-    for (std::size_t j = 0; j < idxs.size(); ++j) {
-      const std::size_t i = idxs[j];
-      codes[i] = items[j].code;
-      if (codes[i] != ErrCode::kOk) continue;
-      std::uint64_t new_size = 0;
-      if (!fs::Unpack(items[j].payload, uuids[i], new_size)) {
-        co_return ErrStatus(ErrCode::kCorruption);
-      }
-    }
+  BatchFrames meta_frames = EncodeBatchFrames(
+      proto::kFmsBatchSetSize, fms_groups, [&](std::size_t i) {
+        return fs::Pack(parent->uuid, entries[i].name, identity_,
+                        static_cast<std::uint64_t>(entries[i].data.size()),
+                        std::uint8_t{1}, ts);
+      });
+  auto meta_replies =
+      co_await net::FanOut(channel_, std::move(meta_frames.legs));
+  if (!meta_frames.Deliver(meta_replies, [&](std::size_t i,
+                                             const net::wire::BatchItem& item) {
+        codes[i] = item.code;
+        std::uint64_t new_size = 0;
+        return item.code != ErrCode::kOk ||
+               fs::Unpack(item.payload, uuids[i], new_size);
+      })) {
+    co_return ErrStatus(ErrCode::kCorruption);
   }
 
   // Phase 2: the data half — one kObjBatchPut frame per object store the
@@ -555,27 +550,18 @@ net::Task<Result<std::vector<ErrCode>>> LocoClient::PutMany(
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (codes[i] == ErrCode::kOk) obj_groups[ObjFor(uuids[i])].push_back(i);
   }
-  for (auto& [node, idxs] : obj_groups) {
-    std::vector<std::string> subops;
-    subops.reserve(idxs.size());
-    for (const std::size_t i : idxs) {
-      subops.push_back(fs::Pack(uuids[i], std::uint64_t{0}, entries[i].data));
-    }
-    net::RpcResponse resp =
-        co_await net::Call(channel_, node, proto::kObjBatchPut,
-                           net::wire::EncodeBatchRequest(subops));
-    if (!resp.ok()) {
-      for (const std::size_t i : idxs) codes[i] = resp.code;
-      continue;
-    }
-    std::vector<net::wire::BatchItem> items;
-    if (!net::wire::DecodeBatchResponse(resp.payload, &items) ||
-        items.size() != idxs.size()) {
-      co_return ErrStatus(ErrCode::kCorruption);
-    }
-    for (std::size_t j = 0; j < idxs.size(); ++j) {
-      codes[idxs[j]] = items[j].code;
-    }
+  BatchFrames data_frames =
+      EncodeBatchFrames(proto::kObjBatchPut, obj_groups, [&](std::size_t i) {
+        return fs::Pack(uuids[i], std::uint64_t{0}, entries[i].data);
+      });
+  auto data_replies =
+      co_await net::FanOut(channel_, std::move(data_frames.legs));
+  if (!data_frames.Deliver(data_replies, [&](std::size_t i,
+                                             const net::wire::BatchItem& item) {
+        codes[i] = item.code;
+        return true;
+      })) {
+    co_return ErrStatus(ErrCode::kCorruption);
   }
   co_return codes;
 }
@@ -615,8 +601,7 @@ net::Task<Result<std::vector<LocoClient::EntryPlus>>> LocoClient::ReaddirPlus(
   }
   // One round trip per FMS replaces the per-file GetAttr fan-out a plain
   // readdir + stat loop would issue.
-  std::vector<net::NodeId> fms = cfg_.fms;
-  auto responses = co_await net::CallMany(channel_, std::move(fms),
+  auto responses = co_await net::CallMany(channel_, cfg_.fms,
                                           proto::kFmsReaddirPlus,
                                           fs::Pack(dir_attr.uuid));
   for (const net::RpcResponse& r : responses) {

@@ -10,8 +10,8 @@
 // NOT stable across a retry.  The trace id is — net::Call stamps one per
 // client operation and the resilient channel reuses it for every attempt —
 // so the window keys on the exact bytes (trace_id, opcode, payload).  Two
-// calls that share a trace id (a CallMany fan-out or a pipelined burst)
-// differ in payload or land on different servers, so they never collide; a
+// calls that share a trace id (the legs of one fan-out) must differ in
+// opcode or payload or land on different servers, so they never collide; a
 // retried or duplicated frame matches exactly.  The key is the literal byte
 // string, not a hash: a 64-bit digest would let an unlucky (or adversarial)
 // collision replay a *different* request's cached response as if it were

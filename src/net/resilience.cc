@@ -1,6 +1,7 @@
 #include "net/resilience.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <thread>
 
@@ -64,77 +65,123 @@ void ResilientChannel::CallAsync(NodeId server, std::uint16_t opcode,
 void ResilientChannel::CallAsyncMeta(NodeId server, std::uint16_t opcode,
                                      std::string payload, const CallMeta& meta,
                                      std::function<void(RpcResponse)> done) {
+  std::vector<CallLeg> legs;
+  legs.push_back(CallLeg{server, opcode, std::move(payload)});
+  FanOutAsync(std::move(legs), meta, [&done](std::vector<RpcResponse> out) {
+    done(std::move(out.front()));
+  });
+}
+
+void ResilientChannel::FanOutAsync(
+    std::vector<CallLeg> legs, const CallMeta& meta,
+    std::function<void(std::vector<RpcResponse>)> done) {
   CallMeta attempt_meta = meta;
   if (attempt_meta.trace_id == 0) attempt_meta.trace_id = NextTraceId();
-  // ONE deadline budget covers every attempt: each retry is stamped with
-  // what remains, so max_attempts can never stretch a call past its total.
+  // ONE deadline budget covers every attempt of every leg: each retry is
+  // stamped with what remains, so max_attempts can never stretch a call past
+  // its total.
   const common::Nanos total_ns =
       meta.deadline_ns > 0 ? meta.deadline_ns : options_.default_deadline_ns;
   const common::Nanos deadline_abs = common::CpuTimer::Now() + total_ns;
-  DepositRetryToken();
-  RpcResponse last{ErrCode::kUnavailable, {}};
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    const common::Nanos remaining = deadline_abs - common::CpuTimer::Now();
-    if (remaining <= 0) {
-      if (attempt == 0) last = RpcResponse{ErrCode::kTimeout, {}};
-      break;
+  for (std::size_t i = 0; i < legs.size(); ++i) DepositRetryToken();
+  std::vector<RpcResponse> out(legs.size());
+  const common::Nanos remaining = deadline_abs - common::CpuTimer::Now();
+  if (remaining <= 0) {
+    for (RpcResponse& r : out) r = RpcResponse{ErrCode::kTimeout, {}};
+    done(std::move(out));
+    return;
+  }
+  attempt_meta.deadline_ns = remaining;
+
+  // Attempt 0: every leg its breaker admits goes out in one inner fan-out.
+  std::vector<Admit> admits(legs.size());
+  std::vector<CallLeg> first;
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    admits[i] = AdmitCall(legs[i].server);
+    if (admits[i] == Admit::kFastFail) {
+      fast_fails_->Add();
+      out[i] = RpcResponse{ErrCode::kUnavailable, {}};
+    } else {
+      first.push_back(legs[i]);
     }
-    attempt_meta.deadline_ns = remaining;
-    const Admit admit = AdmitCall(server);
+  }
+  std::vector<RpcResponse> replies = CallInner(std::move(first), attempt_meta);
+  auto reply = replies.begin();
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    if (admits[i] == Admit::kFastFail) continue;
+    out[i] = std::move(*reply++);
+    // kOverloaded is retryable but comes from a live, answering server: it
+    // never counts toward opening the breaker.
+    RecordOutcome(legs[i].server,
+                  !Retryable(out[i].code) || out[i].code == ErrCode::kOverloaded,
+                  admits[i] == Admit::kProbe);
+  }
+
+  // Attempts 1..: only the legs that failed retryably, each on its own.
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    if (Retryable(out[i].code)) {
+      out[i] = RetryLeg(legs[i], attempt_meta, deadline_abs, std::move(out[i]));
+    }
+  }
+  done(std::move(out));
+}
+
+std::vector<RpcResponse> ResilientChannel::CallInner(std::vector<CallLeg> legs,
+                                                     const CallMeta& meta) {
+  std::vector<RpcResponse> out;
+  if (legs.empty()) return out;
+  bool got = false;
+  inner_->FanOutAsync(std::move(legs), meta,
+                      [&](std::vector<RpcResponse> replies) {
+                        out = std::move(replies);
+                        got = true;
+                      });
+  // The callback writes through references to this frame, so a transport
+  // that completed later would corrupt the stack: the inner channel must
+  // complete inline (every project transport but the simulator does).
+  assert(got && "ResilientChannel: inner channel must complete inline");
+  (void)got;
+  return out;
+}
+
+RpcResponse ResilientChannel::RetryLeg(const CallLeg& leg, CallMeta meta,
+                                       common::Nanos deadline_abs,
+                                       RpcResponse last) {
+  for (int attempt = 1; attempt < options_.max_attempts; ++attempt) {
+    common::Nanos sleep_ns = 0;
+    if (last.code == ErrCode::kOverloaded) {
+      // The shedding server said when to come back; believe it.
+      sleep_ns = RetryAfterHint(last.payload);
+    }
+    if (sleep_ns <= 0) sleep_ns = JitterBackoff(attempt - 1);
+    sleep_ns = std::min(sleep_ns, deadline_abs - common::CpuTimer::Now());
+    if (sleep_ns > 0) {
+      std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns));
+    }
+    const common::Nanos remaining = deadline_abs - common::CpuTimer::Now();
+    if (remaining <= 0) break;
+    meta.deadline_ns = remaining;
+    const Admit admit = AdmitCall(leg.server);
     if (admit == Admit::kFastFail) {
       fast_fails_->Add();
       last = RpcResponse{ErrCode::kUnavailable, {}};
-    } else {
-      if (attempt > 0) {
-        if (!SpendRetryToken()) {
-          // Sustained failure drained the bucket: stop amplifying load and
-          // surface the first attempt's verdict.
-          budget_exhausted_->Add();
-          break;
-        }
-        retries_->Add();
-      }
-      RpcResponse resp;
-      bool got = false;
-      // All project transports complete inline (tcp blocks the caller), so
-      // the response is available when CallAsyncMeta returns.
-      inner_->CallAsyncMeta(server, opcode, payload, attempt_meta,
-                            [&](RpcResponse r) {
-                              resp = std::move(r);
-                              got = true;
-                            });
-      if (!got) {
-        // A transport that completes asynchronously cannot be retried safely
-        // from here; pass its eventual response through untouched.
-        inner_->CallAsyncMeta(server, opcode, std::move(payload), attempt_meta,
-                              std::move(done));
-        return;
-      }
-      const bool failed = Retryable(resp.code);
-      // kOverloaded is retryable but comes from a live, answering server:
-      // it never counts toward opening the breaker.
-      RecordOutcome(server, !failed || resp.code == ErrCode::kOverloaded,
-                    admit == Admit::kProbe);
-      if (!failed) {
-        done(std::move(resp));
-        return;
-      }
-      last = std::move(resp);
+      continue;
     }
-    if (attempt + 1 < options_.max_attempts) {
-      common::Nanos sleep_ns = 0;
-      if (last.code == ErrCode::kOverloaded) {
-        // The shedding server said when to come back; believe it.
-        sleep_ns = RetryAfterHint(last.payload);
-      }
-      if (sleep_ns <= 0) sleep_ns = JitterBackoff(attempt);
-      sleep_ns = std::min(sleep_ns, deadline_abs - common::CpuTimer::Now());
-      if (sleep_ns > 0) {
-        std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns));
-      }
+    if (!SpendRetryToken()) {
+      // Sustained failure drained the bucket: stop amplifying load and
+      // surface the last attempt's verdict.
+      budget_exhausted_->Add();
+      break;
     }
+    retries_->Add();
+    RpcResponse resp = std::move(CallInner({leg}, meta).front());
+    const bool failed = Retryable(resp.code);
+    RecordOutcome(leg.server, !failed || resp.code == ErrCode::kOverloaded,
+                  admit == Admit::kProbe);
+    if (!failed) return resp;
+    last = std::move(resp);
   }
-  done(std::move(last));
+  return last;
 }
 
 void ResilientChannel::DepositRetryToken() {

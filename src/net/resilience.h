@@ -8,6 +8,12 @@
 // a retried mutation and replays the cached response instead of applying it
 // twice.  That makes retry safe for mutations, not just reads.
 //
+// A fan-out keeps the inner transport's concurrency: each leg passes its own
+// endpoint's breaker, the first attempts of all admitted legs go out together
+// through the inner FanOutAsync, and only the legs that failed with a
+// retryable code enter the retry loop below, one after another.  A single
+// call is a one-leg fan-out.
+//
 // Failure handling per endpoint:
 //   * kUnavailable / kTimeout are retryable (the peer may be restarting);
 //     anything else came from a live server and is returned immediately.
@@ -44,6 +50,7 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/metrics.h"
@@ -91,6 +98,8 @@ class ResilientChannel final : public Channel {
   void CallAsyncMeta(NodeId server, std::uint16_t opcode, std::string payload,
                      const CallMeta& meta,
                      std::function<void(RpcResponse)> done) override;
+  void FanOutAsync(std::vector<CallLeg> legs, const CallMeta& meta,
+                   std::function<void(std::vector<RpcResponse>)> done) override;
 
   BreakerState breaker_state(NodeId server);
 
@@ -109,6 +118,15 @@ class ResilientChannel final : public Channel {
   enum class Admit { kAllow, kProbe, kFastFail };
   Admit AdmitCall(NodeId server);
   void RecordOutcome(NodeId server, bool success, bool was_probe);
+  // Run `legs` through the inner channel as one fan-out, which must complete
+  // inline.
+  std::vector<RpcResponse> CallInner(std::vector<CallLeg> legs,
+                                     const CallMeta& meta);
+  // Attempts 1.. of a leg whose first attempt failed retryably with `last`,
+  // each under what remains of the call's deadline budget; returns the
+  // final response.
+  RpcResponse RetryLeg(const CallLeg& leg, CallMeta meta,
+                       common::Nanos deadline_abs, RpcResponse last);
   common::Nanos JitterBackoff(int attempt);
   // Token bucket: deposit for one issued call / withdraw for one retry
   // (false = bucket empty, the retry must not happen).

@@ -17,61 +17,32 @@ void Channel::CallAsyncMeta(NodeId server, std::uint16_t opcode,
   CallAsync(server, opcode, std::move(payload), std::move(done));
 }
 
-namespace {
-
-// Shared fan-out state: issue sequentially, collect in order.  Correct for
-// any transport (including ones that complete synchronously inside the
-// per-server call).
-struct FanOutState {
-  std::vector<RpcResponse> responses;
-  std::size_t pending = 0;
-  std::function<void(std::vector<RpcResponse>)> done;
-};
-
-template <typename Issue>
-void FanOut(const std::vector<NodeId>& servers, Issue issue,
-            std::function<void(std::vector<RpcResponse>)> done) {
-  auto state = std::make_shared<FanOutState>();
-  state->responses.resize(servers.size());
-  state->pending = servers.size();
+void Channel::FanOutAsync(std::vector<CallLeg> legs, const CallMeta& meta,
+                          std::function<void(std::vector<RpcResponse>)> done) {
+  // Issue sequentially, collect in order.  Correct for any transport,
+  // including ones that complete inside the per-leg call.
+  struct State {
+    std::vector<RpcResponse> responses;
+    std::size_t pending = 0;
+    std::function<void(std::vector<RpcResponse>)> done;
+  };
+  auto state = std::make_shared<State>();
+  state->responses.resize(legs.size());
+  state->pending = legs.size();
   state->done = std::move(done);
-  if (servers.empty()) {
+  if (legs.empty()) {
     state->done(std::move(state->responses));
     return;
   }
-  for (std::size_t i = 0; i < servers.size(); ++i) {
-    issue(servers[i], [state, i](RpcResponse resp) {
-      state->responses[i] = std::move(resp);
-      if (--state->pending == 0) state->done(std::move(state->responses));
-    });
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    CallAsyncMeta(legs[i].server, legs[i].opcode, std::move(legs[i].payload),
+                  meta, [state, i](RpcResponse resp) {
+                    state->responses[i] = std::move(resp);
+                    if (--state->pending == 0) {
+                      state->done(std::move(state->responses));
+                    }
+                  });
   }
-}
-
-}  // namespace
-
-void Channel::CallManyAsync(const std::vector<NodeId>& servers,
-                            std::uint16_t opcode, std::string payload,
-                            std::function<void(std::vector<RpcResponse>)> done) {
-  FanOut(
-      servers,
-      [this, opcode, &payload](NodeId server,
-                               std::function<void(RpcResponse)> leg_done) {
-        CallAsync(server, opcode, payload, std::move(leg_done));
-      },
-      std::move(done));
-}
-
-void Channel::CallManyAsyncMeta(
-    const std::vector<NodeId>& servers, std::uint16_t opcode,
-    std::string payload, const CallMeta& meta,
-    std::function<void(std::vector<RpcResponse>)> done) {
-  FanOut(
-      servers,
-      [this, opcode, &payload, &meta](NodeId server,
-                                      std::function<void(RpcResponse)> leg_done) {
-        CallAsyncMeta(server, opcode, payload, meta, std::move(leg_done));
-      },
-      std::move(done));
 }
 
 }  // namespace loco::net

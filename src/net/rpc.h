@@ -14,6 +14,9 @@
 //
 // Channel is deliberately asynchronous (completion callback) so the same
 // client code — written as coroutines over Channel — runs unchanged on all.
+// A fan-out (Channel::FanOutAsync) costs one round, not one per leg, on both
+// the simulator (legs overlap in virtual time) and TCP (every leg is on the
+// wire before any is awaited).
 #pragma once
 
 #include <cstdint>
@@ -97,6 +100,13 @@ struct CallMeta {
   Priority priority = Priority::kForeground;
 };
 
+// One leg of a fan-out: a call to one server.
+struct CallLeg {
+  NodeId server = kInvalidNode;
+  std::uint16_t opcode = 0;
+  std::string payload;
+};
+
 // Process-unique, monotonically increasing trace id (never returns 0).
 std::uint64_t NextTraceId() noexcept;
 
@@ -117,21 +127,17 @@ class Channel {
                              std::string payload, const CallMeta& meta,
                              std::function<void(RpcResponse)> done);
 
-  // Issue the same call to many servers concurrently; `done` receives the
-  // responses in `servers` order once all have completed.  The default
-  // implementation issues them back-to-back; the simulator overlaps them in
-  // virtual time (one round trip total, as a real client would).
-  virtual void CallManyAsync(const std::vector<NodeId>& servers,
-                             std::uint16_t opcode, std::string payload,
-                             std::function<void(std::vector<RpcResponse>)> done);
-
-  // Fan-out variant that shares one CallMeta (same trace id, same deadline)
-  // across every leg; routed through CallAsyncMeta so metadata-aware
-  // transports see it per call.
-  void CallManyAsyncMeta(const std::vector<NodeId>& servers,
-                         std::uint16_t opcode, std::string payload,
-                         const CallMeta& meta,
-                         std::function<void(std::vector<RpcResponse>)> done);
+  // Issue every leg and deliver the responses, in leg order, once all have
+  // completed.  Every leg carries `meta` (one trace id, one deadline).  The
+  // default issues the legs back-to-back through CallAsyncMeta: the
+  // simulator, whose calls complete later, overlaps them in virtual time,
+  // while a transport that completes each call inline serializes them.
+  // net::TcpChannel and net::ResilientChannel override it to put every leg
+  // on the wire before any is awaited.  Legs to one server must differ in
+  // opcode or payload: the server's dedup window keys on (trace id, opcode,
+  // payload), so identical legs would replay one another's response.
+  virtual void FanOutAsync(std::vector<CallLeg> legs, const CallMeta& meta,
+                           std::function<void(std::vector<RpcResponse>)> done);
 };
 
 }  // namespace loco::net

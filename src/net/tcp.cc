@@ -1692,203 +1692,160 @@ void TcpChannel::AwaitWaiter(PipeConn& conn, std::uint64_t request_id,
   }
 }
 
-RpcResponse TcpChannel::DoCall(Endpoint& ep, std::uint16_t opcode,
-                               std::string_view payload, const CallMeta& meta) {
-  const common::RpcMetricsTable::PerOp& m = metrics_.For(opcode);
-  m.calls->Add();
-  m.bytes_sent->Add(payload.size());
-  const common::CpuTimer timer;
-  const auto fail = [&](ErrCode code) {
-    m.errors->Add();
-    m.latency->Record(timer.ElapsedNanos());
-    return RpcResponse{code, {}};
-  };
-  if (payload.size() > options_.max_payload_bytes) return fail(ErrCode::kInvalid);
-  if (options_.fault != nullptr) {
-    const common::Nanos stall = options_.fault->OnClientSend();
-    if (stall > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(stall));
+void TcpChannel::IssueLegs(const std::vector<CallLeg>& legs,
+                           const std::vector<std::size_t>& issue,
+                           std::vector<LegState>& state,
+                           std::uint64_t trace_id, Priority priority,
+                           common::Nanos deadline_abs) {
+  // Group by endpoint, in order of first appearance.
+  std::vector<std::pair<Endpoint*, std::vector<std::size_t>>> bursts;
+  for (const std::size_t i : issue) {
+    auto it = std::find_if(bursts.begin(), bursts.end(), [&](const auto& b) {
+      return b.first == state[i].ep;
+    });
+    if (it == bursts.end()) {
+      bursts.emplace_back(state[i].ep, std::vector<std::size_t>{});
+      it = std::prev(bursts.end());
+    }
+    it->second.push_back(i);
   }
-  const common::Nanos deadline_ns =
-      meta.deadline_ns > 0 ? meta.deadline_ns : options_.call_deadline_ns;
-  const common::Nanos deadline_abs = common::CpuTimer::Now() + deadline_ns;
-
-  // Attempt 0 may share a pooled connection the server has silently closed;
-  // when it fails before any response reached this call, attempt 1 retries
-  // once on a fresh connection.  A fresh-connection failure is authoritative.
-  for (int attempt = 0; attempt < 2; ++attempt) {
+  for (auto& [ep, group] : bursts) {
     bool reused = false;
     ErrCode conn_err = ErrCode::kUnavailable;
     const std::shared_ptr<PipeConn> conn =
-        AcquireConn(ep, deadline_abs, &reused, &conn_err);
-    if (!conn) return fail(conn_err);
-    wire::FrameHeader header;
-    header.type = wire::FrameType::kRequest;
-    header.opcode = opcode;
-    header.trace_id = meta.trace_id != 0 ? meta.trace_id : NextTraceId();
-    Waiter waiter;
-    RegisterResult reg = RegisterResult::kIdInUse;
-    // A collision (counter wrap onto an in-flight or abandoned id) just
-    // means "mint another"; only a broken connection is a real failure.
-    for (int mint = 0; mint < 8 && reg == RegisterResult::kIdInUse; ++mint) {
-      header.request_id = NextRequestId(ep);
-      reg = RegisterWaiter(*conn, header.request_id, &waiter);
+        AcquireConn(*ep, deadline_abs, &reused, &conn_err);
+    if (!conn) {
+      for (const std::size_t i : group) state[i].Fail(conn_err);
+      continue;
     }
-    if (reg != RegisterResult::kOk) {
-      conn->inflight.fetch_sub(1, std::memory_order_relaxed);
-      if (attempt == 0 && reused) continue;  // conn died under us
-      return fail(ErrCode::kUnavailable);
-    }
-    if ((conn->peer_features.load(std::memory_order_acquire) &
-         wire::kFeatureDeadline) != 0) {
-      // Overload-control extension (docs/OVERLOAD.md): what is left of THIS
-      // call's patience, re-stamped at send time, plus its priority class.
-      const common::Nanos remaining = deadline_abs - common::CpuTimer::Now();
-      if (remaining > 0) {
-        header.deadline_budget_ns = static_cast<std::uint64_t>(remaining);
+    // AcquireConn reserved one slot; reserve the rest of the burst.
+    conn->inflight.fetch_add(static_cast<std::uint32_t>(group.size()) - 1,
+                             std::memory_order_relaxed);
+    const bool deadline_on_wire =
+        (conn->peer_features.load(std::memory_order_acquire) &
+         wire::kFeatureDeadline) != 0;
+    std::string burst;
+    for (const std::size_t i : group) {
+      LegState& leg = state[i];
+      leg.reused = reused;
+      wire::FrameHeader header;
+      header.type = wire::FrameType::kRequest;
+      header.opcode = legs[i].opcode;
+      header.trace_id = trace_id;
+      if (deadline_on_wire) {
+        // Overload-control extension (docs/OVERLOAD.md): what is left of the
+        // call's patience, re-stamped at send time, plus its priority class.
+        const common::Nanos remaining = deadline_abs - common::CpuTimer::Now();
+        if (remaining > 0) {
+          header.deadline_budget_ns = static_cast<std::uint64_t>(remaining);
+        }
+        header.priority = static_cast<std::uint8_t>(priority);
       }
-      header.priority = static_cast<std::uint8_t>(meta.priority);
-    }
-    const std::string frame = wire::EncodeFrame(header, payload);
-    Status st;
-    {
-      std::scoped_lock wlock(conn->write_mu);
-      st = SendAll(conn->fd, frame, deadline_abs);
-    }
-    if (!st.ok()) {
-      // A partially-sent frame desynchronizes every call on the stream.
-      std::unique_lock lock(conn->mu);
-      FailConnLocked(*conn, st.code());
-      lock.unlock();
-      conn->inflight.fetch_sub(1, std::memory_order_relaxed);
-      if (attempt == 0 && reused && st.code() == ErrCode::kUnavailable) continue;
-      return fail(st.code());
-    }
-    AwaitWaiter(*conn, header.request_id, waiter, deadline_abs);
-    conn->inflight.fetch_sub(1, std::memory_order_relaxed);
-    if (waiter.fail != ErrCode::kOk) {
-      if (attempt == 0 && reused && waiter.fail == ErrCode::kUnavailable) {
+      RegisterResult reg = RegisterResult::kIdInUse;
+      // A collision (counter wrap onto an in-flight or abandoned id) just
+      // means "mint another"; only a broken connection is a real failure.
+      for (int mint = 0; mint < 8 && reg == RegisterResult::kIdInUse; ++mint) {
+        header.request_id = NextRequestId(*ep);
+        reg = RegisterWaiter(*conn, header.request_id, &leg.waiter);
+      }
+      if (reg != RegisterResult::kOk) {
+        conn->inflight.fetch_sub(1, std::memory_order_relaxed);
+        leg.Fail(ErrCode::kUnavailable);
         continue;
       }
-      return fail(waiter.fail);
+      leg.conn = conn;
+      leg.request_id = header.request_id;
+      wire::EncodeFrameInto(header, legs[i].payload, &burst);
     }
-    RpcResponse resp{waiter.frame.header.code, std::move(waiter.frame.payload)};
-    if (!resp.ok()) m.errors->Add();
-    m.bytes_received->Add(resp.payload.size());
-    m.latency->Record(timer.ElapsedNanos());
-    return resp;
-  }
-  return fail(ErrCode::kUnavailable);  // unreachable
-}
-
-std::vector<RpcResponse> TcpChannel::CallPipelined(
-    NodeId server,
-    const std::vector<std::pair<std::uint16_t, std::string>>& calls,
-    const CallMeta& meta) {
-  std::vector<RpcResponse> out(calls.size());
-  for (RpcResponse& r : out) r.code = ErrCode::kUnavailable;
-  if (calls.empty()) return out;
-  const common::CpuTimer timer;
-  for (const auto& [opcode, payload] : calls) {
-    const common::RpcMetricsTable::PerOp& m = metrics_.For(opcode);
-    m.calls->Add();
-    m.bytes_sent->Add(payload.size());
-  }
-  const auto finish = [&] {
-    const common::Nanos elapsed = timer.ElapsedNanos();
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      const common::RpcMetricsTable::PerOp& m = metrics_.For(calls[i].first);
-      if (out[i].code != ErrCode::kOk) m.errors->Add();
-      m.bytes_received->Add(out[i].payload.size());
-      m.latency->Record(elapsed);
-    }
-  };
-  const auto it = endpoints_.find(server);
-  if (it == endpoints_.end()) {
-    finish();
-    return out;
-  }
-  Endpoint& ep = *it->second;
-  const common::Nanos deadline_ns =
-      meta.deadline_ns > 0 ? meta.deadline_ns : options_.call_deadline_ns;
-  const common::Nanos deadline_abs = common::CpuTimer::Now() + deadline_ns;
-  bool reused = false;
-  ErrCode conn_err = ErrCode::kUnavailable;
-  const std::shared_ptr<PipeConn> conn =
-      AcquireConn(ep, deadline_abs, &reused, &conn_err);
-  if (!conn) {
-    for (RpcResponse& r : out) r.code = conn_err;
-    finish();
-    return out;
-  }
-  // AcquireConn reserved one slot; reserve the rest of the burst.
-  conn->inflight.fetch_add(static_cast<std::uint32_t>(calls.size()) - 1,
-                           std::memory_order_relaxed);
-  const std::uint64_t trace_id =
-      meta.trace_id != 0 ? meta.trace_id : NextTraceId();
-  const bool deadline_on_wire =
-      (conn->peer_features.load(std::memory_order_acquire) &
-       wire::kFeatureDeadline) != 0;
-  std::vector<Waiter> waiters(calls.size());
-  std::vector<std::uint64_t> rids(calls.size(), 0);
-  std::vector<bool> registered(calls.size(), false);
-  std::string burst;
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    if (calls[i].second.size() > options_.max_payload_bytes) {
-      waiters[i].done = true;
-      waiters[i].fail = ErrCode::kInvalid;
-      continue;
-    }
-    wire::FrameHeader header;
-    header.type = wire::FrameType::kRequest;
-    header.opcode = calls[i].first;
-    header.trace_id = trace_id;
-    if (deadline_on_wire) {
-      const common::Nanos remaining = deadline_abs - common::CpuTimer::Now();
-      if (remaining > 0) {
-        header.deadline_budget_ns = static_cast<std::uint64_t>(remaining);
-      }
-      header.priority = static_cast<std::uint8_t>(meta.priority);
-    }
-    RegisterResult reg = RegisterResult::kIdInUse;
-    for (int mint = 0; mint < 8 && reg == RegisterResult::kIdInUse; ++mint) {
-      header.request_id = NextRequestId(ep);
-      reg = RegisterWaiter(*conn, header.request_id, &waiters[i]);
-    }
-    if (reg != RegisterResult::kOk) {
-      waiters[i].done = true;
-      waiters[i].fail = ErrCode::kUnavailable;
-      continue;
-    }
-    rids[i] = header.request_id;
-    registered[i] = true;
-    burst += wire::EncodeFrame(header, calls[i].second);
-  }
-  if (!burst.empty()) {
+    if (burst.empty()) continue;
     Status st;
     {
       std::scoped_lock wlock(conn->write_mu);
       st = SendAll(conn->fd, burst, deadline_abs);
     }
     if (!st.ok()) {
+      // A partially-sent burst desynchronizes every call on the stream; this
+      // fails every waiter registered on the connection.
       std::scoped_lock lock(conn->mu);
       FailConnLocked(*conn, st.code());
     }
   }
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    if (registered[i]) AwaitWaiter(*conn, rids[i], waiters[i], deadline_abs);
-  }
-  conn->inflight.fetch_sub(static_cast<std::uint32_t>(calls.size()),
-                           std::memory_order_relaxed);
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    if (waiters[i].fail != ErrCode::kOk) {
-      out[i].code = waiters[i].fail;
+}
+
+void TcpChannel::FanOutAsync(std::vector<CallLeg> legs, const CallMeta& meta,
+                             std::function<void(std::vector<RpcResponse>)> done) {
+  const common::CpuTimer timer;
+  std::vector<RpcResponse> out(legs.size());
+  std::vector<LegState> state(legs.size());
+  std::vector<std::size_t> issue;
+  issue.reserve(legs.size());
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    const common::RpcMetricsTable::PerOp& m = metrics_.For(legs[i].opcode);
+    m.calls->Add();
+    m.bytes_sent->Add(legs[i].payload.size());
+    const auto it = endpoints_.find(legs[i].server);
+    if (it == endpoints_.end()) {
+      state[i].Fail(ErrCode::kUnavailable);
+    } else if (legs[i].payload.size() > options_.max_payload_bytes) {
+      state[i].Fail(ErrCode::kInvalid);
     } else {
-      out[i].code = waiters[i].frame.header.code;
-      out[i].payload = std::move(waiters[i].frame.payload);
+      state[i].ep = it->second.get();
+      issue.push_back(i);
     }
   }
-  finish();
-  return out;
+  if (options_.fault != nullptr) {
+    // The legs travel concurrently, so the longest injected stall delays
+    // the whole fan-out.
+    common::Nanos stall = 0;
+    for (std::size_t n = 0; n < issue.size(); ++n) {
+      stall = std::max(stall, options_.fault->OnClientSend());
+    }
+    if (stall > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(stall));
+  }
+  const common::Nanos deadline_ns =
+      meta.deadline_ns > 0 ? meta.deadline_ns : options_.call_deadline_ns;
+  const common::Nanos deadline_abs = common::CpuTimer::Now() + deadline_ns;
+  const std::uint64_t trace_id =
+      meta.trace_id != 0 ? meta.trace_id : NextTraceId();
+
+  // Attempt 0 may share a pooled connection the server has silently closed;
+  // a leg that fails there before any response reached it is retried once on
+  // a fresh connection.  A fresh-connection failure is authoritative.
+  for (int attempt = 0; attempt < 2 && !issue.empty(); ++attempt) {
+    IssueLegs(legs, issue, state, trace_id, meta.priority, deadline_abs);
+    std::vector<std::size_t> retry;
+    for (const std::size_t i : issue) {
+      LegState& leg = state[i];
+      if (leg.conn) {
+        AwaitWaiter(*leg.conn, leg.request_id, leg.waiter, deadline_abs);
+        leg.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
+        leg.conn.reset();
+      }
+      if (attempt == 0 && leg.reused &&
+          leg.waiter.fail == ErrCode::kUnavailable) {
+        leg.waiter.done = false;
+        leg.waiter.fail = ErrCode::kOk;
+        retry.push_back(i);
+      }
+    }
+    issue = std::move(retry);
+  }
+
+  const common::Nanos elapsed = timer.ElapsedNanos();
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    const common::RpcMetricsTable::PerOp& m = metrics_.For(legs[i].opcode);
+    Waiter& w = state[i].waiter;
+    if (w.fail != ErrCode::kOk) {
+      out[i].code = w.fail;
+    } else {
+      out[i].code = w.frame.header.code;
+      out[i].payload = std::move(w.frame.payload);
+      m.bytes_received->Add(out[i].payload.size());
+    }
+    if (!out[i].ok()) m.errors->Add();
+    m.latency->Record(elapsed);
+  }
+  done(std::move(out));
 }
 
 void TcpChannel::CallAsync(NodeId server, std::uint16_t opcode,
@@ -1900,15 +1857,11 @@ void TcpChannel::CallAsync(NodeId server, std::uint16_t opcode,
 void TcpChannel::CallAsyncMeta(NodeId server, std::uint16_t opcode,
                                std::string payload, const CallMeta& meta,
                                std::function<void(RpcResponse)> done) {
-  const auto it = endpoints_.find(server);
-  if (it == endpoints_.end()) {
-    const common::RpcMetricsTable::PerOp& m = metrics_.For(opcode);
-    m.calls->Add();
-    m.errors->Add();
-    done(RpcResponse{ErrCode::kUnavailable, {}});
-    return;
-  }
-  done(DoCall(*it->second, opcode, payload, meta));
+  std::vector<CallLeg> legs;
+  legs.push_back(CallLeg{server, opcode, std::move(payload)});
+  FanOutAsync(std::move(legs), meta, [&done](std::vector<RpcResponse> out) {
+    done(std::move(out.front()));
+  });
 }
 
 }  // namespace loco::net

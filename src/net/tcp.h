@@ -28,8 +28,11 @@
 // host:port endpoints.  Each endpoint keeps a small set of connections and
 // **pipelines** up to Options::max_pipeline concurrent calls on each one,
 // correlating responses by the wire header's request id (responses may
-// arrive out of order).  The receive side is event-driven: every pooled
-// connection is registered with the channel's net::Reactor, whose single
+// arrive out of order).  A fan-out (FanOutAsync) puts every leg on the wire
+// before awaiting any: the legs for one endpoint go out as one burst on one
+// pooled connection, so a call to N servers waits one round, not N.  A
+// single call is a one-leg fan-out.  The receive side is event-driven: every
+// pooled connection is registered with the channel's net::Reactor, whose single
 // thread drains readable sockets (one recv sweep per readable socket, so a
 // pipelined burst of N responses costs one syscall, not N) and completes
 // each response's waiter by request id — waking only the owning caller,
@@ -475,16 +478,12 @@ class TcpChannel final : public Channel {
   void CallAsyncMeta(NodeId server, std::uint16_t opcode, std::string payload,
                      const CallMeta& meta,
                      std::function<void(RpcResponse)> done) override;
-
-  // Issue every (opcode, payload) in `calls` back-to-back on one pipelined
-  // connection and wait for all responses; results are in `calls` order
-  // (matched by request id — the server may complete them out of order).
-  // The whole burst shares one CallMeta (trace id + deadline).  Unlike
-  // single calls, bursts never retry on a stale pooled connection.
-  std::vector<RpcResponse> CallPipelined(
-      NodeId server,
-      const std::vector<std::pair<std::uint16_t, std::string>>& calls,
-      const CallMeta& meta = {});
+  // Sends every leg, then waits for all responses; completes inline.  A leg
+  // that fails with kUnavailable on a reused pooled connection before any
+  // response arrived is retried once, together with its fellow failures, on
+  // a fresh connection; a fresh-connection failure is authoritative.
+  void FanOutAsync(std::vector<CallLeg> legs, const CallMeta& meta,
+                   std::function<void(std::vector<RpcResponse>)> done) override;
 
   // Drop every pooled connection (tests; forces fresh connects).  Calls in
   // flight keep their connection alive until they complete.
@@ -550,8 +549,26 @@ class TcpChannel final : public Channel {
     std::atomic<std::uint64_t> next_request_id{1};
   };
 
-  RpcResponse DoCall(Endpoint& ep, std::uint16_t opcode,
-                     std::string_view payload, const CallMeta& meta);
+  // Per-leg state of one fan-out attempt.
+  struct LegState {
+    Endpoint* ep = nullptr;  // null: unknown server
+    Waiter waiter;
+    std::shared_ptr<PipeConn> conn;  // set once the leg's waiter is registered
+    std::uint64_t request_id = 0;
+    bool reused = false;  // the connection predates this attempt
+
+    void Fail(ErrCode code) {
+      waiter.done = true;
+      waiter.fail = code;
+    }
+  };
+  // Put every leg in `issue` on the wire: one burst per endpoint, each on
+  // one pooled connection.  A leg that cannot be sent is completed with its
+  // failure code; every other leg is left registered for AwaitWaiter.
+  void IssueLegs(const std::vector<CallLeg>& legs,
+                 const std::vector<std::size_t>& issue,
+                 std::vector<LegState>& state, std::uint64_t trace_id,
+                 Priority priority, common::Nanos deadline_abs);
   // Connect with bounded retry + exponential backoff; -1 on failure
   // (`timed_out` reports whether the call deadline, not the peer, gave up).
   int Connect(const Endpoint& ep, common::Nanos deadline_abs, bool* timed_out);

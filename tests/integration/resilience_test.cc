@@ -308,6 +308,140 @@ TEST(ResilientChannelTest, OverloadedBackoffHonorsRetryAfterHint) {
 }
 
 // ---------------------------------------------------------------------------
+// Fan-out: one inner fan-out for every first attempt, retries per leg
+// ---------------------------------------------------------------------------
+
+// Inner channel with one outcome script per server (kOk echoes the payload;
+// an exhausted script is kOk).  It records every fan-out it is handed — the
+// legs' servers, trace id and deadline — so a test sees which legs went out
+// together, and can burn `round_delay_ns` of real time per fan-out.
+// Completes inline.
+class FanOutScriptedChannel final : public Channel {
+ public:
+  struct Round {
+    std::vector<NodeId> servers;
+    std::uint64_t trace_id = 0;
+    common::Nanos deadline_ns = 0;
+  };
+
+  void CallAsync(NodeId server, std::uint16_t opcode, std::string payload,
+                 std::function<void(RpcResponse)> done) override {
+    std::vector<CallLeg> legs;
+    legs.push_back(CallLeg{server, opcode, std::move(payload)});
+    FanOutAsync(std::move(legs), CallMeta{},
+                [&done](std::vector<RpcResponse> out) {
+                  done(std::move(out.front()));
+                });
+  }
+
+  void FanOutAsync(std::vector<CallLeg> legs, const CallMeta& meta,
+                   std::function<void(std::vector<RpcResponse>)> done) override {
+    Round round;
+    round.trace_id = meta.trace_id;
+    round.deadline_ns = meta.deadline_ns;
+    std::vector<RpcResponse> out;
+    for (CallLeg& leg : legs) {
+      round.servers.push_back(leg.server);
+      RpcResponse resp;
+      std::deque<ErrCode>& script = scripts[leg.server];
+      if (!script.empty()) {
+        resp.code = script.front();
+        script.pop_front();
+      }
+      if (resp.ok()) resp.payload = std::move(leg.payload);
+      out.push_back(std::move(resp));
+    }
+    rounds.push_back(std::move(round));
+    if (round_delay_ns > 0) {
+      std::this_thread::sleep_for(std::chrono::nanoseconds(round_delay_ns));
+    }
+    done(std::move(out));
+  }
+
+  std::map<NodeId, std::deque<ErrCode>> scripts;
+  std::vector<Round> rounds;
+  common::Nanos round_delay_ns = 0;
+};
+
+std::vector<RpcResponse> BlockingFanOut(Channel& channel,
+                                        std::vector<CallLeg> legs,
+                                        CallMeta meta = {}) {
+  std::vector<RpcResponse> out;
+  channel.FanOutAsync(std::move(legs), meta,
+                      [&out](std::vector<RpcResponse> r) { out = std::move(r); });
+  return out;
+}
+
+TEST(ResilientChannelTest, FanOutRetriesOnlyTheFailedLegUnderItsTraceId) {
+  FanOutScriptedChannel inner;
+  inner.scripts[2] = {ErrCode::kUnavailable};  // then kOk
+  ResilientChannel channel(&inner, FastOptions());
+
+  const std::vector<RpcResponse> rs = BlockingFanOut(
+      channel, {{1, kEchoOp, "a"}, {2, kEchoOp, "b"}, {3, kEchoOp, "c"}});
+  ASSERT_EQ(rs.size(), 3u);
+  EXPECT_EQ(rs[0].payload, "a");
+  EXPECT_EQ(rs[1].payload, "b");
+  EXPECT_EQ(rs[2].payload, "c");
+  for (const RpcResponse& r : rs) EXPECT_TRUE(r.ok());
+  // Every first attempt went out in one inner fan-out; only the failed leg
+  // was sent again, under the same trace id.
+  ASSERT_EQ(inner.rounds.size(), 2u);
+  EXPECT_EQ(inner.rounds[0].servers, (std::vector<NodeId>{1, 2, 3}));
+  EXPECT_EQ(inner.rounds[1].servers, (std::vector<NodeId>{2}));
+  EXPECT_NE(inner.rounds[0].trace_id, 0u);
+  EXPECT_EQ(inner.rounds[1].trace_id, inner.rounds[0].trace_id);
+}
+
+TEST(ResilientChannelTest, FanOutOpenBreakerFailsOnlyItsOwnLeg) {
+  FanOutScriptedChannel inner;
+  inner.scripts[2] = {ErrCode::kUnavailable};
+  auto options = FastOptions();
+  options.max_attempts = 1;
+  options.breaker_threshold = 1;
+  options.breaker_open_ns = 10 * common::kSecond;  // stays open for the test
+  ResilientChannel channel(&inner, options);
+  ASSERT_EQ(BlockingCall(channel, 2, "x").code, ErrCode::kUnavailable);
+  ASSERT_EQ(channel.breaker_state(2), BreakerState::kOpen);
+
+  auto& fast_fails =
+      common::MetricsRegistry::Default().GetCounter("rpc.resilient.fast_fails");
+  const std::uint64_t fast_fails_before = fast_fails.value();
+  const std::vector<RpcResponse> rs =
+      BlockingFanOut(channel, {{1, kEchoOp, "live"}, {2, kEchoOp, "dead"}});
+  ASSERT_EQ(rs.size(), 2u);
+  EXPECT_TRUE(rs[0].ok());
+  EXPECT_EQ(rs[0].payload, "live");
+  EXPECT_EQ(rs[1].code, ErrCode::kUnavailable);
+  // Server 2's leg never touched the wire; server 1's went out alone.
+  ASSERT_EQ(inner.rounds.size(), 2u);
+  EXPECT_EQ(inner.rounds[1].servers, (std::vector<NodeId>{1}));
+  EXPECT_EQ(fast_fails.value(), fast_fails_before + 1);
+  EXPECT_EQ(channel.breaker_state(1), BreakerState::kClosed);
+}
+
+TEST(ResilientChannelTest, FanOutRetryGetsOnlyWhatRemainsOfTheBudget) {
+  FanOutScriptedChannel inner;
+  inner.scripts[2] = {ErrCode::kTimeout};  // then kOk
+  inner.round_delay_ns = 40 * common::kMilli;
+  ResilientChannel channel(&inner, FastOptions());
+
+  CallMeta meta;
+  meta.deadline_ns = 200 * common::kMilli;
+  const std::vector<RpcResponse> rs = BlockingFanOut(
+      channel, {{1, kEchoOp, "a"}, {2, kEchoOp, "b"}}, meta);
+  ASSERT_EQ(rs.size(), 2u);
+  EXPECT_TRUE(rs[0].ok());
+  EXPECT_TRUE(rs[1].ok());
+  ASSERT_EQ(inner.rounds.size(), 2u);
+  EXPECT_LE(inner.rounds[0].deadline_ns, 200 * common::kMilli);
+  EXPECT_GT(inner.rounds[0].deadline_ns, 150 * common::kMilli);
+  // The first round burned 40ms of the one budget; the retry gets the rest.
+  EXPECT_EQ(inner.rounds[1].servers, (std::vector<NodeId>{2}));
+  EXPECT_LE(inner.rounds[1].deadline_ns, 160 * common::kMilli);
+}
+
+// ---------------------------------------------------------------------------
 // End to end: retry + server-side dedup = exactly-once mutations
 // ---------------------------------------------------------------------------
 

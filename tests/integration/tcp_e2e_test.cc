@@ -220,6 +220,58 @@ TEST_F(TcpClusterTest, BatchedMetadataOpsOverTcp) {
   EXPECT_NE(text.find("rpc.batch.subops"), std::string::npos);
 }
 
+TEST_F(TcpClusterTest, BatchOpsWithOneFmsStoppedFailOnlyItsGroup) {
+  // CreateMany and StatMany send their per-FMS frames as one fan-out: a dead
+  // FMS must fail exactly its own group's items, and the live group's
+  // results must come back intact.
+  auto& c = *static_cast<core::LocoClient*>(client_.get());
+  ASSERT_TRUE(net::RunInline(c.Mkdir("/half", 0755)).ok());
+  std::vector<std::string> names;
+  for (int i = 0; i < 40; ++i) names.push_back("f" + std::to_string(i));
+  auto created = net::RunInline(c.CreateMany("/half", names, 0644));
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  for (const ErrCode code : *created) ASSERT_EQ(code, ErrCode::kOk);
+
+  fms_servers_[1]->Stop();
+
+  auto stats = net::RunInline(c.StatMany("/half", names));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_EQ(stats->size(), names.size());
+  int live = 0, dead = 0;
+  for (const auto& entry : *stats) {
+    if (entry.code == ErrCode::kOk) {
+      ++live;
+      EXPECT_EQ(entry.attr.mode, 0644u);
+      EXPECT_FALSE(entry.attr.is_dir);
+    } else {
+      ++dead;
+      EXPECT_EQ(entry.code, ErrCode::kUnavailable);
+    }
+  }
+  EXPECT_GT(live, 0);
+  EXPECT_GT(dead, 0);
+
+  // New names split across both FMS the same way: each created entry must
+  // be readable, each failed one unavailable.
+  std::vector<std::string> more;
+  for (int i = 0; i < 40; ++i) more.push_back("g" + std::to_string(i));
+  auto codes = net::RunInline(c.CreateMany("/half", more, 0644));
+  ASSERT_TRUE(codes.ok()) << codes.status().ToString();
+  ASSERT_EQ(codes->size(), more.size());
+  int created_live = 0, created_dead = 0;
+  for (std::size_t i = 0; i < more.size(); ++i) {
+    if ((*codes)[i] == ErrCode::kOk) {
+      ++created_live;
+      EXPECT_TRUE(net::RunInline(c.Stat("/half/" + more[i])).ok()) << more[i];
+    } else {
+      ++created_dead;
+      EXPECT_EQ((*codes)[i], ErrCode::kUnavailable) << more[i];
+    }
+  }
+  EXPECT_GT(created_live, 0);
+  EXPECT_GT(created_dead, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Daemon binaries: spawn locofs_dmsd, parse its "listening on" line, RPC to
 // it over TCP, shut it down with SIGTERM and check the --metrics-out dump.

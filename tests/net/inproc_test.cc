@@ -85,8 +85,8 @@ TEST(InProcTest, CallManyCollectsInServerOrder) {
   transport.Register(1, &h1);
   transport.Register(2, &h2);
   std::vector<RpcResponse> out;
-  transport.CallManyAsync({2, 0, 1}, 5, "p",
-                          [&](std::vector<RpcResponse> r) { out = std::move(r); });
+  transport.FanOutAsync({{2, 5, "p"}, {0, 5, "p"}, {1, 5, "p"}}, CallMeta{},
+                        [&](std::vector<RpcResponse> r) { out = std::move(r); });
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].payload, "5:p");
   EXPECT_EQ(h0.calls, 1);

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -42,6 +43,14 @@ RpcResponse BlockingCall(Channel& ch, NodeId node, std::uint16_t opcode,
   RpcResponse out;
   ch.CallAsyncMeta(node, opcode, std::move(payload), meta,
                    [&out](RpcResponse r) { out = std::move(r); });
+  return out;  // TcpChannel completes inline
+}
+
+std::vector<RpcResponse> BlockingFanOut(Channel& ch, std::vector<CallLeg> legs,
+                                        CallMeta meta = {}) {
+  std::vector<RpcResponse> out;
+  ch.FanOutAsync(std::move(legs), meta,
+                 [&out](std::vector<RpcResponse> r) { out = std::move(r); });
   return out;  // TcpChannel completes inline
 }
 
@@ -463,9 +472,8 @@ TEST(TcpWorkerPoolTest, PipelinedBurstExecutesOutOfOrderYetCorrelates) {
 
   // The slow call is issued first; with two workers the fast one finishes
   // while it sleeps, yet each response must land on its own request id.
-  const std::vector<std::pair<std::uint16_t, std::string>> calls = {
-      {50, "slow"}, {51, "fast"}};
-  const std::vector<RpcResponse> rs = channel.CallPipelined(1, calls);
+  const std::vector<RpcResponse> rs =
+      BlockingFanOut(channel, {{1, 50, "slow"}, {1, 51, "fast"}});
   ASSERT_EQ(rs.size(), 2u);
   EXPECT_EQ(rs[0].code, ErrCode::kOk);
   EXPECT_EQ(rs[0].payload, "slow");
@@ -485,15 +493,15 @@ TEST(TcpWorkerPoolTest, PipelinedBurstOnInlineServerStillCorrelates) {
   TcpChannel channel;
   channel.Register(1, server.host(), server.port());
 
-  std::vector<std::pair<std::uint16_t, std::string>> calls;
-  for (int i = 0; i < 16; ++i) calls.emplace_back(7, "p" + std::to_string(i));
-  const std::vector<RpcResponse> rs = channel.CallPipelined(1, calls);
-  ASSERT_EQ(rs.size(), calls.size());
+  std::vector<CallLeg> legs;
+  for (int i = 0; i < 16; ++i) legs.push_back({1, 7, "p" + std::to_string(i)});
+  const std::vector<RpcResponse> rs = BlockingFanOut(channel, legs);
+  ASSERT_EQ(rs.size(), legs.size());
   for (std::size_t i = 0; i < rs.size(); ++i) {
     EXPECT_EQ(rs[i].code, ErrCode::kOk);
-    EXPECT_EQ(rs[i].payload, calls[i].second);
+    EXPECT_EQ(rs[i].payload, legs[i].payload);
   }
-  EXPECT_EQ(server.requests_served(), calls.size());
+  EXPECT_EQ(server.requests_served(), legs.size());
 }
 
 TEST(TcpWorkerPoolTest, TimeoutThenLateResponseIsDiscardedNotCorruption) {
@@ -598,7 +606,7 @@ TEST(TcpWorkerPoolTest, ExtraServiceTimeOverlapsAcrossWorkers) {
 
   const auto start = std::chrono::steady_clock::now();
   const std::vector<RpcResponse> rs =
-      channel.CallPipelined(1, {{7, "a"}, {7, "b"}});
+      BlockingFanOut(channel, {{1, 7, "a"}, {1, 7, "b"}});
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
   ASSERT_EQ(rs.size(), 2u);
@@ -625,6 +633,199 @@ TEST(TcpWorkerPoolTest, WorkerGaugesLiveAndRetired) {
   // After Stop the gauges retire their final value into the exposition, so
   // a --metrics-out dump records how many workers the server ran with.
   EXPECT_EQ(registry.RetiredGaugeValue("rpc.tcp_server.workers"), 3.0);
+}
+
+// ---------------------------------------------------------------------------
+// Fan-out: every leg is on the wire before any is awaited.
+// ---------------------------------------------------------------------------
+
+// Shared by two servers' handlers: each marks its leg's arrival, then waits
+// (up to 5 s) for the other server's leg before answering.
+class RendezvousHandler final : public RpcHandler {
+ public:
+  struct Meeting {
+    std::mutex mu;
+    std::condition_variable cv;
+    int arrived = 0;
+  };
+  explicit RendezvousHandler(Meeting* meeting) : meeting_(meeting) {}
+
+  RpcResponse Handle(std::uint16_t, std::string_view payload) override {
+    std::unique_lock lock(meeting_->mu);
+    ++meeting_->arrived;
+    meeting_->cv.notify_all();
+    const bool met = meeting_->cv.wait_for(lock, std::chrono::seconds(5), [&] {
+      return meeting_->arrived >= 2;
+    });
+    if (!met) return RpcResponse{ErrCode::kTimeout, {}};
+    return RpcResponse{ErrCode::kOk, std::string(payload)};
+  }
+
+ private:
+  Meeting* meeting_;
+};
+
+TEST(TcpFanOutTest, LegsToTwoServersOverlap) {
+  // Neither server answers until both have received their leg, so the
+  // fan-out succeeds only if both legs were sent before either was awaited.
+  RendezvousHandler::Meeting meeting;
+  RendezvousHandler handler(&meeting);
+  TcpServer a(&handler), b(&handler);
+  ASSERT_TRUE(a.Start().ok());
+  ASSERT_TRUE(b.Start().ok());
+  TcpChannel channel;
+  channel.Register(1, a.host(), a.port());
+  channel.Register(2, b.host(), b.port());
+
+  CallMeta meta;
+  meta.deadline_ns = 20 * common::kSecond;  // the handlers give up first
+  const std::vector<RpcResponse> rs =
+      BlockingFanOut(channel, {{1, 7, "to-a"}, {2, 7, "to-b"}}, meta);
+  ASSERT_EQ(rs.size(), 2u);
+  EXPECT_EQ(rs[0].code, ErrCode::kOk);
+  EXPECT_EQ(rs[0].payload, "to-a");
+  EXPECT_EQ(rs[1].code, ErrCode::kOk);
+  EXPECT_EQ(rs[1].payload, "to-b");
+}
+
+// A hand-rolled frame server on one thread, serving one connection at a
+// time: it echoes each request's payload, answers every `burst` requests
+// together in reverse arrival order, and closes the connection instead of
+// answering request number `close_at` (counted across connections from 1;
+// 0 = never).  Talk to it with features = 0: it does not speak the hello.
+class FramedResponder {
+ public:
+  FramedResponder(std::size_t burst, std::uint64_t close_at)
+      : burst_(burst), close_at_(close_at) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    struct sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<struct sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(fd_, reinterpret_cast<struct sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    ::listen(fd_, 8);
+    thread_ = std::thread([this] {
+      for (;;) {
+        const int conn = ::accept(fd_, nullptr, nullptr);
+        if (conn < 0) return;  // listener closed
+        connections_.fetch_add(1);
+        Serve(conn);
+        ::close(conn);
+      }
+    });
+  }
+  ~FramedResponder() {
+    ::shutdown(fd_, SHUT_RDWR);
+    ::close(fd_);
+    thread_.join();
+  }
+  std::uint16_t port() const { return port_; }
+  int connections() const { return connections_.load(); }
+  std::uint64_t requests() const { return requests_.load(); }
+
+ private:
+  void Serve(int conn) {
+    wire::FrameReader reader;
+    std::vector<wire::Frame> held;
+    char buf[4096];
+    for (;;) {
+      const ssize_t n = ::recv(conn, buf, sizeof(buf), 0);
+      if (n <= 0) return;
+      reader.Append(std::string_view(buf, static_cast<std::size_t>(n)));
+      while (auto frame = reader.Next()) {
+        if (requests_.fetch_add(1) + 1 == close_at_) return;
+        held.push_back(std::move(*frame));
+        if (held.size() < burst_) continue;
+        std::string out;
+        for (auto it = held.rbegin(); it != held.rend(); ++it) {
+          wire::FrameHeader h = it->header;
+          h.type = wire::FrameType::kResponse;
+          h.code = ErrCode::kOk;
+          out += wire::EncodeFrame(h, it->payload);
+        }
+        held.clear();
+        (void)::send(conn, out.data(), out.size(), MSG_NOSIGNAL);
+      }
+    }
+  }
+
+  const std::size_t burst_;
+  const std::uint64_t close_at_;
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::atomic<int> connections_{0};
+  std::atomic<std::uint64_t> requests_{0};
+  std::thread thread_;
+};
+
+TEST(TcpFanOutTest, LegsToOneServerShareOneConnectionAndCorrelate) {
+  FramedResponder responder(/*burst=*/8, /*close_at=*/0);
+  TcpChannelOptions options;
+  options.features = 0;
+  TcpChannel channel(options);
+  channel.Register(1, "127.0.0.1", responder.port());
+
+  // The responder answers only once all eight legs arrived, last one first:
+  // every leg must have shared one burst, and each response must land on
+  // its own leg by request id.
+  std::vector<CallLeg> legs;
+  for (int i = 0; i < 8; ++i) legs.push_back({1, 7, "leg" + std::to_string(i)});
+  const std::vector<RpcResponse> rs = BlockingFanOut(channel, legs);
+  ASSERT_EQ(rs.size(), legs.size());
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    EXPECT_EQ(rs[i].code, ErrCode::kOk) << i;
+    EXPECT_EQ(rs[i].payload, legs[i].payload);
+  }
+  EXPECT_EQ(responder.connections(), 1);
+}
+
+TEST(TcpFanOutTest, StaleLegRetriedOnFreshConnectionSiblingKept) {
+  // Server 2 closes its pooled connection on the fan-out's leg instead of
+  // answering (request 2 there: request 1 was the warm-up).  That leg must
+  // be retried once on a fresh connection, and server 1's leg, already
+  // answered, must be neither lost nor sent again.
+  EchoHandler handler;
+  TcpServer one(&handler);
+  ASSERT_TRUE(one.Start().ok());
+  FramedResponder two(/*burst=*/1, /*close_at=*/2);
+  TcpChannelOptions options;
+  options.features = 0;
+  TcpChannel channel(options);
+  channel.Register(1, one.host(), one.port());
+  channel.Register(2, "127.0.0.1", two.port());
+  ASSERT_EQ(BlockingCall(channel, 1, 7, "warm").code, ErrCode::kOk);
+  ASSERT_EQ(BlockingCall(channel, 2, 7, "warm").code, ErrCode::kOk);
+
+  const std::vector<RpcResponse> rs =
+      BlockingFanOut(channel, {{1, 7, "to-one"}, {2, 7, "to-two"}});
+  ASSERT_EQ(rs.size(), 2u);
+  EXPECT_EQ(rs[0].code, ErrCode::kOk);
+  EXPECT_EQ(rs[0].payload, "to-one");
+  EXPECT_EQ(rs[1].code, ErrCode::kOk);
+  EXPECT_EQ(rs[1].payload, "to-two");
+  EXPECT_EQ(one.requests_served(), 2u);
+  EXPECT_EQ(two.connections(), 2);
+  EXPECT_EQ(two.requests(), 3u);
+}
+
+TEST(TcpFanOutTest, UnknownServerFailsOnlyItsOwnLeg) {
+  EchoHandler handler;
+  TcpServer server(&handler);
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+
+  const std::vector<RpcResponse> rs =
+      BlockingFanOut(channel, {{9, 7, "nowhere"}, {1, 7, "here"}});
+  ASSERT_EQ(rs.size(), 2u);
+  EXPECT_EQ(rs[0].code, ErrCode::kUnavailable);
+  EXPECT_EQ(rs[1].code, ErrCode::kOk);
+  EXPECT_EQ(rs[1].payload, "here");
+  EXPECT_TRUE(BlockingFanOut(channel, {}).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -670,7 +871,7 @@ TEST(TcpUringTest, PipelinedBurstAcrossWorkersCorrelates) {
   TcpChannel channel;
   channel.Register(1, server.host(), server.port());
   const std::vector<RpcResponse> rs =
-      channel.CallPipelined(1, {{50, "slow"}, {51, "fast"}});
+      BlockingFanOut(channel, {{1, 50, "slow"}, {1, 51, "fast"}});
   ASSERT_EQ(rs.size(), 2u);
   EXPECT_EQ(rs[0].payload, "slow");
   EXPECT_EQ(rs[1].payload, "fast");

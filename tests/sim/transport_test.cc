@@ -117,11 +117,12 @@ TEST(SimTransportTest, CallManyOverlapsInVirtualTime) {
   auto channel = cluster.NewClientChannel();
   Nanos done_at = -1;
   sim.Schedule(0, [&] {
-    channel->CallManyAsync({0, 1, 2, 3}, 1, "",
-                           [&](std::vector<net::RpcResponse> r) {
-                             ASSERT_EQ(r.size(), 4u);
-                             done_at = sim.Now();
-                           });
+    channel->FanOutAsync({{0, 1, ""}, {1, 1, ""}, {2, 1, ""}, {3, 1, ""}},
+                         net::CallMeta{},
+                         [&](std::vector<net::RpcResponse> r) {
+                           ASSERT_EQ(r.size(), 4u);
+                           done_at = sim.Now();
+                         });
   });
   sim.Run();
   // All four proceed in parallel: one RTT + one service time, NOT 4x.
