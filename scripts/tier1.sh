@@ -10,6 +10,13 @@ cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
+echo "== tier-1: repeat gate (server dispatch suites, until-fail:20) =="
+# The worker / loop-run dispatch suites must pass 20 times in a row: a test
+# that leans on thread timing fails here instead of flaking later.
+ctest --test-dir build --output-on-failure \
+  -R '^(TcpTest|TcpWorkerPoolTest|TcpFanOutTest|TcpFaultTest|OverloadTest|DisconnectTest)\.' \
+  --repeat until-fail:20
+
 echo "== tier-1: live-stack benchmark smoke (perfbench/run.py --smoke) =="
 # Builds perfbench/ (its own Release CMake package into .bench_build/) and
 # runs every workload briefly in both the untraced and the traced mode,

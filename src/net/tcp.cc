@@ -553,7 +553,13 @@ std::string TcpServer::Execute(const wire::FrameHeader& req,
   }
   if (!resp.ok()) m.errors->Add();
   m.bytes_sent->Add(resp.payload.size());
-  m.latency->Record(timer.ElapsedNanos());
+  const common::Nanos elapsed = timer.ElapsedNanos();
+  m.latency->Record(elapsed);
+  if (req.opcode < last_run_ns_.size()) {
+    // Floored at 1 ns: 0 means "never ran" to LoopRunnable.
+    last_run_ns_[req.opcode].store(std::max<common::Nanos>(elapsed, 1),
+                                   std::memory_order_relaxed);
+  }
   requests_.fetch_add(1, std::memory_order_relaxed);
   wire::FrameHeader reply;
   reply.type = wire::FrameType::kResponse;
@@ -564,6 +570,53 @@ std::string TcpServer::Execute(const wire::FrameHeader& req,
   buf.clear();
   wire::EncodeFrameInto(reply, resp.payload, &buf);
   return buf;
+}
+
+std::string TcpServer::RunWork(const Work& work, std::string buf) {
+  if (work.enqueue_ns > 0) {
+    const common::Nanos dequeued_ns = common::CpuTimer::Now();
+    if (dequeued_ns > work.enqueue_ns) {
+      const common::Nanos qdelay = dequeued_ns - work.enqueue_ns;
+      queue_delay_hist_->Record(qdelay);
+      // EWMA (alpha 0.2) of the admission-queue wait: the serving-load
+      // signal behind RetryAfterPayload and GC pacing.  Single-writer per
+      // sample is not guaranteed (any worker, or the loop, updates it), but
+      // a lost update between concurrent dequeues only costs one sample of
+      // smoothing.
+      const common::Nanos prev =
+          queue_delay_ewma_ns_.load(std::memory_order_relaxed);
+      queue_delay_ewma_ns_.store(prev - prev / 5 + qdelay / 5,
+                                 std::memory_order_relaxed);
+    }
+  }
+  if (work.delay_ns > 0) {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(work.delay_ns));
+  }
+  if (work.expire_ns != 0 && common::CpuTimer::Now() > work.expire_ns) {
+    // The caller's budget ran out while the request sat queued (or stalled):
+    // answer kTimeout without executing.  The response still flows through
+    // the ordered release path — silently dropping the seq would wedge every
+    // later response on the connection.
+    expired_metric_->Add();
+    expired_total_.fetch_add(1, std::memory_order_relaxed);
+    return EncodeErrorReply(work.header, ErrCode::kTimeout, {}, std::move(buf));
+  }
+  return Execute(work.header, work.payload, work.client_id, std::move(buf));
+}
+
+bool TcpServer::LoopRunnable(std::uint16_t opcode) const noexcept {
+  if (opcode >= last_run_ns_.size()) return false;
+  // Tracked mutations stay on workers: their window entries outlive the
+  // request, and allocating those from the loop thread too (glibc keeps a
+  // malloc arena per thread) grew peak RSS on the live-stack benchmark by
+  // up to a quarter.  A replayed duplicate may also wait in the window for
+  // its still-running original, which must not stall the loop.
+  if (options_.dedup != nullptr && options_.dedup->Eligible(opcode)) {
+    return false;
+  }
+  const common::Nanos last =
+      last_run_ns_[opcode].load(std::memory_order_relaxed);
+  return last > 0 && last <= kLoopRunMaxNs;
 }
 
 bool TcpServer::HandleHello(Conn* conn, const wire::PinnedFrame& frame) {
@@ -667,13 +720,17 @@ void TcpServer::CompleteWithError(std::uint64_t conn_id, std::uint64_t seq,
   [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &byte, 1);
 }
 
-void TcpServer::AdmitWork(Conn* conn, Work&& work) {
-  (void)conn;  // inflight already charged by the caller
+void TcpServer::AdmitWork(Work&& work) {
   const std::uint8_t pri = work.header.priority < wire::kPriorityCount
                                ? work.header.priority
                                : wire::kPriorityForeground;
   const bool forced =
       options_.fault != nullptr && options_.fault->ForceQueueFull();
+  // `work` is moved into a queue below; keep what the loop-run test needs.
+  const std::uint64_t conn_id = work.conn_id;
+  const std::uint64_t seq = work.seq;
+  const std::uint16_t opcode = work.header.opcode;
+  const common::Nanos delay_ns = work.delay_ns;
   bool shed_self = false;
   std::optional<Work> evicted;
   {
@@ -705,7 +762,21 @@ void TcpServer::AdmitWork(Conn* conn, Work&& work) {
     CompleteWithError(victim.conn_id, victim.seq, victim.header,
                       ErrCode::kOverloaded, RetryAfterPayload());
   }
-  if (!shed_self) queue_cv_.notify_one();
+  if (shed_self) return;
+  if (++round_.admitted == 1 && delay_ns == 0 && LoopRunnable(opcode)) {
+    // Maybe the round's only request: FinishRound decides whether the loop
+    // runs it or a worker is woken.
+    round_.held = true;
+    round_.conn_id = conn_id;
+    round_.seq = seq;
+    return;
+  }
+  if (round_.held) {
+    // A burst: wake a worker for the held request now, as for any other.
+    round_.held = false;
+    queue_cv_.notify_one();
+  }
+  queue_cv_.notify_one();
 }
 
 bool TcpServer::DrainFrames(Conn* conn) {
@@ -747,44 +818,29 @@ bool TcpServer::DrainFrames(Conn* conn) {
     // reaches a worker (or survives an injected delay) the caller may have
     // given up, and executing for an absent caller only deepens an overload.
     const common::Nanos decoded_ns = common::CpuTimer::Now();
-    const common::Nanos expire_ns =
+    Work work;
+    work.conn_id = conn->id;
+    work.client_id = conn->client_id;
+    work.header = frame->header;
+    work.payload = frame->payload;
+    work.delay_ns = delay_ns;
+    work.expire_ns =
         frame->header.deadline_budget_ns > 0
             ? decoded_ns +
                   static_cast<common::Nanos>(frame->header.deadline_budget_ns)
             : 0;
     for (int copy = 0; copy < copies; ++copy) {
       if (options_.workers == 0) {
-        if (delay_ns > 0) {
-          std::this_thread::sleep_for(std::chrono::nanoseconds(delay_ns));
-        }
-        if (expire_ns != 0 && common::CpuTimer::Now() > expire_ns) {
-          expired_metric_->Add();
-          expired_total_.fetch_add(1, std::memory_order_relaxed);
-          if (!AppendResponse(conn,
-                              EncodeErrorReply(frame->header, ErrCode::kTimeout,
-                                               {}, GetBuffer()))) {
-            return false;
-          }
-        } else if (!AppendResponse(conn,
-                                   Execute(frame->header, frame->payload,
-                                           conn->client_id, GetBuffer()))) {
-          return false;
-        }
+        if (!AppendResponse(conn, RunWork(work, GetBuffer()))) return false;
       } else {
         // Duplicated frames share the payload view and its pin; Execute
         // only reads the bytes.
-        Work work;
-        work.conn_id = conn->id;
-        work.seq = conn->next_seq++;
-        work.client_id = conn->client_id;
-        work.header = frame->header;
-        work.payload = frame->payload;
-        work.pin = frame->pin;
-        work.delay_ns = delay_ns;
-        work.enqueue_ns = decoded_ns;
-        work.expire_ns = expire_ns;
+        Work queued = work;
+        queued.seq = conn->next_seq++;
+        queued.pin = frame->pin;
+        queued.enqueue_ns = decoded_ns;
         ++conn->inflight;
-        AdmitWork(conn, std::move(work));
+        AdmitWork(std::move(queued));
       }
     }
   }
@@ -865,6 +921,7 @@ void TcpServer::WorkerMain(std::size_t index) {
     Work w;
     {
       std::unique_lock lock(queue_mu_);
+      ++idle_workers_;
       queue_cv_.wait(lock, [this] {
         if (queue_stop_) return true;
         for (const auto& q : queues_) {
@@ -872,6 +929,7 @@ void TcpServer::WorkerMain(std::size_t index) {
         }
         return false;
       });
+      --idle_workers_;
       if (queue_stop_) return;
       // Strict priority dequeue: control, then foreground, then background.
       std::deque<Work>* src = &queues_[wire::kPriorityControl];
@@ -881,34 +939,7 @@ void TcpServer::WorkerMain(std::size_t index) {
       src->pop_front();
     }
     busy_[index].store(true, std::memory_order_relaxed);
-    const common::Nanos dequeued_ns = common::CpuTimer::Now();
-    if (w.enqueue_ns > 0 && dequeued_ns > w.enqueue_ns) {
-      const common::Nanos qdelay = dequeued_ns - w.enqueue_ns;
-      queue_delay_hist_->Record(qdelay);
-      // EWMA (alpha 0.2) of the admission-queue wait: the serving-load
-      // signal behind RetryAfterPayload and GC pacing.  Single-writer per
-      // sample is not guaranteed (any worker updates it), but a lost update
-      // between concurrent dequeues only costs one sample of smoothing.
-      const common::Nanos prev =
-          queue_delay_ewma_ns_.load(std::memory_order_relaxed);
-      queue_delay_ewma_ns_.store(prev - prev / 5 + qdelay / 5,
-                                 std::memory_order_relaxed);
-    }
-    if (w.delay_ns > 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(w.delay_ns));
-    }
-    std::string bytes;
-    if (w.expire_ns != 0 && common::CpuTimer::Now() > w.expire_ns) {
-      // The caller's budget ran out while the request sat queued: answer
-      // kTimeout without executing.  The response still flows through the
-      // ordered release path — silently dropping the seq would wedge every
-      // later response on the connection.
-      expired_metric_->Add();
-      expired_total_.fetch_add(1, std::memory_order_relaxed);
-      bytes = EncodeErrorReply(w.header, ErrCode::kTimeout, {}, std::string());
-    } else {
-      bytes = Execute(w.header, w.payload, w.client_id, std::string());
-    }
+    std::string bytes = RunWork(w, std::string());
     busy_[index].store(false, std::memory_order_relaxed);
     {
       std::scoped_lock lock(comp_mu_);
@@ -941,14 +972,69 @@ void TcpServer::DeliverCompletions(
     std::scoped_lock lock(comp_mu_);
     batch.swap(completions_);
   }
+  // Release everything first, then flush each touched connection once: k
+  // completions for one connection cost one sendmsg, not k.
+  std::vector<Conn*> touched;
   for (Completion& c : batch) {
     const auto it = conns.find(c.conn_id);
     if (it == conns.end()) continue;  // connection dropped meanwhile
     Conn* conn = it->second.get();
     --conn->inflight;
     if (conn->dead) continue;
-    if (!ReleaseOrdered(conn, c.seq, std::move(c.bytes))) conn->dead = true;
+    if (!ReleaseOrdered(conn, c.seq, std::move(c.bytes))) {
+      conn->dead = true;
+      continue;
+    }
+    if (std::find(touched.begin(), touched.end(), conn) == touched.end()) {
+      touched.push_back(conn);
+    }
+  }
+  for (Conn* conn : touched) {
     if (!conn->dead && !FlushWrites(conn)) conn->dead = true;
+  }
+}
+
+void TcpServer::FinishRound(
+    const std::unordered_map<std::uint64_t, std::unique_ptr<Conn>>& conns) {
+  const Round round = round_;
+  round_ = Round{};
+  if (!round.held) return;
+  const auto it = conns.find(round.conn_id);
+  Work work;
+  bool run_here = false;
+  if (it != conns.end() && !it->second->dead) {
+    std::scoped_lock lock(queue_mu_);
+    // An idle worker means one would have picked the request up at once
+    // anyway; with every worker busy, leave it queued so shedding, expiry and
+    // priorities apply to it like to anything else.  A worker that was awake
+    // regardless may already hold it, so the one queued request must still
+    // be this one.
+    std::deque<Work>* only = nullptr;
+    std::size_t depth = 0;
+    for (auto& q : queues_) {
+      depth += q.size();
+      if (!q.empty()) only = &q;
+    }
+    if (idle_workers_ > 0 && depth == 1 &&
+        only->front().conn_id == round.conn_id &&
+        only->front().seq == round.seq) {
+      work = std::move(only->front());
+      only->pop_front();
+      run_here = true;
+    }
+  }
+  if (!run_here) {
+    queue_cv_.notify_one();
+    return;
+  }
+  Conn* conn = it->second.get();
+  std::string bytes = RunWork(work, GetBuffer());
+  // Counted before the reply leaves, so a caller holding the reply sees it.
+  loop_runs_.fetch_add(1, std::memory_order_relaxed);
+  loop_runs_metric_->Add();
+  --conn->inflight;
+  if (!ReleaseOrdered(conn, work.seq, std::move(bytes)) || !FlushWrites(conn)) {
+    conn->dead = true;
   }
 }
 
@@ -1177,6 +1263,7 @@ void TcpServer::Loop() {
       if (alive && conn->out_bytes > 0) alive = FlushWrites(conn);
       if (!alive) conn->dead = true;
     }
+    if (options_.workers > 0) FinishRound(conns);
     // End-of-round sweep: reap failed connections, then reconcile EPOLLOUT
     // interest on the survivors (completions and notify pushes above may
     // have queued output on connections with no event this round).
@@ -1195,8 +1282,9 @@ void TcpServer::UringLoop() {
   // replaces epoll_wait + per-fd recv: the listener runs a multishot accept,
   // every connection keeps one recv armed into a registered buffer, and
   // write interest is a one-shot POLLOUT armed only while output is queued.
-  // Dispatch (DrainFrames/Execute/workers), write batching (FlushWrites),
-  // and the notify plane are shared verbatim with the epoll loop.
+  // Dispatch (DrainFrames, the workers, FinishRound's loop runs), write
+  // batching (FlushWrites), and the notify plane are shared verbatim with
+  // the epoll loop.
   UringState& us = *uring_state_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
   std::uint64_t next_conn_id = 1;
@@ -1319,7 +1407,10 @@ void TcpServer::UringLoop() {
         if (!conn->dead && !FlushWrites(conn)) conn->dead = true;
       }
     }
-    if (options_.workers > 0) DeliverCompletions(conns);
+    if (options_.workers > 0) {
+      DeliverCompletions(conns);
+      FinishRound(conns);
+    }
     DrainNotify(conns);
     // Reconcile write interest: anything still backlogged gets a one-shot
     // POLLOUT (the uring analogue of SyncWriteInterest).

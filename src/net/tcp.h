@@ -14,7 +14,11 @@
 // Options::workers == 0 the handler runs inline on that thread (the original
 // single-threaded mode), with workers > 0 decoded requests are dispatched to
 // a pool of worker threads and may execute in any order — even requests from
-// the same connection.  Responses are still written back **in decode order
+// the same connection.  A lone cheap request (the only admission of its
+// loop round, nothing else queued, a worker idle, not a dedup-tracked
+// mutation, and its opcode's last run took at most 50 µs) is run by the
+// loop itself at the end of the round, saving the two thread wake-ups of
+// the worker hand-off.  Responses are still written back **in decode order
 // per connection** (a per-connection sequence number reorders completions),
 // so a pipelining client can match responses positionally as well as by the
 // echoed request id.  Handlers behind a multi-worker server must be
@@ -51,6 +55,7 @@
 // the channel records the rpc.tcp.pipeline_depth histogram (docs/METRICS.md).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -131,7 +136,11 @@ class TcpServer : public Notifier {
     int backlog = 128;
     std::uint32_t max_payload_bytes = wire::kMaxPayloadBytes;
     // Worker threads executing handler calls.  0 = run handlers inline on
-    // the loop thread; N > 0 requires a thread-safe handler.
+    // the loop thread; N > 0 requires a thread-safe handler, which the loop
+    // thread also calls: when a round admits one request, nothing else is
+    // queued, a worker is idle, no delay is injected, the opcode is not a
+    // dedup-tracked mutation and its last run took at most kLoopRunMaxNs,
+    // the loop runs it instead of waking a worker (docs/NET.md).
     int workers = 0;
     // Optional fault plane (--fault-spec): decoded request frames may be
     // dropped, duplicated, delayed, or answered with a torn response, and the
@@ -216,6 +225,16 @@ class TcpServer : public Notifier {
   std::uint64_t requests_served() const noexcept {
     return requests_.load(std::memory_order_relaxed);
   }
+  // Worker-mode requests the event loop ran itself instead of waking a
+  // worker, this server instance only.
+  std::uint64_t loop_runs() const noexcept {
+    return loop_runs_.load(std::memory_order_relaxed);
+  }
+
+  // A worker-mode request may run on the loop only if the previous run of
+  // its opcode took at most this long: below the smallest modeled device
+  // charge (60 µs journal), above every single-op metadata handler.
+  static constexpr common::Nanos kLoopRunMaxNs = 50 * common::kMicro;
   // Recent admission-queue delay (EWMA over worker dequeues, nanoseconds) —
   // the serving-load signal housekeeping subscribes to for adaptive pacing
   // (core::GcManager::SetLoadSignal).  Thread-safe.
@@ -277,11 +296,25 @@ class TcpServer : public Notifier {
   void UringLoop();
   void WorkerMain(std::size_t index);
   // Run the handler for one request: metrics, execution, extra_service_ns
-  // charge, response encoding.  The frame is encoded into `buf` (cleared
-  // first) so the loop thread can hand Execute an arena-recycled buffer;
-  // workers pass a fresh string.
+  // charge, response encoding, and the opcode's last-run time.  The frame is
+  // encoded into `buf` (cleared first) so the loop thread can hand Execute
+  // an arena-recycled buffer; workers pass a fresh string.
   std::string Execute(const wire::FrameHeader& req, std::string_view payload,
                       std::uint64_t client_id, std::string buf);
+  // Serve one dequeued (or, inline, just decoded) request: queue-delay
+  // sample and EWMA when it was queued, the injected delay, then kTimeout if
+  // its deadline lapsed, else Execute.  Returns the encoded response, built
+  // in `buf`.  Workers, the loop run and inline mode all go through here.
+  std::string RunWork(const Work& work, std::string buf);
+  // True when a lone request of `opcode` may run on the loop: its last run
+  // on this server took at most kLoopRunMaxNs (an opcode that never ran is
+  // not cheap), and it is not a mutation the dedup window tracks.
+  bool LoopRunnable(std::uint16_t opcode) const noexcept;
+  // End of an event-loop round (worker mode): the round's held-back first
+  // admission either runs here on the loop — it is still the only queued
+  // request and a worker is parked idle — or wakes a worker as usual.
+  void FinishRound(
+      const std::unordered_map<std::uint64_t, std::unique_ptr<Conn>>& conns);
   // Decode every complete frame buffered on `conn` and execute (inline mode)
   // or enqueue (worker mode) each; returns false when the connection must be
   // dropped (framing violation).
@@ -293,9 +326,12 @@ class TcpServer : public Notifier {
   // admission queues; no handler dispatch, works under full saturation).
   bool HandleLoadStatus(Conn* conn, const wire::PinnedFrame& frame);
   // Worker-mode admission: enqueue the decoded request or shed it (and
-  // possibly an older background request) with kOverloaded.  The caller has
-  // already charged conn->inflight and minted `seq`.
-  void AdmitWork(Conn* conn, Work&& work);
+  // possibly an older background request) with kOverloaded, then wake a
+  // worker — except for a round's first admission when it is a loop-run
+  // candidate, whose wake waits for FinishRound (or for a second admission
+  // in the same round).  The caller has already charged conn->inflight and
+  // minted `seq`.
+  void AdmitWork(Work&& work);
   // Answer request `seq` on `conn_id` with `code` (no handler execution) via
   // the completion path: shed and expired work still releases its slot in
   // the per-connection response order.  Loop or worker thread.
@@ -315,7 +351,7 @@ class TcpServer : public Notifier {
   // decode order).  Returns false when the connection must be dropped.
   bool ReleaseOrdered(Conn* conn, std::uint64_t seq, std::string&& bytes);
   // Move finished worker results into their connections' output buffers in
-  // per-connection decode order.
+  // per-connection decode order, then flush each touched connection once.
   void DeliverCompletions(
       const std::unordered_map<std::uint64_t, std::unique_ptr<Conn>>& conns);
   // Turn queued pushes into kNotify frames on their sessions' connections.
@@ -363,9 +399,27 @@ class TcpServer : public Notifier {
   std::condition_variable queue_cv_;
   std::deque<Work> queues_[wire::kPriorityCount];
   bool queue_stop_ = false;
+  int idle_workers_ = 0;  // parked in queue_cv_.wait (guarded by queue_mu_)
   std::mutex comp_mu_;
   std::vector<Completion> completions_;
   std::deque<std::atomic<bool>> busy_;  // one flag per worker (gauges)
+
+  // Loop-run state.  `round_` is loop-thread only: what this round admitted,
+  // and whether the first admission's worker wake is held back for
+  // FinishRound.  last_run_ns_ holds each opcode's most recent Execute time
+  // (0 = never ran; opcodes >= 256 have no slot and always go to a worker).
+  struct Round {
+    int admitted = 0;
+    bool held = false;
+    std::uint64_t conn_id = 0;  // the held admission
+    std::uint64_t seq = 0;
+  };
+  Round round_;
+  std::array<std::atomic<common::Nanos>, 256> last_run_ns_{};
+  std::atomic<std::uint64_t> loop_runs_{0};
+  common::Counter* loop_runs_metric_ =
+      &common::MetricsRegistry::Default().GetCounter(
+          "rpc.tcp_server.loop_runs");
   std::vector<common::MetricsRegistry::GaugeHandle> gauges_;
 
   // Notify plane: client_id → conn id of its (single) notify session, plus

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -636,6 +639,241 @@ TEST(TcpWorkerPoolTest, WorkerGaugesLiveAndRetired) {
 }
 
 // ---------------------------------------------------------------------------
+// Loop runs: a lone cheap request is served by the event loop itself.
+// ---------------------------------------------------------------------------
+
+// Polls `pred` until it holds or `limit` passes.
+bool Eventually(const std::function<bool()>& pred,
+                std::chrono::milliseconds limit = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+// Calls the echo opcode until the server runs one on its loop (the echo's
+// last run must have been cheap and a worker idle); false if none did.
+bool WarmUntilLoopRun(Channel& ch, const TcpServer& server) {
+  const std::uint64_t before = server.loop_runs();
+  for (int i = 0; i < 50 && server.loop_runs() == before; ++i) {
+    const RpcResponse r = BlockingCall(ch, 1, 7, "warm");
+    EXPECT_EQ(r.code, ErrCode::kOk);
+    EXPECT_EQ(r.payload, "warm");
+  }
+  return server.loop_runs() > before;
+}
+
+// Echoes; opcode 50 sleeps 1 ms (never cheap); opcode 60 parks its thread
+// until Open() has been called once per parked call.
+class ParkingHandler final : public RpcHandler {
+ public:
+  RpcResponse Handle(std::uint16_t opcode, std::string_view payload) override {
+    if (opcode == 50) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (opcode == 60) {
+      std::unique_lock lock(mu_);
+      const int ticket = ++parked_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return opened_ >= ticket; });
+    }
+    echoes_.fetch_add(1);
+    return RpcResponse{ErrCode::kOk, std::string(payload)};
+  }
+  bool WaitParked(int n) {
+    std::unique_lock lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [&] { return parked_ >= n; });
+  }
+  void Open() {
+    {
+      std::scoped_lock lock(mu_);
+      ++opened_;
+    }
+    cv_.notify_all();
+  }
+  int echoes() const { return echoes_.load(); }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int parked_ = 0;
+  int opened_ = 0;
+  std::atomic<int> echoes_{0};
+};
+
+TEST(TcpWorkerPoolTest, WarmCheapOpcodeRunsOnTheLoop) {
+  EchoHandler handler;
+  TcpServer::Options options;
+  options.workers = 2;
+  TcpServer server(&handler, options);
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+  common::Counter& metric =
+      common::MetricsRegistry::Default().GetCounter("rpc.tcp_server.loop_runs");
+  const std::uint64_t metric_before = metric.value();
+
+  EXPECT_TRUE(WarmUntilLoopRun(channel, server));
+  EXPECT_GE(metric.value() - metric_before, server.loop_runs());
+}
+
+TEST(TcpWorkerPoolTest, FirstCallSlowOpcodeAndTrackedMutationGoToAWorker) {
+  ParkingHandler handler;
+  DedupWindow dedup({8});
+  TcpServer::Options options;
+  options.workers = 2;
+  options.dedup = &dedup;
+  TcpServer server(&handler, options);
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+
+  // No history: the first call of an opcode goes to a worker.
+  EXPECT_EQ(BlockingCall(channel, 1, 7, "first").code, ErrCode::kOk);
+  EXPECT_EQ(server.loop_runs(), 0u);
+  // Opcode 50's last run took at least 1 ms: it keeps going to workers.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(BlockingCall(channel, 1, 50, "slow").code, ErrCode::kOk);
+  }
+  EXPECT_EQ(server.loop_runs(), 0u);
+  // Opcode 8 is cheap, but the dedup window tracks it: always a worker.
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(BlockingCall(channel, 1, 8, "m" + std::to_string(i)).code,
+              ErrCode::kOk);
+  }
+  EXPECT_EQ(server.loop_runs(), 0u);
+  EXPECT_EQ(server.requests_served(), 14u);
+  // The same server does run the cheap echo on its loop.
+  EXPECT_TRUE(WarmUntilLoopRun(channel, server));
+}
+
+TEST(TcpWorkerPoolTest, DelayedLoneRequestNeverRunsOnTheLoop) {
+  // Every frame is stalled 250 ms before service.  The stall is outside the
+  // handler's timer, so the echo's history stays cheap, yet a delayed
+  // request must sleep on a worker: the loop keeps answering meanwhile.
+  auto spec = FaultSpec::Parse("delay=1.0,delay_ms=250");
+  ASSERT_TRUE(spec.ok());
+  FaultInjector fault(*spec);
+  EchoHandler handler;
+  TcpServer::Options options;
+  options.workers = 2;
+  options.fault = &fault;
+  TcpServer server(&handler, options);
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel, probe;
+  channel.Register(1, server.host(), server.port());
+  probe.Register(1, server.host(), server.port());
+  ASSERT_EQ(BlockingCall(channel, 1, 7, "warm").code, ErrCode::kOk);
+  ASSERT_EQ(BlockingCall(probe, 1, wire::kCtlLoadStatus, {}).code,
+            ErrCode::kOk);
+
+  common::Counter& delays =
+      common::MetricsRegistry::Default().GetCounter("faults.injected.delay");
+  const std::uint64_t delays_before = delays.value();
+  std::atomic<bool> done{false};
+  RpcResponse delayed;
+  std::thread caller([&] {
+    delayed = BlockingCall(channel, 1, 7, "delayed");
+    done.store(true);
+  });
+  EXPECT_TRUE(Eventually([&] { return delays.value() > delays_before; }));
+  // The request is decoded and stalling: a probe on another connection is
+  // answered before it finishes.
+  EXPECT_EQ(BlockingCall(probe, 1, wire::kCtlLoadStatus, {}).code,
+            ErrCode::kOk);
+  EXPECT_FALSE(done.load()) << "the loop was stalled by the delayed request";
+  caller.join();
+  EXPECT_EQ(delayed.code, ErrCode::kOk);
+  EXPECT_EQ(delayed.payload, "delayed");
+  EXPECT_EQ(server.loop_runs(), 0u);
+}
+
+// Raw-socket helpers: one request frame out, one response frame in.
+int DialServer(const TcpServer& server) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  struct sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(server.port());
+  EXPECT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  struct timeval tv{10, 0};  // a missing reply fails the test, never hangs it
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  return fd;
+}
+
+void SendRequest(int fd, std::uint16_t opcode, std::uint64_t request_id,
+                 std::string_view payload) {
+  wire::FrameHeader h;
+  h.opcode = opcode;
+  h.request_id = request_id;
+  const std::string bytes = wire::EncodeFrame(h, payload);
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+std::optional<wire::Frame> ReadResponse(int fd, wire::FrameReader& reader) {
+  char buf[4096];
+  for (;;) {
+    if (auto frame = reader.Next()) return frame;
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return std::nullopt;
+    reader.Append(std::string_view(buf, static_cast<std::size_t>(n)));
+  }
+}
+
+TEST(TcpWorkerPoolTest, LoopRunReplyWaitsForEarlierWorkerReply) {
+  // One connection: a request parked on a worker, then a cheap echo the
+  // loop runs while it is parked.  The echo's reply must still follow the
+  // parked request's.  If the echo's history happens to be slow it goes to
+  // the idle worker instead; the order must hold either way, and the
+  // scenario repeats until the loop did run the echo.
+  ParkingHandler handler;
+  TcpServer::Options options;
+  options.workers = 2;
+  TcpServer server(&handler, options);
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+  ASSERT_TRUE(WarmUntilLoopRun(channel, server));
+
+  const int fd = DialServer(server);
+  wire::FrameReader reader;
+  bool looped = false;
+  std::uint64_t id = 0;
+  for (int round = 1; round <= 5 && !looped; ++round) {
+    const std::uint64_t parked_id = ++id;
+    const std::uint64_t echo_id = ++id;
+    SendRequest(fd, 60, parked_id, "parked");
+    ASSERT_TRUE(handler.WaitParked(round));
+    const int echoes_before = handler.echoes();
+    const std::uint64_t loop_before = server.loop_runs();
+    SendRequest(fd, 7, echo_id, "echo");
+    EXPECT_TRUE(Eventually([&] { return handler.echoes() > echoes_before; }));
+    // A loop run is counted right after the handler returns.
+    looped = Eventually([&] { return server.loop_runs() > loop_before; },
+                        std::chrono::milliseconds(100));
+    char byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, MSG_DONTWAIT), -1)
+        << "the echo's reply overtook the parked request's";
+
+    handler.Open();
+    const std::optional<wire::Frame> first = ReadResponse(fd, reader);
+    const std::optional<wire::Frame> second = ReadResponse(fd, reader);
+    ASSERT_TRUE(first.has_value());
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(first->header.request_id, parked_id);
+    EXPECT_EQ(first->payload, "parked");
+    EXPECT_EQ(second->header.request_id, echo_id);
+    EXPECT_EQ(second->payload, "echo");
+  }
+  EXPECT_TRUE(looped) << "the loop never ran the echo";
+  ::close(fd);
+}
+
+// ---------------------------------------------------------------------------
 // Fan-out: every leg is on the wire before any is awaited.
 // ---------------------------------------------------------------------------
 
@@ -651,6 +889,7 @@ class RendezvousHandler final : public RpcHandler {
   explicit RendezvousHandler(Meeting* meeting) : meeting_(meeting) {}
 
   RpcResponse Handle(std::uint16_t, std::string_view payload) override {
+    if (payload == "warm") return RpcResponse{ErrCode::kOk, std::string(payload)};
     std::unique_lock lock(meeting_->mu);
     ++meeting_->arrived;
     meeting_->cv.notify_all();
@@ -686,6 +925,33 @@ TEST(TcpFanOutTest, LegsToTwoServersOverlap) {
   EXPECT_EQ(rs[0].payload, "to-a");
   EXPECT_EQ(rs[1].code, ErrCode::kOk);
   EXPECT_EQ(rs[1].payload, "to-b");
+}
+
+TEST(TcpFanOutTest, BurstToOneServerGetsTwoWorkers) {
+  // Both legs are of a warm, cheap opcode, but they arrive in one loop round,
+  // so each gets a worker: the loop runs neither, and the handlers, each
+  // waiting (up to 5 s) for the other, meet.
+  RendezvousHandler::Meeting meeting;
+  RendezvousHandler handler(&meeting);
+  TcpServer::Options options;
+  options.workers = 2;
+  TcpServer server(&handler, options);
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+  ASSERT_TRUE(WarmUntilLoopRun(channel, server));
+  const std::uint64_t loop_before = server.loop_runs();
+
+  CallMeta meta;
+  meta.deadline_ns = 20 * common::kSecond;  // the handlers give up first
+  const std::vector<RpcResponse> rs =
+      BlockingFanOut(channel, {{1, 7, "leg-a"}, {1, 7, "leg-b"}}, meta);
+  ASSERT_EQ(rs.size(), 2u);
+  EXPECT_EQ(rs[0].code, ErrCode::kOk);
+  EXPECT_EQ(rs[0].payload, "leg-a");
+  EXPECT_EQ(rs[1].code, ErrCode::kOk);
+  EXPECT_EQ(rs[1].payload, "leg-b");
+  EXPECT_EQ(server.loop_runs(), loop_before);
 }
 
 // A hand-rolled frame server on one thread, serving one connection at a
@@ -878,6 +1144,18 @@ TEST(TcpUringTest, PipelinedBurstAcrossWorkersCorrelates) {
   const std::vector<std::string> order = handler.finished();
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], "fast") << "uring loop must still dispatch to the pool";
+}
+
+TEST(TcpUringTest, WarmCheapOpcodeRunsOnTheUringLoop) {
+  EchoHandler handler;
+  TcpServer::Options options;
+  options.io_backend = IoBackend::kUring;
+  options.workers = 2;
+  TcpServer server(&handler, options);
+  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+  EXPECT_TRUE(WarmUntilLoopRun(channel, server));
 }
 
 TEST(TcpUringTest, ConcurrentClientStormAllCallsSucceed) {
