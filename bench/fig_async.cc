@@ -1,6 +1,5 @@
-// Async I/O path sweep: how requests are *submitted* (one at a time,
-// pipelined, or batched into one frame) crossed with how the server *reaps*
-// them (epoll readiness loop vs io_uring completion loop).
+// Async I/O path sweep: how requests are *submitted* to the server — one at
+// a time, pipelined, or batched into one frame.
 //
 // Workload: fig15_concurrency's metadata mix — create N files, then stat
 // them — against one FileMetadataServer behind a real loopback
@@ -22,9 +21,7 @@
 //             kFmsBatchStat frame; one round trip and one group commit
 //             cover the whole frame.
 //
-// Each mode runs under --io-backend epoll and uring (rows are skipped, and
-// marked in the JSON, when the kernel lacks io_uring and TcpServer falls
-// back).  The acceptance floor is pipelined >= 1.5x per-op at depth 16.
+// The acceptance floor is pipelined >= 1.5x per-op at depth 16.
 //
 // A final section replays a small traced workload on the simulator with
 // SimCluster::EnableTracing and prints the op-level timeline — when each
@@ -41,7 +38,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -125,11 +121,8 @@ void Die(const char* what) {
 
 enum class Mode { kPerOp, kPipelined, kBatched };
 
-// One create-all-then-stat-all run.  Returns nullopt when `backend` was
-// requested but the server fell back (io_uring unavailable).
-std::optional<ModeResult> RunMode(net::IoBackend backend, Mode mode,
-                                  int files, int depth, int batch,
-                                  int workers) {
+// One create-all-then-stat-all run.
+ModeResult RunMode(Mode mode, int files, int depth, int batch, int workers) {
   core::FileMetadataServer::Options fms_options;
   fms_options.sid = 1;
   core::FileMetadataServer fms(fms_options);
@@ -138,14 +131,8 @@ std::optional<ModeResult> RunMode(net::IoBackend backend, Mode mode,
 
   net::TcpServer::Options server_options;
   server_options.workers = workers;
-  server_options.io_backend = backend;
   net::TcpServer server(&charged, server_options);
   if (!server.Start().ok()) Die("TcpServer::Start");
-  if (backend == net::IoBackend::kUring &&
-      std::string_view(server.io_backend_name()) != "uring") {
-    server.Stop();
-    return std::nullopt;  // kernel lacks io_uring; rows would be epoll's
-  }
 
   net::TcpChannel channel;
   const net::NodeId node = 1;
@@ -232,13 +219,6 @@ std::optional<ModeResult> RunMode(net::IoBackend backend, Mode mode,
   server.Stop();
   return result;
 }
-
-struct BackendSweep {
-  const char* name;
-  net::IoBackend backend;
-  bool supported = false;
-  ModeResult per_op{}, pipelined{}, batched{};
-};
 
 // ---------------------------------------------------------------------------
 // Traced timeline: the same create+stat shape on the simulator, with
@@ -353,61 +333,39 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintBanner(
-      "Async I/O path: submission mode x server reap backend",
+      "Async I/O path: submission mode",
       "create+stat against one FMS, loopback TCP, 60us modeled journal "
-      "commit; per-op vs pipelined vs batched under epoll and io_uring");
+      "commit; per-op vs pipelined vs batched");
   std::printf("files=%d depth=%d batch=%d server workers=%d\n\n", files,
               depth, batch, workers);
 
-  bench::BackendSweep sweeps[] = {
-      {"epoll", net::IoBackend::kEpoll},
-      {"uring", net::IoBackend::kUring},
+  const bench::ModeResult per_op =
+      bench::RunMode(bench::Mode::kPerOp, files, depth, batch, workers);
+  metrics.Phase("per_op");
+  const bench::ModeResult pipelined =
+      bench::RunMode(bench::Mode::kPipelined, files, depth, batch, workers);
+  metrics.Phase("pipelined");
+  const bench::ModeResult batched =
+      bench::RunMode(bench::Mode::kBatched, files, depth, batch, workers);
+  metrics.Phase("batched");
+  bench::Table table({"mode", "create/s", "stat/s", "aggregate/s"});
+  auto row = [&](const char* mode, const bench::ModeResult& r) {
+    table.AddRow({mode, bench::Table::Num(r.create_ops_per_sec, 0),
+                  bench::Table::Num(r.stat_ops_per_sec, 0),
+                  bench::Table::Num(r.aggregate_ops_per_sec, 0)});
   };
-  bench::Table table(
-      {"backend", "mode", "create/s", "stat/s", "aggregate/s"});
-  for (bench::BackendSweep& sweep : sweeps) {
-    auto run = [&](bench::Mode mode) {
-      return bench::RunMode(sweep.backend, mode, files, depth, batch,
-                            workers);
-    };
-    auto per_op = run(bench::Mode::kPerOp);
-    if (!per_op) {
-      std::printf("backend %s: io_uring unavailable, skipped\n", sweep.name);
-      continue;
-    }
-    sweep.per_op = *per_op;
-    metrics.Phase(std::string(sweep.name) + "/per_op");
-    auto pipelined = run(bench::Mode::kPipelined);
-    auto batched = run(bench::Mode::kBatched);
-    if (!pipelined || !batched) bench::Die("backend became unavailable");
-    sweep.pipelined = *pipelined;
-    metrics.Phase(std::string(sweep.name) + "/pipelined");
-    sweep.batched = *batched;
-    metrics.Phase(std::string(sweep.name) + "/batched");
-    sweep.supported = true;
-    auto row = [&](const char* mode, const bench::ModeResult& r) {
-      table.AddRow({sweep.name, mode,
-                    bench::Table::Num(r.create_ops_per_sec, 0),
-                    bench::Table::Num(r.stat_ops_per_sec, 0),
-                    bench::Table::Num(r.aggregate_ops_per_sec, 0)});
-    };
-    row("per-op", sweep.per_op);
-    row("pipelined", sweep.pipelined);
-    row("batched", sweep.batched);
-  }
+  row("per-op", per_op);
+  row("pipelined", pipelined);
+  row("batched", batched);
   table.Print();
 
-  for (const bench::BackendSweep& sweep : sweeps) {
-    if (!sweep.supported) continue;
-    std::printf(
-        "%s: pipelined vs per-op %.2fx, batched vs per-op %.2fx "
-        "(aggregate)\n",
-        sweep.name,
-        sweep.pipelined.aggregate_ops_per_sec /
-            sweep.per_op.aggregate_ops_per_sec,
-        sweep.batched.aggregate_ops_per_sec /
-            sweep.per_op.aggregate_ops_per_sec);
-  }
+  const double pipelined_speedup =
+      pipelined.aggregate_ops_per_sec / per_op.aggregate_ops_per_sec;
+  const double batched_speedup =
+      batched.aggregate_ops_per_sec / per_op.aggregate_ops_per_sec;
+  std::printf(
+      "pipelined vs per-op %.2fx, batched vs per-op %.2fx (aggregate)\n",
+      pipelined_speedup, batched_speedup);
 
   // Traced timeline: issued -> completed spans per server on the simulator.
   const auto traces = bench::TracedTimeline(timeline_ops);
@@ -440,39 +398,23 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n  \"benchmark\": \"fig_async\",\n  \"files\": %d,\n"
                  "  \"depth\": %d,\n  \"batch\": %d,\n"
-                 "  \"server_workers\": %d,\n  \"journal_commit_us\": 60,\n"
-                 "  \"backends\": {\n",
+                 "  \"server_workers\": %d,\n  \"journal_commit_us\": 60,\n",
                  files, depth, batch, workers);
-    bool first_backend = true;
-    for (const bench::BackendSweep& sweep : sweeps) {
-      if (!first_backend) std::fprintf(f, ",\n");
-      first_backend = false;
-      if (!sweep.supported) {
-        std::fprintf(f, "    \"%s\": {\"supported\": false}", sweep.name);
-        continue;
-      }
-      auto mode_json = [&](const char* name, const bench::ModeResult& r,
-                           const char* trailing) {
-        std::fprintf(f,
-                     "      \"%s\": {\"create_ops_per_sec\": %.0f, "
-                     "\"stat_ops_per_sec\": %.0f, "
-                     "\"aggregate_ops_per_sec\": %.0f}%s\n",
-                     name, r.create_ops_per_sec, r.stat_ops_per_sec,
-                     r.aggregate_ops_per_sec, trailing);
-      };
-      std::fprintf(f, "    \"%s\": {\"supported\": true,\n", sweep.name);
-      mode_json("per_op", sweep.per_op, ",");
-      mode_json("pipelined", sweep.pipelined, ",");
-      mode_json("batched", sweep.batched, ",");
+    auto mode_json = [&](const char* name, const bench::ModeResult& r) {
       std::fprintf(f,
-                   "      \"pipelined_speedup\": %.2f,\n"
-                   "      \"batched_speedup\": %.2f}",
-                   sweep.pipelined.aggregate_ops_per_sec /
-                       sweep.per_op.aggregate_ops_per_sec,
-                   sweep.batched.aggregate_ops_per_sec /
-                       sweep.per_op.aggregate_ops_per_sec);
-    }
-    std::fprintf(f, "\n  },\n  \"timeline\": [\n");
+                   "  \"%s\": {\"create_ops_per_sec\": %.0f, "
+                   "\"stat_ops_per_sec\": %.0f, "
+                   "\"aggregate_ops_per_sec\": %.0f},\n",
+                   name, r.create_ops_per_sec, r.stat_ops_per_sec,
+                   r.aggregate_ops_per_sec);
+    };
+    mode_json("per_op", per_op);
+    mode_json("pipelined", pipelined);
+    mode_json("batched", batched);
+    std::fprintf(f,
+                 "  \"pipelined_speedup\": %.2f,\n"
+                 "  \"batched_speedup\": %.2f,\n  \"timeline\": [\n",
+                 pipelined_speedup, batched_speedup);
     for (std::size_t i = 0; i < traces.size(); ++i) {
       const auto& t = traces[i];
       const char* name = bench::OpName(t.opcode);

@@ -117,8 +117,7 @@ void Die(const char* what, const Status& s) {
 // Runs one ingest (create-all then stat-all) against a fresh deployment.
 // `batch` == 0 selects the per-op path; otherwise names are carried in
 // frames of `batch` sub-ops via CreateMany / StatMany.
-ModeResult RunMode(int files, int batch, int workers,
-                   net::IoBackend io_backend) {
+ModeResult RunMode(int files, int batch, int workers) {
   core::DirectoryMetadataServer dms;
   core::FileMetadataServer::Options fms1_options;
   fms1_options.sid = 1;
@@ -135,7 +134,6 @@ ModeResult RunMode(int files, int batch, int workers,
 
   net::TcpServer::Options server_options;
   server_options.workers = workers;
-  server_options.io_backend = io_backend;
   net::TcpServer dms_server(&dms_charged, server_options);
   net::TcpServer fms1_server(&fms1_charged, server_options);
   net::TcpServer fms2_server(&fms2_charged, server_options);
@@ -144,12 +142,6 @@ ModeResult RunMode(int files, int batch, int workers,
       !fms2_server.Start().ok() || !osd_server.Start().ok()) {
     std::fprintf(stderr, "fig_batch: failed to start loopback servers\n");
     std::exit(1);
-  }
-  if (io_backend == net::IoBackend::kUring &&
-      std::string_view(dms_server.io_backend_name()) != "uring") {
-    std::fprintf(stderr,
-                 "fig_batch: io_uring unavailable, servers fell back to "
-                 "epoll\n");
   }
 
   core::ClientOptions client_options;
@@ -272,7 +264,6 @@ int main(int argc, char** argv) {
   int files = 4000;
   int batch = 64;
   int workers = 2;
-  std::string io_backend_name = "epoll";
   auto flag = [&](int* i, const char* name, std::string* value) {
     const std::string_view arg = argv[*i];
     const std::size_t len = std::strlen(name);
@@ -297,14 +288,11 @@ int main(int argc, char** argv) {
       batch = std::atoi(value.c_str());
     } else if (flag(&i, "--workers", &value)) {
       workers = std::atoi(value.c_str());
-    } else if (flag(&i, "--io-backend", &value)) {
-      io_backend_name = value;
     } else {
       std::fprintf(stderr,
                    "fig_batch: unknown argument '%s'\n"
                    "usage: fig_batch [--out file.json] [--files N]"
-                   " [--batch B] [--workers W]"
-                   " [--io-backend epoll|uring] [--metrics-out file.json]\n",
+                   " [--batch B] [--workers W] [--metrics-out file.json]\n",
                    argv[i]);
       return 2;
     }
@@ -313,27 +301,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "fig_batch: bad flag value\n");
     return 2;
   }
-  net::IoBackend io_backend;
-  if (io_backend_name == "epoll") {
-    io_backend = net::IoBackend::kEpoll;
-  } else if (io_backend_name == "uring") {
-    io_backend = net::IoBackend::kUring;
-  } else {
-    std::fprintf(stderr, "fig_batch: --io-backend must be epoll or uring\n");
-    return 2;
-  }
 
   bench::PrintBanner("Batched metadata RPCs: small-file ingest",
                      "create+stat of a flat directory, per-op vs batched "
                      "frames, loopback TCP, 60us modeled journal commit");
-  std::printf("files=%d batch=%d server workers=%d io backend=%s\n\n", files,
-              batch, workers, io_backend_name.c_str());
+  std::printf("files=%d batch=%d server workers=%d\n\n", files, batch,
+              workers);
 
-  bench::ModeResult per_op =
-      bench::RunMode(files, /*batch=*/0, workers, io_backend);
+  bench::ModeResult per_op = bench::RunMode(files, /*batch=*/0, workers);
   metrics.Phase("per_op");
-  bench::ModeResult batched =
-      bench::RunMode(files, batch, workers, io_backend);
+  bench::ModeResult batched = bench::RunMode(files, batch, workers);
   metrics.Phase("batched");
 
   bench::Table table({"mode", "create/s", "stat/s", "create p50/p99 us",
@@ -380,9 +357,8 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n  \"benchmark\": \"fig_batch\",\n  \"files\": %d,\n"
                  "  \"batch\": %d,\n  \"server_workers\": %d,\n"
-                 "  \"io_backend\": \"%s\",\n"
                  "  \"journal_commit_us\": 60,\n",
-                 files, batch, workers, io_backend_name.c_str());
+                 files, batch, workers);
     mode_json("per_op", per_op, ",");
     mode_json("batched", batched, ",");
     std::fprintf(f,

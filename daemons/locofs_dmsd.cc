@@ -211,7 +211,6 @@ int main(int argc, char** argv) {
   std::string fault_spec;
   std::string gc_ops_str;
   std::string gc_batch_str;
-  std::string io_backend_str;
   std::string shard_id_str;
   std::string peers_str;
   std::string intent_age_str;
@@ -225,7 +224,6 @@ int main(int argc, char** argv) {
     if (daemons::FlagValue(argc, argv, &i, "--fault-spec", &fault_spec)) continue;
     if (daemons::FlagValue(argc, argv, &i, "--gc-ops", &gc_ops_str)) continue;
     if (daemons::FlagValue(argc, argv, &i, "--gc-batch", &gc_batch_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--io-backend", &io_backend_str)) continue;
     if (daemons::FlagValue(argc, argv, &i, "--shard-id", &shard_id_str)) continue;
     if (daemons::FlagValue(argc, argv, &i, "--peers", &peers_str)) continue;
     if (daemons::FlagValue(argc, argv, &i, "--gc-intent-age-ms", &intent_age_str)) continue;
@@ -239,7 +237,7 @@ int main(int argc, char** argv) {
                  " [--workers N] [--store-dir dir] [--fault-spec spec]"
                  " [--shard-id N] [--peers h1:p1,h2:p2,...]"
                  " [--gc] [--gc-ops RATE] [--gc-batch N] [--gc-intent-age-ms MS]"
-                 " [--io-backend epoll|uring] [--metrics-out file.json]\n",
+                 " [--metrics-out file.json]\n",
                  argv[i]);
     return 2;
   }
@@ -338,10 +336,6 @@ int main(int argc, char** argv) {
   net::TcpServer::Options server_options;
   server_options.fault = fault.get();
   server_options.dedup = &dedup;
-  if (!daemons::ParseIoBackend("locofs_dmsd", io_backend_str,
-                               &server_options.io_backend)) {
-    return 2;
-  }
   server_options.epoch = daemons::NextEpoch(store_dir);
   // A notify stream dropping means the client is gone (crashed or exited):
   // free its leases immediately instead of waiting out their TTL.

@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
   std::string gc_ops_str;
   std::string gc_batch_str;
   std::string gc_dms;
-  std::string io_backend_str;
   bool gc_enabled = false;
   bool decoupled = true;
   for (int i = 1; i < argc; ++i) {
@@ -69,7 +68,6 @@ int main(int argc, char** argv) {
     if (daemons::FlagValue(argc, argv, &i, "--gc-ops", &gc_ops_str)) continue;
     if (daemons::FlagValue(argc, argv, &i, "--gc-batch", &gc_batch_str)) continue;
     if (daemons::FlagValue(argc, argv, &i, "--gc-dms", &gc_dms)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--io-backend", &io_backend_str)) continue;
     if (std::strcmp(argv[i], "--gc") == 0) {
       gc_enabled = true;
       continue;
@@ -85,7 +83,7 @@ int main(int argc, char** argv) {
                  " [--announce host:port] [--node N]"
                  " [--gc] [--gc-ops RATE] [--gc-batch N]"
                  " [--gc-dms h1:p1,h2:p2,...]"
-                 " [--io-backend epoll|uring] [--metrics-out file.json]\n",
+                 " [--metrics-out file.json]\n",
                  argv[i]);
     return 2;
   }
@@ -165,10 +163,6 @@ int main(int argc, char** argv) {
   net::TcpServer::Options server_options;
   server_options.fault = fault.get();
   server_options.dedup = &dedup;
-  if (!daemons::ParseIoBackend("locofs_fmsd", io_backend_str,
-                               &server_options.io_backend)) {
-    return 2;
-  }
   server_options.epoch = daemons::NextEpoch(store_dir);
   // A client's last connection dropping prunes its sessions right away
   // (crash containment); the TTL sweep in GcStep is the fallback.

@@ -50,7 +50,6 @@ int main(int argc, char** argv) {
   std::string gc_ops_str;
   std::string gc_batch_str;
   std::string gc_fms;
-  std::string io_backend_str;
   bool gc_enabled = false;
   bool retain = true;
   for (int i = 1; i < argc; ++i) {
@@ -65,7 +64,6 @@ int main(int argc, char** argv) {
     if (daemons::FlagValue(argc, argv, &i, "--gc-ops", &gc_ops_str)) continue;
     if (daemons::FlagValue(argc, argv, &i, "--gc-batch", &gc_batch_str)) continue;
     if (daemons::FlagValue(argc, argv, &i, "--gc-fms", &gc_fms)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--io-backend", &io_backend_str)) continue;
     if (std::strcmp(argv[i], "--gc") == 0) {
       gc_enabled = true;
       continue;
@@ -81,7 +79,7 @@ int main(int argc, char** argv) {
                  " [--fault-spec spec] [--announce host:port] [--node N]"
                  " [--gc] [--gc-ops RATE] [--gc-batch N]"
                  " [--gc-fms host:port[,host:port...]]"
-                 " [--io-backend epoll|uring] [--metrics-out file.json]\n",
+                 " [--metrics-out file.json]\n",
                  argv[i]);
     return 2;
   }
@@ -158,10 +156,6 @@ int main(int argc, char** argv) {
   net::TcpServer::Options server_options;
   server_options.fault = fault.get();
   server_options.dedup = &dedup;
-  if (!daemons::ParseIoBackend("locofs_osd", io_backend_str,
-                               &server_options.io_backend)) {
-    return 2;
-  }
   server_options.epoch = daemons::NextEpoch(store_dir);
   const std::uint64_t epoch = server_options.epoch;
   return daemons::RunDaemon(

@@ -10,11 +10,12 @@ cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "== tier-1: repeat gate (server dispatch suites, until-fail:20) =="
-# The worker / loop-run dispatch suites must pass 20 times in a row: a test
-# that leans on thread timing fails here instead of flaking later.
+echo "== tier-1: repeat gate (server dispatch + frame reader suites, until-fail:20) =="
+# The worker / loop-run dispatch suites, the notify listener and the wire /
+# frame-reader suites must pass 20 times in a row: a test that leans on
+# thread timing fails here instead of flaking later.
 ctest --test-dir build --output-on-failure \
-  -R '^(TcpTest|TcpWorkerPoolTest|TcpFanOutTest|TcpFaultTest|OverloadTest|DisconnectTest)\.' \
+  -R '^(TcpTest|TcpWorkerPoolTest|TcpFanOutTest|TcpFaultTest|OverloadTest|DisconnectTest|NotifyListenerTest|WireTest|WireFuzzTest|PinnedReaderTest)\.' \
   --repeat until-fail:20
 
 echo "== tier-1: live-stack benchmark smoke (perfbench/run.py --smoke) =="
@@ -24,13 +25,6 @@ echo "== tier-1: live-stack benchmark smoke (perfbench/run.py --smoke) =="
 # decorators subclass net::Channel, net::RpcHandler and kv::Kv, so an
 # interface change that breaks them fails here rather than in the benchmark.
 python3 perfbench/run.py --smoke
-
-echo "== tier-1: io_uring backend smoke (daemons under --io-backend=uring) =="
-# Spawns a real daemon on the uring event loop and round-trips RPCs.  On a
-# kernel (or build) without io_uring the daemon falls back to epoll, which
-# the test detects from the banner and reports as a clean GTEST_SKIP —
-# either way the run must be green.
-./build/tests/integration/integration_test --gtest_filter='UringBackend*'
 
 echo "== tier-1: overload smoke (fig_overload --short, gated) =="
 # Drives an in-process FMS through peak -> deadline-burst -> 2x sustained
@@ -104,7 +98,7 @@ cmake --build build-tsan -j --target net_test kvstore_test fs_test \
   sim_test core_test striped_kv_test \
   core_concurrency_test core_housekeeping_test notify_e2e_test \
   integration_test >/dev/null
-# net_test exercises both server backends, the client reactor and the
+# net_test exercises the server event loop, the client reactor and the
 # worker pool under TSan; core_test adds the batch handler suites over the
 # striped stores, and core_housekeeping_test runs the GcManager scan
 # thread against serving handlers (token bucket, snapshot pins, session

@@ -87,9 +87,6 @@ Result<MountHandle> Connect(const ClientOptions& options) {
 
   net::TcpChannelOptions channel_options = options.channel;
   channel_options.client_id = m.client_id;
-  // Pooled RPC connections never advertise kFeatureNotify: the notify stream
-  // belongs on the listener's dedicated connection.
-  channel_options.features = 0;
   m.channel = std::make_unique<net::TcpChannel>(channel_options);
 
   const auto register_node = [&](net::NodeId id,

@@ -61,8 +61,9 @@ struct ClientOptions {
   net::ResilienceOptions resilience_options;
 
   // Server-push plane (net/notify.h): lease invalidation + breaker gossip on
-  // a dedicated connection to the DMS.  Degrades automatically against a
-  // server that does not speak it.
+  // a dedicated connection to the DMS.  While the stream is down (or a
+  // server refuses it) the listener redials with backoff and leases alone
+  // bound staleness.
   bool notify = true;
 
   // Parse a `--connect` spec into the endpoint fields (everything else keeps

@@ -68,7 +68,7 @@ class DirectoryMetadataServer final : public net::RpcHandler {
   explicit DirectoryMetadataServer(const Options& options);
 
   // Wire the push plane (net::TcpServer).  Until this is called — and for
-  // clients that never negotiated notify — mutations are visible to lease
+  // clients that never asked for notify — mutations are visible to lease
   // holders only after the lease expires, exactly the pre-push behavior.
   // `notifier` must outlive the server; call before serving traffic.
   void SetNotifier(net::Notifier* notifier) noexcept { notifier_ = notifier; }

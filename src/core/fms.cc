@@ -841,8 +841,8 @@ net::RpcResponse FileMetadataServer::OpenSession(std::string_view payload,
   std::string name;
   std::uint8_t exclusive = 0;
   if (!fs::Unpack(payload, dir_uuid, name, exclusive)) return BadRequest();
-  // Sessions key off the wire-v2 hello identity; an anonymous (v1) peer has
-  // nothing to attach one to.
+  // Sessions key off the hello's client id; an anonymous peer has nothing
+  // to attach one to.
   if (client == 0) return Fail(ErrCode::kInvalid);
   auto attr = GetAttrInternal(FileKey(dir_uuid, name));
   if (!attr.ok()) return Fail(attr.code());

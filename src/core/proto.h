@@ -192,7 +192,7 @@ enum FmsOp : std::uint16_t {
   // some file inode on this server carries that uuid.  [entries] -> [bitmap]
   kFmsCheckUuids = 60,
   // Explicit session open: register (or renew) a file session for the
-  // calling client id (from the wire-v2 hello).  exclusive=1 demands sole
+  // calling client id (from the connection's hello).  exclusive=1 demands sole
   // ownership — kExists if any other client holds a session on the file, and
   // later openers are refused until the holder closes, disconnects, or its
   // session TTL lapses.  [dir_uuid, name, exclusive u8] -> []
@@ -225,7 +225,7 @@ enum ObjOp : std::uint16_t {
 };
 
 // ------------------------------ Control plane -------------------------------
-// Admin opcodes in the wire-v2 control range (240–255).  240 (kCtlHello) is
+// Admin opcodes in the wire control range (240–255).  240 (kCtlHello) is
 // consumed by the transport itself; everything above it is dispatched to the
 // hosting service like any RPC, so each daemon answers for its own
 // housekeeping state.

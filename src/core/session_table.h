@@ -2,7 +2,7 @@
 // (docs/HOUSEKEEPING.md).
 //
 // A session records "client C has file (dir_uuid, name) open until
-// now + ttl_ns".  Sessions ride the client id negotiated in the wire-v2
+// now + ttl_ns".  Sessions ride the client id announced in the connection's
 // hello: opens and creates register one implicitly, kFmsOpenSession
 // registers one explicitly (optionally exclusive), and every RPC a client
 // sends renews all of its sessions — the steady request/notify traffic *is*

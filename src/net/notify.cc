@@ -71,7 +71,6 @@ struct ListenerCounters {
   common::Counter* invalidates;
   common::Counter* server_ups;
   common::Counter* stream_down;
-  common::Counter* degraded;
 
   static const ListenerCounters& Get() {
     static const ListenerCounters c = [] {
@@ -82,8 +81,7 @@ struct ListenerCounters {
                               &reg.GetCounter("notify.listener.dups"),
                               &reg.GetCounter("notify.listener.invalidates"),
                               &reg.GetCounter("notify.listener.server_ups"),
-                              &reg.GetCounter("notify.listener.stream_down"),
-                              &reg.GetCounter("notify.listener.degraded")};
+                              &reg.GetCounter("notify.listener.stream_down")};
     }();
     return c;
   }
@@ -177,9 +175,9 @@ void NotifyListener::Emit(NotifyEvent::Kind kind) {
   callback_(event);
 }
 
-bool NotifyListener::RecvOne(int fd, wire::FrameReader* reader,
-                             wire::Frame* out, common::Nanos deadline_abs) {
-  char buf[16 * 1024];
+bool NotifyListener::RecvOne(int fd, wire::PinnedFrameReader* reader,
+                             wire::PinnedFrame* out,
+                             common::Nanos deadline_abs) {
   for (;;) {
     if (auto frame = reader->Next()) {
       *out = std::move(*frame);
@@ -194,9 +192,11 @@ bool NotifyListener::RecvOne(int fd, wire::FrameReader* reader,
             ? options_.reactor->AwaitReadable(fd, stop_fds_[0], deadline_abs)
             : PollStoppable(fd, stop_fds_[0], POLLIN, deadline_abs);
     if (ready <= 0) return false;
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    std::size_t capacity = 0;
+    char* dst = reader->RecvInto(wire::kMinRecvWindow, &capacity);
+    const ssize_t n = ::recv(fd, dst, capacity, 0);
     if (n > 0) {
-      reader->Append(std::string_view(buf, static_cast<std::size_t>(n)));
+      reader->Commit(static_cast<std::size_t>(n));
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
@@ -206,13 +206,13 @@ bool NotifyListener::RecvOne(int fd, wire::FrameReader* reader,
   }
 }
 
-bool NotifyListener::RunOnce(bool* ever_connected, bool* connected_this_cycle) {
+void NotifyListener::RunOnce(bool* ever_connected, bool* connected_this_cycle) {
   const auto& counters = ListenerCounters::Get();
   const int fd = DialTcp(options_.host, options_.port,
                          common::CpuTimer::Now() + options_.connect_timeout_ns);
-  if (fd < 0) return !stop_.load(std::memory_order_acquire);
+  if (fd < 0) return;
 
-  // Hello: an ordinary request (v1-compatible) advertising notify support.
+  // Hello: ask the server to make this connection our notify session.
   wire::Hello hello;
   hello.features = wire::kFeatureNotify;
   hello.client_id = options_.client_id;
@@ -223,32 +223,26 @@ bool NotifyListener::RunOnce(bool* ever_connected, bool* connected_this_cycle) {
   header.trace_id = NextTraceId();
   const common::Nanos hello_deadline =
       common::CpuTimer::Now() + options_.hello_timeout_ns;
-  wire::FrameReader reader;
-  wire::Frame reply;
+  wire::PinnedFrameReader reader;
+  wire::PinnedFrame reply;
+  wire::HelloReply granted;
   if (!SendAllStoppable(fd, stop_fds_[0],
                         wire::EncodeFrame(header, wire::EncodeHello(hello)),
                         hello_deadline) ||
       !RecvOne(fd, &reader, &reply, hello_deadline) ||
       reply.header.type != wire::FrameType::kResponse ||
-      reply.header.opcode != wire::kCtlHello) {
+      reply.header.opcode != wire::kCtlHello ||
+      reply.header.code != ErrCode::kOk ||
+      !DecodeHelloReply(reply.payload, &granted).ok() ||
+      (granted.features & wire::kFeatureNotify) == 0) {
+    // No stream: the hello failed or was refused.  Like a failed connect,
+    // back off and redial.
     ::close(fd);
-    return !stop_.load(std::memory_order_acquire);
-  }
-  wire::HelloReply negotiated;
-  if (reply.header.code != ErrCode::kOk ||
-      !DecodeHelloReply(reply.payload, &negotiated).ok() ||
-      (negotiated.features & wire::kFeatureNotify) == 0) {
-    // The server answered but does not speak notify (v1 peer answering an
-    // unknown opcode, or a v2 peer with the feature off): degrade for good.
-    ::close(fd);
-    degraded_.store(true, std::memory_order_release);
-    counters.degraded->Add();
-    Emit(NotifyEvent::Kind::kStreamDown);
-    return false;
+    return;
   }
 
   *connected_this_cycle = true;
-  epoch_.store(negotiated.epoch, std::memory_order_release);
+  epoch_.store(granted.epoch, std::memory_order_release);
   connected_.store(true, std::memory_order_release);
   if (*ever_connected) {
     // Pushes may have been lost while the stream was down (this includes a
@@ -262,7 +256,7 @@ bool NotifyListener::RunOnce(bool* ever_connected, bool* connected_this_cycle) {
 
   std::uint64_t expected_seq = 1;  // per-connection, server starts at 1
   for (;;) {
-    wire::Frame frame;
+    wire::PinnedFrame frame;
     if (!RecvOne(fd, &reader, &frame, /*deadline_abs=*/0)) break;
     if (frame.header.type != wire::FrameType::kNotify) break;
     const std::uint64_t seq = frame.header.request_id;
@@ -303,7 +297,6 @@ bool NotifyListener::RunOnce(bool* ever_connected, bool* connected_this_cycle) {
     counters.stream_down->Add();
     Emit(NotifyEvent::Kind::kStreamDown);
   }
-  return !stop_.load(std::memory_order_acquire);
 }
 
 void NotifyListener::Run() {
@@ -311,7 +304,7 @@ void NotifyListener::Run() {
   common::Nanos backoff = options_.backoff_base_ns;
   while (!stop_.load(std::memory_order_acquire)) {
     bool connected_this_cycle = false;
-    if (!RunOnce(&ever_connected, &connected_this_cycle)) break;
+    RunOnce(&ever_connected, &connected_this_cycle);
     backoff = connected_this_cycle
                   ? options_.backoff_base_ns
                   : std::min(backoff * 2, options_.backoff_cap_ns);

@@ -1,6 +1,6 @@
 // Server→client push notification plane (docs/NET.md, docs/LEASES.md).
 //
-// A v2 client that wants push notifications opens one *dedicated* connection
+// A client that wants push notifications opens one *dedicated* connection
 // to the server and performs the kCtlHello exchange with wire::kFeatureNotify
 // set.  The server then streams wire::FrameType::kNotify frames on that
 // connection: each carries a notify opcode (wire::kNotifyInvalidate /
@@ -15,9 +15,9 @@
 //   server side: Notifier (implemented by net::TcpServer) — queue a push for
 //                one client session or broadcast to all of them;
 //   client side: NotifyListener — owns the dedicated connection + a reader
-//                thread, decodes events, detects gaps/epoch bumps, reconnects
-//                with backoff, and degrades permanently when the server does
-//                not speak notify.
+//                thread, decodes events, detects gaps/epoch bumps, and
+//                redials with backoff whenever the connect or the hello
+//                fails or the stream drops.
 #pragma once
 
 #include <atomic>
@@ -44,7 +44,7 @@ class Notifier {
   virtual ~Notifier() = default;
 
   // Queue one push for `client_id`'s notify session.  False when no such
-  // session exists (client gone, or it never negotiated notify) — callers
+  // session exists (client gone, or it never asked for notify) — callers
   // use that to garbage-collect per-client state such as lease watches.
   virtual bool PushNotify(std::uint64_t client_id, std::uint16_t opcode,
                           std::string payload) = 0;
@@ -95,7 +95,7 @@ struct NotifyEvent {
     kResync,      // missed pushes are possible (gap / reconnect / epoch bump):
                   // drop cached state and fall back to lease semantics
     kStreamDown,  // the stream just went down; leases are the only guard
-                  // until the listener reconnects (or forever, if degraded)
+                  // until the listener reconnects
   };
   Kind kind = Kind::kResync;
   InvalidateEvent invalidate;
@@ -136,12 +136,6 @@ class NotifyListener {
   // Close the stream and join the thread.  Idempotent; run by the destructor.
   void Stop();
 
-  // The server answered the hello but does not speak notify (feature bit
-  // missing or the opcode unsupported): the listener has shut down for good
-  // and the lease timeout is the only staleness bound.
-  bool degraded() const noexcept {
-    return degraded_.load(std::memory_order_acquire);
-  }
   // True between a successful hello and the next stream failure.
   bool connected() const noexcept {
     return connected_.load(std::memory_order_acquire);
@@ -153,12 +147,13 @@ class NotifyListener {
 
  private:
   void Run();
-  // One connect → hello → read-frames cycle.  Returns false when the
-  // listener must not reconnect (stop requested or degraded).
-  bool RunOnce(bool* ever_connected, bool* connected_this_cycle);
+  // One connect → hello → read-frames cycle.  A failed connect, a refused
+  // hello and a dropped stream all just end the cycle; Run backs off and
+  // redials until Stop.
+  void RunOnce(bool* ever_connected, bool* connected_this_cycle);
   // Read one frame; false on stream failure or stop.  deadline_abs == 0
   // waits forever (the stop pipe still interrupts it).
-  bool RecvOne(int fd, wire::FrameReader* reader, wire::Frame* out,
+  bool RecvOne(int fd, wire::PinnedFrameReader* reader, wire::PinnedFrame* out,
                common::Nanos deadline_abs);
   void Emit(NotifyEvent::Kind kind);
 
@@ -167,7 +162,6 @@ class NotifyListener {
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> started_{false};
-  std::atomic<bool> degraded_{false};
   std::atomic<bool> connected_{false};
   std::atomic<std::uint64_t> epoch_{0};
   int stop_fds_[2] = {-1, -1};  // self-pipe: Stop() interrupts the read poll

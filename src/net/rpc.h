@@ -49,7 +49,7 @@ struct RpcResponse {
 
 // Transport-provided context for one request.  Only transports with a wire
 // identity fill it in: net::TcpServer passes the client id learned from the
-// connection's hello (0 for v1 peers or anonymous clients) so handlers can
+// connection's hello (0 for anonymous clients) so handlers can
 // attribute requests — e.g. the DMS excludes the mutating client from its
 // own lease invalidations.
 struct HandlerContext {

@@ -38,15 +38,18 @@
 // single call is a one-leg fan-out.  The receive side is event-driven: every
 // pooled connection is registered with the channel's net::Reactor, whose single
 // thread drains readable sockets (one recv sweep per readable socket, so a
-// pipelined burst of N responses costs one syscall, not N) and completes
-// each response's waiter by request id — waking only the owning caller,
-// never the whole pool.  The channel enforces a per-call deadline, retries refused
-// connects a bounded number of times with exponential backoff, and surfaces
-// failures exactly like the in-process transport does — kUnavailable for
-// unreachable/dead peers, kTimeout for an expired deadline, kCorruption for
-// framing violations — so the client-side FMS-outage fallbacks work
-// unchanged over real sockets.  Calls complete inline (the transport blocks
-// the calling thread), which keeps net::RunInline-driven code working.
+// pipelined burst of N responses costs one syscall, not N) into a
+// wire::PinnedFrameReader and completes each response's waiter by request id
+// — waking only the owning caller, never the whole pool.  Every request
+// carries what is left of its deadline and its priority class in the frame
+// header (docs/OVERLOAD.md).  The channel enforces a per-call deadline,
+// retries refused connects a bounded number of times with exponential
+// backoff, and surfaces failures exactly like the in-process transport does
+// — kUnavailable for unreachable/dead peers, kTimeout for an expired
+// deadline, kCorruption for framing violations — so the client-side
+// FMS-outage fallbacks work unchanged over real sockets.  Calls complete
+// inline (the transport blocks the calling thread), which keeps
+// net::RunInline-driven code working.
 //
 // Both sides record per-opcode metrics through common::RpcMetricsTable:
 // rpc.tcp.* on the channel (round-trip view) and rpc.tcp_server.* on the
@@ -101,15 +104,6 @@ bool IsSelfConnected(int fd);
 // Server
 // ---------------------------------------------------------------------------
 
-// Event-loop implementation behind TcpServer (docs/NET.md "I/O backends").
-// kUring requires a kernel with io_uring and a build with LOCO_IOURING; when
-// either is missing the server silently runs the epoll loop instead (the
-// rpc.tcp_server.uring.fallbacks counter records it).
-enum class IoBackend {
-  kEpoll,
-  kUring,
-};
-
 // wire::kCtlLoadStatus reply payload: a point-in-time view of one server's
 // admission state (docs/OVERLOAD.md).  Answered inline by the event loop,
 // so it works against every daemon regardless of handler.
@@ -150,10 +144,6 @@ class TcpServer : public Notifier {
     // duplicates answered from the cached response.  Not owned; shared by a
     // daemon across restarts of its server object.
     DedupWindow* dedup = nullptr;
-    // Feature bits granted to clients in the hello exchange (a client only
-    // gets bits both sides advertise).  Daemons keep the default; tests can
-    // clear bits to exercise the degrade path.
-    std::uint64_t features = wire::kFeatureNotify | wire::kFeatureDeadline;
     // Server incarnation reported in hello replies.  Daemons persist a
     // counter in --store-dir and bump it per start, so clients can tell a
     // restart from a plain reconnect.
@@ -169,10 +159,6 @@ class TcpServer : public Notifier {
     // server Stop() — shutdown is not a client crash.
     std::function<void(std::uint64_t client_id)> on_notify_disconnect;
     std::function<void(std::uint64_t client_id)> on_client_disconnect;
-    // Event-loop backend (daemons expose this as --io-backend).  Dispatch,
-    // worker pool, response ordering, buffer arena, and the notify plane are
-    // shared; only the readiness/accept/recv machinery differs.
-    IoBackend io_backend = IoBackend::kEpoll;
     // Admission control (docs/OVERLOAD.md): cap on queued-but-unstarted
     // requests across the foreground and background classes together
     // (control traffic is exempt; 0 = unbounded).  At the cap a background
@@ -217,10 +203,6 @@ class TcpServer : public Notifier {
   std::uint16_t port() const noexcept { return port_; }
   const std::string& host() const noexcept { return options_.host; }
   int workers() const noexcept { return options_.workers; }
-  // The backend actually serving (post-fallback): "epoll" or "uring".
-  const char* io_backend_name() const noexcept {
-    return uring_active_ ? "uring" : "epoll";
-  }
   // Requests executed by the handler so far (tests / daemon stats).
   std::uint64_t requests_served() const noexcept {
     return requests_.load(std::memory_order_relaxed);
@@ -290,10 +272,6 @@ class TcpServer : public Notifier {
   };
 
   void Loop();
-  // io_uring event loop: multishot accept, per-connection re-armed recv into
-  // registered buffers, one-shot POLLOUT arming for pending output.  Shares
-  // DrainFrames / FlushWrites / worker delivery / notify drain with Loop().
-  void UringLoop();
   void WorkerMain(std::size_t index);
   // Run the handler for one request: metrics, execution, extra_service_ns
   // charge, response encoding, and the opcode's last-run time.  The frame is
@@ -319,8 +297,8 @@ class TcpServer : public Notifier {
   // or enqueue (worker mode) each; returns false when the connection must be
   // dropped (framing violation).
   bool DrainFrames(Conn* conn);
-  // Answer a kCtlHello inline on the loop thread (negotiation must precede
-  // any dispatch) and register the notify session when granted.
+  // Answer a kCtlHello inline on the loop thread (the client id must be
+  // known before any dispatch) and register the notify session when asked.
   bool HandleHello(Conn* conn, const wire::PinnedFrame& frame);
   // Answer a kCtlLoadStatus inline on the loop thread (the loop owns the
   // admission queues; no handler dispatch, works under full saturation).
@@ -380,10 +358,7 @@ class TcpServer : public Notifier {
   RpcHandler* handler_;
   Options options_;
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;  // epoll backend only (-1 under uring)
-  // io_uring backend (forward-declared; null under epoll or after fallback).
-  std::unique_ptr<class UringState> uring_state_;
-  bool uring_active_ = false;
+  int epoll_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  // self-pipe: Stop()/workers wake the event loop
   std::thread thread_;
   std::atomic<bool> running_{false};
@@ -500,20 +475,13 @@ struct TcpChannelOptions {
   // (the delay=/delay_ms= knobs of the spec).  Not owned.
   FaultInjector* fault = nullptr;
   // Mount identity announced in a fire-and-forget hello on every fresh
-  // connection (request id 0 — never used by calls, so the reply is read
-  // and discarded by whichever caller holds the reader role).  The server
-  // attributes requests on the connection to this id (HandlerContext), which
-  // is how the DMS knows not to invalidate the mutating client's own lease.
-  // 0 skips the hello entirely (anonymous, v1-identical behaviour).
+  // connection (request id 0 — never used by calls, so the reactor discards
+  // the reply).  The server attributes requests on the connection to this
+  // id (HandlerContext), which is how the DMS knows not to invalidate the
+  // mutating client's own lease.  0 skips the hello (anonymous).  The hello
+  // never asks for notify: the push stream belongs on the NotifyListener's
+  // dedicated connection.
   std::uint64_t client_id = 0;
-  // Feature bits advertised in that hello.  Pooled RPC connections should
-  // NOT advertise kFeatureNotify — the notify stream belongs on the
-  // NotifyListener's dedicated connection.  kFeatureDeadline is advertised
-  // by default: once the server's hello reply grants it, calls carry their
-  // remaining deadline budget and priority class on the wire
-  // (docs/OVERLOAD.md); against an old server the channel keeps emitting
-  // v1 frames.
-  std::uint64_t features = wire::kFeatureDeadline;
 };
 
 class TcpChannel final : public Channel {
@@ -555,7 +523,8 @@ class TcpChannel final : public Channel {
   // One caller blocked on a pipelined response.  Each waiter has its own
   // condition variable so the reactor wakes exactly the owning caller.
   struct Waiter {
-    wire::Frame frame;
+    ErrCode code = ErrCode::kOk;  // the response's code
+    std::string payload;          // copied out of the reader's arena
     bool done = false;
     ErrCode fail = ErrCode::kOk;
     std::condition_variable cv;  // paired with the connection's mu
@@ -572,14 +541,9 @@ class TcpChannel final : public Channel {
     const int fd;
     std::atomic<bool> dead{false};       // failed; skipped and pruned
     std::atomic<std::uint32_t> inflight{0};  // reservations (load balancing)
-    // Feature bits the server granted in its hello reply (the reactor
-    // captures the request-id-0 response).  0 until the reply arrives, so
-    // early calls degrade to v1 frames; once kFeatureDeadline shows up the
-    // channel stamps the deadline budget + priority extension.
-    std::atomic<std::uint64_t> peer_features{0};
     std::mutex write_mu;  // serializes request bytes onto the socket
     std::mutex mu;        // guards everything below (except `reader`)
-    wire::FrameReader reader;  // reactor thread only
+    wire::PinnedFrameReader reader;  // reactor thread only
     std::unordered_map<std::uint64_t, Waiter*> waiting;
     // Request ids whose caller timed out while the request was still
     // outstanding on the wire.  The server WILL answer them eventually; until

@@ -19,31 +19,17 @@ void AppendLe(std::string* out, std::uint64_t value, int bytes) {
 
 void EncodeFrameInto(const FrameHeader& header, std::string_view payload,
                      std::string* out) {
-  // Tag each frame with the *minimum* version able to interpret it: frames
-  // without the overload-control extension are byte-identical to v1 (push
-  // frames to v2), so a v3 sender stays interoperable with old peers; only
-  // a non-default deadline budget or priority requires the v3 header.
-  const bool extended = header.deadline_budget_ns != 0 ||
-                        header.priority != kPriorityForeground;
-  std::uint8_t version = kMinVersion;
-  if (extended) {
-    version = kVersion;
-  } else if (header.type == FrameType::kNotify) {
-    version = kNotifyVersion;
-  }
-  out->reserve(out->size() + HeaderLen(version) + payload.size());
+  out->reserve(out->size() + kHeaderBytes + payload.size());
   AppendLe(out, kMagic, 4);
-  AppendLe(out, version, 1);
+  AppendLe(out, kVersion, 1);
   AppendLe(out, static_cast<std::uint8_t>(header.type), 1);
   AppendLe(out, header.opcode, 2);
   AppendLe(out, header.request_id, 8);
   AppendLe(out, header.trace_id, 8);
   AppendLe(out, static_cast<std::uint8_t>(header.code), 1);
   AppendLe(out, static_cast<std::uint32_t>(payload.size()), 4);
-  if (extended) {
-    AppendLe(out, header.deadline_budget_ns, 8);
-    AppendLe(out, header.priority, 1);
-  }
+  AppendLe(out, header.deadline_budget_ns, 8);
+  AppendLe(out, header.priority, 1);
   out->append(payload.data(), payload.size());
 }
 
@@ -63,15 +49,11 @@ Status DecodeHeader(std::string_view bytes, FrameHeader* out) {
   out->trace_id = r.GetU64();
   const std::uint8_t code = r.GetU8();
   out->payload_len = r.GetU32();
-  out->deadline_budget_ns = 0;
-  out->priority = kPriorityForeground;
-  if (version >= 3 && version <= kVersion) {
-    out->deadline_budget_ns = r.GetU64();
-    out->priority = r.GetU8();
-  }
+  out->deadline_budget_ns = r.GetU64();
+  out->priority = r.GetU8();
   if (!r.ok()) return ErrStatus(ErrCode::kCorruption, "short frame header");
   if (magic != kMagic) return ErrStatus(ErrCode::kCorruption, "bad frame magic");
-  if (version < kMinVersion || version > kVersion) {
+  if (version != kVersion) {
     return ErrStatus(ErrCode::kCorruption, "unsupported frame version");
   }
   if (type != static_cast<std::uint8_t>(FrameType::kRequest) &&
@@ -207,37 +189,6 @@ bool DecodeBatchResponse(std::string_view payload, std::vector<BatchItem>* out) 
   return off == payload.size();
 }
 
-std::optional<Frame> FrameReader::Next() {
-  if (!status_.ok()) return std::nullopt;
-  if (buffered() < kHeaderBytes) return std::nullopt;
-  // The version byte (offset 4) fixes the header length: v3 frames carry the
-  // deadline/priority extension, older frames the 29-byte base header.
-  const std::size_t hlen =
-      HeaderLen(static_cast<std::uint8_t>(buf_[pos_ + 4]));
-  if (buffered() < hlen) return std::nullopt;
-  FrameHeader header;
-  status_ = DecodeHeader(std::string_view(buf_).substr(pos_), &header);
-  if (!status_.ok()) return std::nullopt;
-  if (header.payload_len > max_payload_) {
-    status_ = ErrStatus(ErrCode::kCorruption, "frame payload over cap");
-    return std::nullopt;
-  }
-  if (buffered() < hlen + header.payload_len) return std::nullopt;
-  Frame frame;
-  frame.header = header;
-  frame.payload = buf_.substr(pos_ + hlen, header.payload_len);
-  pos_ += hlen + header.payload_len;
-  // Reclaim consumed bytes once nothing useful remains before pos_.
-  if (pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  } else if (pos_ > (64u << 10)) {
-    buf_.erase(0, pos_);
-    pos_ = 0;
-  }
-  return frame;
-}
-
 // ---------------------------------------------------------------------------
 // PinnedFrameReader
 // ---------------------------------------------------------------------------
@@ -251,8 +202,7 @@ constexpr std::size_t kMaxPooledChunks = 8;
 PinnedFrameReader::PinnedFrameReader(std::uint32_t max_payload,
                                      std::size_t chunk_bytes)
     : max_payload_(max_payload),
-      chunk_bytes_(chunk_bytes < kMaxHeaderBytes ? kMaxHeaderBytes
-                                                 : chunk_bytes) {}
+      chunk_bytes_(chunk_bytes < kHeaderBytes ? kHeaderBytes : chunk_bytes) {}
 
 PinnedFrameReader::Chunk PinnedFrameReader::MakeChunk() {
   Chunk chunk;
@@ -297,17 +247,6 @@ void PinnedFrameReader::Commit(std::size_t n) {
   buffered_ += n;
 }
 
-void PinnedFrameReader::Append(std::string_view bytes) {
-  while (!bytes.empty()) {
-    std::size_t capacity = 0;
-    char* dst = RecvInto(1, &capacity);
-    const std::size_t n = bytes.size() < capacity ? bytes.size() : capacity;
-    std::memcpy(dst, bytes.data(), n);
-    Commit(n);
-    bytes.remove_prefix(n);
-  }
-}
-
 void PinnedFrameReader::CopyOut(std::size_t n, char* out) {
   while (n > 0) {
     Chunk& front = chunks_.front();
@@ -326,37 +265,24 @@ std::optional<PinnedFrame> PinnedFrameReader::Next() {
   if (!status_.ok()) return std::nullopt;
   if (buffered_ < kHeaderBytes) return std::nullopt;
   // Peek without consuming: view the header in place when the front chunk
-  // holds it whole, else assemble it through a stack copy.  The version byte
-  // (logical offset 4) fixes the header length, so peek the base header
-  // first and widen to the v3 length when the frame carries the extension.
-  const auto peek = [this](char* dst, std::size_t want) {
+  // holds it whole, else assemble it across chunks in a stack copy.
+  FrameHeader header;
+  char scratch[kHeaderBytes];
+  std::string_view header_bytes;
+  const Chunk& front = chunks_.front();
+  if (front.size - read_off_ >= kHeaderBytes) {
+    header_bytes =
+        std::string_view(front.buf->data() + read_off_, kHeaderBytes);
+  } else {
     std::size_t copied = 0;
     std::size_t off = read_off_;
-    for (auto it = chunks_.begin(); it != chunks_.end() && copied < want; ++it) {
-      const std::size_t take = std::min(want - copied, it->size - off);
-      std::memcpy(dst + copied, it->buf->data() + off, take);
+    for (auto it = chunks_.begin(); copied < kHeaderBytes; ++it) {
+      const std::size_t take = std::min(kHeaderBytes - copied, it->size - off);
+      std::memcpy(scratch + copied, it->buf->data() + off, take);
       copied += take;
       off = 0;
     }
-  };
-  FrameHeader header;
-  char scratch[kMaxHeaderBytes];
-  std::string_view header_bytes;
-  const Chunk& front = chunks_.front();
-  std::uint8_t version = 0;
-  if (front.size - read_off_ >= kHeaderBytes) {
-    version = static_cast<std::uint8_t>(front.buf->data()[read_off_ + 4]);
-  } else {
-    peek(scratch, kHeaderBytes);
-    version = static_cast<std::uint8_t>(scratch[4]);
-  }
-  const std::size_t hlen = HeaderLen(version);
-  if (buffered_ < hlen) return std::nullopt;
-  if (front.size - read_off_ >= hlen) {
-    header_bytes = std::string_view(front.buf->data() + read_off_, hlen);
-  } else {
-    peek(scratch, hlen);
-    header_bytes = std::string_view(scratch, hlen);
+    header_bytes = std::string_view(scratch, kHeaderBytes);
   }
   status_ = DecodeHeader(header_bytes, &header);
   if (!status_.ok()) return std::nullopt;
@@ -364,15 +290,14 @@ std::optional<PinnedFrame> PinnedFrameReader::Next() {
     status_ = ErrStatus(ErrCode::kCorruption, "frame payload over cap");
     return std::nullopt;
   }
-  if (buffered_ < hlen + header.payload_len) return std::nullopt;
+  if (buffered_ < kHeaderBytes + header.payload_len) return std::nullopt;
 
   PinnedFrame frame;
   frame.header = header;
   // Consume the header, then serve the payload in place when one chunk holds
   // it all — the hot path: recv() landed the frame contiguously, and the
   // handler reads the very bytes the kernel wrote.
-  char discard[kMaxHeaderBytes];
-  CopyOut(hlen, discard);
+  CopyOut(kHeaderBytes, scratch);
   if (header.payload_len == 0) {
     frame.zero_copy = true;
     ++zero_copy_frames_;

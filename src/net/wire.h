@@ -1,12 +1,12 @@
 // TCP wire format: length-prefixed binary frames shared by the client and
 // server sides of net::TcpChannel / net::TcpServer (docs/NET.md).
 //
-// Every message is one frame:
+// Every message is one frame with a fixed 38-byte header:
 //
 //   offset  size  field
 //        0     4  magic       0x4C4F434Fu ("LOCO"), little-endian
-//        4     1  version     kVersion (currently 3; v1/v2 still accepted)
-//        5     1  type        1 = request, 2 = response, 3 = notify (v2)
+//        4     1  version     kVersion (3); every other version is rejected
+//        5     1  type        1 = request, 2 = response, 3 = notify
 //        6     2  opcode      RPC opcode (core/proto.h, baselines/proto.h)
 //        8     8  request id  per-connection correlation id; echoed verbatim
 //                             (notify frames carry the per-connection push
@@ -14,37 +14,29 @@
 //       16     8  trace id    per-operation id threaded through net::Call
 //       24     1  code        ErrCode of a response; 0 in requests
 //       25     4  payload len bytes that follow the header
-//   --- v3 frames only (overload control, docs/OVERLOAD.md) ---
 //       29     8  deadline budget  remaining ns the caller will wait; 0 = none.
 //                             Re-stamped per hop: each sender writes what is
 //                             left of ITS budget, so the receiver can drop
-//                             work the caller has already abandoned.
+//                             work the caller has already abandoned
+//                             (docs/OVERLOAD.md).
 //       37     1  priority    2-bit class: 0 foreground, 1 background,
 //                             2 control (higher bits must be zero)
-//   ---
-//    29/38     …  payload     opcode-specific bytes (fs::Pack tuples)
+//       38     …  payload     opcode-specific bytes (fs::Pack tuples)
 //
 // All integers are little-endian (common::Writer/Reader).  Decoding is
-// defensive: bad magic, unknown version, an out-of-range error code or a
-// payload length above the negotiated cap surface as ErrCode::kCorruption,
-// never as a crash or an unbounded allocation.
+// defensive: bad magic, any version but kVersion, an out-of-range error
+// code or a payload length above the reader's cap surface as
+// ErrCode::kCorruption, never as a crash or an unbounded allocation.
 //
 // Opcode space (16 bits, but metrics tables only distinguish [0, 256)):
 //   0   – 223  service RPCs (core/proto.h, baselines/proto.h)
 //   224 – 239  notify events, pushed server→client in kNotify frames
-//   240 – 255  connection-control RPCs (hello / feature negotiation)
+//   240 – 255  connection-control RPCs (hello, load status)
 //
-// Version negotiation: a v2 client opens a connection with a kCtlHello
-// *request* (an ordinary v1-tagged frame, so v1 peers parse it fine and
-// merely answer kUnsupported/kInvalid for the unknown opcode) advertising
-// its feature bits.  A v2 server intercepts the opcode and replies with its
-// own bits plus its current epoch.  Frames are version-tagged with the
-// minimum version required to interpret them — request/response with no
-// deadline budget and default (foreground) priority stay v1, kNotify is v2,
-// and only frames that actually carry the overload-control extension are
-// tagged v3 — so both sides degrade to v1 behaviour against an old peer
-// with no flag-day upgrade.  A client sends v3 frames only after the hello
-// reply granted kFeatureDeadline (net/tcp.cc captures the grant).
+// Every peer is built from this tree, so there is one frame layout and no
+// version negotiation.  The kCtlHello request that may open a connection
+// only names the connection's client id and, with kFeatureNotify, asks the
+// server to make the connection that client's notify session.
 #pragma once
 
 #include <cstdint>
@@ -61,21 +53,11 @@ namespace loco::net::wire {
 
 inline constexpr std::uint32_t kMagic = 0x4C4F434Fu;  // "LOCO"
 inline constexpr std::uint8_t kVersion = 3;
-// Oldest version DecodeHeader still accepts (v1 lacks kNotify and hello).
-inline constexpr std::uint8_t kMinVersion = 1;
-// Frames that need the notify plane (push frames) are tagged v2.
-inline constexpr std::uint8_t kNotifyVersion = 2;
-inline constexpr std::size_t kHeaderBytes = 29;
-// v3 header: the v1 layout plus the 8-byte deadline budget and 1-byte
-// priority class.  Readers size their peek buffers to the largest header.
-inline constexpr std::size_t kHeaderBytesV3 = 38;
-inline constexpr std::size_t kMaxHeaderBytes = kHeaderBytesV3;
-
-// Header length for a frame tagged `version`.  Unknown future versions fall
-// back to the base length; DecodeHeader rejects them regardless.
-constexpr std::size_t HeaderLen(std::uint8_t version) noexcept {
-  return version >= 3 && version <= kVersion ? kHeaderBytesV3 : kHeaderBytes;
-}
+inline constexpr std::size_t kHeaderBytes = 38;
+// Smallest receive window worth a recv() syscall: below this a receiver asks
+// PinnedFrameReader::RecvInto for a fresh arena chunk instead of filling the
+// tail fragment of the current one.
+inline constexpr std::size_t kMinRecvWindow = 4 * 1024;
 // Default cap on a single frame's payload.  Far above any legitimate
 // metadata message; guards the peer against hostile length fields.
 inline constexpr std::uint32_t kMaxPayloadBytes = 64u << 20;
@@ -99,13 +81,11 @@ inline constexpr std::uint16_t kCtlLoadStatus = 245;
 inline constexpr std::uint16_t kNotifyInvalidate = 224;
 inline constexpr std::uint16_t kNotifyServerUp = 225;
 
-// Feature bits exchanged in the hello.
+// The one hello feature bit: make this connection the client's notify
+// session.  The server grants it only to a hello with a client id.
 inline constexpr std::uint64_t kFeatureNotify = 1ull << 0;
-// Peer understands v3 frames (deadline budget + priority class).  A client
-// must not emit a v3 frame before the hello reply grants this bit.
-inline constexpr std::uint64_t kFeatureDeadline = 1ull << 1;
 
-// Priority classes carried in the v3 header (2-bit field; 3 is reserved).
+// Priority classes carried in the header (2-bit field; 3 is reserved).
 // Foreground is the default serving traffic; background marks housekeeping
 // (GC probes, fsck scans, session keepalives) that admission control sheds
 // first; control marks admin RPCs that must get through under saturation.
@@ -117,14 +97,14 @@ inline constexpr std::uint8_t kPriorityCount = 3;
 // kCtlHello request payload.
 struct Hello {
   std::uint32_t proto_version = kVersion;
-  std::uint64_t features = 0;   // kFeature* bits the client supports
+  std::uint64_t features = 0;   // kFeatureNotify or 0
   std::uint64_t client_id = 0;  // process-unique mount id; 0 = anonymous
 };
 
 // kCtlHello response payload.
 struct HelloReply {
   std::uint32_t proto_version = kVersion;
-  std::uint64_t features = 0;  // bits both sides will use
+  std::uint64_t features = 0;  // kFeatureNotify when granted
   std::uint64_t epoch = 0;     // server incarnation; bumps on restart
 };
 
@@ -140,9 +120,6 @@ struct FrameHeader {
   std::uint64_t trace_id = 0;
   ErrCode code = ErrCode::kOk;  // responses only; requests carry kOk
   std::uint32_t payload_len = 0;
-  // v3 extension (zero / foreground on v1-v2 frames).  A frame is encoded
-  // as v3 exactly when either field departs from its default, so senders
-  // simply leave them zeroed against peers that never granted the feature.
   std::uint64_t deadline_budget_ns = 0;  // remaining caller patience; 0 = none
   std::uint8_t priority = kPriorityForeground;
 };
@@ -157,41 +134,10 @@ std::string EncodeFrame(const FrameHeader& header, std::string_view payload);
 void EncodeFrameInto(const FrameHeader& header, std::string_view payload,
                      std::string* out);
 
-// Decode the header from `bytes`, which must hold the full header for the
-// frame's version — HeaderLen(bytes[4]) bytes; callers peek the version byte
-// once kHeaderBytes are buffered.  kCorruption on bad magic / unsupported
-// version / invalid type, code or priority.
+// Decode the header from the first kHeaderBytes of `bytes`.  kCorruption on
+// a short header, bad magic, any version but kVersion, or an invalid type,
+// code or priority.
 Status DecodeHeader(std::string_view bytes, FrameHeader* out);
-
-struct Frame {
-  FrameHeader header;
-  std::string payload;
-};
-
-// Incremental frame extractor over a byte stream.  Feed arbitrary chunks
-// with Append(); Next() yields complete frames in order and std::nullopt
-// while more bytes are needed.  The first framing violation (bad header,
-// oversized payload) latches status() to an error and Next() stays empty —
-// a corrupt stream cannot resynchronize and the connection must be dropped.
-class FrameReader {
- public:
-  explicit FrameReader(std::uint32_t max_payload = kMaxPayloadBytes)
-      : max_payload_(max_payload) {}
-
-  void Append(std::string_view bytes) { buf_.append(bytes); }
-
-  std::optional<Frame> Next();
-
-  const Status& status() const noexcept { return status_; }
-  // Bytes received but not yet consumed by a completed frame.
-  std::size_t buffered() const noexcept { return buf_.size() - pos_; }
-
- private:
-  std::uint32_t max_payload_;
-  std::string buf_;
-  std::size_t pos_ = 0;
-  Status status_;
-};
 
 // One decoded frame whose payload is a view into the reader's refcounted
 // receive arena.  `payload` stays valid while `pin` is held, so a handler —
@@ -205,18 +151,19 @@ struct PinnedFrame {
   bool zero_copy = false;
 };
 
-// Incremental frame extractor without FrameReader's per-payload copy.  Bytes
-// land directly in refcounted arena chunks — either received in place
-// (RecvInto/Commit) or appended by transports that must receive elsewhere
-// (io_uring registered buffers) — and Next() yields payload views pinned
-// into those chunks.  A chunk returns to the internal pool once the reader
-// has consumed it and every handler has dropped its pin (use_count == 1),
-// so steady-state traffic recycles a handful of chunks with no allocation.
-// Same latching error contract as FrameReader: the first framing violation
-// poisons the stream and the connection must be dropped.
+// Incremental frame extractor over a byte stream, used by every receiver
+// (server loop, client reactor, notify listener).  recv() lands directly in
+// refcounted arena chunks (RecvInto/Commit) and Next() yields complete
+// frames in order — payload views pinned into those chunks — and
+// std::nullopt while more bytes are needed.  A chunk returns to the internal
+// pool once the reader has consumed it and every holder has dropped its pin
+// (use_count == 1), so steady-state traffic recycles a handful of chunks
+// with no allocation.  The first framing violation (bad header, oversized
+// payload) latches status() to an error and Next() stays empty: a corrupt
+// stream cannot resynchronize and the connection must be dropped.
 //
-// Single-threaded: one owner drives RecvInto/Commit/Append/Next.  Only the
-// pins it hands out may cross threads.
+// Single-threaded: one owner drives RecvInto/Commit/Next.  Only the pins it
+// hands out may cross threads.
 class PinnedFrameReader {
  public:
   explicit PinnedFrameReader(std::uint32_t max_payload = kMaxPayloadBytes,
@@ -228,9 +175,6 @@ class PinnedFrameReader {
   char* RecvInto(std::size_t min_bytes, std::size_t* capacity);
   // Publish `n` bytes received into the last RecvInto region.
   void Commit(std::size_t n);
-  // Copy path: append bytes received in a foreign buffer.  Decode stays
-  // view-based; only this ingest copies.
-  void Append(std::string_view bytes);
 
   std::optional<PinnedFrame> Next();
 

@@ -1,17 +1,75 @@
 // core::Connect facade tests: the --connect spec grammar, the canonical node
-// id assignment, the notify-plane wiring, and mount-scoped client ids.
+// id assignment, the notify-plane wiring, mount-scoped client ids, and the
+// overload-control fields a mount puts on the wire.
 #include "core/connect.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
+#include "common/clock.h"
 #include "core/dms.h"
 #include "net/tcp.h"
+#include "net/wire.h"
 
 namespace loco::core {
 namespace {
+
+constexpr std::uint16_t kEchoOp = 7;
+constexpr std::uint16_t kGateOp = 100;
+
+// Echoes payloads; kGateOp blocks in the handler until Release().  Behind a
+// one-worker server it wedges the worker, so every later call queues.
+class GateHandler final : public net::RpcHandler {
+ public:
+  net::RpcResponse Handle(std::uint16_t opcode,
+                          std::string_view payload) override {
+    if (opcode == kGateOp) {
+      std::unique_lock<std::mutex> lock(mu_);
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+      return net::RpcResponse{ErrCode::kOk, {}};
+    }
+    echoes_.fetch_add(1, std::memory_order_relaxed);
+    return net::RpcResponse{ErrCode::kOk, std::string(payload)};
+  }
+
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+  int echoes() const noexcept {
+    return echoes_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+  std::atomic<int> echoes_{0};
+};
+
+net::RpcResponse BlockingCall(net::Channel& channel, net::NodeId node,
+                              std::uint16_t opcode, std::string payload,
+                              net::CallMeta meta = {}) {
+  net::RpcResponse out;
+  channel.CallAsyncMeta(node, opcode, std::move(payload), meta,
+                        [&out](net::RpcResponse r) { out = std::move(r); });
+  return out;  // TCP channels complete inline
+}
 
 TEST(ConnectSpecTest, ParsesRolesInAnyOrder) {
   auto opts = ClientOptions::FromSpec(
@@ -144,7 +202,83 @@ TEST(ConnectTest, NotifyMountWiresListenerAndFanout) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(server.notify_sessions(), 1u);
-  EXPECT_FALSE(mount->listeners[0]->degraded());
+  for (int i = 0; i < 500 && !mount->listeners[0]->connected(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(mount->listeners[0]->connected());
+}
+
+TEST(ConnectTest, MountCallsCarryDeadlineAndPriorityOnTheWire) {
+  // A mount's pooled connections say hello with its client id, and every
+  // call on them must still carry its deadline budget and priority class,
+  // so a wedged server drops work whose caller gave up and queues
+  // background work as background (docs/OVERLOAD.md).
+  GateHandler handler;
+  net::TcpServer::Options server_options;
+  server_options.workers = 1;
+  net::TcpServer server(&handler, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string addr =
+      server.host() + ":" + std::to_string(server.port());
+  ClientOptions opts;
+  opts.dms = {addr};
+  opts.fms = {addr};
+  opts.object_stores = {addr};
+  opts.WithNotify(false);
+  auto mount = Connect(opts);
+  ASSERT_TRUE(mount.ok()) << mount.status().ToString();
+  const net::NodeId node = mount->config.fms[0];
+  ASSERT_EQ(BlockingCall(mount->rpc(), node, kEchoOp, "warm").code,
+            ErrCode::kOk);
+
+  // Wedge the one worker from a channel of its own.
+  net::TcpChannel gate_channel;
+  gate_channel.Register(1, server.host(), server.port());
+  std::thread gate([&] {
+    EXPECT_EQ(BlockingCall(gate_channel, 1, kGateOp, {}).code, ErrCode::kOk);
+  });
+  handler.WaitEntered();
+
+  // A 20 ms call queued behind the wedge: the caller gives up...
+  const std::uint64_t expired_before = server.expired_dropped_count();
+  net::CallMeta short_meta;
+  short_meta.deadline_ns = 20 * common::kMilli;
+  EXPECT_EQ(
+      BlockingCall(mount->rpc(), node, kEchoOp, "late", short_meta).code,
+      ErrCode::kTimeout);
+
+  // A background call queues in the background class.
+  net::CallMeta bg_meta;
+  bg_meta.priority = net::Priority::kBackground;
+  net::RpcResponse bg;
+  std::thread bg_thread([&] {
+    bg = BlockingCall(mount->rpc(), node, kEchoOp, "bg", bg_meta);
+  });
+  net::TcpChannel probe;
+  probe.Register(1, server.host(), server.port());
+  net::LoadStatus load;
+  for (int i = 0; i < 2500; ++i) {
+    const net::RpcResponse r =
+        BlockingCall(probe, 1, net::wire::kCtlLoadStatus, {});
+    ASSERT_TRUE(net::DecodeLoadStatus(r.payload, &load).ok());
+    if (load.queued_foreground + load.queued_background >= 2) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(load.queued_foreground, 1u);  // the abandoned call
+  EXPECT_EQ(load.queued_background, 1u);
+
+  handler.Release();
+  gate.join();
+  bg_thread.join();
+  EXPECT_EQ(bg.code, ErrCode::kOk);
+  // ...and the server drops its call unexecuted rather than run it for an
+  // absent caller.
+  for (int i = 0; i < 2500 && server.expired_dropped_count() == expired_before;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(server.expired_dropped_count(), expired_before + 1);
+  EXPECT_EQ(handler.echoes(), 2);  // "warm" and "bg", never "late"
 }
 
 }  // namespace

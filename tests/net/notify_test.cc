@@ -1,10 +1,15 @@
-// Notify-plane tests: event codecs, hello negotiation (and the permanent
-// degrade against a server without the feature), sequence-gap resync,
-// duplicate suppression, reconnect behaviour, and the notify fault hooks.
+// Notify-plane tests: event codecs, the hello (and redial with backoff when
+// a server refuses it), sequence-gap resync, duplicate suppression,
+// reconnect behaviour, and the notify fault hooks.
 #include "net/notify.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <thread>
@@ -113,7 +118,6 @@ TEST(NotifyListenerTest, NegotiatesAndReceivesPushesInOrder) {
   ASSERT_TRUE(listener.Start().ok());
   ASSERT_TRUE(log.Await([&] { return listener.connected(); }));
   EXPECT_EQ(listener.epoch(), 5u);
-  EXPECT_FALSE(listener.degraded());
 
   // Targeted pushes arrive in order; a push to an unknown client reports
   // false so the caller can drop its per-client state.
@@ -153,23 +157,106 @@ TEST(NotifyListenerTest, NegotiatesAndReceivesPushesInOrder) {
   EXPECT_EQ(log.Count(NotifyEvent::Kind::kResync), 0u);
 }
 
-TEST(NotifyListenerTest, DegradesAgainstServerWithoutNotifyFeature) {
-  NullHandler handler;
-  TcpServer::Options server_options;
-  server_options.features = 0;  // v2 server, feature disabled
-  TcpServer server(&handler, server_options);
-  ASSERT_TRUE(server.Start().ok());
+// A stub server that answers every connection's first frame (the hello)
+// with an error response and closes, recording when each connection came.
+class RefusingHelloServer {
+ public:
+  RefusingHelloServer() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    struct sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<struct sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(fd_, reinterpret_cast<struct sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    ::listen(fd_, 8);
+    thread_ = std::thread([this] {
+      for (;;) {
+        const int conn = ::accept(fd_, nullptr, nullptr);
+        if (conn < 0) return;  // listener closed
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          accepted_at_.push_back(std::chrono::steady_clock::now());
+        }
+        Refuse(conn);
+        ::close(conn);
+      }
+    });
+  }
+  ~RefusingHelloServer() {
+    ::shutdown(fd_, SHUT_RDWR);
+    ::close(fd_);
+    thread_.join();
+  }
+  std::uint16_t port() const { return port_; }
+  std::vector<std::chrono::steady_clock::time_point> accepted_at() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return accepted_at_;
+  }
+  int refused() const { return refused_.load(); }
 
+ private:
+  void Refuse(int conn) {
+    struct timeval tv{5, 0};  // a missing hello fails the test, never hangs it
+    ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    wire::PinnedFrameReader reader;
+    for (;;) {
+      if (auto hello = reader.Next()) {
+        wire::FrameHeader h = hello->header;
+        h.type = wire::FrameType::kResponse;
+        h.code = ErrCode::kUnsupported;
+        const std::string reply = wire::EncodeFrame(h, "");
+        (void)::send(conn, reply.data(), reply.size(), MSG_NOSIGNAL);
+        refused_.fetch_add(1);
+        return;
+      }
+      std::size_t capacity = 0;
+      char* dst = reader.RecvInto(wire::kMinRecvWindow, &capacity);
+      const ssize_t n = ::recv(conn, dst, capacity, 0);
+      if (n <= 0) return;
+      reader.Commit(static_cast<std::size_t>(n));
+    }
+  }
+
+  int fd_ = -1;
+  std::uint16_t port_ = 0;
+  mutable std::mutex mu_;
+  std::vector<std::chrono::steady_clock::time_point> accepted_at_;
+  std::atomic<int> refused_{0};
+  std::thread thread_;
+};
+
+TEST(NotifyListenerTest, RefusedHelloRedialsWithBackoff) {
+  // A refused hello is handled like a failed connect: close, back off,
+  // redial.  The listener never reports a stream it does not have.
+  RefusingHelloServer stub;
+  NotifyListener::Options options;
+  options.host = "127.0.0.1";
+  options.port = stub.port();
+  options.client_id = 42;
+  options.backoff_base_ns = 10 * common::kMilli;
+  options.backoff_cap_ns = 100 * common::kMilli;
   EventLog log;
-  NotifyListener listener(ListenerOptions(server, 42),
+  NotifyListener listener(options,
                           [&log](const NotifyEvent& e) { log.Add(e); });
   ASSERT_TRUE(listener.Start().ok());
-  ASSERT_TRUE(log.Await([&] { return listener.degraded(); }));
+  bool ever_connected = false;
+  ASSERT_TRUE(log.Await([&] {
+    ever_connected = ever_connected || listener.connected();
+    return stub.refused() >= 4;
+  }));
+  listener.Stop();
+  EXPECT_FALSE(ever_connected);
   EXPECT_FALSE(listener.connected());
-  // Degrading is permanent and announced as a stream-down: leases are the
-  // only staleness bound from here on.
-  EXPECT_GE(log.Count(NotifyEvent::Kind::kStreamDown), 1u);
-  EXPECT_EQ(server.notify_sessions(), 0u);
+  EXPECT_TRUE(log.Snapshot().empty()) << "no stream, so no stream events";
+  // Each failed cycle doubles the backoff from the 10 ms base: the waits
+  // before redials 2, 3 and 4 are at least 20, 40 and 80 ms.
+  const auto at = stub.accepted_at();
+  ASSERT_GE(at.size(), 4u);
+  EXPECT_GE(at[3] - at[0], std::chrono::milliseconds(140));
 }
 
 TEST(NotifyListenerTest, ReconnectAfterServerRestartForcesResync) {

@@ -81,10 +81,8 @@ RpcResponse BlockingCall(Channel& ch, NodeId node, std::uint16_t opcode,
   return out;  // TcpChannel completes inline
 }
 
-// A channel whose hello handshake has demonstrably finished: the first
-// response is processed after the hello reply on the same connection, so
-// once it returns the channel knows the server's feature grant and stamps
-// priority / deadline extensions on subsequent frames.
+// A channel with an open connection of its own, on which the echo opcode
+// has run once.
 std::unique_ptr<TcpChannel> WarmChannel(const TcpServer& server) {
   auto channel = std::make_unique<TcpChannel>();
   channel->Register(1, server.host(), server.port());

@@ -268,11 +268,11 @@ TEST(TcpTest, GarbageResponseIsCorruption) {
   RawResponder responder(std::string(64, 'Z'));  // wrong magic
   TcpChannelOptions options;
   options.connect_attempts = 1;
-  // No hello: the responder reads exactly one blob and answers it, and the
-  // fire-and-forget hello would race the request for that single read (the
-  // responder could reply-and-close before the request send completes,
-  // surfacing kUnavailable instead of the decode verdict under test).
-  options.features = 0;
+  // Anonymous (client_id 0), so no hello: the responder reads exactly one
+  // blob and answers it, and a fire-and-forget hello would race the request
+  // for that single read (the responder could reply-and-close before the
+  // request send completes, surfacing kUnavailable instead of the decode
+  // verdict under test).
   TcpChannel channel(options);
   channel.Register(1, "127.0.0.1", responder.port());
 
@@ -338,6 +338,27 @@ TEST(TcpTest, OversizedRequestPayloadRejectedClientSide) {
 
   const RpcResponse r = BlockingCall(channel, 1, 7, std::string(4096, 'x'));
   EXPECT_EQ(r.code, ErrCode::kInvalid);
+}
+
+TEST(TcpTest, LargePayloadSpansArenaChunks) {
+  // A payload many arena chunks long arrives over many recv() calls on both
+  // sides (server loop and client reactor) and must reassemble byte-exactly
+  // in the pinned readers.
+  EchoHandler handler;
+  TcpServer::Options options;
+  options.workers = 2;
+  TcpServer server(&handler, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+  std::string big(512 * 1024, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>('a' + (i % 23));
+  }
+  const RpcResponse r = BlockingCall(channel, 1, 7, big);
+  ASSERT_EQ(r.code, ErrCode::kOk);
+  EXPECT_EQ(r.payload, big);
 }
 
 // A loopback connect() to a dead port inside the ephemeral range can hit
@@ -814,13 +835,15 @@ void SendRequest(int fd, std::uint16_t opcode, std::uint64_t request_id,
             static_cast<ssize_t>(bytes.size()));
 }
 
-std::optional<wire::Frame> ReadResponse(int fd, wire::FrameReader& reader) {
-  char buf[4096];
+std::optional<wire::PinnedFrame> ReadResponse(int fd,
+                                              wire::PinnedFrameReader& reader) {
   for (;;) {
     if (auto frame = reader.Next()) return frame;
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    std::size_t capacity = 0;
+    char* dst = reader.RecvInto(wire::kMinRecvWindow, &capacity);
+    const ssize_t n = ::recv(fd, dst, capacity, 0);
     if (n <= 0) return std::nullopt;
-    reader.Append(std::string_view(buf, static_cast<std::size_t>(n)));
+    reader.Commit(static_cast<std::size_t>(n));
   }
 }
 
@@ -840,7 +863,7 @@ TEST(TcpWorkerPoolTest, LoopRunReplyWaitsForEarlierWorkerReply) {
   ASSERT_TRUE(WarmUntilLoopRun(channel, server));
 
   const int fd = DialServer(server);
-  wire::FrameReader reader;
+  wire::PinnedFrameReader reader;
   bool looped = false;
   std::uint64_t id = 0;
   for (int round = 1; round <= 5 && !looped; ++round) {
@@ -860,8 +883,8 @@ TEST(TcpWorkerPoolTest, LoopRunReplyWaitsForEarlierWorkerReply) {
         << "the echo's reply overtook the parked request's";
 
     handler.Open();
-    const std::optional<wire::Frame> first = ReadResponse(fd, reader);
-    const std::optional<wire::Frame> second = ReadResponse(fd, reader);
+    const std::optional<wire::PinnedFrame> first = ReadResponse(fd, reader);
+    const std::optional<wire::PinnedFrame> second = ReadResponse(fd, reader);
     ASSERT_TRUE(first.has_value());
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(first->header.request_id, parked_id);
@@ -958,7 +981,8 @@ TEST(TcpFanOutTest, BurstToOneServerGetsTwoWorkers) {
 // time: it echoes each request's payload, answers every `burst` requests
 // together in reverse arrival order, and closes the connection instead of
 // answering request number `close_at` (counted across connections from 1;
-// 0 = never).  Talk to it with features = 0: it does not speak the hello.
+// 0 = never).  Talk to it with an anonymous channel (client_id 0, so no
+// hello): it does not speak the hello.
 class FramedResponder {
  public:
   FramedResponder(std::size_t burst, std::uint64_t close_at)
@@ -995,13 +1019,14 @@ class FramedResponder {
 
  private:
   void Serve(int conn) {
-    wire::FrameReader reader;
-    std::vector<wire::Frame> held;
-    char buf[4096];
+    wire::PinnedFrameReader reader;
+    std::vector<wire::PinnedFrame> held;
     for (;;) {
-      const ssize_t n = ::recv(conn, buf, sizeof(buf), 0);
+      std::size_t capacity = 0;
+      char* dst = reader.RecvInto(wire::kMinRecvWindow, &capacity);
+      const ssize_t n = ::recv(conn, dst, capacity, 0);
       if (n <= 0) return;
-      reader.Append(std::string_view(buf, static_cast<std::size_t>(n)));
+      reader.Commit(static_cast<std::size_t>(n));
       while (auto frame = reader.Next()) {
         if (requests_.fetch_add(1) + 1 == close_at_) return;
         held.push_back(std::move(*frame));
@@ -1030,9 +1055,7 @@ class FramedResponder {
 
 TEST(TcpFanOutTest, LegsToOneServerShareOneConnectionAndCorrelate) {
   FramedResponder responder(/*burst=*/8, /*close_at=*/0);
-  TcpChannelOptions options;
-  options.features = 0;
-  TcpChannel channel(options);
+  TcpChannel channel;
   channel.Register(1, "127.0.0.1", responder.port());
 
   // The responder answers only once all eight legs arrived, last one first:
@@ -1058,9 +1081,7 @@ TEST(TcpFanOutTest, StaleLegRetriedOnFreshConnectionSiblingKept) {
   TcpServer one(&handler);
   ASSERT_TRUE(one.Start().ok());
   FramedResponder two(/*burst=*/1, /*close_at=*/2);
-  TcpChannelOptions options;
-  options.features = 0;
-  TcpChannel channel(options);
+  TcpChannel channel;
   channel.Register(1, one.host(), one.port());
   channel.Register(2, "127.0.0.1", two.port());
   ASSERT_EQ(BlockingCall(channel, 1, 7, "warm").code, ErrCode::kOk);
@@ -1092,187 +1113,6 @@ TEST(TcpFanOutTest, UnknownServerFailsOnlyItsOwnLeg) {
   EXPECT_EQ(rs[1].code, ErrCode::kOk);
   EXPECT_EQ(rs[1].payload, "here");
   EXPECT_TRUE(BlockingFanOut(channel, {}).empty());
-}
-
-// ---------------------------------------------------------------------------
-// io_uring backend, in-process.  The uring loop shares decode/dispatch/encode
-// with epoll, so the channel-visible contract must be identical; when the
-// kernel or build lacks io_uring, Start() falls back to epoll and these
-// skip (the fallback itself is asserted observable via its counter).
-// These also run under ASan/TSan through net_test in scripts/tier1.sh.
-// ---------------------------------------------------------------------------
-
-bool StartOnUring(TcpServer& server) {
-  EXPECT_TRUE(server.Start().ok());
-  return std::string_view(server.io_backend_name()) == "uring";
-}
-
-TEST(TcpUringTest, RoundtripAndErrorsOnUringLoop) {
-  EchoHandler handler;
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  TcpServer server(&handler, options);
-  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
-
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  for (int i = 0; i < 50; ++i) {
-    const std::string payload = "u" + std::to_string(i);
-    const RpcResponse r = BlockingCall(channel, 1, 7, payload);
-    ASSERT_EQ(r.code, ErrCode::kOk);
-    ASSERT_EQ(r.payload, payload);
-  }
-  EXPECT_EQ(BlockingCall(channel, 1, 201, "").code, ErrCode::kNotFound);
-  EXPECT_EQ(server.requests_served(), 51u);
-}
-
-TEST(TcpUringTest, PipelinedBurstAcrossWorkersCorrelates) {
-  RecordingHandler handler;  // opcode 50 sleeps, 51 returns immediately
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  options.workers = 2;
-  TcpServer server(&handler, options);
-  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
-
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  const std::vector<RpcResponse> rs =
-      BlockingFanOut(channel, {{1, 50, "slow"}, {1, 51, "fast"}});
-  ASSERT_EQ(rs.size(), 2u);
-  EXPECT_EQ(rs[0].payload, "slow");
-  EXPECT_EQ(rs[1].payload, "fast");
-  const std::vector<std::string> order = handler.finished();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], "fast") << "uring loop must still dispatch to the pool";
-}
-
-TEST(TcpUringTest, WarmCheapOpcodeRunsOnTheUringLoop) {
-  EchoHandler handler;
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  options.workers = 2;
-  TcpServer server(&handler, options);
-  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  EXPECT_TRUE(WarmUntilLoopRun(channel, server));
-}
-
-TEST(TcpUringTest, ConcurrentClientStormAllCallsSucceed) {
-  EchoHandler handler;
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  options.workers = 4;
-  TcpServer server(&handler, options);
-  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
-
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&channel, &failures, t] {
-      for (int i = 0; i < 25; ++i) {
-        const std::string payload =
-            "ut" + std::to_string(t) + "-" + std::to_string(i);
-        const RpcResponse r = BlockingCall(channel, 1, 7, payload);
-        if (r.code != ErrCode::kOk || r.payload != payload) {
-          failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(server.requests_served(), 100u);
-}
-
-TEST(TcpUringTest, LargePayloadSpansRegisteredBuffers) {
-  // Payloads larger than one registered buffer arrive across many recv
-  // completions and must reassemble byte-exactly in the pinned reader.
-  EchoHandler handler;
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  TcpServer server(&handler, options);
-  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
-
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  std::string big(512 * 1024, '\0');
-  for (std::size_t i = 0; i < big.size(); ++i) {
-    big[i] = static_cast<char>('a' + (i % 23));
-  }
-  const RpcResponse r = BlockingCall(channel, 1, 7, big);
-  ASSERT_EQ(r.code, ErrCode::kOk);
-  EXPECT_EQ(r.payload, big);
-}
-
-TEST(TcpUringTest, CorruptClientStreamDroppedOthersKeepServing) {
-  EchoHandler handler;
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  TcpServer server(&handler, options);
-  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
-
-  {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    struct sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(server.port());
-    ASSERT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-    const std::string garbage(64, 'G');
-    ASSERT_GT(::send(fd, garbage.data(), garbage.size(), MSG_NOSIGNAL), 0);
-    char buf[16];
-    EXPECT_EQ(::recv(fd, buf, sizeof(buf), 0), 0);
-    ::close(fd);
-  }
-
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  EXPECT_EQ(BlockingCall(channel, 1, 7, "still-alive").code, ErrCode::kOk);
-}
-
-TEST(TcpUringTest, StopWhileClientsConnectedShutsDownCleanly) {
-  EchoHandler handler;
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  options.workers = 2;
-  TcpServer server(&handler, options);
-  if (!StartOnUring(server)) GTEST_SKIP() << "io_uring unavailable";
-
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  ASSERT_EQ(BlockingCall(channel, 1, 7, "warm").code, ErrCode::kOk);
-  server.Stop();  // live connection + armed recv must not hang teardown
-  EXPECT_EQ(BlockingCall(channel, 1, 7, "x").code, ErrCode::kUnavailable);
-}
-
-TEST(TcpUringTest, FallbackIsObservableViaCounterAndBackendName) {
-  // Whichever way Start() resolves, the chosen backend is observable:
-  // either the name says "uring" or the fallback counter ticked.
-  auto& registry = common::MetricsRegistry::Default();
-  const std::uint64_t before =
-      registry.CounterValue("rpc.tcp_server.uring.fallbacks");
-  EchoHandler handler;
-  TcpServer::Options options;
-  options.io_backend = IoBackend::kUring;
-  TcpServer server(&handler, options);
-  ASSERT_TRUE(server.Start().ok());
-  // Serve one call before reading any counter: the loop thread submits its
-  // first SQEs after Start() returns, and either backend must serve.
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  EXPECT_EQ(BlockingCall(channel, 1, 7, "fb").code, ErrCode::kOk);
-  if (std::string_view(server.io_backend_name()) == "uring") {
-    EXPECT_EQ(registry.CounterValue("rpc.tcp_server.uring.fallbacks"), before);
-    EXPECT_GT(registry.CounterValue("rpc.tcp_server.uring.sqes"), 0u);
-  } else {
-    EXPECT_EQ(registry.CounterValue("rpc.tcp_server.uring.fallbacks"),
-              before + 1);
-  }
 }
 
 }  // namespace

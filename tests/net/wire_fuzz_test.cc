@@ -1,4 +1,5 @@
-// Property/fuzz tests for wire::FrameReader (deterministic, seed-driven).
+// Property/fuzz tests for wire::PinnedFrameReader (deterministic,
+// seed-driven), the frame reader of every daemon and client.
 //
 // The reader is the only code that touches attacker-controlled bytes before
 // authentication of any kind, so it must never crash, over-read, or allocate
@@ -15,6 +16,7 @@
 
 #include "common/rng.h"
 #include "net/wire.h"
+#include "support/pinned_feed.h"
 
 namespace loco::net::wire {
 namespace {
@@ -28,6 +30,12 @@ FrameHeader RequestHeader(std::uint16_t opcode, std::uint64_t request_id) {
   return h;
 }
 
+// A frame as the sender built it.
+struct SentFrame {
+  FrameHeader header;
+  std::string payload;
+};
+
 std::string RandomPayload(common::Rng& rng, std::size_t max_len) {
   std::string payload(rng.Uniform(max_len + 1), '\0');
   for (char& c : payload) c = static_cast<char>(rng.Uniform(256));
@@ -36,15 +44,16 @@ std::string RandomPayload(common::Rng& rng, std::size_t max_len) {
 
 // Feed `bytes` to a fresh reader in chunks chosen by `rng`; collect every
 // frame it yields.  Exercises all resume points of the incremental decoder.
-std::vector<Frame> DrainChunked(common::Rng& rng, const std::string& bytes,
-                                Status* final_status) {
-  FrameReader reader;
-  std::vector<Frame> frames;
+std::vector<PinnedFrame> DrainChunked(common::Rng& rng,
+                                      const std::string& bytes,
+                                      Status* final_status) {
+  PinnedFrameReader reader;
+  std::vector<PinnedFrame> frames;
   std::size_t pos = 0;
   while (pos < bytes.size()) {
     const std::size_t len =
         1 + rng.Uniform(std::min<std::size_t>(bytes.size() - pos, 97));
-    reader.Append(std::string_view(bytes).substr(pos, len));
+    FeedPinned(reader, std::string_view(bytes).substr(pos, len), len);
     pos += len;
     while (auto frame = reader.Next()) frames.push_back(std::move(*frame));
     if (!reader.status().ok()) break;
@@ -56,11 +65,11 @@ std::vector<Frame> DrainChunked(common::Rng& rng, const std::string& bytes,
 TEST(WireFuzzTest, ValidFramesSurviveArbitraryChunking) {
   common::Rng rng(0xF00D);
   for (int round = 0; round < 50; ++round) {
-    std::vector<Frame> sent;
+    std::vector<SentFrame> sent;
     std::string stream;
     const int count = 1 + static_cast<int>(rng.Uniform(8));
     for (int i = 0; i < count; ++i) {
-      Frame f;
+      SentFrame f;
       f.header = RequestHeader(static_cast<std::uint16_t>(rng.Uniform(512)),
                                rng.Next());
       f.payload = RandomPayload(rng, 4096);
@@ -68,7 +77,7 @@ TEST(WireFuzzTest, ValidFramesSurviveArbitraryChunking) {
       sent.push_back(std::move(f));
     }
     Status status;
-    const std::vector<Frame> got = DrainChunked(rng, stream, &status);
+    const std::vector<PinnedFrame> got = DrainChunked(rng, stream, &status);
     ASSERT_TRUE(status.ok()) << "round " << round;
     ASSERT_EQ(got.size(), sent.size()) << "round " << round;
     for (std::size_t i = 0; i < sent.size(); ++i) {
@@ -82,15 +91,15 @@ TEST(WireFuzzTest, ValidFramesSurviveArbitraryChunking) {
 
 TEST(WireFuzzTest, SingleByteFeedingYieldsSameFrames) {
   common::Rng rng(0xBEEF);
-  Frame f;
+  SentFrame f;
   f.header = RequestHeader(7, 1234567);
   f.payload = RandomPayload(rng, 256);
   const std::string bytes = EncodeFrame(f.header, f.payload);
 
-  FrameReader reader;
-  std::vector<Frame> got;
+  PinnedFrameReader reader;
+  std::vector<PinnedFrame> got;
   for (char c : bytes) {
-    reader.Append(std::string_view(&c, 1));
+    FeedPinned(reader, std::string_view(&c, 1), 1);
     while (auto frame = reader.Next()) got.push_back(std::move(*frame));
   }
   ASSERT_TRUE(reader.status().ok());
@@ -103,7 +112,8 @@ TEST(WireFuzzTest, RandomGarbageNeverCrashesAndUsuallyLatches) {
   for (int round = 0; round < 200; ++round) {
     const std::string garbage = RandomPayload(rng, 2048);
     Status status;
-    const std::vector<Frame> frames = DrainChunked(rng, garbage, &status);
+    const std::vector<PinnedFrame> frames =
+        DrainChunked(rng, garbage, &status);
     // Random bytes essentially never form a valid magic, so any fully decoded
     // frame is a bug; the reader must either wait for more bytes (ok status,
     // no frames) or latch kCorruption.  Either way: no crash, no UB.
@@ -116,7 +126,7 @@ TEST(WireFuzzTest, RandomGarbageNeverCrashesAndUsuallyLatches) {
 
 TEST(WireFuzzTest, BitFlippedHeadersLatchCorruption) {
   common::Rng rng(0xC0FFEE);
-  Frame f;
+  SentFrame f;
   f.header = RequestHeader(9, 42);
   f.payload = "payload-bytes";
   const std::string good = EncodeFrame(f.header, f.payload);
@@ -132,7 +142,8 @@ TEST(WireFuzzTest, BitFlippedHeadersLatchCorruption) {
       std::string bytes = good;
       bytes[offset] = static_cast<char>(bytes[offset] ^ (1 << bit));
       Status status;
-      const std::vector<Frame> frames = DrainChunked(rng, bytes, &status);
+      const std::vector<PinnedFrame> frames =
+          DrainChunked(rng, bytes, &status);
       if (!status.ok()) {
         EXPECT_EQ(status.code(), ErrCode::kCorruption);
         EXPECT_TRUE(frames.empty());
@@ -160,17 +171,17 @@ TEST(WireFuzzTest, OversizedLengthLatchesWithoutAllocating) {
   bytes[27] = static_cast<char>((huge >> 16) & 0xFF);
   bytes[28] = static_cast<char>((huge >> 24) & 0xFF);
 
-  FrameReader reader(/*max_payload=*/1024);
-  reader.Append(bytes);
+  PinnedFrameReader reader(/*max_payload=*/1024);
+  FeedPinned(reader, bytes, bytes.size());
   EXPECT_FALSE(reader.Next().has_value());
   ASSERT_FALSE(reader.status().ok());
   EXPECT_EQ(reader.status().code(), ErrCode::kCorruption);
   // The reader must not have buffered gigabytes waiting for a payload it
-  // already rejected; it holds at most what we appended.
+  // already rejected; it holds at most what we fed it.
   EXPECT_LE(reader.buffered(), bytes.size());
 
   // Latching is permanent: even a subsequent valid frame stays unread.
-  reader.Append(frame);
+  FeedPinned(reader, frame, frame.size());
   EXPECT_FALSE(reader.Next().has_value());
   EXPECT_EQ(reader.status().code(), ErrCode::kCorruption);
 }
@@ -179,14 +190,14 @@ TEST(WireFuzzTest, PayloadJustOverCapLatches) {
   FrameHeader h = RequestHeader(3, 5);
   const std::string payload(1025, 'x');
   const std::string bytes = EncodeFrame(h, payload);
-  FrameReader reader(/*max_payload=*/1024);
-  reader.Append(bytes);
+  PinnedFrameReader reader(/*max_payload=*/1024);
+  FeedPinned(reader, bytes, bytes.size());
   EXPECT_FALSE(reader.Next().has_value());
   EXPECT_EQ(reader.status().code(), ErrCode::kCorruption);
 
   // Exactly at the cap is fine.
-  FrameReader ok_reader(/*max_payload=*/1025);
-  ok_reader.Append(bytes);
+  PinnedFrameReader ok_reader(/*max_payload=*/1025);
+  FeedPinned(ok_reader, bytes, bytes.size());
   auto frame = ok_reader.Next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(frame->payload, payload);
@@ -194,19 +205,19 @@ TEST(WireFuzzTest, PayloadJustOverCapLatches) {
 
 TEST(WireFuzzTest, TruncatedFramesWaitQuietly) {
   common::Rng rng(0x7A57E);
-  Frame f;
+  SentFrame f;
   f.header = RequestHeader(11, 99);
   f.payload = RandomPayload(rng, 512);
   const std::string bytes = EncodeFrame(f.header, f.payload);
   // Every proper prefix must decode to "need more bytes", never an error and
   // never a frame.
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    FrameReader reader;
-    reader.Append(std::string_view(bytes).substr(0, cut));
+    PinnedFrameReader reader;
+    FeedPinned(reader, std::string_view(bytes).substr(0, cut), bytes.size());
     EXPECT_FALSE(reader.Next().has_value()) << "cut " << cut;
     ASSERT_TRUE(reader.status().ok()) << "cut " << cut;
     // Completing the stream always recovers the original frame.
-    reader.Append(std::string_view(bytes).substr(cut));
+    FeedPinned(reader, std::string_view(bytes).substr(cut), bytes.size());
     auto frame = reader.Next();
     ASSERT_TRUE(frame.has_value()) << "cut " << cut;
     EXPECT_EQ(frame->payload, f.payload);
@@ -214,7 +225,8 @@ TEST(WireFuzzTest, TruncatedFramesWaitQuietly) {
 }
 
 // ---- batch envelope corpus -------------------------------------------
-// The batch codecs sit directly behind FrameReader on the server hot path:
+// The batch codecs sit directly behind the frame reader on the server hot
+// path:
 // a decoded frame's payload is handed to DecodeBatchRequest/-Response with
 // no intermediate validation, so the decoders carry the same contract —
 // reject any count/length disagreement, never read past the payload, never
@@ -229,7 +241,7 @@ TEST(WireFuzzTest, BatchRoundTripSurvivesChunkedFraming) {
     const std::string stream =
         EncodeFrame(RequestHeader(48, rng.Next()), EncodeBatchRequest(subops));
     Status status;
-    const std::vector<Frame> frames = DrainChunked(rng, stream, &status);
+    const std::vector<PinnedFrame> frames = DrainChunked(rng, stream, &status);
     ASSERT_TRUE(status.ok()) << "round " << round;
     ASSERT_EQ(frames.size(), 1u) << "round " << round;
     std::vector<std::string_view> decoded;
