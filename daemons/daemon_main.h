@@ -16,7 +16,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -119,6 +118,34 @@ inline std::uint64_t NextEpoch(const std::string& store_dir) {
   return epoch;
 }
 
+// A channel to `endpoints` (node i = endpoints[i]) for a daemon's own calls
+// to its peers: one connect attempt, `deadline` per call.  A malformed
+// endpoint is reported in *bad_spec and left unregistered.
+inline std::unique_ptr<net::TcpChannel> PeerChannel(
+    const std::vector<std::string>& endpoints, std::string* bad_spec,
+    common::Nanos deadline = 5 * common::kSecond) {
+  net::TcpChannelOptions channel_options;
+  channel_options.connect_attempts = 1;
+  channel_options.call_deadline_ns = deadline;
+  auto channel = std::make_unique<net::TcpChannel>(channel_options);
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    std::string host;
+    std::uint16_t port = 0;
+    if (!net::ParseHostPort(endpoints[i], &host, &port)) {
+      *bad_spec = endpoints[i];
+      continue;
+    }
+    channel->Register(static_cast<net::NodeId>(i), host, port);
+  }
+  return channel;
+}
+
+// Housekeeping calls to peers (GC liveness probes, the rename intent
+// resolver) are tagged background so a saturated peer sheds them before any
+// foreground request; the caller just retries on a later step.
+inline constexpr net::CallMeta kHousekeepingMeta{
+    .priority = net::Priority::kBackground};
+
 // Best-effort restart gossip: tell the DMS at `announce_spec` that server
 // `node` came up with `epoch`.  The DMS broadcasts it down every notify
 // stream so clients reset this node's circuit breaker immediately instead of
@@ -126,21 +153,16 @@ inline std::uint64_t NextEpoch(const std::string& store_dir) {
 // probe remains the fallback).
 inline void AnnounceToDms(const char* name, const std::string& announce_spec,
                           std::uint32_t node, std::uint64_t epoch) {
-  std::string host;
-  std::uint16_t port = 0;
-  if (!net::ParseHostPort(announce_spec, &host, &port)) {
+  std::string bad_spec;
+  const auto channel =
+      PeerChannel({announce_spec}, &bad_spec, 2 * common::kSecond);
+  if (!bad_spec.empty()) {
     std::fprintf(stderr, "%s: bad --announce spec '%s' (want host:port)\n",
                  name, announce_spec.c_str());
     return;
   }
-  net::TcpChannelOptions channel_options;
-  channel_options.connect_attempts = 1;
-  channel_options.call_deadline_ns = 2 * common::kSecond;
-  net::TcpChannel channel(channel_options);
-  channel.Register(0, host, port);
-  net::RpcResponse resp;
-  channel.CallAsync(0, core::proto::kDmsAnnounce, fs::Pack(node, epoch),
-                    [&](net::RpcResponse r) { resp = std::move(r); });
+  const net::RpcResponse resp = net::CallBlocking(
+      *channel, 0, core::proto::kDmsAnnounce, fs::Pack(node, epoch));
   if (resp.code != ErrCode::kOk) {
     std::fprintf(stderr, "%s: announce to %s failed (%d)\n", name,
                  announce_spec.c_str(), static_cast<int>(resp.code));
@@ -178,74 +200,6 @@ inline bool ParseGcFlags(const char* name, const std::string& ops_str,
   return true;
 }
 
-// Blocking cross-server liveness probe for the GC detectors: asks every
-// endpoint whether each uuid is still referenced (kDmsCheckUuids /
-// kFmsCheckUuids) and ORs the replies — a uuid is alive if ANY peer claims
-// it.  Any transport or shape error fails the whole probe, which makes the
-// calling detector skip its cycle ("unreachable" must never read as "dead").
-// Owns its TcpChannel, so keep the prober alive as long as the GcManager
-// that captures it.
-class GcUuidProber {
- public:
-  GcUuidProber(std::uint16_t opcode, std::vector<std::string> endpoints)
-      : opcode_(opcode) {
-    net::TcpChannelOptions channel_options;
-    channel_options.connect_attempts = 1;
-    channel_options.call_deadline_ns = 5 * common::kSecond;
-    channel_ = std::make_unique<net::TcpChannel>(channel_options);
-    for (const std::string& spec : endpoints) {
-      std::string host;
-      std::uint16_t port = 0;
-      if (!net::ParseHostPort(spec, &host, &port)) {
-        bad_spec_ = spec;
-        continue;
-      }
-      channel_->Register(static_cast<net::NodeId>(nodes_.size()), host, port);
-      nodes_.push_back(static_cast<net::NodeId>(nodes_.size()));
-    }
-  }
-
-  const std::string& bad_spec() const noexcept { return bad_spec_; }
-  bool empty() const noexcept { return nodes_.empty(); }
-
-  Result<std::vector<std::uint8_t>> operator()(
-      const std::vector<fs::Uuid>& uuids) {
-    std::vector<std::string> entries;
-    entries.reserve(uuids.size());
-    for (const fs::Uuid u : uuids) entries.push_back(fs::Pack(u));
-    const std::string request = fs::Pack(entries);
-    std::vector<std::uint8_t> alive(uuids.size(), 0);
-    // Housekeeping traffic: tagged background so a saturated peer sheds the
-    // probe before any foreground request (the detector just skips a cycle).
-    net::CallMeta meta;
-    meta.priority = net::Priority::kBackground;
-    for (const net::NodeId node : nodes_) {
-      std::promise<net::RpcResponse> done;
-      channel_->CallAsyncMeta(node, opcode_, request, meta,
-                              [&done](net::RpcResponse r) {
-                                done.set_value(std::move(r));
-                              });
-      const net::RpcResponse resp = done.get_future().get();
-      if (resp.code != ErrCode::kOk) {
-        return Status{resp.code, "uuid probe rpc failed"};
-      }
-      if (resp.payload.size() != uuids.size()) {
-        return Status{ErrCode::kCorruption, "uuid probe bitmap size mismatch"};
-      }
-      for (std::size_t i = 0; i < uuids.size(); ++i) {
-        if (resp.payload[i] != '\0') alive[i] = 1;
-      }
-    }
-    return alive;
-  }
-
- private:
-  std::uint16_t opcode_;
-  std::unique_ptr<net::TcpChannel> channel_;
-  std::vector<net::NodeId> nodes_;
-  std::string bad_spec_;
-};
-
 // Split a comma-separated endpoint list ("h1:p1,h2:p2").
 inline std::vector<std::string> SplitEndpoints(const std::string& list) {
   std::vector<std::string> out;
@@ -260,22 +214,64 @@ inline std::vector<std::string> SplitEndpoints(const std::string& list) {
   return out;
 }
 
+// Blocking cross-server liveness probe for the GC detectors: asks every
+// endpoint of `endpoint_list` ("h1:p1,h2:p2") whether each uuid is still
+// referenced (kDmsCheckUuids / kFmsCheckUuids) and ORs the replies — a uuid
+// is alive if ANY peer claims it.  Any transport or shape error fails the
+// whole probe, which makes the calling detector skip its cycle
+// ("unreachable" must never read as "dead").  The probe owns its channel.
+// A malformed endpoint is reported against `flag` and yields no probe.
+inline core::UuidProbe GcUuidProbe(const char* name, const char* flag,
+                                   std::uint16_t opcode,
+                                   const std::string& endpoint_list) {
+  const std::vector<std::string> endpoints = SplitEndpoints(endpoint_list);
+  std::string bad_spec;
+  std::shared_ptr<net::TcpChannel> channel = PeerChannel(endpoints, &bad_spec);
+  if (!bad_spec.empty()) {
+    std::fprintf(stderr, "%s: bad %s spec '%s'\n", name, flag,
+                 bad_spec.c_str());
+    return nullptr;
+  }
+  return [channel, opcode, peers = endpoints.size()](
+             const std::vector<fs::Uuid>& uuids)
+             -> Result<std::vector<std::uint8_t>> {
+    std::vector<std::string> entries;
+    entries.reserve(uuids.size());
+    for (const fs::Uuid u : uuids) entries.push_back(fs::Pack(u));
+    const std::string request = fs::Pack(entries);
+    std::vector<std::uint8_t> alive(uuids.size(), 0);
+    for (std::size_t node = 0; node < peers; ++node) {
+      const net::RpcResponse resp =
+          net::CallBlocking(*channel, static_cast<net::NodeId>(node), opcode,
+                            request, kHousekeepingMeta);
+      if (resp.code != ErrCode::kOk) {
+        return Status{resp.code, "uuid probe rpc failed"};
+      }
+      if (resp.payload.size() != uuids.size()) {
+        return Status{ErrCode::kCorruption, "uuid probe bitmap size mismatch"};
+      }
+      for (std::size_t i = 0; i < uuids.size(); ++i) {
+        if (resp.payload[i] != '\0') alive[i] = 1;
+      }
+    }
+    return alive;
+  };
+}
+
 // Serve `handler` on `listen_spec` ("host:port", port 0 = ephemeral) until
 // SIGINT/SIGTERM, with caller-prepared server options (worker pool size,
 // fault injector, dedup window).  `on_serving`, when set, runs once Start()
 // has succeeded and before the address banner is printed (daemons hook the
-// server into their service — SetNotifier — or announce themselves).
-// `on_stopping`, when set, runs after the signal arrives and BEFORE
-// server.Stop(): anything that samples the server from another thread (the
-// GC load signal) must be stopped here, while the reference is still alive.
-// Returns the process exit code.
+// server into their service — SetNotifier — or announce themselves).  A
+// non-null `gc` starts after it, paced by the server's admission-queue delay
+// (docs/OVERLOAD.md), and stops before the server does: its load signal
+// samples the server.  Returns the process exit code.
 inline int RunDaemon(const char* name, net::RpcHandler* handler,
                      const std::string& listen_spec,
                      const std::string& metrics_out, int workers,
                      net::TcpServer::Options options,
-                     const std::function<void(net::TcpServer&)>& on_serving =
-                         {},
-                     const std::function<void()>& on_stopping = {}) {
+                     const std::function<void(net::TcpServer&)>& on_serving,
+                     core::GcManager* gc) {
   options.workers = workers;
   if (!listen_spec.empty() &&
       !net::ParseHostPort(listen_spec, &options.host, &options.port)) {
@@ -296,6 +292,10 @@ inline int RunDaemon(const char* name, net::RpcHandler* handler,
     return 1;
   }
   if (on_serving) on_serving(server);
+  if (gc != nullptr) {
+    gc->SetLoadSignal([&server] { return server.RecentQueueDelayNs(); });
+    gc->Start();
+  }
   // Harnesses locate the port via the LAST colon on this line, so nothing
   // after it may contain one.
   std::printf("%s: listening on %s:%u (%d workers)\n", name,
@@ -305,7 +305,7 @@ inline int RunDaemon(const char* name, net::RpcHandler* handler,
   while (!internal::g_stop) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  if (on_stopping) on_stopping();
+  if (gc != nullptr) gc->Stop();
   server.Stop();
 
   if (!metrics_out.empty()) {
@@ -320,14 +320,6 @@ inline int RunDaemon(const char* name, net::RpcHandler* handler,
     }
   }
   return 0;
-}
-
-// Back-compat overload with default server options.
-inline int RunDaemon(const char* name, net::RpcHandler* handler,
-                     const std::string& listen_spec,
-                     const std::string& metrics_out, int workers) {
-  return RunDaemon(name, handler, listen_spec, metrics_out, workers,
-                   net::TcpServer::Options{});
 }
 
 }  // namespace loco::daemons

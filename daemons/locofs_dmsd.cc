@@ -33,14 +33,15 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/dms.h"
+#include "core/invariants.h"
 #include "core/proto.h"
 #include "core/shard.h"
 #include "daemon_main.h"
@@ -53,42 +54,29 @@ using namespace loco;
 
 // Resolves aged cross-shard rename intents left behind by crashed clients
 // (docs/SHARDING.md).  Registered as a GC task next to dms-housekeeping.
-// Each step sweeps the local intent log; records older than `age_ns` are
-// driven to completion under the transfer's commit-point rule:
+// Each step sweeps the local intent log; records older than `age_ns` go
+// through the I10 resolution fsck uses (core::ResolveRenameIntent):
 //
-//   outgoing intent (kind 0, this shard is the source):
-//     probe the destination shard for `to` — present with the moved root's
-//     uuid (or the source copy already gone) rolls FORWARD (drop the
-//     destination marker, Finish locally); absent or foreign rolls BACK
-//     (fence the destination with a tombstone FIRST, then Abort locally).
-//     An unreachable destination defers to the next sweep.
+//   outgoing intent (kind 0, this shard is the source): the destination
+//     shard's answer for `to` (kDmsStat) and the local root of `from` decide
+//     the direction (core::RollsForward).  An unreachable destination
+//     defers to the next sweep.
 //
-//   incoming marker (kind 1, this shard is the destination):
-//     purely local — AbortIncoming(purge) decides: a present subtree root
-//     means the commit completed (only the marker drop was lost), so just
-//     the marker goes; an absent root means a partial install, which is
-//     purged.  The source shard's own resolver then observes the outcome
-//     through its probe and finishes or aborts its side independently.
+//   incoming marker (kind 1, this shard is the destination): purely local —
+//     the fence (AbortIncoming with purge) keeps a subtree whose root landed
+//     and purges a partial install.  The source shard's own resolver then
+//     observes the outcome through its probe and finishes or aborts its
+//     side independently.
 class RenameIntentResolver {
  public:
   RenameIntentResolver(core::DirectoryMetadataServer* server,
                        const std::vector<std::string>& peers,
                        std::uint32_t self, std::uint64_t age_ns)
-      : server_(server), shards_(peers.size()), self_(self), age_ns_(age_ns) {
-    net::TcpChannelOptions channel_options;
-    channel_options.connect_attempts = 1;
-    channel_options.call_deadline_ns = 5 * common::kSecond;
-    channel_ = std::make_unique<net::TcpChannel>(channel_options);
-    for (std::size_t i = 0; i < peers.size(); ++i) {
-      std::string host;
-      std::uint16_t port = 0;
-      if (!net::ParseHostPort(peers[i], &host, &port)) {
-        bad_spec_ = peers[i];
-        continue;
-      }
-      channel_->Register(static_cast<net::NodeId>(i), host, port);
-    }
-  }
+      : server_(server),
+        shards_(peers.size()),
+        self_(self),
+        age_ns_(age_ns),
+        channel_(daemons::PeerChannel(peers, &bad_spec_)) {}
 
   const std::string& bad_spec() const noexcept { return bad_spec_; }
 
@@ -100,101 +88,84 @@ class RenameIntentResolver {
     // Age tracking: an intent only becomes actionable once it has sat
     // unresolved for age_ns_ (a live client finishes its 2PC in
     // milliseconds; anything older is abandoned).  Entries that resolved
-    // since the last sweep are forgotten.
+    // are forgotten.
     std::map<std::pair<std::uint8_t, std::uint64_t>, std::uint64_t> seen;
     for (const auto& p : pending) {
       if (p.kind > 1) continue;  // tombstones are permanent fences, not work
       const auto key = std::make_pair(p.kind, p.txid);
       const auto it = first_seen_.find(key);
-      seen[key] = it != first_seen_.end() ? it->second : now;
+      const std::uint64_t first = it != first_seen_.end() ? it->second : now;
+      if (result.ops < budget && now - first >= age_ns_) {
+        ++result.ops;
+        if (Resolve(p)) {
+          ++result.reclaimed;
+          continue;
+        }
+      }
+      seen[key] = first;
     }
     first_seen_ = std::move(seen);
-
-    for (const auto& p : pending) {
-      if (result.ops >= budget) break;
-      if (p.kind > 1) continue;
-      if (now - first_seen_[{p.kind, p.txid}] < age_ns_) continue;
-      ++result.ops;
-      if (p.kind == 1 ? ResolveIncoming(p) : ResolveOutgoing(p)) {
-        ++result.reclaimed;
-        first_seen_.erase({p.kind, p.txid});
-      }
-    }
     return result;
   }
 
  private:
-  // Blocking peer RPC at background priority (a saturated shard sheds the
-  // probe before any foreground request; the resolver just retries later).
-  net::RpcResponse CallPeer(net::NodeId node, std::uint16_t opcode,
-                            std::string payload) {
-    net::CallMeta meta;
-    meta.priority = net::Priority::kBackground;
-    std::promise<net::RpcResponse> done;
-    channel_->CallAsyncMeta(node, opcode, payload, meta,
-                            [&done](net::RpcResponse r) {
-                              done.set_value(std::move(r));
-                            });
-    return done.get_future().get();
+  // Shard `shard`: this server in process, a peer over the channel.
+  net::RpcResponse Call(std::size_t shard, std::uint16_t opcode,
+                        std::string payload) {
+    if (shard == self_) return server_->Handle(opcode, payload);
+    return net::CallBlocking(*channel_, static_cast<net::NodeId>(shard),
+                             opcode, std::move(payload),
+                             daemons::kHousekeepingMeta);
   }
 
-  bool ResolveOutgoing(const core::DirectoryMetadataServer::PendingRename& p) {
-    const auto dst = static_cast<net::NodeId>(shards_.ShardOf(p.to));
-    if (dst == static_cast<net::NodeId>(self_)) return false;
-    // Probes run as root: recovery must see the namespace, not be filtered
-    // by the dead client's permissions.
-    const fs::Identity root{0, 0};
-    net::RpcResponse probe =
-        CallPeer(dst, core::proto::kDmsStat, fs::Pack(p.to, root));
-    if (probe.code == ErrCode::kOk) {
-      fs::Attr dst_attr;
-      if (!fs::Unpack(probe.payload, dst_attr)) return false;
-      net::RpcResponse local =
-          server_->Handle(core::proto::kDmsStat, fs::Pack(p.from, root));
-      fs::Attr src_attr;
-      const bool src_holds = local.code == ErrCode::kOk &&
-                             fs::Unpack(local.payload, src_attr);
-      if (src_holds && !(src_attr.uuid == dst_attr.uuid)) {
-        // A foreign directory occupies the destination: roll back.
-        return RollBack(p, dst);
-      }
-      // Our subtree landed (or the source copy is already gone, i.e. a
-      // crash mid-Finish): roll forward.
-      (void)CallPeer(dst, core::proto::kDmsAbortIncoming,
-                     fs::Pack(p.txid, std::uint8_t{0}));
-      return server_->Handle(core::proto::kDmsRenameFinish, fs::Pack(p.txid))
-                 .code == ErrCode::kOk;
+  // The uuid of the directory at `path` on `shard`, or nullopt when there is
+  // none; false when the shard gave no usable answer.  Probes run as root:
+  // recovery must see the namespace, not be filtered by the dead client's
+  // permissions.
+  bool DirUuid(std::size_t shard, const std::string& path,
+               std::optional<fs::Uuid>* out) {
+    const net::RpcResponse r =
+        Call(shard, core::proto::kDmsStat, fs::Pack(path, fs::Identity{0, 0}));
+    if (!r.ok()) return r.code == ErrCode::kNotFound;
+    fs::Attr attr;
+    if (!fs::Unpack(r.payload, attr)) return false;
+    *out = attr.uuid;
+    return true;
+  }
+
+  bool Resolve(const core::DirectoryMetadataServer::PendingRename& p) {
+    core::FsckFinding f;
+    f.type = core::FsckFindingType::kRenameIntent;
+    f.txid = p.txid;
+    f.has_marker = true;
+    if (p.kind == 1) {
+      f.dst_shard = self_;  // roll_forward stays false: fence locally
+    } else {
+      f.has_intent = true;
+      f.src_shard = self_;
+      f.dst_shard = shards_.ShardOf(p.to);
+      if (f.dst_shard == self_) return false;
+      std::optional<fs::Uuid> dst_root, src_root;
+      if (!DirUuid(f.dst_shard, p.to, &dst_root)) return false;
+      if (dst_root && !DirUuid(self_, p.from, &src_root)) return false;
+      f.roll_forward = core::RollsForward(dst_root ? &*dst_root : nullptr,
+                                          src_root ? &*src_root : nullptr);
     }
-    if (probe.code == ErrCode::kNotFound) return RollBack(p, dst);
-    return false;  // destination unreachable — retry next sweep
-  }
-
-  bool RollBack(const core::DirectoryMetadataServer::PendingRename& p,
-                net::NodeId dst) {
-    // Fence the destination FIRST: its tombstone blocks a still-queued
-    // commit frame.  Only a confirmed fence may drop the source intent.
-    net::RpcResponse fence = CallPeer(dst, core::proto::kDmsAbortIncoming,
-                                      fs::Pack(p.txid, std::uint8_t{1}));
-    if (fence.code != ErrCode::kOk) return false;
-    return server_->Handle(core::proto::kDmsRenameAbort, fs::Pack(p.txid))
-               .code == ErrCode::kOk;
-  }
-
-  bool ResolveIncoming(const core::DirectoryMetadataServer::PendingRename& p) {
-    // AbortIncoming's purge guard encodes the commit-point rule: a present
-    // root keeps the subtree and drops just the marker; an absent root
-    // purges the partial install.  Either way the txid is tombstoned.
-    return server_->Handle(core::proto::kDmsAbortIncoming,
-                           fs::Pack(p.txid, std::uint8_t{1}))
-               .code == ErrCode::kOk;
+    return core::ResolveRenameIntent(
+               f,
+               [this](std::size_t shard, std::uint16_t opcode,
+                      std::string payload) {
+                 return Call(shard, opcode, std::move(payload));
+               })
+        .ok();
   }
 
   core::DirectoryMetadataServer* server_;
   core::ShardMap shards_;
   std::uint32_t self_;
   std::uint64_t age_ns_;
-  std::unique_ptr<net::TcpChannel> channel_;
   std::string bad_spec_;
+  std::unique_ptr<net::TcpChannel> channel_;
   std::map<std::pair<std::uint8_t, std::uint64_t>, std::uint64_t> first_seen_;
 };
 
@@ -300,7 +271,6 @@ int main(int argc, char** argv) {
   }
 
   core::GcManager::Options gc_options;
-  gc_options.metrics_prefix = "gc";
   if (!daemons::ParseGcFlags("locofs_dmsd", gc_ops_str, gc_batch_str,
                              &gc_options)) {
     return 2;
@@ -346,16 +316,6 @@ int main(int argc, char** argv) {
   // and restart gossip ride the connected clients' notify streams.
   return daemons::RunDaemon(
       "locofs_dmsd", &server, listen, metrics_out, workers, server_options,
-      [&](net::TcpServer& tcp) {
-        server.SetNotifier(&tcp);
-        if (gc_enabled) {
-          // Adaptive pacing: yield to foreground traffic when the admission
-          // queue backs up (docs/OVERLOAD.md).
-          gc.SetLoadSignal([&tcp] { return tcp.RecentQueueDelayNs(); });
-          gc.Start();
-        }
-      },
-      // The load signal samples the TcpServer; stop the GC thread while the
-      // server is still alive.
-      [&] { gc.Stop(); });
+      [&](net::TcpServer& tcp) { server.SetNotifier(&tcp); },
+      gc_enabled ? &gc : nullptr);
 }

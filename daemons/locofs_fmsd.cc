@@ -123,16 +123,14 @@ int main(int argc, char** argv) {
   }
 
   core::GcManager::Options gc_options;
-  gc_options.metrics_prefix = "gc";
   if (!daemons::ParseGcFlags("locofs_fmsd", gc_ops_str, gc_batch_str,
                              &gc_options)) {
     return 2;
   }
 
   core::FileMetadataServer server(options);
-  // Declared after the server and the prober it captures, so the GC thread
-  // stops (dtor) before either goes away.
-  std::unique_ptr<daemons::GcUuidProber> dir_probe;
+  // Declared after the server it captures, so the GC thread stops (dtor)
+  // first.
   core::GcManager gc(gc_options);
   if (gc_enabled) {
     const std::string& dms_spec = gc_dms.empty() ? announce : gc_dms;
@@ -142,20 +140,13 @@ int main(int argc, char** argv) {
                    " orphan-file detector can probe directory liveness\n");
       return 2;
     }
-    dir_probe = std::make_unique<daemons::GcUuidProber>(
-        core::proto::kDmsCheckUuids, daemons::SplitEndpoints(dms_spec));
-    if (!dir_probe->bad_spec().empty()) {
-      std::fprintf(stderr, "locofs_fmsd: bad --gc-dms spec '%s'\n",
-                   dir_probe->bad_spec().c_str());
-      return 2;
-    }
+    core::UuidProbe dir_probe = daemons::GcUuidProbe(
+        "locofs_fmsd", "--gc-dms", core::proto::kDmsCheckUuids, dms_spec);
+    if (!dir_probe) return 2;
     server.SetGcManager(&gc);
     gc.AddTask("fms-housekeeping",
-               [&server, probe = dir_probe.get()](std::uint32_t budget) {
-                 return server.GcStep(
-                     budget, [probe](const std::vector<fs::Uuid>& uuids) {
-                       return (*probe)(uuids);
-                     });
+               [&server, dir_probe](std::uint32_t budget) {
+                 return server.GcStep(budget, dir_probe);
                });
   }
 
@@ -172,18 +163,10 @@ int main(int argc, char** argv) {
   const std::uint64_t epoch = server_options.epoch;
   return daemons::RunDaemon(
       "locofs_fmsd", &server, listen, metrics_out, workers, server_options,
-      [&](net::TcpServer& tcp) {
+      [&](net::TcpServer&) {
         if (!announce.empty()) {
           daemons::AnnounceToDms("locofs_fmsd", announce, node, epoch);
         }
-        if (gc_enabled) {
-          // Adaptive pacing: yield to foreground traffic when the admission
-          // queue backs up (docs/OVERLOAD.md).
-          gc.SetLoadSignal([&tcp] { return tcp.RecentQueueDelayNs(); });
-          gc.Start();
-        }
       },
-      // The load signal samples the TcpServer; stop the GC thread while the
-      // server is still alive.
-      [&] { gc.Stop(); });
+      gc_enabled ? &gc : nullptr);
 }

@@ -117,16 +117,14 @@ int main(int argc, char** argv) {
   }
 
   core::GcManager::Options gc_options;
-  gc_options.metrics_prefix = "gc";
   if (!daemons::ParseGcFlags("locofs_osd", gc_ops_str, gc_batch_str,
                              &gc_options)) {
     return 2;
   }
 
   core::ObjectStoreServer server(options);
-  // Declared after the server and the prober it captures, so the GC thread
-  // stops (dtor) before either goes away.
-  std::unique_ptr<daemons::GcUuidProber> file_probe;
+  // Declared after the server it captures, so the GC thread stops (dtor)
+  // first.
   core::GcManager gc(gc_options);
   if (gc_enabled) {
     if (gc_fms.empty()) {
@@ -135,20 +133,13 @@ int main(int argc, char** argv) {
                    " detector can probe file-inode liveness\n");
       return 2;
     }
-    file_probe = std::make_unique<daemons::GcUuidProber>(
-        core::proto::kFmsCheckUuids, daemons::SplitEndpoints(gc_fms));
-    if (!file_probe->bad_spec().empty()) {
-      std::fprintf(stderr, "locofs_osd: bad --gc-fms spec '%s'\n",
-                   file_probe->bad_spec().c_str());
-      return 2;
-    }
+    core::UuidProbe file_probe = daemons::GcUuidProbe(
+        "locofs_osd", "--gc-fms", core::proto::kFmsCheckUuids, gc_fms);
+    if (!file_probe) return 2;
     server.SetGcManager(&gc);
     gc.AddTask("osd-housekeeping",
-               [&server, probe = file_probe.get()](std::uint32_t budget) {
-                 return server.GcStep(
-                     budget, [probe](const std::vector<fs::Uuid>& uuids) {
-                       return (*probe)(uuids);
-                     });
+               [&server, file_probe](std::uint32_t budget) {
+                 return server.GcStep(budget, file_probe);
                });
   }
 
@@ -160,18 +151,10 @@ int main(int argc, char** argv) {
   const std::uint64_t epoch = server_options.epoch;
   return daemons::RunDaemon(
       "locofs_osd", &server, listen, metrics_out, workers, server_options,
-      [&](net::TcpServer& tcp) {
+      [&](net::TcpServer&) {
         if (!announce.empty()) {
           daemons::AnnounceToDms("locofs_osd", announce, node, epoch);
         }
-        if (gc_enabled) {
-          // Adaptive pacing: yield to foreground traffic when the admission
-          // queue backs up (docs/OVERLOAD.md).
-          gc.SetLoadSignal([&tcp] { return tcp.RecentQueueDelayNs(); });
-          gc.Start();
-        }
       },
-      // The load signal samples the TcpServer; stop the GC thread while the
-      // server is still alive.
-      [&] { gc.Stop(); });
+      gc_enabled ? &gc : nullptr);
 }

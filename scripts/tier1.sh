@@ -10,12 +10,14 @@ cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "== tier-1: repeat gate (server dispatch + frame reader suites, until-fail:20) =="
-# The worker / loop-run dispatch suites, the notify listener and the wire /
-# frame-reader suites must pass 20 times in a row: a test that leans on
-# thread timing fails here instead of flaking later.
+echo "== tier-1: repeat gate (dispatch, frame reader, fsck + GC step suites, until-fail:20) =="
+# The worker / loop-run dispatch suites, the notify listener, the wire /
+# frame-reader suites and the invariant-engine suites (fsck and the
+# in-process GcStep drivers) must pass 20 times in a row: a test that leans
+# on thread timing or on state left by an earlier step fails here instead of
+# flaking later.
 ctest --test-dir build --output-on-failure \
-  -R '^(TcpTest|TcpWorkerPoolTest|TcpFanOutTest|TcpFaultTest|OverloadTest|DisconnectTest|NotifyListenerTest|WireTest|WireFuzzTest|PinnedReaderTest)\.' \
+  -R '^(TcpTest|TcpWorkerPoolTest|TcpFanOutTest|TcpFaultTest|OverloadTest|DisconnectTest|NotifyListenerTest|WireTest|WireFuzzTest|PinnedReaderTest|FsckTest|DmsGcStepTest|FmsGcStepTest|ObjGcStepTest)\.' \
   --repeat until-fail:20
 
 echo "== tier-1: live-stack benchmark smoke (perfbench/run.py --smoke) =="

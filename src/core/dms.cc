@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <set>
 #include <utility>
 
 #include "common/clock.h"
@@ -44,10 +45,6 @@ bool PathInSubtree(std::string_view path, std::string_view root) {
 std::uint64_t PathLockKey(std::string_view path) {
   return common::WyMix(path, 0xfeed);
 }
-
-// Pinned scan snapshots kept per server; pinning beyond this evicts the
-// oldest (a crashed fsck must not pin memory forever).
-constexpr std::size_t kMaxSnapshots = 4;
 
 // rpc.batch.* counters (docs/METRICS.md), shared with the FMS batch ops.
 void CountBatch(std::size_t subops, std::size_t failed) {
@@ -222,7 +219,8 @@ net::RpcResponse DirectoryMetadataServer::Dispatch(std::uint16_t opcode,
   }
   if (opcode == proto::kCtlSnapshotBegin) {
     std::unique_lock ns(ns_mu_);
-    return SnapshotBegin();
+    return snapshots_.Begin({ScanDirsPayload(), DirentScanPayload(*dirents_),
+                             ScanIntentsPayload()});
   }
   std::shared_lock ns(ns_mu_);
   switch (opcode) {
@@ -237,15 +235,20 @@ net::RpcResponse DirectoryMetadataServer::Dispatch(std::uint16_t opcode,
     case proto::kDmsUtimens: return Utimens(payload);
     case proto::kDmsAccess: return Access(payload);
     case proto::kDmsRename: return Rename(payload);
-    case proto::kDmsScanIntents: return ScanIntents(payload);
-    case proto::kDmsScanDirs: return ScanDirs(payload);
-    case proto::kDmsScanDirents: return ScanDirents(payload);
+    case proto::kDmsScanDirs:
+      return snapshots_.Scan(payload, 0, [this] { return ScanDirsPayload(); });
+    case proto::kDmsScanDirents:
+      return snapshots_.Scan(payload, 1,
+                             [this] { return DirentScanPayload(*dirents_); });
+    case proto::kDmsScanIntents:
+      return snapshots_.Scan(payload, 2,
+                             [this] { return ScanIntentsPayload(); });
     case proto::kDmsRepairDirent: return RepairDirent(payload);
     case proto::kDmsDropDirents: return DropDirents(payload);
     case proto::kDmsAnnounce: return Announce(payload);
     case proto::kDmsCheckUuids: return CheckUuids(payload);
-    case proto::kCtlSnapshotEnd: return SnapshotEnd(payload);
-    case proto::kCtlGcStatus: return GcStatus();
+    case proto::kCtlSnapshotEnd: return snapshots_.End(payload);
+    case proto::kCtlGcStatus: return GcManager::StatusReply(gc_);
     default: return Fail(ErrCode::kUnsupported);
   }
 }
@@ -922,19 +925,6 @@ std::string DirectoryMetadataServer::ScanIntentsPayload() const {
   return fs::Pack(entries);
 }
 
-net::RpcResponse DirectoryMetadataServer::ScanIntents(
-    std::string_view payload) {
-  if (!payload.empty()) {
-    std::uint64_t epoch = 0;
-    if (!fs::Unpack(payload, epoch)) return BadRequest();
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    auto it = snapshots_.find(epoch);
-    if (it == snapshots_.end()) return Fail(ErrCode::kNotFound);
-    return OkPayload(it->second.intents);
-  }
-  return OkPayload(ScanIntentsPayload());
-}
-
 // ----------------------------------------------------- fsck / admin surface --
 
 std::string DirectoryMetadataServer::ScanDirsPayload() {
@@ -948,75 +938,14 @@ std::string DirectoryMetadataServer::ScanDirsPayload() {
   return fs::Pack(entries);
 }
 
-net::RpcResponse DirectoryMetadataServer::ScanDirs(std::string_view payload) {
-  if (!payload.empty()) {
-    std::uint64_t epoch = 0;
-    if (!fs::Unpack(payload, epoch)) return BadRequest();
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    auto it = snapshots_.find(epoch);
-    if (it == snapshots_.end()) return Fail(ErrCode::kNotFound);
-    return OkPayload(it->second.dirs);
-  }
-  // Live scan: racy against concurrent mutations like any online scan —
-  // loco_fsck --live pins an epoch instead.
-  return OkPayload(ScanDirsPayload());
-}
-
-net::RpcResponse DirectoryMetadataServer::ScanDirents(std::string_view payload) {
-  if (!payload.empty()) {
-    std::uint64_t epoch = 0;
-    if (!fs::Unpack(payload, epoch)) return BadRequest();
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    auto it = snapshots_.find(epoch);
-    if (it == snapshots_.end()) return Fail(ErrCode::kNotFound);
-    return OkPayload(it->second.dirents);
-  }
-  return OkPayload(DirentScanPayload(*dirents_));
-}
-
-net::RpcResponse DirectoryMetadataServer::SnapshotBegin() {
-  Snapshot snap;
-  snap.dirs = ScanDirsPayload();
-  snap.dirents = DirentScanPayload(*dirents_);
-  snap.intents = ScanIntentsPayload();
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  const std::uint64_t epoch = next_snapshot_epoch_++;
-  snapshots_[epoch] = std::move(snap);
-  while (snapshots_.size() > kMaxSnapshots) snapshots_.erase(snapshots_.begin());
-  return OkPayload(fs::Pack(epoch));
-}
-
-net::RpcResponse DirectoryMetadataServer::SnapshotEnd(std::string_view payload) {
-  std::uint64_t epoch = 0;
-  if (!fs::Unpack(payload, epoch)) return BadRequest();
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  snapshots_.erase(epoch);  // unknown epochs were evicted: fine
-  return Ok();
-}
-
 net::RpcResponse DirectoryMetadataServer::CheckUuids(std::string_view payload) {
-  std::vector<std::string> entries;
-  if (!fs::Unpack(payload, entries)) return BadRequest();
-  std::map<std::uint64_t, std::vector<std::size_t>> wanted;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    fs::Uuid uuid;
-    if (!fs::Unpack(entries[i], uuid)) return BadRequest();
-    wanted[uuid.raw()].push_back(i);
-  }
-  std::string bitmap(entries.size(), '\0');
-  dirs_->ForEach([&](std::string_view, std::string_view value) {
-    auto it = wanted.find(DirInodeLayout::Parse(value).uuid.raw());
-    if (it != wanted.end()) {
-      for (const std::size_t i : it->second) bitmap[i] = '\1';
-    }
+  UuidBitmap bitmap;
+  if (!bitmap.Parse(payload)) return BadRequest();
+  dirs_->ForEach([&bitmap](std::string_view, std::string_view value) {
+    bitmap.Mark(DirInodeLayout::Parse(value).uuid);
     return true;
   });
-  return OkPayload(std::move(bitmap));
-}
-
-net::RpcResponse DirectoryMetadataServer::GcStatus() {
-  if (gc_ == nullptr) return Fail(ErrCode::kUnavailable);
-  return OkPayload(gc_->StatusPayload());
+  return OkPayload(bitmap.Take());
 }
 
 net::RpcResponse DirectoryMetadataServer::RepairDirent(std::string_view payload) {
@@ -1025,16 +954,17 @@ net::RpcResponse DirectoryMetadataServer::RepairDirent(std::string_view payload)
   if (!fs::Unpack(payload, dir_path, name, add)) return BadRequest();
   if (!fs::IsValidPath(dir_path) || name.empty()) return Fail(ErrCode::kInvalid);
 
+  // Re-checked under the lock Mkdir/Rmdir hold for `dir_path` (I4 adds,
+  // I2 drops).  A child mid-Mkdir never looks dangling: its d-inode is
+  // written before its record.
   const auto guard = dir_locks_.Lock(PathLockKey(dir_path));
   std::string value;
-  if (!dirs_->Get(dir_path, &value).ok()) return Fail(ErrCode::kNotFound);
-  const std::string key = DirentKey(DirInodeLayout::Parse(value).uuid, name);
-  if (add == 0) {
-    (void)dirents_->Delete(key);
-  } else if (!dirents_->Put(key, {}).ok()) {
-    return Fail(ErrCode::kIo);
+  if (!dirs_->Get(dir_path, &value).ok()) {
+    return OkPayload(fs::Pack(std::uint8_t{0}));  // the directory is gone
   }
-  return Ok();
+  return RepairDirentRecord(
+      dirents_.get(), DirentKey(DirInodeLayout::Parse(value).uuid, name),
+      add != 0, dirs_->Contains(fs::JoinPath(dir_path, name)));
 }
 
 net::RpcResponse DirectoryMetadataServer::DropDirents(std::string_view payload) {
@@ -1048,177 +978,22 @@ net::RpcResponse DirectoryMetadataServer::DropDirents(std::string_view payload) 
 
 // --------------------------------------------------------- housekeeping --
 
-bool DirectoryMetadataServer::GcFixDirent(const std::string& dir_path,
-                                          const std::string& name, bool add) {
-  std::shared_lock ns(ns_mu_);
-  const auto guard = dir_locks_.Lock(PathLockKey(dir_path));
-  std::string value;
-  if (!dirs_->Get(dir_path, &value).ok()) return false;
-  const std::string child_path =
-      dir_path == "/" ? "/" + name : dir_path + "/" + name;
-  const bool child_exists = dirs_->Contains(child_path);
-  const std::string key = DirentKey(DirInodeLayout::Parse(value).uuid, name);
-  const bool listed = dirents_->Contains(key);
-  if (add) {
-    // I4: the child d-inode must still exist and still be unlisted.
-    if (!child_exists || listed) return false;
-    return dirents_->Put(key, {}).ok();
-  }
-  // I2: the record must still be dangling.  A child mid-Mkdir cannot look
-  // like this (the inode is written before the dirent record).
-  if (child_exists || !listed) return false;
-  return dirents_->Delete(key).ok();
-}
-
 GcStepResult DirectoryMetadataServer::GcStep(std::uint32_t budget) {
-  GcStepResult result;
-
-  // Phase 1: apply repairs found by an earlier harvest, re-verified at apply
-  // time under the serving locks.
-  while (!gc_queue_.empty() && result.ops < budget) {
-    const GcPending p = std::move(gc_queue_.front());
-    gc_queue_.pop_front();
-    result.ops += 1;
-    switch (p.kind) {
-      case GcPending::kMkdir: {
-        // I1: recreate a missing parent through the normal Mkdir path (root
-        // identity) so locking, rollback, and lease invalidations all apply;
-        // a concurrent recreate just turns this into kExists.
-        fs::Identity root;
-        root.uid = 0;
-        root.gid = 0;
-        const net::RpcResponse r = HandleCtx(
-            proto::kDmsMkdir,
-            fs::Pack(p.dir_path, std::uint32_t{0755}, root,
-                     static_cast<std::uint64_t>(common::WallClockNs())),
-            net::HandlerContext{});
-        if (r.ok()) {
-          result.reclaimed += 1;
-          gc_i1_repaired_->Add();
-        }
-        break;
-      }
-      case GcPending::kAddName:
-        if (GcFixDirent(p.dir_path, p.name, true)) {
-          result.reclaimed += 1;
-          gc_i4_repaired_->Add();
-        }
-        break;
-      case GcPending::kDropName:
-        if (GcFixDirent(p.dir_path, p.name, false)) {
-          result.reclaimed += 1;
-          gc_i2_repaired_->Add();
-        }
-        break;
-      case GcPending::kDropList: {
-        // I3: records under a uuid confirmed dead in two consecutive
-        // harvests.  Uuids are minted monotonically and never reissued, so
-        // a dead uuid cannot return.
-        std::shared_lock ns(ns_mu_);
-        (void)DeleteDirents(dirents_.get(), fs::Uuid(p.uuid_raw));
-        result.reclaimed += 1;
-        gc_i3_repaired_->Add();
-        break;
-      }
-    }
+  if (!gc_steps_) {
+    gc_steps_ = std::make_unique<GcStepper>(ServerRole::kDms, "gc.dms");
   }
-  if (!gc_queue_.empty() || result.ops >= budget) return result;
-
-  // Phase 2: harvest.  One pass over both stores under the shared namespace
-  // lock: Rename (the only op that moves path keys) is excluded, so the
-  // path<->uuid mapping cannot tear; Mkdir/Rmdir races are caught by the
-  // phase-1 re-verification.
-  std::map<std::string, std::uint64_t> dirs;
-  std::map<std::uint64_t, std::vector<std::string>> lists;
-  {
-    std::shared_lock ns(ns_mu_);
-    dirs_->ForEach([&dirs](std::string_view key, std::string_view value) {
-      dirs[std::string(key)] = DirInodeLayout::Parse(value).uuid.raw();
-      return true;
-    });
-    lists = DirentsByDir(*dirents_);
-  }
-  result.ops += static_cast<std::uint32_t>(dirs.size() + lists.size() + 1);
-
-  // I1: every ancestor of a live directory must exist.  Queue missing ones
-  // shallow-first so a broken chain repairs bottom-up within one pass.
-  // Paths covered by an incoming transfer marker are *expected* to have
-  // missing ancestors mid-commit (children install before the subtree root);
-  // recreating those would wrongly materialize a partially transferred `to`,
-  // so they are the recovery protocol's to resolve, not I1's.
-  const std::vector<PendingRename> pending = PendingRenames();
-  const auto in_pending_transfer = [&pending](std::string_view path) {
-    for (const PendingRename& p : pending) {
-      if (p.kind == 1 && PathInSubtree(path, p.to)) return true;
+  return gc_steps_->Step(budget, *this, [this](ScanView* view) {
+    // Under the shared namespace lock Rename (the only op that moves path
+    // keys) is excluded, so the path<->uuid mapping cannot tear.
+    std::string dirs, dirents, intents;
+    {
+      std::shared_lock ns(ns_mu_);
+      dirs = ScanDirsPayload();
+      dirents = DirentScanPayload(*dirents_);
+      intents = ScanIntentsPayload();
     }
-    return false;
-  };
-  std::set<std::string> missing;
-  for (const auto& [path, uuid_raw] : dirs) {
-    if (in_pending_transfer(path)) continue;
-    std::string p(fs::ParentPath(path));
-    while (p != "/" && dirs.find(p) == dirs.end() && missing.insert(p).second) {
-      p = std::string(fs::ParentPath(p));
-    }
-  }
-  {
-    std::vector<std::string> ordered(missing.begin(), missing.end());
-    std::sort(ordered.begin(), ordered.end(),
-              [](const std::string& a, const std::string& b) {
-                const auto da = std::count(a.begin(), a.end(), '/');
-                const auto db = std::count(b.begin(), b.end(), '/');
-                return da != db ? da < db : a < b;
-              });
-    for (std::string& path : ordered) {
-      gc_queue_.push_back(GcPending{GcPending::kMkdir, std::move(path), {}, 0});
-    }
-  }
-
-  // I2: records of a live directory whose child d-inode is gone.
-  for (const auto& [path, uuid_raw] : dirs) {
-    auto it = lists.find(uuid_raw);
-    if (it == lists.end()) continue;
-    for (const std::string& name : it->second) {
-      const std::string child = path == "/" ? "/" + name : path + "/" + name;
-      if (dirs.find(child) == dirs.end()) {
-        gc_queue_.push_back(GcPending{GcPending::kDropName, path, name, 0});
-      }
-    }
-  }
-
-  // I4: live directories without a record in their (live) parent.  A parent
-  // queued for I1 recreation gets its record fixed on the next pass.
-  for (const auto& [path, uuid_raw] : dirs) {
-    if (path == "/") continue;
-    const std::string parent(fs::ParentPath(path));
-    auto pit = dirs.find(parent);
-    if (pit == dirs.end()) continue;
-    const std::string name(fs::BaseName(path));
-    auto lit = lists.find(pit->second);
-    const bool listed =
-        lit != lists.end() &&
-        std::binary_search(lit->second.begin(), lit->second.end(), name);
-    if (!listed) {
-      gc_queue_.push_back(GcPending{GcPending::kAddName, parent, name, 0});
-    }
-  }
-
-  // I3: records under a uuid prefix with no d-inode — two-cycle confirmed
-  // before the (destructive) drop.
-  {
-    std::set<std::uint64_t> live;
-    for (const auto& [path, uuid_raw] : dirs) live.insert(uuid_raw);
-    std::set<std::uint64_t> candidates;
-    for (const auto& [uuid_raw, names] : lists) {
-      if (live.count(uuid_raw) != 0) continue;
-      candidates.insert(uuid_raw);
-      if (gc_i3_prev_.count(uuid_raw) != 0) {
-        gc_queue_.push_back(GcPending{GcPending::kDropList, {}, {}, uuid_raw});
-      }
-    }
-    gc_i3_prev_ = std::move(candidates);
-  }
-  return result;
+    return DecodeDmsScan(0, dirs, dirents, intents, view);
+  });
 }
 
 net::RpcResponse DirectoryMetadataServer::Announce(std::string_view payload) {

@@ -19,12 +19,10 @@
 #pragma once
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <utility>
@@ -34,6 +32,7 @@
 
 #include "common/metrics.h"
 #include "core/gc.h"
+#include "core/invariants.h"
 #include "core/layout.h"
 #include "core/lease_table.h"
 #include "kvstore/kv.h"
@@ -86,18 +85,17 @@ class DirectoryMetadataServer final : public net::RpcHandler {
   // now instead of waiting for a mutation to discover the dead session.
   void DropClientLeases(std::uint64_t client) { leases_.Drop(client); }
 
-  // One incremental GC step (docs/HOUSEKEEPING.md): apply queued repairs,
-  // else harvest both stores and detect the DMS-local invariants — I1
-  // (missing parent d-inodes), I2 (dangling dirent records), I3 (records
-  // under a dead uuid prefix, two-cycle confirmed), I4 (directories without
-  // a record in their parent).  Called from a single GcManager thread; repairs
-  // re-verify under the serving locks before touching the stores.
+  // One incremental GC step (docs/HOUSEKEEPING.md, core/gc.h GcStepper):
+  // apply queued repairs, else scan this server and detect the DMS-local
+  // invariants I1–I4 (I3 two-sighting confirmed).  Called from a single
+  // GcManager thread.
   GcStepResult GcStep(std::uint32_t budget);
 
   // Store introspection for tests and benchmarks.
   const kv::Kv& dir_kv() const noexcept { return *dirs_; }
   const kv::Kv& dirent_kv() const noexcept { return *dirents_; }
   kv::Kv& mutable_dir_kv() noexcept { return *dirs_; }
+  kv::Kv& mutable_dirent_kv() noexcept { return *dirents_; }
   std::size_t DirCount() const { return dirs_->Size(); }
 
   // One pending cross-shard rename transfer (docs/SHARDING.md), as persisted
@@ -159,22 +157,13 @@ class DirectoryMetadataServer final : public net::RpcHandler {
   net::RpcResponse RenameFinish(std::string_view payload);
   net::RpcResponse RenameAbort(std::string_view payload);
   net::RpcResponse AbortIncoming(std::string_view payload);
-  net::RpcResponse ScanIntents(std::string_view payload);
-  // fsck / admin surface (tools/loco_fsck).  Scans take an optional
-  // [epoch u64] payload: empty reads live state, an epoch serves the pinned
-  // snapshot (kNotFound once evicted or released).
-  net::RpcResponse ScanDirs(std::string_view payload);
-  net::RpcResponse ScanDirents(std::string_view payload);
+  // fsck / admin surface (tools/loco_fsck).  The scans (kDmsScanDirs,
+  // kDmsScanDirents, kDmsScanIntents) are served by snapshots_ from these
+  // payloads, which SnapshotBegin and the GC step also materialize.
   net::RpcResponse RepairDirent(std::string_view payload);
   net::RpcResponse DropDirents(std::string_view payload);
   net::RpcResponse Announce(std::string_view payload);
   net::RpcResponse CheckUuids(std::string_view payload);
-  net::RpcResponse GcStatus();
-  // Caller holds ns_mu_ exclusively (Dispatch routes it that way).
-  net::RpcResponse SnapshotBegin();
-  net::RpcResponse SnapshotEnd(std::string_view payload);
-
-  // Materialized scan payloads (shared by live scans and SnapshotBegin).
   std::string ScanDirsPayload();
   std::string ScanIntentsPayload() const;
 
@@ -190,13 +179,6 @@ class DirectoryMetadataServer final : public net::RpcHandler {
   // Delete every d-inode at/under `root` plus the dirent records under
   // their uuids.
   void DeleteSubtree(const std::string& root);
-
-  // GC repair primitive: add (or drop) the record of `name` under
-  // `dir_path` iff the child d-inode's existence still justifies it, checked
-  // inside the same per-directory lock Mkdir/Rmdir hold.  Returns true when
-  // applied.
-  bool GcFixDirent(const std::string& dir_path, const std::string& name,
-                   bool add);
 
   std::unique_ptr<kv::Kv> dirs_;     // full path -> 48-byte d-inode
   std::unique_ptr<kv::Kv> dirents_;  // dir uuid + subdir name -> empty
@@ -225,38 +207,14 @@ class DirectoryMetadataServer final : public net::RpcHandler {
   LeaseTable leases_;
 
   // Snapshot plane (kCtlSnapshotBegin/End): pinning takes ns_mu_ exclusively
-  // (like Rename) so the cut is a point in time.
-  struct Snapshot {
-    std::string dirs;     // kDmsScanDirs reply payload
-    std::string dirents;  // kDmsScanDirents reply payload
-    std::string intents;  // kDmsScanIntents reply payload
-  };
-  std::mutex snap_mu_;  // guards the epoch counter and the snapshot map
-  std::uint64_t next_snapshot_epoch_ = 1;
-  std::map<std::uint64_t, Snapshot> snapshots_;
+  // (like Rename) so the cut is a point in time.  Slots: dirs, dirents,
+  // intents.
+  SnapshotRing snapshots_;
 
-  // Housekeeping (single GcManager thread): pending repairs and the I3
-  // candidates of the previous harvest (dropping a dead uuid's records is
-  // destructive, so it needs two consecutive sightings).
-  struct GcPending {
-    enum Kind : std::uint8_t { kMkdir, kAddName, kDropName, kDropList };
-    Kind kind;
-    std::string dir_path;  // kMkdir: path to create; kAdd/kDropName: the dir
-    std::string name;
-    std::uint64_t uuid_raw = 0;  // kDropList
-  };
-  std::deque<GcPending> gc_queue_;
-  std::set<std::uint64_t> gc_i3_prev_;
+  // Housekeeping: the GC step engine (created by the first GcStep) and the
+  // hosting daemon's manager (kCtlGcStatus).
+  std::unique_ptr<GcStepper> gc_steps_;
   GcManager* gc_ = nullptr;
-  // gc.dms.* per-invariant repair counters.
-  common::Counter* gc_i1_repaired_ = &common::MetricsRegistry::Default()
-      .GetCounter("gc.dms.i1_parents_recreated");
-  common::Counter* gc_i2_repaired_ = &common::MetricsRegistry::Default()
-      .GetCounter("gc.dms.i2_dirents_dropped");
-  common::Counter* gc_i3_repaired_ = &common::MetricsRegistry::Default()
-      .GetCounter("gc.dms.i3_lists_dropped");
-  common::Counter* gc_i4_repaired_ = &common::MetricsRegistry::Default()
-      .GetCounter("gc.dms.i4_dirents_added");
 
   common::ServerOpCounters op_metrics_{&common::MetricsRegistry::Default(),
                                        "server.dms"};

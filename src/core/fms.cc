@@ -28,10 +28,6 @@ std::uint64_t FileLockKey(std::string_view key) {
   return common::WyMix(key, 0xfeed);
 }
 
-// Pinned scan snapshots kept per server; pinning beyond this evicts the
-// oldest (a crashed fsck must not pin memory forever).
-constexpr std::size_t kMaxSnapshots = 4;
-
 // rpc.batch.* counters (docs/METRICS.md): batch frames served, sub-ops they
 // carried, and sub-ops that failed while their siblings succeeded.
 void CountBatch(std::size_t subops, std::size_t failed) {
@@ -55,11 +51,6 @@ FileMetadataServer::FileMetadataServer(const Options& options)
       }()),
       op_metrics_(&common::MetricsRegistry::Default(),
                   "server.fms" + std::to_string(options.sid)) {
-  auto& registry = common::MetricsRegistry::Default();
-  const std::string gc_prefix = "gc.fms" + std::to_string(options_.sid);
-  gc_i5_purged_ = &registry.GetCounter(gc_prefix + ".i5_orphans_purged");
-  gc_i6_repaired_ = &registry.GetCounter(gc_prefix + ".i6_dirents_added");
-  gc_i7_repaired_ = &registry.GetCounter(gc_prefix + ".i7_dirents_dropped");
   // Per-store subdirectories keep the WALs of the co-located stores apart.
   auto sub_options = [&](const char* name) {
     kv::KvOptions opt = options_.kv;
@@ -103,23 +94,9 @@ FileMetadataServer::FileMetadataServer(const Options& options)
   // Recover the fid allocator from the content parts (uuid field) so a
   // restarted server never reissues a live fid.
   std::uint64_t max_fid = 0;
-  auto scan = [&max_fid](std::string_view, std::string_view value) {
-    const fs::Uuid uuid(
-        common::LoadAt<std::uint64_t>(value, ContentPartLayout::kUuid));
+  ForEachFile([&max_fid](std::string_view, fs::Uuid uuid) {
     max_fid = std::max(max_fid, uuid.fid());
-    return true;
-  };
-  if (options_.decoupled) {
-    content_->ForEach(scan);
-  } else {
-    coupled_->ForEach([&max_fid](std::string_view, std::string_view value) {
-      CoupledInode inode;
-      if (CoupledInode::Deserialize(value, &inode)) {
-        max_fid = std::max(max_fid, inode.attr.uuid.fid());
-      }
-      return true;
-    });
-  }
+  });
   next_fid_ = max_fid + 1;
 
   kv_gauges_ = kv::RegisterKvStatsGauges(
@@ -186,7 +163,7 @@ net::RpcResponse FileMetadataServer::Dispatch(std::uint16_t opcode,
   // side (the per-dir and per-file lock tables do the fine-grained work).
   if (opcode == proto::kCtlSnapshotBegin) {
     std::unique_lock scan(scan_mu_);
-    return SnapshotBegin();
+    return snapshots_.Begin({ScanFilesPayload(), DirentScanPayload(*dirents_)});
   }
   std::shared_lock scan(scan_mu_);
   switch (opcode) {
@@ -208,16 +185,19 @@ net::RpcResponse FileMetadataServer::Dispatch(std::uint16_t opcode,
     case proto::kFmsCheckEmpty: return CheckEmpty(payload);
     case proto::kFmsReadRaw: return ReadRaw(payload);
     case proto::kFmsInsertRaw: return InsertRaw(payload);
-    case proto::kFmsScanFiles: return ScanFiles(payload);
-    case proto::kFmsScanDirents: return ScanDirents(payload);
+    case proto::kFmsScanFiles:
+      return snapshots_.Scan(payload, 0, [this] { return ScanFilesPayload(); });
+    case proto::kFmsScanDirents:
+      return snapshots_.Scan(payload, 1,
+                             [this] { return DirentScanPayload(*dirents_); });
     case proto::kFmsRepairDirent: return RepairDirent(payload);
     case proto::kFmsPurgeFile: return PurgeFile(payload);
     case proto::kFmsCheckUuids: return CheckUuids(payload);
     case proto::kFmsOpenSession: return OpenSession(payload, client);
     case proto::kFmsCloseSession: return CloseSession(payload, client);
     case proto::kCtlSessionList: return SessionList();
-    case proto::kCtlGcStatus: return GcStatus();
-    case proto::kCtlSnapshotEnd: return SnapshotEnd(payload);
+    case proto::kCtlGcStatus: return GcManager::StatusReply(gc_);
+    case proto::kCtlSnapshotEnd: return snapshots_.End(payload);
     default: return Fail(ErrCode::kUnsupported);
   }
 }
@@ -733,106 +713,40 @@ net::RpcResponse FileMetadataServer::InsertRaw(std::string_view payload) {
 
 // ----------------------------------------------------- fsck / admin surface --
 
-std::string FileMetadataServer::ScanFilesPayload() {
-  // Full file-inode inventory for loco_fsck: (parent uuid, name, file uuid)
-  // per inode hashed to this server.
+void FileMetadataServer::ForEachFile(
+    const std::function<void(std::string_view key, fs::Uuid uuid)>& fn) const {
+  if (options_.decoupled) {
+    content_->ForEach([&fn](std::string_view key, std::string_view value) {
+      fn(key, fs::Uuid(common::LoadAt<std::uint64_t>(value,
+                                                     ContentPartLayout::kUuid)));
+      return true;
+    });
+    return;
+  }
+  coupled_->ForEach([&fn](std::string_view key, std::string_view value) {
+    CoupledInode inode;
+    if (CoupledInode::Deserialize(value, &inode)) fn(key, inode.attr.uuid);
+    return true;
+  });
+}
+
+std::string FileMetadataServer::ScanFilesPayload() const {
+  // Full file-inode inventory: (parent uuid, name, file uuid) per inode
+  // hashed to this server.
   std::vector<std::string> entries;
-  auto emit = [&entries](std::string_view key, fs::Uuid file_uuid) {
+  ForEachFile([&entries](std::string_view key, fs::Uuid file_uuid) {
     if (key.size() < 8) return;
     const fs::Uuid dir_uuid(common::LoadAt<std::uint64_t>(key, 0));
-    entries.push_back(
-        fs::Pack(dir_uuid, std::string(key.substr(8)), file_uuid));
-  };
-  if (options_.decoupled) {
-    content_->ForEach([&](std::string_view key, std::string_view value) {
-      emit(key, fs::Uuid(common::LoadAt<std::uint64_t>(
-                    value, ContentPartLayout::kUuid)));
-      return true;
-    });
-  } else {
-    coupled_->ForEach([&](std::string_view key, std::string_view value) {
-      CoupledInode inode;
-      if (CoupledInode::Deserialize(value, &inode)) emit(key, inode.attr.uuid);
-      return true;
-    });
-  }
+    entries.push_back(fs::Pack(dir_uuid, std::string(key.substr(8)), file_uuid));
+  });
   return fs::Pack(entries);
 }
 
-net::RpcResponse FileMetadataServer::ScanFiles(std::string_view payload) {
-  if (!payload.empty()) {
-    std::uint64_t epoch = 0;
-    if (!fs::Unpack(payload, epoch)) return BadRequest();
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    auto it = snapshots_.find(epoch);
-    if (it == snapshots_.end()) return Fail(ErrCode::kNotFound);
-    return OkPayload(it->second.files);
-  }
-  // Live scan: racy against concurrent mutations like any online scan —
-  // loco_fsck --live pins an epoch instead.
-  return OkPayload(ScanFilesPayload());
-}
-
-net::RpcResponse FileMetadataServer::ScanDirents(std::string_view payload) {
-  if (!payload.empty()) {
-    std::uint64_t epoch = 0;
-    if (!fs::Unpack(payload, epoch)) return BadRequest();
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    auto it = snapshots_.find(epoch);
-    if (it == snapshots_.end()) return Fail(ErrCode::kNotFound);
-    return OkPayload(it->second.dirents);
-  }
-  return OkPayload(DirentScanPayload(*dirents_));
-}
-
-net::RpcResponse FileMetadataServer::SnapshotBegin() {
-  Snapshot snap;
-  snap.files = ScanFilesPayload();
-  snap.dirents = DirentScanPayload(*dirents_);
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  const std::uint64_t epoch = next_snapshot_epoch_++;
-  snapshots_[epoch] = std::move(snap);
-  while (snapshots_.size() > kMaxSnapshots) snapshots_.erase(snapshots_.begin());
-  return OkPayload(fs::Pack(epoch));
-}
-
-net::RpcResponse FileMetadataServer::SnapshotEnd(std::string_view payload) {
-  std::uint64_t epoch = 0;
-  if (!fs::Unpack(payload, epoch)) return BadRequest();
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  snapshots_.erase(epoch);  // unknown epochs were evicted: fine
-  return Ok();
-}
-
 net::RpcResponse FileMetadataServer::CheckUuids(std::string_view payload) {
-  std::vector<std::string> entries;
-  if (!fs::Unpack(payload, entries)) return BadRequest();
-  std::map<std::uint64_t, std::vector<std::size_t>> wanted;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    fs::Uuid uuid;
-    if (!fs::Unpack(entries[i], uuid)) return BadRequest();
-    wanted[uuid.raw()].push_back(i);
-  }
-  std::string bitmap(entries.size(), '\0');
-  auto mark = [&](fs::Uuid uuid) {
-    auto it = wanted.find(uuid.raw());
-    if (it == wanted.end()) return;
-    for (const std::size_t i : it->second) bitmap[i] = '\1';
-  };
-  if (options_.decoupled) {
-    content_->ForEach([&](std::string_view, std::string_view value) {
-      mark(fs::Uuid(
-          common::LoadAt<std::uint64_t>(value, ContentPartLayout::kUuid)));
-      return true;
-    });
-  } else {
-    coupled_->ForEach([&](std::string_view, std::string_view value) {
-      CoupledInode inode;
-      if (CoupledInode::Deserialize(value, &inode)) mark(inode.attr.uuid);
-      return true;
-    });
-  }
-  return OkPayload(std::move(bitmap));
+  UuidBitmap bitmap;
+  if (!bitmap.Parse(payload)) return BadRequest();
+  ForEachFile([&bitmap](std::string_view, fs::Uuid uuid) { bitmap.Mark(uuid); });
+  return OkPayload(bitmap.Take());
 }
 
 net::RpcResponse FileMetadataServer::OpenSession(std::string_view payload,
@@ -875,25 +789,19 @@ net::RpcResponse FileMetadataServer::SessionList() {
   return OkPayload(fs::Pack(entries));
 }
 
-net::RpcResponse FileMetadataServer::GcStatus() {
-  if (gc_ == nullptr) return Fail(ErrCode::kUnavailable);
-  return OkPayload(gc_->StatusPayload());
-}
-
 net::RpcResponse FileMetadataServer::RepairDirent(std::string_view payload) {
   fs::Uuid dir_uuid;
   std::string name;
   std::uint8_t add = 0;
   if (!fs::Unpack(payload, dir_uuid, name, add)) return BadRequest();
   if (name.empty()) return Fail(ErrCode::kInvalid);
+  // Re-checked under the lock Create/Remove hold for the directory (I6
+  // adds, I7 drops).
   const auto guard = dir_locks_.Lock(dir_uuid.raw());
   const std::string key = DirentKey(dir_uuid, name);
-  if (add == 0) {
-    (void)dirents_->Delete(key);
-  } else if (!dirents_->Put(key, {}).ok()) {
-    return Fail(ErrCode::kIo);
-  }
-  return Ok();
+  return RepairDirentRecord(
+      dirents_.get(), key, add != 0,
+      options_.decoupled ? access_->Contains(key) : coupled_->Contains(key));
 }
 
 net::RpcResponse FileMetadataServer::PurgeFile(std::string_view payload) {
@@ -923,141 +831,26 @@ net::RpcResponse FileMetadataServer::PurgeFile(std::string_view payload) {
 
 GcStepResult FileMetadataServer::GcStep(std::uint32_t budget,
                                         const UuidProbe& dir_alive) {
-  GcStepResult result;
   const std::uint64_t now =
       static_cast<std::uint64_t>(common::CpuTimer::Now());
-  if (sessions_.SweepExpired(now) > 0) result.ops += 1;
-
-  // Phase 1: apply repairs found by an earlier harvest.  Each one re-checks
-  // its invariant under the same per-directory lock the serving handlers
-  // take, so a repair that raced a legitimate create/remove degrades to a
-  // no-op instead of corrupting the store.
-  while (!gc_queue_.empty() && result.ops < budget) {
-    const GcPending p = std::move(gc_queue_.front());
-    gc_queue_.pop_front();
-    result.ops += 1;
-    std::shared_lock scan(scan_mu_);
-    const fs::Uuid dir(p.dir_raw);
-    const auto guard = dir_locks_.Lock(p.dir_raw);
-    const std::string key = FileKey(dir, p.name);
-    const bool have_inode =
-        options_.decoupled ? access_->Contains(key) : coupled_->Contains(key);
-    const bool listed = dirents_->Contains(key);
-    switch (p.kind) {
-      case GcPending::kAddDirent:  // I6: inode present, dirent record missing
-        if (have_inode && !listed && dirents_->Put(key, {}).ok()) {
-          result.reclaimed += 1;
-          gc_i6_repaired_->Add();
-        }
-        break;
-      case GcPending::kDropDirent:  // I7: dirent record without an inode
-        if (!have_inode && listed) {
-          (void)dirents_->Delete(key);
-          result.reclaimed += 1;
-          gc_i7_repaired_->Add();
-        }
-        break;
-      case GcPending::kPurge:  // I5: orphan confirmed dead twice
-        if (have_inode) {
-          if (options_.decoupled) {
-            (void)access_->Delete(key);
-            (void)content_->Delete(key);
-          } else {
-            (void)coupled_->Delete(key);
-          }
-        }
-        if (listed) (void)dirents_->Delete(key);
-        if (have_inode || listed) {
-          result.reclaimed += 1;
-          gc_i5_purged_->Add();
-          sessions_.DropFile(dir, p.name);
-        }
-        break;
-    }
+  const std::uint32_t swept = sessions_.SweepExpired(now) > 0 ? 1 : 0;
+  if (!gc_steps_) {
+    gc_steps_ = std::make_unique<GcStepper>(
+        ServerRole::kFms, "gc.fms" + std::to_string(options_.sid));
   }
-  if (!gc_queue_.empty() || result.ops >= budget) return result;
-
-  // Phase 2: harvest.  One consistent-ish pass over both stores (shared
-  // scan_mu_ only excludes snapshot pinning; per-item races are caught by
-  // the phase-1 re-verification).
-  struct FileRec {
-    std::uint64_t dir_raw;
-    std::string name;
-  };
-  std::vector<FileRec> files;
-  std::map<std::uint64_t, std::vector<std::string>> lists;
-  {
-    std::shared_lock scan(scan_mu_);
-    auto emit = [&files](std::string_view key) {
-      if (key.size() < 8) return;
-      files.push_back(FileRec{common::LoadAt<std::uint64_t>(key, 0),
-                              std::string(key.substr(8))});
-    };
-    if (options_.decoupled) {
-      content_->ForEach([&](std::string_view key, std::string_view) {
-        emit(key);
-        return true;
-      });
-    } else {
-      coupled_->ForEach([&](std::string_view key, std::string_view) {
-        emit(key);
-        return true;
-      });
-    }
-    lists = DirentsByDir(*dirents_);
-  }
-  result.ops += static_cast<std::uint32_t>(files.size() + lists.size() + 1);
-
-  // I6/I7: files vs dirent records, both directions.
-  std::set<std::pair<std::uint64_t, std::string>> file_set;
-  for (const FileRec& f : files) file_set.emplace(f.dir_raw, f.name);
-  for (const FileRec& f : files) {
-    auto it = lists.find(f.dir_raw);
-    const bool listed =
-        it != lists.end() &&
-        std::binary_search(it->second.begin(), it->second.end(), f.name);
-    if (!listed) {
-      gc_queue_.push_back(GcPending{GcPending::kAddDirent, f.dir_raw, f.name});
-    }
-  }
-  for (const auto& [dir_raw, names] : lists) {
-    for (const std::string& name : names) {
-      if (file_set.count({dir_raw, name}) == 0) {
-        gc_queue_.push_back(GcPending{GcPending::kDropDirent, dir_raw, name});
-      }
-    }
-  }
-
-  // I5: files whose parent directory no longer exists on the DMS.  The purge
-  // is destructive, so a candidate must be seen dead in two consecutive
-  // harvests; a probe error skips the detector entirely ("unreachable" is
-  // never "dead").
-  if (dir_alive && !files.empty()) {
-    std::vector<fs::Uuid> dirs;
-    {
-      std::set<std::uint64_t> seen;
-      for (const FileRec& f : files) {
-        if (seen.insert(f.dir_raw).second) dirs.push_back(fs::Uuid(f.dir_raw));
-      }
-    }
-    result.ops += static_cast<std::uint32_t>(dirs.size());
-    auto alive = dir_alive(dirs);
-    if (alive.ok() && alive->size() == dirs.size()) {
-      std::set<std::uint64_t> dead;
-      for (std::size_t i = 0; i < dirs.size(); ++i) {
-        if ((*alive)[i] == 0) dead.insert(dirs[i].raw());
-      }
-      std::set<std::pair<std::uint64_t, std::string>> candidates;
-      for (const FileRec& f : files) {
-        if (dead.count(f.dir_raw) == 0) continue;
-        candidates.emplace(f.dir_raw, f.name);
-        if (gc_i5_prev_.count({f.dir_raw, f.name}) != 0) {
-          gc_queue_.push_back(GcPending{GcPending::kPurge, f.dir_raw, f.name});
+  GcStepResult result = gc_steps_->Step(
+      budget, *this,
+      [this](ScanView* view) {
+        std::string files, dirents;
+        {
+          std::shared_lock scan(scan_mu_);
+          files = ScanFilesPayload();
+          dirents = DirentScanPayload(*dirents_);
         }
-      }
-      gc_i5_prev_ = std::move(candidates);
-    }
-  }
+        return DecodeFmsScan(files, dirents, view);
+      },
+      dir_alive);
+  result.ops += swept;
   return result;
 }
 

@@ -26,12 +26,9 @@
 #pragma once
 
 #include <atomic>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <utility>
@@ -41,6 +38,7 @@
 
 #include "common/metrics.h"
 #include "core/gc.h"
+#include "core/invariants.h"
 #include "core/layout.h"
 #include "core/session_table.h"
 #include "kvstore/kv.h"
@@ -81,12 +79,12 @@ class FileMetadataServer final : public net::RpcHandler {
     return sessions_.DropClient(client);
   }
 
-  // One incremental GC step (docs/HOUSEKEEPING.md): sweep expired sessions,
-  // apply queued repairs, else harvest the stores and detect invariants
-  // I5/I6/I7 locally.  `dir_alive` probes the DMS for parent-directory
+  // One incremental GC step (docs/HOUSEKEEPING.md, core/gc.h GcStepper):
+  // sweep expired sessions, apply queued repairs, else scan this server and
+  // detect invariants I5–I7.  `dir_alive` probes the DMS for parent-directory
   // liveness (kDmsCheckUuids); orphan purges (I5, destructive) require the
   // directory to be seen dead in two consecutive harvests.  Called from a
-  // single GcManager thread; repairs re-verify under the serving dir locks.
+  // single GcManager thread.
   GcStepResult GcStep(std::uint32_t budget, const UuidProbe& dir_alive);
 
   SessionTable& sessions() noexcept { return sessions_; }
@@ -102,6 +100,7 @@ class FileMetadataServer final : public net::RpcHandler {
   const kv::Kv* content_kv() const noexcept { return content_.get(); }
   const kv::Kv* coupled_kv() const noexcept { return coupled_.get(); }
   const kv::Kv& dirent_kv() const noexcept { return *dirents_; }
+  kv::Kv& mutable_dirent_kv() noexcept { return *dirents_; }
 
  private:
   // Read the full Attr of a file (mode-independent helper).
@@ -131,11 +130,8 @@ class FileMetadataServer final : public net::RpcHandler {
   net::RpcResponse CheckEmpty(std::string_view payload);
   net::RpcResponse ReadRaw(std::string_view payload);
   net::RpcResponse InsertRaw(std::string_view payload);
-  // fsck / admin surface (tools/loco_fsck).  Scans take an optional
-  // [epoch u64] payload: empty reads live state, an epoch serves the pinned
-  // snapshot (kNotFound once evicted or released).
-  net::RpcResponse ScanFiles(std::string_view payload);
-  net::RpcResponse ScanDirents(std::string_view payload);
+  // fsck / admin surface (tools/loco_fsck).  The scans (kFmsScanFiles,
+  // kFmsScanDirents) are served by snapshots_.
   net::RpcResponse RepairDirent(std::string_view payload);
   net::RpcResponse PurgeFile(std::string_view payload);
   net::RpcResponse CheckUuids(std::string_view payload);
@@ -143,13 +139,12 @@ class FileMetadataServer final : public net::RpcHandler {
   net::RpcResponse OpenSession(std::string_view payload, std::uint64_t client);
   net::RpcResponse CloseSession(std::string_view payload, std::uint64_t client);
   net::RpcResponse SessionList();
-  net::RpcResponse GcStatus();
-  // Caller holds scan_mu_ exclusively (Dispatch routes it that way).
-  net::RpcResponse SnapshotBegin();
-  net::RpcResponse SnapshotEnd(std::string_view payload);
 
-  // Materialized scan payloads (shared by live scans and SnapshotBegin).
-  std::string ScanFilesPayload();
+  // Visits every file inode with its key and uuid.
+  void ForEachFile(
+      const std::function<void(std::string_view key, fs::Uuid uuid)>& fn) const;
+  // The kFmsScanFiles payload (live scans, SnapshotBegin, the GC step).
+  std::string ScanFilesPayload() const;
 
   Options options_;
   // Decoupled mode stores.
@@ -167,43 +162,24 @@ class FileMetadataServer final : public net::RpcHandler {
   common::LockTable dir_locks_{64};
   common::LockTable file_locks_{128};
 
-  // Snapshot plane (kCtlSnapshotBegin/End): SnapshotBegin takes scan_mu_
+  // Snapshot plane (kCtlSnapshotBegin/End): pinning takes scan_mu_
   // exclusively to materialize a consistent cut of both stores; every other
   // handler (and the GC harvest) holds it shared, so pinning waits out
-  // in-flight mutations and never tears one.
+  // in-flight mutations and never tears one.  Slots: files, dirents.
   mutable std::shared_mutex scan_mu_;
-  struct Snapshot {
-    std::string files;    // kFmsScanFiles reply payload
-    std::string dirents;  // kFmsScanDirents reply payload
-  };
-  std::mutex snap_mu_;  // guards the epoch counter and the snapshot map
-  std::uint64_t next_snapshot_epoch_ = 1;
-  std::map<std::uint64_t, Snapshot> snapshots_;
+  SnapshotRing snapshots_;
 
   // File sessions (implicit via Create/Open, explicit via kFmsOpenSession).
   SessionTable sessions_;
 
-  // Housekeeping (single GcManager thread): repairs detected by the last
-  // harvest, waiting for re-verification under the dir locks, plus the I5
-  // candidates of the previous harvest (destructive purges need two
-  // consecutive sightings).
-  struct GcPending {
-    enum Kind : std::uint8_t { kAddDirent, kDropDirent, kPurge };
-    Kind kind;
-    std::uint64_t dir_raw = 0;
-    std::string name;
-  };
-  std::deque<GcPending> gc_queue_;
-  std::set<std::pair<std::uint64_t, std::string>> gc_i5_prev_;
+  // Housekeeping: the GC step engine (created by the first GcStep) and the
+  // hosting daemon's manager (kCtlGcStatus).
+  std::unique_ptr<GcStepper> gc_steps_;
   GcManager* gc_ = nullptr;
 
   // server.fms<sid>.* op counters and server.fms<sid>.kv.* gauges.
   common::ServerOpCounters op_metrics_;
   std::vector<common::MetricsRegistry::GaugeHandle> kv_gauges_;
-  // gc.fms<sid>.* per-invariant repair counters.
-  common::Counter* gc_i5_purged_ = nullptr;
-  common::Counter* gc_i6_repaired_ = nullptr;
-  common::Counter* gc_i7_repaired_ = nullptr;
 };
 
 }  // namespace loco::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
 
 #include "fs/wire.h"
 
@@ -161,6 +162,11 @@ GcManager::Status GcManager::GetStatus() const {
   return status;
 }
 
+net::RpcResponse GcManager::StatusReply(const GcManager* gc) {
+  if (gc == nullptr) return net::RpcResponse{ErrCode::kUnavailable, {}};
+  return net::RpcResponse{ErrCode::kOk, gc->StatusPayload()};
+}
+
 std::string GcManager::StatusPayload() const {
   const Status status = GetStatus();
   std::vector<std::string> entries;
@@ -190,6 +196,112 @@ Result<GcManager::Status> GcManager::ParseStatusPayload(
     status.tasks.push_back(std::move(task));
   }
   return status;
+}
+
+namespace {
+
+// Scan entries a view holds: the op cost of a GC harvest.
+std::size_t Items(const ScanView& view) {
+  std::size_t n = view.dir_by_path.size() + view.dms_dirents.size() +
+                  view.intents.size();
+  for (const auto& fms : view.fms) n += fms.files.size() + fms.dirents.size();
+  for (const auto& store : view.objects) n += store.size();
+  return n;
+}
+
+}  // namespace
+
+GcStepper::GcStepper(ServerRole role, const std::string& metrics_prefix)
+    : role_(role) {
+  using T = FsckFindingType;
+  static constexpr struct {
+    T type;
+    ServerRole role;
+    const char* suffix;
+  } kCounters[] = {
+      {T::kMissingParent, ServerRole::kDms, "i1_parents_recreated"},
+      {T::kDanglingDmsDirent, ServerRole::kDms, "i2_dirents_dropped"},
+      {T::kDeadDirentList, ServerRole::kDms, "i3_lists_dropped"},
+      {T::kOrphanDir, ServerRole::kDms, "i4_dirents_added"},
+      {T::kOrphanFile, ServerRole::kFms, "i5_orphans_purged"},
+      {T::kMissingFmsDirent, ServerRole::kFms, "i6_dirents_added"},
+      {T::kDanglingFmsDirent, ServerRole::kFms, "i7_dirents_dropped"},
+      {T::kLeakedObject, ServerRole::kObj, "i9_objects_purged"},
+  };
+  auto& registry = common::MetricsRegistry::Default();
+  for (const auto& c : kCounters) {
+    if (c.role == role) {
+      counters_[c.type] = &registry.GetCounter(metrics_prefix + "." + c.suffix);
+    }
+  }
+}
+
+GcStepResult GcStepper::Step(std::uint32_t budget, net::RpcHandler& self,
+                             const std::function<Status(ScanView*)>& scan,
+                             const UuidProbe& probe) {
+  GcStepResult result;
+  while (!queue_.empty() && result.ops < budget) {
+    const Pending p = std::move(queue_.front());
+    queue_.pop_front();
+    result.ops += 1;
+    const net::RpcResponse resp =
+        self.HandleCtx(p.opcode, p.payload, net::HandlerContext{});
+    if (ClassifyRepair(p.opcode, resp) == RepairOutcome::kApplied) {
+      result.reclaimed += 1;
+      if (p.counter != nullptr) p.counter->Add();
+    }
+  }
+  if (!queue_.empty() || result.ops >= budget) return result;
+
+  ScanView view;
+  const Status scanned = scan(&view);
+  result.ops += static_cast<std::uint32_t>(Items(view) + 1);
+  if (!scanned.ok()) return result;
+  // I5 needs the DMS's word on the files' parent directories, I9 the FMSes'
+  // on the objects' file uuids.  Without an answer (no probe, an error, a
+  // malformed reply) liveness stays unknown: "unreachable" is never "dead".
+  if (role_ != ServerRole::kDms) {
+    std::set<std::uint64_t> ask;
+    for (const auto& fms : view.fms) {
+      for (const auto& [key, file_uuid] : fms.files) ask.insert(key.first);
+    }
+    for (const auto& store : view.objects) {
+      for (const auto& [uuid, blocks] : store) ask.insert(uuid);
+    }
+    std::vector<fs::Uuid> uuids;
+    for (const std::uint64_t raw : ask) uuids.push_back(fs::Uuid(raw));
+    result.ops += static_cast<std::uint32_t>(uuids.size());
+    const auto alive = probe && !uuids.empty()
+                           ? probe(uuids)
+                           : Result<std::vector<std::uint8_t>>(
+                                 ErrCode::kUnavailable);
+    if (alive.ok() && alive->size() == uuids.size()) {
+      auto& live = role_ == ServerRole::kFms ? view.live_dirs : view.live_files;
+      live.emplace();
+      for (std::size_t i = 0; i < uuids.size(); ++i) {
+        if ((*alive)[i] != 0) live->insert(uuids[i].raw());
+      }
+    }
+  }
+  // The dirent repairs (I2, I4, I6, I7) re-check their finding under the
+  // serving locks and kDmsMkdir refuses an existing path (I1); the purges
+  // (I3, I5, I9) cannot re-check, so they wait for a second sighting.
+  const std::vector<FsckFinding> act = sightings_.Confirm(
+      Detect(view, shards_), [](FsckFindingType type) {
+        return type == FsckFindingType::kDeadDirentList ||
+               type == FsckFindingType::kOrphanFile ||
+               type == FsckFindingType::kLeakedObject;
+      });
+  for (const FsckFinding& f : act) {
+    const auto counter = counters_.find(f.type);
+    for (RepairCall& call : RepairCalls(f, shards_, 0)) {
+      if (call.role != role_) continue;
+      queue_.push_back(Pending{
+          counter != counters_.end() ? counter->second : nullptr, call.opcode,
+          std::move(call.payload)});
+    }
+  }
+  return result;
 }
 
 }  // namespace loco::core

@@ -1,25 +1,28 @@
 // Background garbage collection for the housekeeping plane
 // (docs/HOUSEKEEPING.md).
 //
-// fsck (core/fsck.h) repairs invariants I1–I9 with stop-the-world scans; a
-// serving cluster never gets to stop.  GcManager runs the same detectors
-// *incrementally*: one thread per daemon round-robins small GC steps under a
-// token bucket (configurable ops/sec and batch size), so housekeeping load
-// is a bounded, tunable tax on the serving hot path instead of an outage.
+// fsck (core/fsck.h) repairs the namespace invariants with cluster-wide
+// scans; a serving cluster never gets to stop.  GcManager runs the same
+// invariant engine (core/invariants.h) *incrementally*: one thread per
+// daemon round-robins small GC steps under a token bucket (configurable
+// ops/sec and batch size), so housekeeping load is a bounded, tunable tax on
+// the serving hot path instead of an outage.
 //
 // The manager is generic — daemons register named step callbacks.  A step
 // receives an op budget and returns how many ops it actually spent (scan
 // items + repairs; spending can overshoot the budget, the bucket goes into
-// debt and the loop sleeps it off).  The per-server steps live on the
-// servers themselves (DirectoryMetadataServer::GcStep etc.), where they can
-// re-verify every finding under the same locks the serving handlers take —
-// a GC repair never races a legitimate in-flight mutation.
+// debt and the loop sleeps it off).  Each server's step (GcStep on the DMS,
+// FMS and OSD) is a GcStepper over its own scan: it Detects the invariants
+// whose inputs the server holds (DMS I1–I4, FMS I5–I7, OSD I9) and applies
+// the repairs through its own handler with the admin RPCs fsck sends, which
+// re-check the dirent findings under the serving locks — a GC repair never
+// races a legitimate in-flight mutation.
 //
 // Cross-server invariants (I5: orphan files under dead directories; I9:
 // leaked objects) need a remote liveness check, passed in as a UuidProbe.
-// Their reclaims are destructive, so they require the candidate to be seen
-// dead in two consecutive GC cycles before purging — a probe that raced a
-// concurrent create cannot cost data.
+// Their reclaims are destructive and cannot be re-checked locally, so, like
+// I3, they require the candidate to be seen in two consecutive GC harvests
+// before purging — a probe that raced a concurrent create cannot cost data.
 //
 // Adaptive pacing (docs/OVERLOAD.md): a daemon can hand the manager a load
 // signal — its TcpServer's recent admission-queue delay.  While foreground
@@ -31,7 +34,9 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -39,6 +44,7 @@
 
 #include "common/clock.h"
 #include "common/metrics.h"
+#include "core/invariants.h"
 #include "fs/types.h"
 #include "net/rpc.h"
 
@@ -57,6 +63,38 @@ using GcTaskFn = std::function<GcStepResult(std::uint32_t budget)>;
 // "dead").
 using UuidProbe =
     std::function<Result<std::vector<std::uint8_t>>(const std::vector<fs::Uuid>&)>;
+
+// One server's GC step engine, created on the server's first GcStep.
+class GcStepper {
+ public:
+  // `role` is the stepping server's kind (repairs addressed to another kind
+  // are skipped); its repair counters are <metrics_prefix>.iN_* .
+  GcStepper(ServerRole role, const std::string& metrics_prefix);
+
+  // Applies queued repairs through `self`, one op each, until the queue or
+  // `budget` runs out.  With the queue drained and budget left it harvests:
+  // `scan` fills a view of the server's stores, `probe` answers for the side
+  // an FMS (directory uuids) or an OSD (file uuids) cannot see, Detect runs
+  // over the view, and the repairs of the findings that re-check themselves
+  // or were also seen by the previous harvest join the queue.  I10 findings
+  // are left to the rename intent resolver.
+  GcStepResult Step(std::uint32_t budget, net::RpcHandler& self,
+                    const std::function<Status(ScanView*)>& scan,
+                    const UuidProbe& probe = nullptr);
+
+ private:
+  struct Pending {
+    common::Counter* counter;  // null for types this role never repairs
+    std::uint16_t opcode;
+    std::string payload;
+  };
+
+  const ServerRole role_;
+  const ShardMap shards_{1};
+  std::map<FsckFindingType, common::Counter*> counters_;
+  std::deque<Pending> queue_;
+  Sightings sightings_;
+};
 
 class GcManager {
  public:
@@ -114,6 +152,9 @@ class GcManager {
   Status GetStatus() const;
   // kCtlGcStatus reply payload (layout in core/proto.h).
   std::string StatusPayload() const;
+  // A server's kCtlGcStatus reply: kUnavailable without a manager (the
+  // daemon runs without --gc).
+  static net::RpcResponse StatusReply(const GcManager* gc);
   static Result<Status> ParseStatusPayload(std::string_view payload);
 
   const Options& options() const noexcept { return options_; }

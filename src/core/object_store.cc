@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <vector>
 
 #include "common/codec.h"
 #include "core/proto.h"
@@ -17,12 +18,6 @@ namespace {
 net::RpcResponse Fail(ErrCode code) { return net::RpcResponse{code, {}}; }
 net::RpcResponse BadRequest() { return Fail(ErrCode::kCorruption); }
 
-// Pinned scan snapshots kept per server; pinning beyond this evicts the
-// oldest (a crashed fsck must not pin memory forever).
-constexpr std::size_t kMaxSnapshots = 4;
-}  // namespace
-
-namespace {
 const kv::KvOptions& EnsureStoreDir(const kv::KvOptions& kv) {
   if (!kv.dir.empty()) {
     std::error_code ec;
@@ -59,7 +54,7 @@ net::RpcResponse ObjectStoreServer::Dispatch(std::uint16_t opcode,
                                              std::string_view payload) {
   if (opcode == proto::kCtlSnapshotBegin) {
     std::unique_lock scan(scan_mu_);
-    return SnapshotBegin();
+    return snapshots_.Begin({ScanObjectsPayload()});
   }
   std::shared_lock scan(scan_mu_);
   switch (opcode) {
@@ -67,10 +62,12 @@ net::RpcResponse ObjectStoreServer::Dispatch(std::uint16_t opcode,
     case proto::kObjBatchPut: return BatchPut(payload);
     case proto::kObjRead: return Read(payload);
     case proto::kObjTruncate: return Truncate(payload);
-    case proto::kObjScanObjects: return ScanObjects(payload);
+    case proto::kObjScanObjects:
+      return snapshots_.Scan(payload, 0,
+                             [this] { return ScanObjectsPayload(); });
     case proto::kObjPurge: return Purge(payload);
-    case proto::kCtlSnapshotEnd: return SnapshotEnd(payload);
-    case proto::kCtlGcStatus: return GcStatus();
+    case proto::kCtlSnapshotEnd: return snapshots_.End(payload);
+    case proto::kCtlGcStatus: return GcManager::StatusReply(gc_);
     default: return Fail(ErrCode::kUnsupported);
   }
 }
@@ -241,69 +238,22 @@ std::string ObjectStoreServer::ScanObjectsPayload() {
   return fs::Pack(entries);
 }
 
-net::RpcResponse ObjectStoreServer::ScanObjects(std::string_view payload) {
-  net::RpcResponse resp;
-  if (!payload.empty()) {
-    std::uint64_t epoch = 0;
-    if (!fs::Unpack(payload, epoch)) return BadRequest();
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    auto it = snapshots_.find(epoch);
-    if (it == snapshots_.end()) return Fail(ErrCode::kNotFound);
-    resp.payload = it->second;
-    return resp;
-  }
-  // Live scan: racy against concurrent writes, like any online scan —
-  // loco_fsck --live pins an epoch instead.
-  resp.payload = ScanObjectsPayload();
-  return resp;
-}
-
-net::RpcResponse ObjectStoreServer::SnapshotBegin() {
-  std::string payload = ScanObjectsPayload();
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  const std::uint64_t epoch = next_snapshot_epoch_++;
-  snapshots_[epoch] = std::move(payload);
-  while (snapshots_.size() > kMaxSnapshots) snapshots_.erase(snapshots_.begin());
-  net::RpcResponse resp;
-  resp.payload = fs::Pack(epoch);
-  return resp;
-}
-
-net::RpcResponse ObjectStoreServer::SnapshotEnd(std::string_view payload) {
-  std::uint64_t epoch = 0;
-  if (!fs::Unpack(payload, epoch)) return BadRequest();
-  std::lock_guard<std::mutex> lock(snap_mu_);
-  snapshots_.erase(epoch);  // unknown epochs were evicted: fine
-  return net::RpcResponse{};
-}
-
-net::RpcResponse ObjectStoreServer::GcStatus() {
-  if (gc_ == nullptr) return Fail(ErrCode::kUnavailable);
-  net::RpcResponse resp;
-  resp.payload = gc_->StatusPayload();
-  return resp;
-}
-
-std::size_t ObjectStoreServer::PurgeBlocks(std::uint64_t uuid) {
-  const common::LockTable::Guard guard = object_locks_.Lock(uuid);
+net::RpcResponse ObjectStoreServer::Purge(std::string_view payload) {
+  fs::Uuid uuid;
+  if (!fs::Unpack(payload, uuid)) return BadRequest();
+  const common::LockTable::Guard guard = object_locks_.Lock(uuid.raw());
   std::vector<std::string> doomed;
   blocks_->ForEach([&](std::string_view key, std::string_view) {
-    if (key.size() == 16 && common::LoadAt<std::uint64_t>(key, 0) == uuid) {
+    if (key.size() == 16 &&
+        common::LoadAt<std::uint64_t>(key, 0) == uuid.raw()) {
       doomed.emplace_back(key);
     }
     return true;
   });
   for (const std::string& key : doomed) (void)blocks_->Delete(key);
-  return doomed.size();
-}
-
-net::RpcResponse ObjectStoreServer::Purge(std::string_view payload) {
-  fs::Uuid uuid;
-  if (!fs::Unpack(payload, uuid)) return BadRequest();
-  const std::size_t deleted = PurgeBlocks(uuid.raw());
   net::RpcResponse resp;
-  resp.payload = fs::Pack(static_cast<std::uint64_t>(deleted));
-  resp.extra_service_ns = options_.device.Cost(deleted + 1, 0);
+  resp.payload = fs::Pack(static_cast<std::uint64_t>(doomed.size()));
+  resp.extra_service_ns = options_.device.Cost(doomed.size() + 1, 0);
   return resp;
 }
 
@@ -311,52 +261,20 @@ net::RpcResponse ObjectStoreServer::Purge(std::string_view payload) {
 
 GcStepResult ObjectStoreServer::GcStep(std::uint32_t budget,
                                        const UuidProbe& file_alive) {
-  GcStepResult result;
-
-  // Phase 1: apply queued purges.  A purge candidate was confirmed dead in
-  // two consecutive harvests; uuids are never reissued, so the object cannot
-  // have come back to life — only grown blocks from a straggling writer,
-  // which the purge drops with the rest (that writer's file is gone).
-  while (!gc_queue_.empty() && result.ops < budget) {
-    const std::uint64_t uuid = gc_queue_.front();
-    gc_queue_.pop_front();
-    result.ops += 1;
-    std::shared_lock scan(scan_mu_);
-    if (PurgeBlocks(uuid) > 0) {
-      result.reclaimed += 1;
-      gc_i9_purged_->Add();
-    }
+  if (!gc_steps_) {
+    gc_steps_ = std::make_unique<GcStepper>(ServerRole::kObj, "gc.obj");
   }
-  if (!gc_queue_.empty() || result.ops >= budget) return result;
-
-  // Phase 2: harvest the object inventory and probe the FMSes.
-  std::set<std::uint64_t> objects;
-  {
-    std::shared_lock scan(scan_mu_);
-    blocks_->ForEach([&objects](std::string_view key, std::string_view) {
-      if (key.size() == 16) objects.insert(common::LoadAt<std::uint64_t>(key, 0));
-      return true;
-    });
-  }
-  result.ops += static_cast<std::uint32_t>(objects.size() + 1);
-  if (!file_alive || objects.empty()) return result;
-
-  std::vector<fs::Uuid> uuids;
-  uuids.reserve(objects.size());
-  for (const std::uint64_t raw : objects) uuids.push_back(fs::Uuid(raw));
-  result.ops += static_cast<std::uint32_t>(uuids.size());
-  auto alive = file_alive(uuids);
-  if (!alive.ok() || alive->size() != uuids.size()) return result;
-
-  std::set<std::uint64_t> candidates;
-  for (std::size_t i = 0; i < uuids.size(); ++i) {
-    if ((*alive)[i] != 0) continue;
-    const std::uint64_t raw = uuids[i].raw();
-    candidates.insert(raw);
-    if (gc_i9_prev_.count(raw) != 0) gc_queue_.push_back(raw);
-  }
-  gc_i9_prev_ = std::move(candidates);
-  return result;
+  return gc_steps_->Step(
+      budget, *this,
+      [this](ScanView* view) {
+        std::string objects;
+        {
+          std::shared_lock scan(scan_mu_);
+          objects = ScanObjectsPayload();
+        }
+        return DecodeObjectScan(objects, view);
+      },
+      file_alive);
 }
 
 }  // namespace loco::core

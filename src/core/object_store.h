@@ -8,11 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 
@@ -20,6 +16,7 @@
 #include "common/lock_table.h"
 #include "common/metrics.h"
 #include "core/gc.h"
+#include "core/invariants.h"
 #include "kvstore/kv.h"
 #include "net/rpc.h"
 
@@ -71,12 +68,13 @@ class ObjectStoreServer final : public net::RpcHandler {
   // manager must outlive the server.
   void SetGcManager(GcManager* gc) noexcept { gc_ = gc; }
 
-  // One incremental GC step (docs/HOUSEKEEPING.md): apply queued purges,
-  // else harvest the block table and detect invariant I9 (objects whose
-  // uuid no file inode references).  `file_alive` probes every FMS
-  // (kFmsCheckUuids, '\1' when some inode carries the uuid); purges are
-  // destructive, so a candidate must be seen dead in two consecutive
-  // harvests, and a probe error skips the detector for the cycle.
+  // One incremental GC step (docs/HOUSEKEEPING.md, core/gc.h GcStepper):
+  // apply queued purges, else scan the block table and detect invariant I9
+  // (objects whose uuid no file inode references).  `file_alive` probes
+  // every FMS (kFmsCheckUuids, '\1' when some inode carries the uuid);
+  // purges are destructive, so a candidate must be seen dead in two
+  // consecutive harvests, and a probe error skips the detector for the
+  // cycle.
   GcStepResult GcStep(std::uint32_t budget, const UuidProbe& file_alive);
 
  private:
@@ -91,16 +89,10 @@ class ObjectStoreServer final : public net::RpcHandler {
   net::RpcResponse BatchPut(std::string_view payload);
   net::RpcResponse Read(std::string_view payload);
   net::RpcResponse Truncate(std::string_view payload);
-  net::RpcResponse ScanObjects(std::string_view payload);
   net::RpcResponse Purge(std::string_view payload);
-  net::RpcResponse GcStatus();
-  // Caller holds scan_mu_ exclusively (Dispatch routes it that way).
-  net::RpcResponse SnapshotBegin();
-  net::RpcResponse SnapshotEnd(std::string_view payload);
 
+  // The kObjScanObjects payload (live scans, SnapshotBegin, the GC step).
   std::string ScanObjectsPayload();
-  // Drop every block of `uuid` under the object lock; returns blocks freed.
-  std::size_t PurgeBlocks(std::uint64_t uuid);
 
   static std::string BlockKey(std::uint64_t uuid, std::uint64_t block);
 
@@ -111,17 +103,12 @@ class ObjectStoreServer final : public net::RpcHandler {
   // Snapshot plane (kCtlSnapshotBegin/End): pinning takes scan_mu_
   // exclusively; every other handler and the GC harvest hold it shared.
   mutable std::shared_mutex scan_mu_;
-  std::mutex snap_mu_;  // guards the epoch counter and the snapshot map
-  std::uint64_t next_snapshot_epoch_ = 1;
-  std::map<std::uint64_t, std::string> snapshots_;  // epoch -> scan payload
+  SnapshotRing snapshots_;
 
-  // Housekeeping (single GcManager thread): purge queue plus the I9
-  // candidates of the previous harvest (two-cycle confirmation).
-  std::deque<std::uint64_t> gc_queue_;
-  std::set<std::uint64_t> gc_i9_prev_;
+  // Housekeeping: the GC step engine (created by the first GcStep) and the
+  // hosting daemon's manager (kCtlGcStatus).
+  std::unique_ptr<GcStepper> gc_steps_;
   GcManager* gc_ = nullptr;
-  common::Counter* gc_i9_purged_ = &common::MetricsRegistry::Default()
-      .GetCounter("gc.obj.i9_objects_purged");
   // Object stores are fungible replicas: all instances share one
   // "server.obj" metric family (per-instance split adds nothing here).
   common::ServerOpCounters op_metrics_{&common::MetricsRegistry::Default(),

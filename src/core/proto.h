@@ -81,15 +81,17 @@ enum DmsOp : std::uint16_t {
   // [txid u64, purge u8] -> []
   kDmsAbortIncoming = 16,
 
-  // -- fsck / admin (loco_fsck; unauthenticated, run against a quiesced
-  //    cluster like any offline consistency checker) --
+  // -- fsck / admin (loco_fsck and the servers' own GC steps drive these
+  //    through core/invariants.h; unauthenticated) --
   // [] -> [entries] ; entry = Pack(path, uuid) for every d-inode
   kDmsScanDirs = 20,
   // [] -> [entries] ; entry = Pack(dir_uuid, names) for every directory
   // that has dirent records
   kDmsScanDirents = 21,
   // Add (add=1) or remove (add=0) the record of `name` under the directory
-  // at `dir_path`.  [dir_path, name, add u8] -> []
+  // at `dir_path`, re-checked under the directory's lock: an add needs the
+  // child d-inode present and unlisted, a drop the reverse; otherwise
+  // nothing changes.  [dir_path, name, add u8] -> [applied u8]
   kDmsRepairDirent = 22,
   // Drop every dirent record under a uuid whose d-inode no longer exists
   // (rmdir crash leftovers).  [dir_uuid] -> []
@@ -181,10 +183,11 @@ enum FmsOp : std::uint16_t {
   kFmsScanFiles = 56,
   // [] -> [entries] ; entry = Pack(dir_uuid, names) per directory with records
   kFmsScanDirents = 57,
-  // [dir_uuid, name, add u8] -> [] ; add or drop one dirent record
+  // Add or drop one dirent record, re-checked like kDmsRepairDirent against
+  // the file inode.  [dir_uuid, name, add u8] -> [applied u8]
   kFmsRepairDirent = 58,
   // Unconditionally drop a file inode (both parts) and its dirent record.
-  // [dir_uuid, name] -> [file_uuid]
+  // [dir_uuid, name] -> [file_uuid] (0 when no inode was left)
   kFmsPurgeFile = 59,
 
   // Batched file-uuid liveness probe (OSD GC, invariant I9: leaked objects).

@@ -1,7 +1,9 @@
 #include "net/rpc.h"
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 
 namespace loco::net {
 
@@ -43,6 +45,25 @@ void Channel::FanOutAsync(std::vector<CallLeg> legs, const CallMeta& meta,
                     }
                   });
   }
+}
+
+RpcResponse CallBlocking(Channel& channel, NodeId server, std::uint16_t opcode,
+                         std::string payload, CallMeta meta) {
+  if (meta.trace_id == 0) meta.trace_id = NextTraceId();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  RpcResponse out;
+  channel.CallAsyncMeta(server, opcode, std::move(payload), meta,
+                        [&](RpcResponse r) {
+                          std::lock_guard<std::mutex> lock(mu);
+                          out = std::move(r);
+                          done = true;
+                          cv.notify_one();
+                        });
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return done; });
+  return out;
 }
 
 }  // namespace loco::net

@@ -140,4 +140,11 @@ class Channel {
                            std::function<void(std::vector<RpcResponse>)> done);
 };
 
+// One call from code that is not a coroutine (fsck, the daemons' GC probes
+// and intent resolver): issues it through `channel` and waits for the reply,
+// whether the channel completes inline or on another thread.  A zero
+// meta.trace_id gets a fresh one.
+RpcResponse CallBlocking(Channel& channel, NodeId server, std::uint16_t opcode,
+                         std::string payload, CallMeta meta = {});
+
 }  // namespace loco::net

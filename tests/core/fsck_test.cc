@@ -1,9 +1,9 @@
 // core::FsckRunner — detection and repair of every invariant I1–I9 in
-// core/fsck.h, over an in-process DMS + 2 FMS + 2 OSD cluster.  Each test
-// fabricates one crash state (through the admin RPCs or by reaching directly
-// into a store, exactly what an interrupted multi-key mutation leaves
-// behind), asserts the dry run classifies it, repairs, and proves the next
-// scan is clean.
+// core/invariants.h, over an in-process DMS + 2 FMS + 2 OSD cluster.  Each
+// test fabricates one crash state (through the admin RPCs or by reaching
+// directly into a store, exactly what an interrupted multi-key mutation
+// leaves behind), asserts the dry run classifies it, repairs, and proves the
+// next scan is clean.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -139,8 +139,7 @@ TEST(FsckTest, DanglingDmsDirentRemoved) {
   // Crash state: a mkdir that appended the dirent but never wrote the
   // d-inode (or an rmdir that removed the inode first).
   ASSERT_TRUE(
-      fx.Call(kDms, proto::kDmsRepairDirent,
-              fs::Pack(std::string("/"), std::string("ghost"), std::uint8_t{1}))
+      fx.dms.mutable_dirent_kv().Put(DirentKey(fx.DirUuid("/"), "ghost"), {})
           .ok());
 
   const FsckReport dry = fx.DryRun();
@@ -163,12 +162,13 @@ TEST(FsckTest, OrphanDirReattached) {
   ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/d", 0755)).ok());
   // Crash state: mkdir wrote the d-inode but the dirent append was lost.
   ASSERT_TRUE(
-      fx.Call(kDms, proto::kDmsRepairDirent,
-              fs::Pack(std::string("/"), std::string("d"), std::uint8_t{0}))
-          .ok());
+      fx.dms.mutable_dirent_kv().Delete(DirentKey(fx.DirUuid("/"), "d")).ok());
 
   const FsckReport dry = fx.DryRun();
   ASSERT_EQ(fx.CountType(dry, FsckFindingType::kOrphanDir), 1u);
+  ASSERT_EQ(dry.findings.size(), 1u);
+  EXPECT_EQ(dry.findings[0].Describe(),
+            "orphan-dir: dir '/d' missing from the dirent records of '/'");
 
   const FsckReport repaired = fx.RepairRun();
   EXPECT_TRUE(repaired.clean());
@@ -189,12 +189,72 @@ TEST(FsckTest, MissingParentRecreatedAndSubtreeReattached) {
 
   const FsckReport dry = fx.DryRun();
   EXPECT_GE(fx.CountType(dry, FsckFindingType::kMissingParent), 1u);
+  ASSERT_FALSE(dry.findings.empty());
+  EXPECT_EQ(dry.findings[0].Describe(),
+            "missing-parent: dir '/p' has no d-inode but has descendants");
 
   const FsckReport repaired = fx.RepairRun();
   EXPECT_TRUE(repaired.clean());
   // The whole chain is reachable again.
   EXPECT_TRUE(net::RunInline(fx.client->Stat("/p")).ok());
   EXPECT_TRUE(net::RunInline(fx.client->Stat("/p/c")).ok());
+}
+
+TEST(FsckTest, MissingParentChainOfTwoRecreated) {
+  FsckFixture fx;
+  ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/p", 0755)).ok());
+  ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/p/q", 0755)).ok());
+  ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/p/q/c", 0755)).ok());
+  // Crash state: two levels of the chain lost their d-inodes.  Recreating
+  // only the nearest one fails (its own parent is gone too), so the repair
+  // must walk the whole missing chain, shallowest first.
+  ASSERT_TRUE(fx.dms.mutable_dir_kv().Delete("/p/q").ok());
+  ASSERT_TRUE(fx.dms.mutable_dir_kv().Delete("/p").ok());
+
+  const FsckReport repaired = fx.RepairRun();
+  EXPECT_TRUE(repaired.clean());
+  for (const auto& f : repaired.findings) ADD_FAILURE() << f.Describe();
+  EXPECT_TRUE(net::RunInline(fx.client->Stat("/p/q/c")).ok());
+}
+
+TEST(FsckTest, StaleRepairsLeaveLiveEntriesAlone) {
+  FsckFixture fx;
+  ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/x", 0755)).ok());
+  ASSERT_TRUE(net::RunInline(fx.client->Create("/x/f", 0644)).ok());
+  const fs::Uuid dir = fx.DirUuid("/x");
+  const auto names = [&fx](const std::string& path) {
+    std::vector<std::string> out;
+    auto entries = net::RunInline(fx.client->Readdir(path));
+    EXPECT_TRUE(entries.ok());
+    if (entries.ok()) {
+      for (const auto& e : *entries) out.push_back(e.name);
+    }
+    return out;
+  };
+  const std::vector<std::string> root_before = names("/");
+  const std::vector<std::string> x_before = names("/x");
+  ASSERT_EQ(x_before, std::vector<std::string>{"f"});
+
+  // Repairs computed from a scan the namespace has since moved past: each
+  // one's finding no longer holds, so each must change nothing.
+  EXPECT_TRUE(
+      fx.Call(kDms, proto::kDmsRepairDirent,
+              fs::Pack(std::string("/"), std::string("x"), std::uint8_t{0}))
+          .ok());
+  for (int i = 0; i < 2; ++i) {
+    const net::NodeId fms = kFmsBase + static_cast<net::NodeId>(i);
+    EXPECT_TRUE(fx.Call(fms, proto::kFmsRepairDirent,
+                        fs::Pack(dir, std::string("f"), std::uint8_t{0}))
+                    .ok());
+    EXPECT_TRUE(fx.Call(fms, proto::kFmsRepairDirent,
+                        fs::Pack(dir, std::string("ghost"), std::uint8_t{1}))
+                    .ok());
+  }
+
+  EXPECT_EQ(names("/"), root_before);
+  EXPECT_EQ(names("/x"), x_before);
+  EXPECT_TRUE(net::RunInline(fx.client->StatFile("/x/f")).ok());
+  EXPECT_TRUE(fx.DryRun().clean());
 }
 
 TEST(FsckTest, DeadDirentListDropped) {
@@ -250,13 +310,12 @@ TEST(FsckTest, MissingFmsDirentReattached) {
   ASSERT_TRUE(net::RunInline(fx.client->Create("/m/f", 0644)).ok());
   const fs::Uuid dir = fx.DirUuid("/m");
   // Crash state: file inode written, FMS dirent append lost.  The owning
-  // FMS is placement-dependent; removing everywhere is a no-op elsewhere.
+  // FMS is placement-dependent; exactly one of them holds the record.
+  int dropped = 0;
   for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(fx.Call(kFmsBase + static_cast<net::NodeId>(i),
-                        proto::kFmsRepairDirent,
-                        fs::Pack(dir, std::string("f"), std::uint8_t{0}))
-                    .ok());
+    dropped += fx.fms[i]->mutable_dirent_kv().Delete(DirentKey(dir, "f")).ok();
   }
+  ASSERT_EQ(dropped, 1);
 
   const FsckReport dry = fx.DryRun();
   EXPECT_EQ(fx.CountType(dry, FsckFindingType::kMissingFmsDirent), 1u);
@@ -275,9 +334,8 @@ TEST(FsckTest, DanglingFmsDirentRemoved) {
   ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/x", 0755)).ok());
   const fs::Uuid dir = fx.DirUuid("/x");
   // Crash state: remove deleted the inode but not the dirent entry.
-  ASSERT_TRUE(fx.Call(kFmsBase, proto::kFmsRepairDirent,
-                      fs::Pack(dir, std::string("phantom"), std::uint8_t{1}))
-                  .ok());
+  ASSERT_TRUE(
+      fx.fms[0]->mutable_dirent_kv().Put(DirentKey(dir, "phantom"), {}).ok());
 
   const FsckReport dry = fx.DryRun();
   ASSERT_EQ(dry.findings.size(), 1u);
@@ -353,16 +411,15 @@ TEST(FsckTest, CompoundDamageConvergesWithinPassBudget) {
   ASSERT_TRUE(net::RunInline(fx.client->Create("/w/s/lost", 0644)).ok());
 
   ASSERT_TRUE(
-      fx.Call(kDms, proto::kDmsRepairDirent,
-              fs::Pack(std::string("/w"), std::string("bad"), std::uint8_t{1}))
+      fx.dms.mutable_dirent_kv().Put(DirentKey(fx.DirUuid("/w"), "bad"), {})
           .ok());
   const fs::Uuid s_uuid = fx.DirUuid("/w/s");
+  int dropped = 0;
   for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(fx.Call(kFmsBase + static_cast<net::NodeId>(i),
-                        proto::kFmsRepairDirent,
-                        fs::Pack(s_uuid, std::string("lost"), std::uint8_t{0}))
-                    .ok());
+    dropped +=
+        fx.fms[i]->mutable_dirent_kv().Delete(DirentKey(s_uuid, "lost")).ok();
   }
+  ASSERT_EQ(dropped, 1);
   ASSERT_TRUE(fx.Call(kObjBase + 1, proto::kObjWrite,
                       fs::Pack(fs::Uuid(987654321), std::uint64_t{0},
                                std::string("leak")))
@@ -447,8 +504,7 @@ TEST(FsckTest, LiveDryRunConfirmsFindingsAcrossTwoPasses) {
   FsckFixture fx;
   ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/live", 0755)).ok());
   ASSERT_TRUE(
-      fx.Call(kDms, proto::kDmsRepairDirent,
-              fs::Pack(std::string("/"), std::string("ghost"), std::uint8_t{1}))
+      fx.dms.mutable_dirent_kv().Put(DirentKey(fx.DirUuid("/"), "ghost"), {})
           .ok());
 
   FsckRunner runner(fx.transport, fx.config);
@@ -469,8 +525,7 @@ TEST(FsckTest, LiveRepairFixesConfirmedDamage) {
   ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/w", 0755)).ok());
   ASSERT_TRUE(net::RunInline(fx.client->Create("/w/keep", 0644)).ok());
   ASSERT_TRUE(
-      fx.Call(kDms, proto::kDmsRepairDirent,
-              fs::Pack(std::string("/"), std::string("ghost"), std::uint8_t{1}))
+      fx.dms.mutable_dirent_kv().Put(DirentKey(fx.DirUuid("/"), "ghost"), {})
           .ok());
   ASSERT_TRUE(fx.Call(kObjBase, proto::kObjWrite,
                       fs::Pack(fs::Uuid(13371337), std::uint64_t{0},

@@ -261,10 +261,9 @@ TEST(DmsGcStepTest, CleanNamespaceFindsNothing) {
 TEST(DmsGcStepTest, DanglingDirentDropped) {
   DmsGcFixture fx;
   ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/live", 0755)).ok());
-  ASSERT_TRUE(fx.Call(proto::kDmsRepairDirent,
-                      fs::Pack(std::string("/"), std::string("ghost"),
-                               std::uint8_t{1}))
-                  .ok());
+  ASSERT_TRUE(
+      fx.dms.mutable_dirent_kv().Put(DirentKey(fx.DirUuid("/"), "ghost"), {})
+          .ok());
   ASSERT_TRUE(fx.RootLists("ghost"));
 
   fx.dms.GcStep(kBigBudget);                       // harvest: queue the drop
@@ -277,10 +276,8 @@ TEST(DmsGcStepTest, DanglingDirentDropped) {
 TEST(DmsGcStepTest, OrphanDirReattached) {
   DmsGcFixture fx;
   ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/d", 0755)).ok());
-  ASSERT_TRUE(fx.Call(proto::kDmsRepairDirent,
-                      fs::Pack(std::string("/"), std::string("d"),
-                               std::uint8_t{0}))
-                  .ok());
+  ASSERT_TRUE(
+      fx.dms.mutable_dirent_kv().Delete(DirentKey(fx.DirUuid("/"), "d")).ok());
   ASSERT_FALSE(fx.RootLists("d"));
 
   fx.dms.GcStep(kBigBudget);
@@ -396,9 +393,8 @@ TEST(FmsGcStepTest, DanglingDirentDroppedWithoutProbe) {
   FmsGcFixture fx;
   ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/x", 0755)).ok());
   const fs::Uuid dir = fx.DirUuid("/x");
-  ASSERT_TRUE(fx.Call(1, proto::kFmsRepairDirent,
-                      fs::Pack(dir, std::string("phantom"), std::uint8_t{1}))
-                  .ok());
+  ASSERT_TRUE(
+      fx.fms->mutable_dirent_kv().Put(DirentKey(dir, "phantom"), {}).ok());
 
   // I6/I7 need no cross-server probe: a null UuidProbe only disables I5.
   fx.fms->GcStep(kBigBudget, nullptr);
@@ -414,9 +410,7 @@ TEST(FmsGcStepTest, MissingDirentReattached) {
   ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/m", 0755)).ok());
   ASSERT_TRUE(net::RunInline(fx.client->Create("/m/f", 0644)).ok());
   const fs::Uuid dir = fx.DirUuid("/m");
-  ASSERT_TRUE(fx.Call(1, proto::kFmsRepairDirent,
-                      fs::Pack(dir, std::string("f"), std::uint8_t{0}))
-                  .ok());
+  ASSERT_TRUE(fx.fms->mutable_dirent_kv().Delete(DirentKey(dir, "f")).ok());
 
   fx.fms->GcStep(kBigBudget, nullptr);
   const GcStepResult r = fx.fms->GcStep(kBigBudget, nullptr);
