@@ -10,14 +10,15 @@ cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "== tier-1: repeat gate (dispatch, frame reader, fsck + GC step suites, until-fail:20) =="
+echo "== tier-1: repeat gate (dispatch, frame reader, fsck + GC step suites, client fan-outs, until-fail:20) =="
 # The worker / loop-run dispatch suites, the notify listener, the wire /
-# frame-reader suites and the invariant-engine suites (fsck and the
-# in-process GcStep drivers) must pass 20 times in a row: a test that leans
-# on thread timing or on state left by an earlier step fails here instead of
-# flaking later.
+# frame-reader suites, the invariant-engine suites (fsck and the
+# in-process GcStep drivers) and the client's mixed DMS+FMS fan-outs over
+# TCP (warm readdir, rename probes) must pass 20 times in a row: a test
+# that leans on thread timing or on state left by an earlier step fails
+# here instead of flaking later.
 ctest --test-dir build --output-on-failure \
-  -R '^(TcpTest|TcpWorkerPoolTest|TcpFanOutTest|TcpFaultTest|OverloadTest|DisconnectTest|NotifyListenerTest|WireTest|WireFuzzTest|PinnedReaderTest|FsckTest|DmsGcStepTest|FmsGcStepTest|ObjGcStepTest)\.' \
+  -R '^((TcpTest|TcpWorkerPoolTest|TcpFanOutTest|TcpFaultTest|OverloadTest|DisconnectTest|NotifyListenerTest|WireTest|WireFuzzTest|PinnedReaderTest|FsckTest|DmsGcStepTest|FmsGcStepTest|ObjGcStepTest)\.|TcpClusterTest\.RenameAndReaddirFanOutsOverTcp$)' \
   --repeat until-fail:20
 
 echo "== tier-1: live-stack benchmark smoke (perfbench/run.py --smoke) =="
@@ -115,7 +116,10 @@ cmake --build build-tsan -j --target net_test kvstore_test fs_test \
 ./build-tsan/tests/core/core_housekeeping_test
 ./build-tsan/tests/integration/notify_e2e_test
 # The reactor completes several legs of one caller's fan-out at once, and
-# ResilientChannel retries legs of that fan-out on the calling thread.
-./build-tsan/tests/integration/integration_test --gtest_filter='ResilientChannel*'
+# ResilientChannel retries legs of that fan-out on the calling thread; the
+# TcpCluster suite drives the client's own fan-outs (listings, rename
+# probes, batch frames) through both over real sockets.
+./build-tsan/tests/integration/integration_test \
+  --gtest_filter='ResilientChannel*:TcpClusterTest.*'
 
 echo "tier1: OK"

@@ -291,6 +291,14 @@ net::Task<Result<fs::Attr>> LocoClient::LookupDir(std::string path,
   co_return attr;
 }
 
+std::optional<fs::Uuid> LocoClient::LeasedUuid(const std::string& path) const {
+  if (!cfg_.cache_enabled) return std::nullopt;
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  const auto it = cache_.find(path);
+  if (it == cache_.end() || Now() >= it->second.expires_at) return std::nullopt;
+  return it->second.attr.uuid;
+}
+
 net::Task<Status> LocoClient::ClassifyMissingFile(std::string path) {
   net::RpcResponse resp = co_await net::Call(
       channel_, DmsFor(path), proto::kDmsStat, fs::Pack(path, identity_));
@@ -353,10 +361,10 @@ net::Task<Status> LocoClient::Rmdir(std::string path) {
   co_return StatusFrom(resp);
 }
 
-net::Task<Result<std::vector<fs::DirEntry>>> LocoClient::Readdir(
-    std::string path) {
+net::Task<Result<LocoClient::Listing>> LocoClient::ListDir(
+    std::string path, std::uint16_t fms_opcode) {
+  Listing listing;
   fs::Attr dir_attr;
-  std::vector<fs::DirEntry> entries;
   if (path == "/" && cfg_.dms.size() > 1) {
     // The root's subdir list is partitioned per shard: merge every shard's
     // contribution (attrs from shard 0, the canonical root owner).
@@ -370,36 +378,62 @@ net::Task<Result<std::vector<fs::DirEntry>>> LocoClient::Readdir(
         co_return ErrStatus(ErrCode::kCorruption);
       }
       if (i == 0) dir_attr = shard_attr;
-      MergeByName(&entries, std::move(shard_entries));
+      MergeByName(&listing.subdirs, std::move(shard_entries));
     }
   } else {
-    net::RpcResponse resp = co_await net::Call(
-        channel_, DmsFor(path), proto::kDmsReaddir, fs::Pack(path, identity_));
-    if (!resp.ok()) {
-      if (resp.code != ErrCode::kNotFound || path == "/") {
-        co_return ErrStatus(resp.code);
+    // On a live lease the FMS legs (the paper's readdir fan-out) ride in the
+    // DMS leg's round, keyed by the leased uuid.  They carry no identity,
+    // so their replies count only when the DMS, which checks read
+    // permission, answers with that same uuid.
+    const std::optional<fs::Uuid> leased = LeasedUuid(path);
+    std::vector<net::CallLeg> legs;
+    legs.push_back(net::CallLeg{DmsFor(path), proto::kDmsReaddir,
+                                fs::Pack(path, identity_)});
+    if (leased) {
+      for (const net::NodeId fms : cfg_.fms) {
+        legs.push_back(net::CallLeg{fms, fms_opcode, fs::Pack(*leased)});
       }
-      // Maybe a file path.
-      auto parent = co_await LookupDir(std::string(fs::ParentPath(path)),
-                                       fs::kModeExec, {});
-      if (parent.ok()) {
-        net::RpcResponse probe = co_await net::Call(
-            channel_, FmsFor(parent->uuid, fs::BaseName(path)),
-            proto::kFmsGetAttr,
-            fs::Pack(parent->uuid, std::string(fs::BaseName(path))));
-        if (probe.ok()) co_return ErrStatus(ErrCode::kNotDir);
-      }
-      co_return ErrStatus(ErrCode::kNotFound);
     }
-    if (!fs::Unpack(resp.payload, dir_attr, entries)) {
+    auto replies = co_await net::FanOut(channel_, std::move(legs));
+    if (!replies[0].ok()) co_return ErrStatus(replies[0].code);
+    if (!fs::Unpack(replies[0].payload, dir_attr, listing.subdirs)) {
       co_return ErrStatus(ErrCode::kCorruption);
     }
+    if (leased && dir_attr.uuid == *leased) {
+      listing.files.assign(std::make_move_iterator(replies.begin() + 1),
+                           std::make_move_iterator(replies.end()));
+      co_return listing;
+    }
+    // The path names another directory than the lease says: drop the stale
+    // lease and ask the FMSs again with the uuid the DMS returned.
+    if (leased) InvalidatePrefix(path);
   }
-  // Pull the file entries from every FMS (the paper's readdir fan-out).
-  auto responses = co_await net::CallMany(channel_, cfg_.fms,
-                                          proto::kFmsReaddir,
-                                          fs::Pack(dir_attr.uuid));
-  for (const net::RpcResponse& r : responses) {
+  listing.files = co_await net::CallMany(channel_, cfg_.fms, fms_opcode,
+                                         fs::Pack(dir_attr.uuid));
+  co_return listing;
+}
+
+net::Task<Result<std::vector<fs::DirEntry>>> LocoClient::Readdir(
+    std::string path) {
+  auto listing = co_await ListDir(path, proto::kFmsReaddir);
+  if (!listing.ok()) {
+    if (listing.code() != ErrCode::kNotFound || path == "/") {
+      co_return listing.status();
+    }
+    // Maybe a file path.
+    auto parent = co_await LookupDir(std::string(fs::ParentPath(path)),
+                                     fs::kModeExec, {});
+    if (parent.ok()) {
+      net::RpcResponse probe = co_await net::Call(
+          channel_, FmsFor(parent->uuid, fs::BaseName(path)),
+          proto::kFmsGetAttr,
+          fs::Pack(parent->uuid, std::string(fs::BaseName(path))));
+      if (probe.ok()) co_return ErrStatus(ErrCode::kNotDir);
+    }
+    co_return ErrStatus(ErrCode::kNotFound);
+  }
+  std::vector<fs::DirEntry> entries = std::move(listing->subdirs);
+  for (const net::RpcResponse& r : listing->files) {
     if (!r.ok()) co_return ErrStatus(r.code);
     std::vector<fs::DirEntry> files;
     if (!fs::Unpack(r.payload, files)) co_return ErrStatus(ErrCode::kCorruption);
@@ -568,43 +602,18 @@ net::Task<Result<std::vector<ErrCode>>> LocoClient::PutMany(
 
 net::Task<Result<std::vector<LocoClient::EntryPlus>>> LocoClient::ReaddirPlus(
     std::string path) {
-  fs::Attr dir_attr;
-  std::vector<fs::DirEntry> subdirs;
-  if (path == "/" && cfg_.dms.size() > 1) {
-    // Partitioned root subdir list: merge every shard's slice (see Readdir).
-    auto responses = co_await net::CallMany(
-        channel_, cfg_.dms, proto::kDmsReaddir, fs::Pack(path, identity_));
-    for (std::size_t i = 0; i < responses.size(); ++i) {
-      if (!responses[i].ok()) co_return ErrStatus(responses[i].code);
-      fs::Attr shard_attr;
-      std::vector<fs::DirEntry> shard_subdirs;
-      if (!fs::Unpack(responses[i].payload, shard_attr, shard_subdirs)) {
-        co_return ErrStatus(ErrCode::kCorruption);
-      }
-      if (i == 0) dir_attr = shard_attr;
-      MergeByName(&subdirs, std::move(shard_subdirs));
-    }
-  } else {
-    net::RpcResponse resp = co_await net::Call(
-        channel_, DmsFor(path), proto::kDmsReaddir, fs::Pack(path, identity_));
-    if (!resp.ok()) co_return ErrStatus(resp.code);
-    if (!fs::Unpack(resp.payload, dir_attr, subdirs)) {
-      co_return ErrStatus(ErrCode::kCorruption);
-    }
-  }
+  // One kFmsReaddirPlus leg per FMS replaces the per-file GetAttr fan-out a
+  // plain readdir + stat loop would issue.
+  auto listing = co_await ListDir(std::move(path), proto::kFmsReaddirPlus);
+  if (!listing.ok()) co_return listing.status();
   std::vector<EntryPlus> entries;
-  for (fs::DirEntry& d : subdirs) {
+  for (fs::DirEntry& d : listing->subdirs) {
     EntryPlus e;
     e.name = std::move(d.name);
     e.is_dir = true;
     entries.push_back(std::move(e));
   }
-  // One round trip per FMS replaces the per-file GetAttr fan-out a plain
-  // readdir + stat loop would issue.
-  auto responses = co_await net::CallMany(channel_, cfg_.fms,
-                                          proto::kFmsReaddirPlus,
-                                          fs::Pack(dir_attr.uuid));
-  for (const net::RpcResponse& r : responses) {
+  for (const net::RpcResponse& r : listing->files) {
     if (!r.ok()) co_return ErrStatus(r.code);
     std::vector<net::wire::BatchItem> items;
     if (!net::wire::DecodeBatchResponse(r.payload, &items)) {
@@ -970,23 +979,40 @@ net::Task<Status> LocoClient::Rename(std::string from, std::string to) {
     co_return ErrStatus(ErrCode::kInvalid);
   }
 
-  // Try f-rename first: read the raw fixed-layout parts from the source FMS.
   const std::string from_name(fs::BaseName(from));
   const std::string to_name(fs::BaseName(to));
   auto src_parent = co_await LookupDir(std::string(fs::ParentPath(from)),
                                        fs::kModeWrite | fs::kModeExec, {});
   if (!src_parent.ok()) co_return src_parent.status();
-  net::RpcResponse raw = co_await net::Call(
-      channel_, FmsFor(src_parent->uuid, from_name), proto::kFmsReadRaw,
-      fs::Pack(src_parent->uuid, from_name));
+  // One lookup serves both rename kinds.  The DMS checks exec on every
+  // ancestor whatever `want` is, so checking write+exec locally below gives
+  // the file rename what LookupDir(..., W|X) would.
+  auto dst_parent = co_await LookupDir(std::string(fs::ParentPath(to)), 0, {});
+
+  // The probes both rename kinds read, in one round: the source's raw
+  // fixed-layout parts (present means f-rename), a file at the destination
+  // (blocks a d-rename) and a directory there (blocks an f-rename).
+  std::vector<net::CallLeg> legs;
+  legs.push_back(net::CallLeg{FmsFor(src_parent->uuid, from_name),
+                              proto::kFmsReadRaw,
+                              fs::Pack(src_parent->uuid, from_name)});
+  if (dst_parent.ok()) {
+    legs.push_back(net::CallLeg{FmsFor(dst_parent->uuid, to_name),
+                                proto::kFmsGetAttr,
+                                fs::Pack(dst_parent->uuid, to_name)});
+    legs.push_back(net::CallLeg{DmsFor(to), proto::kDmsStat,
+                                fs::Pack(to, identity_)});
+  }
+  auto probes = co_await net::FanOut(channel_, std::move(legs));
+  const net::RpcResponse& raw = probes[0];
   if (raw.ok()) {
-    auto dst_parent = co_await LookupDir(std::string(fs::ParentPath(to)),
-                                         fs::kModeWrite | fs::kModeExec, {});
     if (!dst_parent.ok()) co_return dst_parent.status();
+    if (!fs::CheckPermission(identity_, dst_parent->mode, dst_parent->uid,
+                             dst_parent->gid, fs::kModeWrite | fs::kModeExec)) {
+      co_return ErrStatus(ErrCode::kPermission);
+    }
     // A directory at the destination shadows the file rename.
-    net::RpcResponse dir_probe = co_await net::Call(
-        channel_, DmsFor(to), proto::kDmsStat, fs::Pack(to, identity_));
-    if (dir_probe.ok()) co_return ErrStatus(ErrCode::kExists);
+    if (probes[2].ok()) co_return ErrStatus(ErrCode::kExists);
     std::string access, content;
     if (!fs::Unpack(raw.payload, access, content)) {
       co_return ErrStatus(ErrCode::kCorruption);
@@ -1021,19 +1047,14 @@ net::Task<Status> LocoClient::Rename(std::string from, std::string to) {
   }
   if (raw.code != ErrCode::kNotFound) co_return StatusFrom(raw);
 
-  // d-rename.  Source existence is verified first: a missing source
-  // dominates any destination-side condition.
-  net::RpcResponse src_probe = co_await net::Call(
-      channel_, DmsFor(from), proto::kDmsStat, fs::Pack(from, identity_));
-  if (!src_probe.ok()) co_return StatusFrom(src_probe);
-
-  // The destination must not exist as a file either.
-  auto dst_parent = co_await LookupDir(std::string(fs::ParentPath(to)), 0, {});
-  if (dst_parent.ok()) {
-    net::RpcResponse file_probe = co_await net::Call(
-        channel_, FmsFor(dst_parent->uuid, to_name), proto::kFmsGetAttr,
-        fs::Pack(dst_parent->uuid, to_name));
-    if (file_probe.ok()) co_return ErrStatus(ErrCode::kExists);
+  // d-rename.  A missing source dominates any destination-side condition;
+  // the DMS rename reports it before it looks at `to`, so only a file at the
+  // destination needs the source checked here first.
+  if (dst_parent.ok() && probes[1].ok()) {
+    net::RpcResponse src_probe = co_await net::Call(
+        channel_, DmsFor(from), proto::kDmsStat, fs::Pack(from, identity_));
+    if (!src_probe.ok()) co_return StatusFrom(src_probe);
+    co_return ErrStatus(ErrCode::kExists);
   }
   const net::NodeId src_node = DmsFor(from);
   const net::NodeId dst_node = DmsFor(to);

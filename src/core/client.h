@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -210,6 +211,20 @@ class LocoClient final : public fs::FileSystemClient {
   // triggers the subdirectory shadow check on the uncached path.
   net::Task<Result<fs::Attr>> LookupDir(std::string path, std::uint32_t want,
                                         std::string shadow_name);
+
+  // The uuid a live lease holds for `path`, if any.  Not counted as a lease
+  // hit: callers use it as a guess that a DMS reply then checks.
+  std::optional<fs::Uuid> LeasedUuid(const std::string& path) const;
+
+  // The two halves of a listing: the DMS readdir reply's subdirectories and
+  // one `fms_opcode` reply per FMS, in cfg_.fms order.  On a live lease both
+  // halves travel in one round (see ListDir).
+  struct Listing {
+    std::vector<fs::DirEntry> subdirs;
+    std::vector<net::RpcResponse> files;
+  };
+  net::Task<Result<Listing>> ListDir(std::string path,
+                                     std::uint16_t fms_opcode);
 
   // Distinguish kNotFound vs kIsDir/kNotDir after an FMS miss by consulting
   // the DMS (keeps client-visible error codes faithful to the contract).

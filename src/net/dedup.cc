@@ -47,12 +47,16 @@ void DedupWindow::Complete(const std::string& key, ErrCode code,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return;  // evicted under pathological pressure
+  // Queue each entry once, so every pointer in completed_ stays live until
+  // its own eviction.
+  if (!it->second.done) completed_.push_back(&it->first);
   it->second.done = true;
   it->second.code = code;
   it->second.payload.assign(payload.data(), payload.size());
-  completed_.push_back(key);
   while (completed_.size() > options_.capacity) {
-    entries_.erase(completed_.front());
+    // Look the key up before erasing: erase(key) would compare against the
+    // very string it destroys.
+    entries_.erase(entries_.find(*completed_.front()));
     completed_.pop_front();
   }
   cv_.notify_all();

@@ -21,7 +21,9 @@
 // Concurrency: the first arrival of a key executes the handler; concurrent
 // duplicates block on a condition variable until the owner completes, then
 // replay the cached (code, payload).  Completed entries are evicted FIFO
-// once the window exceeds its capacity.
+// once the window exceeds its capacity.  The map holds each key once: the
+// eviction queue points at the map's own key strings, which stay put when
+// the map rehashes (a key can be a whole ~256 KiB batch frame).
 #pragma once
 
 #include <condition_variable>
@@ -84,7 +86,7 @@ class DedupWindow {
   std::mutex mu_;
   std::condition_variable cv_;
   std::unordered_map<std::string, Entry> entries_;
-  std::deque<std::string> completed_;  // eviction order
+  std::deque<const std::string*> completed_;  // keys in entries_, oldest first
 };
 
 }  // namespace loco::net

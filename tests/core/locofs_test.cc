@@ -3,6 +3,7 @@
 // that pin the operation -> round-trip decomposition of DESIGN.md §5.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -43,6 +44,7 @@ struct LocoFixture {
     }
     cfg.cache_enabled = cache;
     cfg.now = [this] { return clock; };
+    config = cfg;
     client = std::make_unique<LocoClient>(transport, cfg);
   }
 
@@ -55,6 +57,7 @@ struct LocoFixture {
   }
 
   std::uint64_t clock = 1;
+  LocoClient::Config config;  // what `client` was built with
   net::InProcTransport transport;
   DirectoryMetadataServer dms;
   std::vector<std::unique_ptr<FileMetadataServer>> fms;
@@ -265,20 +268,95 @@ TEST(LocoFsTest, DirRenameMovesSubtreeAndKeepsFiles) {
 }
 
 TEST(LocoFsTest, RenameErrors) {
-  LocoFixture fx;
-  ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/a", 0755)).ok());
-  ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/b", 0755)).ok());
-  ASSERT_TRUE(net::RunInline(fx.client->Create("/file", 0644)).ok());
-  EXPECT_EQ(net::RunInline(fx.client->Rename("/a", "/a/in")).code(),
-            ErrCode::kInvalid);
-  EXPECT_EQ(net::RunInline(fx.client->Rename("/missing", "/c")).code(),
-            ErrCode::kNotFound);
-  EXPECT_EQ(net::RunInline(fx.client->Rename("/a", "/b")).code(), ErrCode::kExists);
-  EXPECT_EQ(net::RunInline(fx.client->Rename("/file", "/a")).code(),
-            ErrCode::kExists);
-  EXPECT_EQ(net::RunInline(fx.client->Rename("/a", "/file")).code(),
-            ErrCode::kExists);
-  EXPECT_TRUE(net::RunInline(fx.client->Rename("/a", "/a")).ok());
+  for (const bool cache : {true, false}) {
+    SCOPED_TRACE(cache ? "cache on" : "cache off");
+    LocoFixture fx(4, cache);
+    auto& c = *fx.client;
+    ASSERT_TRUE(net::RunInline(c.Mkdir("/a", 0755)).ok());
+    ASSERT_TRUE(net::RunInline(c.Mkdir("/b", 0755)).ok());
+    ASSERT_TRUE(net::RunInline(c.Mkdir("/ro", 0555)).ok());
+    ASSERT_TRUE(net::RunInline(c.Create("/file", 0644)).ok());
+    EXPECT_EQ(net::RunInline(c.Rename("/a", "/a/in")).code(), ErrCode::kInvalid);
+    EXPECT_EQ(net::RunInline(c.Rename("/missing", "/c")).code(),
+              ErrCode::kNotFound);
+    // A missing source outranks a file at the destination.
+    EXPECT_EQ(net::RunInline(c.Rename("/missing", "/file")).code(),
+              ErrCode::kNotFound);
+    EXPECT_EQ(net::RunInline(c.Rename("/a", "/b")).code(), ErrCode::kExists);
+    EXPECT_EQ(net::RunInline(c.Rename("/file", "/a")).code(), ErrCode::kExists);
+    EXPECT_EQ(net::RunInline(c.Rename("/a", "/file")).code(), ErrCode::kExists);
+    EXPECT_EQ(net::RunInline(c.Rename("/a", "/nope/a")).code(),
+              ErrCode::kNotFound);
+    EXPECT_TRUE(net::RunInline(c.Rename("/a", "/a")).ok());
+    // A file renamed into a parent the caller cannot write; with the cache
+    // on, a lookup under /ro first leases it, so the check runs locally.
+    c.SetIdentity(fs::Identity{1000, 1000});
+    EXPECT_EQ(net::RunInline(c.Stat("/ro/x")).code(), ErrCode::kNotFound);
+    EXPECT_EQ(net::RunInline(c.Rename("/file", "/ro/file")).code(),
+              ErrCode::kPermission);
+    EXPECT_TRUE(net::RunInline(c.Stat("/file")).ok());
+  }
+}
+
+// Counts rounds: every CallAsyncMeta or FanOutAsync is one round, however
+// many legs it carries.
+class RoundCounter final : public net::Channel {
+ public:
+  explicit RoundCounter(net::Channel& inner) : inner_(inner) {}
+
+  void CallAsync(net::NodeId server, std::uint16_t opcode, std::string payload,
+                 std::function<void(net::RpcResponse)> done) override {
+    ++rounds;
+    inner_.CallAsync(server, opcode, std::move(payload), std::move(done));
+  }
+  void CallAsyncMeta(net::NodeId server, std::uint16_t opcode,
+                     std::string payload, const net::CallMeta& meta,
+                     std::function<void(net::RpcResponse)> done) override {
+    ++rounds;
+    inner_.CallAsyncMeta(server, opcode, std::move(payload), meta,
+                         std::move(done));
+  }
+  void FanOutAsync(
+      std::vector<net::CallLeg> legs, const net::CallMeta& meta,
+      std::function<void(std::vector<net::RpcResponse>)> done) override {
+    ++rounds;
+    inner_.FanOutAsync(std::move(legs), meta, std::move(done));
+  }
+
+  int rounds = 0;
+
+ private:
+  net::Channel& inner_;
+};
+
+TEST(LocoFsTest, WarmListingAndRenameRoundsMatchDesign) {
+  // DESIGN.md §5, "rounds (C, warm)": a listing sends its DMS leg and every
+  // FMS leg at once; a rename sends its probes at once, then acts.
+  LocoFixture fx(4);
+  RoundCounter counter(fx.transport);
+  LocoClient client(counter, fx.config);
+  ASSERT_TRUE(net::RunInline(client.Mkdir("/d", 0755)).ok());
+  ASSERT_TRUE(net::RunInline(client.Mkdir("/d/sub", 0755)).ok());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(net::RunInline(client.Create("/d/f" + std::to_string(i), 0644))
+                    .ok());  // the first leases /d
+  }
+  counter.rounds = 0;
+  auto entries = net::RunInline(client.Readdir("/d"));
+  ASSERT_TRUE(entries.ok());
+  EXPECT_EQ(entries->size(), 9u);
+  EXPECT_EQ(counter.rounds, 1);
+  counter.rounds = 0;
+  auto plus = net::RunInline(client.ReaddirPlus("/d"));
+  ASSERT_TRUE(plus.ok());
+  EXPECT_EQ(plus->size(), 9u);
+  EXPECT_EQ(counter.rounds, 1);
+  counter.rounds = 0;
+  ASSERT_TRUE(net::RunInline(client.Rename("/d/sub", "/d/sub2")).ok());
+  EXPECT_EQ(counter.rounds, 2);
+  counter.rounds = 0;
+  ASSERT_TRUE(net::RunInline(client.Rename("/d/f0", "/d/g0")).ok());
+  EXPECT_EQ(counter.rounds, 3);
 }
 
 TEST(LocoFsTest, PermissionDeniedPropagates) {

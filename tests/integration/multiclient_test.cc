@@ -223,5 +223,45 @@ TEST(MultiClientTest, RenameVsCreateRaceStaysConsistent) {
   EXPECT_TRUE(net::RunInline(admin->Readdir("/to")).ok());
 }
 
+TEST(MultiClientTest, ReaddirOnStaleLeaseListsCurrentDirectory) {
+  // A warm listing sends its FMS legs with the uuid A's lease holds.  Once
+  // another client moves the directory away and makes a new one at the same
+  // path, that uuid names the moved directory: the DMS reply's uuid must
+  // overrule it.  Each listing kind gets its own stale lease.
+  for (const bool plus : {false, true}) {
+    SCOPED_TRACE(plus ? "ReaddirPlus" : "Readdir");
+    Cluster cluster;
+    auto a = cluster.NewClient();
+    auto b = cluster.NewClient();
+    ASSERT_TRUE(net::RunInline(a->Mkdir("/d", 0777)).ok());
+    ASSERT_TRUE(net::RunInline(a->Create("/d/f1", 0644)).ok());  // leases /d
+    ASSERT_TRUE(net::RunInline(b->Rename("/d", "/e")).ok());
+    ASSERT_TRUE(net::RunInline(b->Mkdir("/d", 0777)).ok());
+    ASSERT_TRUE(net::RunInline(b->Create("/d/x", 0644)).ok());
+
+    std::vector<std::string> names;
+    if (plus) {
+      auto entries = net::RunInline(a->ReaddirPlus("/d"));
+      ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+      for (const auto& e : *entries) names.push_back(e.name);
+    } else {
+      auto entries = net::RunInline(a->Readdir("/d"));
+      ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+      for (const auto& e : *entries) names.push_back(e.name);
+    }
+    EXPECT_EQ(names, std::vector<std::string>{"x"});
+
+    // The listing dropped the stale lease: A's next create lands in the new
+    // /d, not in the moved directory.
+    ASSERT_TRUE(net::RunInline(a->Create("/d/y", 0644)).ok());
+    auto now = net::RunInline(b->Readdir("/d"));
+    ASSERT_TRUE(now.ok());
+    EXPECT_EQ(now->size(), 2u);
+    auto moved = net::RunInline(b->Readdir("/e"));
+    ASSERT_TRUE(moved.ok());
+    EXPECT_EQ(moved->size(), 1u);  // f1 alone
+  }
+}
+
 }  // namespace
 }  // namespace loco::core

@@ -272,6 +272,66 @@ TEST_F(TcpClusterTest, BatchOpsWithOneFmsStoppedFailOnlyItsGroup) {
   EXPECT_GT(created_dead, 0);
 }
 
+TEST_F(TcpClusterTest, RenameAndReaddirFanOutsOverTcp) {
+  // A warm listing puts its DMS leg and both FMS legs on the wire at once,
+  // and a rename its probes: the replies of different servers must land on
+  // the right legs.
+  auto& c = *static_cast<core::LocoClient*>(client_.get());
+  ASSERT_TRUE(net::RunInline(c.Mkdir("/r", 0755)).ok());
+  ASSERT_TRUE(net::RunInline(c.Mkdir("/r/sub", 0755)).ok());
+  for (int i = 0; i < 12; ++i) {  // spread over both FMS; leases /r
+    ASSERT_TRUE(net::RunInline(c.Create("/r/f" + std::to_string(i), 0644)).ok());
+  }
+  auto names_of = [&c](const std::string& dir) {
+    std::vector<std::string> names;
+    auto entries = net::RunInline(c.Readdir(dir));
+    EXPECT_TRUE(entries.ok()) << dir << ": " << entries.status().ToString();
+    if (entries.ok()) {
+      for (const auto& e : *entries) names.push_back(e.name);
+    }
+    return names;
+  };
+  std::vector<std::string> want = {"f0", "f1", "f10", "f11", "f2", "f3",
+                                   "f4", "f5",  "f6",  "f7",  "f8", "f9",
+                                   "sub"};
+  EXPECT_EQ(names_of("/r"), want);
+  auto plus = net::RunInline(c.ReaddirPlus("/r"));
+  ASSERT_TRUE(plus.ok()) << plus.status().ToString();
+  ASSERT_EQ(plus->size(), want.size());
+  for (const auto& e : *plus) {
+    EXPECT_EQ(e.is_dir, e.name == "sub") << e.name;
+    if (!e.is_dir) {
+      EXPECT_EQ(e.code, ErrCode::kOk) << e.name;
+      EXPECT_EQ(e.attr.mode, 0644u) << e.name;
+    }
+  }
+
+  // Both rename kinds, then the error precedence the probes decide.
+  ASSERT_TRUE(net::RunInline(c.Rename("/r/sub", "/r/sub2")).ok());
+  ASSERT_TRUE(net::RunInline(c.Rename("/r/f0", "/r/g0")).ok());
+  EXPECT_EQ(net::RunInline(c.Rename("/r/missing", "/r/f1")).code(),
+            ErrCode::kNotFound);
+  EXPECT_EQ(net::RunInline(c.Rename("/r/sub2", "/r/f1")).code(),
+            ErrCode::kExists);
+  EXPECT_EQ(net::RunInline(c.Rename("/r/f1", "/r/sub2")).code(),
+            ErrCode::kExists);
+  want.erase(want.begin());  // f0
+  want.back() = "sub2";
+  want.insert(want.end() - 1, "g0");
+  EXPECT_EQ(names_of("/r"), want);
+
+  // A second client of the same mount moves /r away and makes a new /r: the
+  // first client's lease (not pushed: the DMS spares the mutating mount)
+  // still holds the old uuid, and the listing must follow the DMS reply.
+  auto other = mount_.MakeClient([this] { return ++clock_; });
+  other->SetIdentity(fs::Identity{1000, 1000});
+  ASSERT_TRUE(net::RunInline(other->Rename("/r", "/moved")).ok());
+  ASSERT_TRUE(net::RunInline(other->Mkdir("/r", 0755)).ok());
+  ASSERT_TRUE(net::RunInline(other->Create("/r/x", 0644)).ok());
+  EXPECT_EQ(names_of("/r"), std::vector<std::string>{"x"});
+  EXPECT_EQ(names_of("/moved"), want);
+}
+
 // ---------------------------------------------------------------------------
 // Daemon binaries: spawn locofs_dmsd, parse its "listening on" line, RPC to
 // it over TCP, shut it down with SIGTERM and check the --metrics-out dump.

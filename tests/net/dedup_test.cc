@@ -118,6 +118,41 @@ TEST(DedupWindowTest, EvictionForgetsOldEntries) {
   EXPECT_EQ(run(15), DedupWindow::Outcome::kReplay);
 }
 
+TEST(DedupWindowTest, EvictionOrderSurvivesRehash) {
+  // The eviction queue refers to the map's own keys; 5,000 inserts rehash
+  // the map several times, and the FIFO order must come through intact.
+  DedupWindow::Options options;
+  options.capacity = 4096;
+  DedupWindow window({7}, options);
+  constexpr int kKeys = 5000;
+  constexpr int kEvicted = kKeys - 4096;
+  auto run = [&](int i) {
+    const std::string key = DedupWindow::Key(
+        Header(7, static_cast<std::uint64_t>(i)), "payload-" + std::to_string(i));
+    ErrCode code = ErrCode::kOk;
+    std::string cached;
+    const auto outcome = window.Begin(key, &code, &cached);
+    if (outcome == DedupWindow::Outcome::kExecute) {
+      window.Complete(key, ErrCode::kOk, "r" + std::to_string(i));
+    } else {
+      EXPECT_EQ(cached, "r" + std::to_string(i));
+    }
+    return outcome;
+  };
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(run(i), DedupWindow::Outcome::kExecute) << i;
+  }
+  // The newest 4096 replay their own responses (a replay inserts nothing).
+  for (int i = kEvicted; i < kKeys; ++i) {
+    ASSERT_EQ(run(i), DedupWindow::Outcome::kReplay) << i;
+  }
+  // The oldest 904 were evicted and execute again.
+  for (int i = 0; i < kEvicted; ++i) {
+    ASSERT_EQ(run(i), DedupWindow::Outcome::kExecute) << i;
+  }
+  EXPECT_EQ(run(kKeys - 1), DedupWindow::Outcome::kReplay);
+}
+
 TEST(DedupWindowTest, ConcurrentDuplicateWaitsForOwner) {
   DedupWindow window({7});
   const std::string key = DedupWindow::Key(Header(7, 77), "racy");
