@@ -23,9 +23,11 @@ loco_add_bench(fig11_decoupled bench/fig11_decoupled.cc)
 loco_add_bench(fig12_fullsystem bench/fig12_fullsystem.cc)
 loco_add_bench(fig13_depth bench/fig13_depth.cc)
 loco_add_bench(fig14_rename bench/fig14_rename.cc)
-loco_add_bench(fig15_concurrency bench/fig15_concurrency.cc)
-loco_add_bench(fig_batch bench/fig_batch.cc)
-loco_add_bench(fig_async bench/fig_async.cc)
+# The live-stack driver records perfbench's host fingerprint with its results.
+loco_add_bench(fig_loopback bench/fig_loopback.cc perfbench/host.cc)
+target_include_directories(fig_loopback PRIVATE ${CMAKE_SOURCE_DIR}/perfbench)
+target_compile_definitions(fig_loopback PRIVATE
+  LOCOBENCH_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
 loco_add_bench(fig_overload bench/fig_overload.cc)
 loco_add_bench(fig_shard bench/fig_shard.cc)
 loco_add_bench(tab01_access_matrix bench/tab01_access_matrix.cc)

@@ -400,39 +400,25 @@ int main(int argc, char** argv) {
 
   bench::Config cfg;
   bool short_mode = false;
-  auto flag = [&](int* i, const char* name, std::string* value) {
-    const std::string_view arg = argv[*i];
-    const std::size_t len = std::strlen(name);
-    if (arg == name && *i + 1 < argc) {
-      *value = argv[++*i];
-      return true;
-    }
-    if (arg.size() > len + 1 && arg.substr(0, len) == name &&
-        arg[len] == '=') {
-      *value = std::string(arg.substr(len + 1));
-      return true;
-    }
-    return false;
-  };
   for (int i = 1; i < argc; ++i) {
     std::string value;
-    if (flag(&i, "--out", &value)) {
+    if (bench::FlagValue(argc, argv, &i, "--out", &value)) {
       cfg.out = value;
-    } else if (flag(&i, "--connect", &value)) {
+    } else if (bench::FlagValue(argc, argv, &i, "--connect", &value)) {
       cfg.connect = value;
-    } else if (flag(&i, "--service-us", &value)) {
+    } else if (bench::FlagValue(argc, argv, &i, "--service-us", &value)) {
       cfg.service_us = std::atoi(value.c_str());
-    } else if (flag(&i, "--workers", &value)) {
+    } else if (bench::FlagValue(argc, argv, &i, "--workers", &value)) {
       cfg.workers = std::atoi(value.c_str());
-    } else if (flag(&i, "--max-queue", &value)) {
+    } else if (bench::FlagValue(argc, argv, &i, "--max-queue", &value)) {
       cfg.max_queue = std::atoi(value.c_str());
-    } else if (flag(&i, "--threads", &value)) {
+    } else if (bench::FlagValue(argc, argv, &i, "--threads", &value)) {
       cfg.threads = std::atoi(value.c_str());
-    } else if (flag(&i, "--volley", &value)) {
+    } else if (bench::FlagValue(argc, argv, &i, "--volley", &value)) {
       cfg.volley = std::atoi(value.c_str());
-    } else if (flag(&i, "--secs", &value)) {
+    } else if (bench::FlagValue(argc, argv, &i, "--secs", &value)) {
       cfg.load_secs = std::atof(value.c_str());
-    } else if (flag(&i, "--deadline-ms", &value)) {
+    } else if (bench::FlagValue(argc, argv, &i, "--deadline-ms", &value)) {
       cfg.deadline_ms = std::atof(value.c_str());
     } else if (std::strcmp(argv[i], "--short") == 0) {
       short_mode = true;

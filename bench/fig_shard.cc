@@ -209,27 +209,13 @@ int main(int argc, char** argv) {
   std::string out = "BENCH_shard.json";
   int clients = 256;
   int items = 50;
-  auto flag = [&](int* i, const char* name, std::string* value) {
-    const std::string_view arg = argv[*i];
-    const std::size_t len = std::strlen(name);
-    if (arg == name && *i + 1 < argc) {
-      *value = argv[++*i];
-      return true;
-    }
-    if (arg.size() > len + 1 && arg.substr(0, len) == name &&
-        arg[len] == '=') {
-      *value = std::string(arg.substr(len + 1));
-      return true;
-    }
-    return false;
-  };
   for (int i = 1; i < argc; ++i) {
     std::string value;
-    if (flag(&i, "--out", &value)) {
+    if (bench::FlagValue(argc, argv, &i, "--out", &value)) {
       out = value;
-    } else if (flag(&i, "--clients", &value)) {
+    } else if (bench::FlagValue(argc, argv, &i, "--clients", &value)) {
       clients = std::atoi(value.c_str());
-    } else if (flag(&i, "--items", &value)) {
+    } else if (bench::FlagValue(argc, argv, &i, "--items", &value)) {
       items = std::atoi(value.c_str());
     } else if (std::strcmp(argv[i], "--short") == 0) {
       clients = 64;

@@ -52,6 +52,15 @@ wait $smoke_pid 2>/dev/null || true
 trap - EXIT
 rm -rf "$smoke_dir"
 
+echo "== tier-1: loopback stack driver (fig_loopback, gated) =="
+# The real DMS + 2 FMS + OSD stack (WAL stores, dedup windows, one mount)
+# over loopback TCP, swept over server workers {1,2,4} x submission mode.
+# The full default run takes a few seconds and exits non-zero unless, at
+# every worker count, pipelined callers reach >= 1.5x and batched frames
+# >= 2x the per-op aggregate throughput.
+cmake --build build -j --target fig_loopback >/dev/null
+./build/bench/fig_loopback --out build/BENCH_loopback_smoke.json
+
 echo "== tier-1: 2-shard live e2e leg (create/rename/fsck-clean) =="
 # Two real locofs_dmsd shard processes plus FMS/OSD: the cross-shard rename
 # chaos matrix (docs/SHARDING.md) — client-driven 2PC end to end, SIGKILL at

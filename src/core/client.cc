@@ -310,6 +310,21 @@ net::Task<Status> LocoClient::ClassifyMissingFile(std::string path) {
   co_return ErrStatus(resp.code);
 }
 
+net::Task<Status> LocoClient::ClassifyMissingDir(std::string path,
+                                                 Status failed) {
+  if (failed.code() != ErrCode::kNotFound || path == "/") co_return failed;
+  const std::string name(fs::BaseName(path));
+  auto parent = co_await LookupDir(std::string(fs::ParentPath(path)),
+                                   fs::kModeExec, {});
+  if (parent.ok()) {
+    net::RpcResponse probe =
+        co_await net::Call(channel_, FmsFor(parent->uuid, name),
+                           proto::kFmsGetAttr, fs::Pack(parent->uuid, name));
+    if (probe.ok()) co_return ErrStatus(ErrCode::kNotDir);
+  }
+  co_return failed;
+}
+
 // ----------------------------------------------------------------- mkdir --
 
 net::Task<Status> LocoClient::Mkdir(std::string path, std::uint32_t mode) {
@@ -328,19 +343,7 @@ net::Task<Status> LocoClient::Rmdir(std::string path) {
     co_return ErrStatus(ErrCode::kInvalid);
   }
   auto dir = co_await LookupDir(path, 0, {});
-  if (!dir.ok()) {
-    if (dir.code() != ErrCode::kNotFound) co_return dir.status();
-    // Maybe a file: report kNotDir to match the contract.
-    auto parent = co_await LookupDir(std::string(fs::ParentPath(path)),
-                                   fs::kModeExec, {});
-    if (parent.ok()) {
-      net::RpcResponse probe = co_await net::Call(
-          channel_, FmsFor(parent->uuid, fs::BaseName(path)), proto::kFmsGetAttr,
-          fs::Pack(parent->uuid, std::string(fs::BaseName(path))));
-      if (probe.ok()) co_return ErrStatus(ErrCode::kNotDir);
-    }
-    co_return ErrStatus(ErrCode::kNotFound);
-  }
+  if (!dir.ok()) co_return co_await ClassifyMissingDir(path, dir.status());
   // Phase 2: every FMS must confirm no file of this directory lives there
   // (the paper's rmdir fan-out, §4.2.1 observation 3).
   auto checks = co_await net::CallMany(channel_, cfg_.fms,
@@ -417,20 +420,7 @@ net::Task<Result<std::vector<fs::DirEntry>>> LocoClient::Readdir(
     std::string path) {
   auto listing = co_await ListDir(path, proto::kFmsReaddir);
   if (!listing.ok()) {
-    if (listing.code() != ErrCode::kNotFound || path == "/") {
-      co_return listing.status();
-    }
-    // Maybe a file path.
-    auto parent = co_await LookupDir(std::string(fs::ParentPath(path)),
-                                     fs::kModeExec, {});
-    if (parent.ok()) {
-      net::RpcResponse probe = co_await net::Call(
-          channel_, FmsFor(parent->uuid, fs::BaseName(path)),
-          proto::kFmsGetAttr,
-          fs::Pack(parent->uuid, std::string(fs::BaseName(path))));
-      if (probe.ok()) co_return ErrStatus(ErrCode::kNotDir);
-    }
-    co_return ErrStatus(ErrCode::kNotFound);
+    co_return co_await ClassifyMissingDir(std::move(path), listing.status());
   }
   std::vector<fs::DirEntry> entries = std::move(listing->subdirs);
   for (const net::RpcResponse& r : listing->files) {
@@ -604,8 +594,10 @@ net::Task<Result<std::vector<LocoClient::EntryPlus>>> LocoClient::ReaddirPlus(
     std::string path) {
   // One kFmsReaddirPlus leg per FMS replaces the per-file GetAttr fan-out a
   // plain readdir + stat loop would issue.
-  auto listing = co_await ListDir(std::move(path), proto::kFmsReaddirPlus);
-  if (!listing.ok()) co_return listing.status();
+  auto listing = co_await ListDir(path, proto::kFmsReaddirPlus);
+  if (!listing.ok()) {
+    co_return co_await ClassifyMissingDir(std::move(path), listing.status());
+  }
   std::vector<EntryPlus> entries;
   for (fs::DirEntry& d : listing->subdirs) {
     EntryPlus e;

@@ -229,6 +229,10 @@ class LocoClient final : public fs::FileSystemClient {
   // Distinguish kNotFound vs kIsDir/kNotDir after an FMS miss by consulting
   // the DMS (keeps client-visible error codes faithful to the contract).
   net::Task<Status> ClassifyMissingFile(std::string path);
+  // The directory counterpart, after a directory op on `path` failed with
+  // `failed`: a kNotFound for a non-root path becomes kNotDir when the FMS
+  // holds a file there; any other failure passes through.
+  net::Task<Status> ClassifyMissingDir(std::string path, Status failed);
 
   void InvalidatePrefix(const std::string& path);
   void InvalidatePrefixLocked(const std::string& path);

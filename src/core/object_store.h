@@ -4,7 +4,8 @@
 //
 // Device I/O is modeled: handlers report the storage time of each request
 // through RpcResponse::extra_service_ns so the simulator charges it on the
-// virtual clock (the host has no spinning disks to measure).
+// virtual clock (the host has no spinning disks to measure).  Over TCP the
+// field is ignored and a request costs what the host's store costs.
 #pragma once
 
 #include <cstdint>

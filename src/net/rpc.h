@@ -40,8 +40,8 @@ struct RpcResponse {
   std::string payload;
   // Virtual time the handler spent on modeled hardware the host cannot
   // execute (storage device I/O, journal flushes).  The simulator adds this
-  // to the service time; net::TcpServer charges it as a real sleep on the
-  // dispatching worker thread; the in-process transport ignores it.
+  // to the service time; the real transports (net::TcpServer, in-process)
+  // ignore it, so live numbers are the host's own.
   common::Nanos extra_service_ns = 0;
 
   bool ok() const noexcept { return code == ErrCode::kOk; }

@@ -473,11 +473,6 @@ std::string TcpServer::Execute(const wire::FrameHeader& req,
                                HandlerContext{client_id, req.trace_id});
     if (dedup_owner) options_.dedup->Complete(dedup_key, resp.code, resp.payload);
   }
-  if (resp.extra_service_ns > 0) {
-    // Charge modeled device time (journal flushes, object I/O) in real time,
-    // the wall-clock analogue of the simulator's virtual-time accounting.
-    std::this_thread::sleep_for(std::chrono::nanoseconds(resp.extra_service_ns));
-  }
   if (!resp.ok()) m.errors->Add();
   m.bytes_sent->Add(resp.payload.size());
   const common::Nanos elapsed = timer.ElapsedNanos();

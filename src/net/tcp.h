@@ -23,10 +23,10 @@
 // so a pipelining client can match responses positionally as well as by the
 // echoed request id.  Handlers behind a multi-worker server must be
 // thread-safe (DMS, FMS, and the object store all are).  A handler's
-// RpcResponse::extra_service_ns (modeled device time) is charged by sleeping
-// before the response is released, mirroring the simulator's virtual-time
-// accounting.  Malformed streams drop the connection; they never crash the
-// daemon or wedge the loop.
+// RpcResponse::extra_service_ns (modeled device time) is a simulator input
+// and is ignored here: no server path sleeps except the fault plane's
+// injected delay.  Malformed streams drop the connection; they never crash
+// the daemon or wedge the loop.
 //
 // TcpChannel is the client side: a net::Channel whose NodeIds map to
 // host:port endpoints.  Each endpoint keeps a small set of connections and
@@ -214,8 +214,9 @@ class TcpServer : public Notifier {
   }
 
   // A worker-mode request may run on the loop only if the previous run of
-  // its opcode took at most this long: below the smallest modeled device
-  // charge (60 µs journal), above every single-op metadata handler.
+  // its opcode took at most this long: above every single-op metadata
+  // handler, below an fsync'd WAL append or a large listing, which would
+  // hold every other connection's I/O for their whole run.
   static constexpr common::Nanos kLoopRunMaxNs = 50 * common::kMicro;
   // Recent admission-queue delay (EWMA over worker dequeues, nanoseconds) —
   // the serving-load signal housekeeping subscribes to for adaptive pacing
@@ -273,8 +274,8 @@ class TcpServer : public Notifier {
 
   void Loop();
   void WorkerMain(std::size_t index);
-  // Run the handler for one request: metrics, execution, extra_service_ns
-  // charge, response encoding, and the opcode's last-run time.  The frame is
+  // Run the handler for one request: metrics, execution (or dedup replay),
+  // response encoding, and the opcode's last-run time.  The frame is
   // encoded into `buf` (cleared first) so the loop thread can hand Execute
   // an arena-recycled buffer; workers pass a fresh string.
   std::string Execute(const wire::FrameHeader& req, std::string_view payload,

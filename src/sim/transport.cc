@@ -80,31 +80,6 @@ void SimChannel::CallAsync(net::NodeId server, std::uint16_t opcode,
   });
 }
 
-void SimChannel::CallAsyncMeta(net::NodeId server, std::uint16_t opcode,
-                               std::string payload, const net::CallMeta& meta,
-                               std::function<void(net::RpcResponse)> done) {
-  if (cluster_->tracing()) {
-    Simulation* sim = cluster_->sim();
-    const Nanos issued = sim->Now();
-    done = [cluster = cluster_, sim, issued, trace_id = meta.trace_id, server,
-            opcode, inner = std::move(done)](net::RpcResponse resp) mutable {
-      cluster->RecordTrace(SimCluster::OpTrace{trace_id, opcode, server,
-                                               issued, sim->Now(), resp.code});
-      inner(std::move(resp));
-    };
-  }
-  CallAsync(server, opcode, std::move(payload), std::move(done));
-}
-
-void SimCluster::RecordTrace(const OpTrace& trace) {
-  if (trace_capacity_ == 0) return;
-  traces_.push_back(trace);
-  while (traces_.size() > trace_capacity_) {
-    traces_.pop_front();
-    ++traces_dropped_;
-  }
-}
-
 SimCluster::SimCluster(Simulation* simulation, ClusterConfig config,
                        int client_nodes)
     : sim_(simulation), config_(config),

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <set>
 #include <vector>
@@ -34,14 +33,6 @@ class SimChannel final : public net::Channel {
 
   void CallAsync(net::NodeId server, std::uint16_t opcode, std::string payload,
                  std::function<void(net::RpcResponse)> done) override;
-
-  // Metadata-aware entry point: threads the caller's trace id into the
-  // cluster's op-trace sink (when enabled), so every RPC leg issued on
-  // behalf of one client operation is attributable in virtual time.  The
-  // network/CPU model is unchanged — this wraps CallAsync.
-  void CallAsyncMeta(net::NodeId server, std::uint16_t opcode,
-                     std::string payload, const net::CallMeta& meta,
-                     std::function<void(net::RpcResponse)> done) override;
 
   int client_node() const noexcept { return client_node_; }
   std::size_t connection_count() const noexcept { return connections_.size(); }
@@ -82,27 +73,6 @@ class SimCluster {
   // in virtual time (request issue to response delivery on the sim clock).
   common::RpcMetricsTable& rpc_metrics() noexcept { return rpc_metrics_; }
 
-  // Per-op trace sink: one record per RPC leg issued through CallAsyncMeta,
-  // keyed by the caller's trace id (net::CallMeta).  The simulation is
-  // single-threaded, so the ring needs no locking; when full, the oldest
-  // records are dropped (and counted).  Disabled by default — tracing every
-  // RPC of a million-op benchmark would swamp memory.
-  struct OpTrace {
-    std::uint64_t trace_id = 0;
-    std::uint16_t opcode = 0;
-    net::NodeId server = 0;
-    Nanos issued = 0;
-    Nanos completed = 0;
-    ErrCode code = ErrCode::kOk;
-  };
-  void EnableTracing(std::size_t capacity = 4096) {
-    trace_capacity_ = capacity;
-  }
-  bool tracing() const noexcept { return trace_capacity_ > 0; }
-  void RecordTrace(const OpTrace& trace);
-  const std::deque<OpTrace>& traces() const noexcept { return traces_; }
-  std::uint64_t traces_dropped() const noexcept { return traces_dropped_; }
-
   // Connection bookkeeping (driven by SimChannel).
   void NoteConnection(net::NodeId server);
   std::uint64_t connections_to(net::NodeId server) const {
@@ -118,9 +88,6 @@ class SimCluster {
   int client_nodes_;
   std::vector<int> clients_per_node_;
   int total_clients_ = 0;
-  std::size_t trace_capacity_ = 0;
-  std::deque<OpTrace> traces_;
-  std::uint64_t traces_dropped_ = 0;
   common::RpcMetricsTable rpc_metrics_{&common::MetricsRegistry::Default(),
                                        "sim", "virtual_ns"};
 };

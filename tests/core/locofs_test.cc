@@ -98,13 +98,25 @@ TEST(LocoFsTest, MkdirShadowedByFileNameViaLookupCheck) {
 }
 
 TEST(LocoFsTest, UnlinkAndErrorClassification) {
-  LocoFixture fx;
-  ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/d", 0755)).ok());
-  ASSERT_TRUE(net::RunInline(fx.client->Create("/d/f", 0644)).ok());
-  EXPECT_EQ(net::RunInline(fx.client->Unlink("/d")).code(), ErrCode::kIsDir);
-  ASSERT_TRUE(net::RunInline(fx.client->Unlink("/d/f")).ok());
-  EXPECT_EQ(net::RunInline(fx.client->Unlink("/d/f")).code(), ErrCode::kNotFound);
-  EXPECT_EQ(net::RunInline(fx.client->Rmdir("/d")).ok(), true);
+  for (const bool cache : {true, false}) {
+    SCOPED_TRACE(cache ? "cache on" : "cache off");
+    LocoFixture fx(4, cache);
+    LocoClient& c = *fx.client;
+    ASSERT_TRUE(net::RunInline(c.Mkdir("/d", 0755)).ok());
+    ASSERT_TRUE(net::RunInline(c.Create("/d/f", 0644)).ok());
+    EXPECT_EQ(net::RunInline(c.Unlink("/d")).code(), ErrCode::kIsDir);
+    // Directory ops on a file say kNotDir; on nothing at all, kNotFound.
+    EXPECT_EQ(net::RunInline(c.Readdir("/d/f")).code(), ErrCode::kNotDir);
+    EXPECT_EQ(net::RunInline(c.ReaddirPlus("/d/f")).code(), ErrCode::kNotDir);
+    EXPECT_EQ(net::RunInline(c.Rmdir("/d/f")).code(), ErrCode::kNotDir);
+    EXPECT_EQ(net::RunInline(c.Readdir("/d/none")).code(), ErrCode::kNotFound);
+    EXPECT_EQ(net::RunInline(c.ReaddirPlus("/d/none")).code(),
+              ErrCode::kNotFound);
+    EXPECT_EQ(net::RunInline(c.Rmdir("/d/none")).code(), ErrCode::kNotFound);
+    ASSERT_TRUE(net::RunInline(c.Unlink("/d/f")).ok());
+    EXPECT_EQ(net::RunInline(c.Unlink("/d/f")).code(), ErrCode::kNotFound);
+    EXPECT_TRUE(net::RunInline(c.Rmdir("/d")).ok());
+  }
 }
 
 TEST(LocoFsTest, RmdirChecksFilesOnEveryFms) {

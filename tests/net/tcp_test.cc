@@ -86,6 +86,32 @@ TEST(TcpTest, RequestResponseRoundtrip) {
   EXPECT_EQ(server.requests_served(), 1u);
 }
 
+TEST(TcpTest, ModeledServiceTimeIsNotSlept) {
+  // extra_service_ns is the simulator's modeled device time; over real
+  // sockets the reply goes out as soon as the handler returns.
+  class ModeledHandler final : public RpcHandler {
+   public:
+    RpcResponse Handle(std::uint16_t, std::string_view payload) override {
+      RpcResponse r{ErrCode::kOk, std::string(payload)};
+      r.extra_service_ns = common::kSecond;
+      return r;
+    }
+  };
+  ModeledHandler handler;
+  TcpServer server(&handler);
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+
+  const auto start = std::chrono::steady_clock::now();
+  const RpcResponse r = BlockingCall(channel, 1, 7, "x");
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_EQ(r.code, ErrCode::kOk);
+  EXPECT_EQ(r.payload, "x");
+  EXPECT_LT(elapsed.count(), 250) << "modeled time must not be slept";
+}
+
 TEST(TcpTest, ErrorCodeCrossesTheWire) {
   EchoHandler handler;
   TcpServer server(&handler);
@@ -609,18 +635,16 @@ TEST(TcpWorkerPoolTest, WrappedRequestIdNeverCollidesWithAnInflightCall) {
   EXPECT_EQ(slow_response.payload, "slow-own-payload");
 }
 
-TEST(TcpWorkerPoolTest, ExtraServiceTimeOverlapsAcrossWorkers) {
-  // Modeled device time (extra_service_ns) is charged by sleeping on the
-  // worker, so two concurrent calls overlap their 60 ms charges.
-  class DeviceHandler final : public RpcHandler {
+TEST(TcpWorkerPoolTest, SlowHandlersOverlapAcrossWorkers) {
+  // Two concurrent calls to a 60 ms handler run on two workers at once.
+  class SlowHandler final : public RpcHandler {
    public:
     RpcResponse Handle(std::uint16_t, std::string_view payload) override {
-      RpcResponse r{ErrCode::kOk, std::string(payload)};
-      r.extra_service_ns = 60 * common::kMilli;
-      return r;
+      std::this_thread::sleep_for(std::chrono::milliseconds(60));
+      return RpcResponse{ErrCode::kOk, std::string(payload)};
     }
   };
-  DeviceHandler handler;
+  SlowHandler handler;
   TcpServer::Options options;
   options.workers = 2;
   TcpServer server(&handler, options);
@@ -636,8 +660,8 @@ TEST(TcpWorkerPoolTest, ExtraServiceTimeOverlapsAcrossWorkers) {
   ASSERT_EQ(rs.size(), 2u);
   EXPECT_EQ(rs[0].code, ErrCode::kOk);
   EXPECT_EQ(rs[1].code, ErrCode::kOk);
-  EXPECT_GE(elapsed.count(), 55) << "device time must be charged";
-  EXPECT_LT(elapsed.count(), 115) << "charges should overlap, not serialize";
+  EXPECT_GE(elapsed.count(), 55) << "the handler's own time must be paid";
+  EXPECT_LT(elapsed.count(), 115) << "handlers should overlap, not serialize";
 }
 
 TEST(TcpWorkerPoolTest, WorkerGaugesLiveAndRetired) {

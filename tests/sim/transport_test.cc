@@ -200,52 +200,5 @@ TEST(DeviceModelTest, CostScalesWithOpsAndBytes) {
   EXPECT_NEAR(static_cast<double>(hdd.Cost(10, 0)), 80e6, 1e3);
 }
 
-TEST(SimTransportTest, PerOpTracesRecordMetaCalls) {
-  Simulation sim;
-  SimCluster cluster(&sim, BareConfig());
-  EchoHandler handler;
-  const net::NodeId id = cluster.AddServer(&handler);
-  cluster.server(id)->SetExtraServiceFn(nullptr);
-  cluster.EnableTracing(/*capacity=*/2);
-
-  auto channel = cluster.NewClientChannel();
-  sim.Schedule(0, [&] {
-    for (std::uint64_t t = 1; t <= 3; ++t) {
-      net::CallMeta meta;
-      meta.trace_id = 100 + t;
-      channel->CallAsyncMeta(id, static_cast<std::uint16_t>(t), "p", meta,
-                             [](net::RpcResponse) {});
-    }
-  });
-  sim.Run();
-
-  // The ring kept the newest two traces and counted the overflow; each
-  // trace attributes the op to its caller-chosen trace id, on sim time.
-  ASSERT_EQ(cluster.traces().size(), 2u);
-  EXPECT_EQ(cluster.traces_dropped(), 1u);
-  for (const SimCluster::OpTrace& trace : cluster.traces()) {
-    EXPECT_EQ(trace.trace_id, 100u + trace.opcode);
-    EXPECT_EQ(trace.server, id);
-    EXPECT_EQ(trace.code, ErrCode::kOk);
-    EXPECT_GT(trace.completed, trace.issued);
-  }
-}
-
-TEST(SimTransportTest, TracingOffRecordsNothing) {
-  Simulation sim;
-  SimCluster cluster(&sim, BareConfig());
-  EchoHandler handler;
-  const net::NodeId id = cluster.AddServer(&handler);
-
-  auto channel = cluster.NewClientChannel();
-  sim.Schedule(0, [&] {
-    channel->CallAsyncMeta(id, 1, "p", net::CallMeta{},
-                           [](net::RpcResponse) {});
-  });
-  sim.Run();
-  EXPECT_TRUE(cluster.traces().empty());
-  EXPECT_EQ(cluster.traces_dropped(), 0u);
-}
-
 }  // namespace
 }  // namespace loco::sim
