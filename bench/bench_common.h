@@ -7,33 +7,15 @@
 
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "benchlib/deploy.h"
 #include "benchlib/mdtest.h"
 #include "benchlib/table.h"
 #include "common/clock.h"
+#include "common/flags.h"
 
 namespace loco::bench {
-
-// Matches argv[*i] against flag `name` in either `--name value` form (the
-// value is the next argument, and *i steps over it) or `--name=value` form;
-// on a match stores the value and returns true.
-inline bool FlagValue(int argc, char** argv, int* i, std::string_view name,
-                      std::string* value) {
-  const std::string_view arg = argv[*i];
-  if (arg == name && *i + 1 < argc) {
-    *value = argv[++*i];
-    return true;
-  }
-  if (arg.size() > name.size() + 1 && arg.substr(0, name.size()) == name &&
-      arg[name.size()] == '=') {
-    *value = std::string(arg.substr(name.size() + 1));
-    return true;
-  }
-  return false;
-}
 
 // The paper's measured round-trip time (Fig. 6 caption).
 constexpr common::Nanos kPaperRtt = 174 * common::kMicro;

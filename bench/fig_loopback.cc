@@ -93,12 +93,7 @@ class Stack {
       fms_options.sid = sid;
       fms_options.kv.dir = dir_ + "/fms" + std::to_string(sid);
       fms_.push_back(std::make_unique<core::FileMetadataServer>(fms_options));
-      net::TcpServer::Options fms_server = base;
-      fms_server.on_client_disconnect =
-          [fms = fms_.back().get()](std::uint64_t c) {
-            fms->DropClientSessions(c);
-          };
-      client.fms.push_back(HostPort(Serve(fms_.back().get(), fms_server)));
+      client.fms.push_back(HostPort(Serve(fms_.back().get(), base)));
     }
 
     core::ObjectStoreServer::Options osd_options;
@@ -308,13 +303,13 @@ int main(int argc, char** argv) {
   std::string out = "BENCH_loopback.json";
   for (int i = 1; i < argc; ++i) {
     std::string value;
-    if (bench::FlagValue(argc, argv, &i, "--out", &value)) {
+    if (common::FlagValue(argc, argv, &i, "--out", &value)) {
       out = value;
-    } else if (bench::FlagValue(argc, argv, &i, "--files", &value)) {
+    } else if (common::FlagValue(argc, argv, &i, "--files", &value)) {
       cfg.files = std::atoi(value.c_str());
-    } else if (bench::FlagValue(argc, argv, &i, "--callers", &value)) {
+    } else if (common::FlagValue(argc, argv, &i, "--callers", &value)) {
       cfg.callers = std::atoi(value.c_str());
-    } else if (bench::FlagValue(argc, argv, &i, "--batch", &value)) {
+    } else if (common::FlagValue(argc, argv, &i, "--batch", &value)) {
       cfg.batch = std::atoi(value.c_str());
     } else {
       std::fprintf(stderr,

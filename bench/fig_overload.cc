@@ -402,23 +402,23 @@ int main(int argc, char** argv) {
   bool short_mode = false;
   for (int i = 1; i < argc; ++i) {
     std::string value;
-    if (bench::FlagValue(argc, argv, &i, "--out", &value)) {
+    if (common::FlagValue(argc, argv, &i, "--out", &value)) {
       cfg.out = value;
-    } else if (bench::FlagValue(argc, argv, &i, "--connect", &value)) {
+    } else if (common::FlagValue(argc, argv, &i, "--connect", &value)) {
       cfg.connect = value;
-    } else if (bench::FlagValue(argc, argv, &i, "--service-us", &value)) {
+    } else if (common::FlagValue(argc, argv, &i, "--service-us", &value)) {
       cfg.service_us = std::atoi(value.c_str());
-    } else if (bench::FlagValue(argc, argv, &i, "--workers", &value)) {
+    } else if (common::FlagValue(argc, argv, &i, "--workers", &value)) {
       cfg.workers = std::atoi(value.c_str());
-    } else if (bench::FlagValue(argc, argv, &i, "--max-queue", &value)) {
+    } else if (common::FlagValue(argc, argv, &i, "--max-queue", &value)) {
       cfg.max_queue = std::atoi(value.c_str());
-    } else if (bench::FlagValue(argc, argv, &i, "--threads", &value)) {
+    } else if (common::FlagValue(argc, argv, &i, "--threads", &value)) {
       cfg.threads = std::atoi(value.c_str());
-    } else if (bench::FlagValue(argc, argv, &i, "--volley", &value)) {
+    } else if (common::FlagValue(argc, argv, &i, "--volley", &value)) {
       cfg.volley = std::atoi(value.c_str());
-    } else if (bench::FlagValue(argc, argv, &i, "--secs", &value)) {
+    } else if (common::FlagValue(argc, argv, &i, "--secs", &value)) {
       cfg.load_secs = std::atof(value.c_str());
-    } else if (bench::FlagValue(argc, argv, &i, "--deadline-ms", &value)) {
+    } else if (common::FlagValue(argc, argv, &i, "--deadline-ms", &value)) {
       cfg.deadline_ms = std::atof(value.c_str());
     } else if (std::strcmp(argv[i], "--short") == 0) {
       short_mode = true;

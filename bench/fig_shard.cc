@@ -211,11 +211,11 @@ int main(int argc, char** argv) {
   int items = 50;
   for (int i = 1; i < argc; ++i) {
     std::string value;
-    if (bench::FlagValue(argc, argv, &i, "--out", &value)) {
+    if (common::FlagValue(argc, argv, &i, "--out", &value)) {
       out = value;
-    } else if (bench::FlagValue(argc, argv, &i, "--clients", &value)) {
+    } else if (common::FlagValue(argc, argv, &i, "--clients", &value)) {
       clients = std::atoi(value.c_str());
-    } else if (bench::FlagValue(argc, argv, &i, "--items", &value)) {
+    } else if (common::FlagValue(argc, argv, &i, "--items", &value)) {
       items = std::atoi(value.c_str());
     } else if (std::strcmp(argv[i], "--short") == 0) {
       clients = 64;

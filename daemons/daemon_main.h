@@ -14,7 +14,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -22,6 +21,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/flags.h"
 #include "common/metrics.h"
 #include "core/gc.h"
 #include "core/proto.h"
@@ -30,25 +30,6 @@
 #include "net/tcp.h"
 
 namespace loco::daemons {
-
-// `--flag value` and `--flag=value` forms; advances *i past a consumed
-// separate-argument value.
-inline bool FlagValue(int argc, char** argv, int* i, const char* flag,
-                      std::string* out) {
-  const std::string_view arg = argv[*i];
-  const std::size_t flag_len = std::strlen(flag);
-  if (arg == flag) {
-    if (*i + 1 >= argc) return false;
-    *out = argv[++*i];
-    return true;
-  }
-  if (arg.size() > flag_len + 1 && arg.substr(0, flag_len) == flag &&
-      arg[flag_len] == '=') {
-    *out = std::string(arg.substr(flag_len + 1));
-    return true;
-  }
-  return false;
-}
 
 namespace internal {
 inline volatile std::sig_atomic_t g_stop = 0;

@@ -187,17 +187,17 @@ int main(int argc, char** argv) {
   std::string intent_age_str;
   bool gc_enabled = false;
   for (int i = 1; i < argc; ++i) {
-    if (daemons::FlagValue(argc, argv, &i, "--listen", &listen)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--backend", &backend)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--metrics-out", &metrics_out)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--workers", &workers_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--store-dir", &store_dir)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--fault-spec", &fault_spec)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--gc-ops", &gc_ops_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--gc-batch", &gc_batch_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--shard-id", &shard_id_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--peers", &peers_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--gc-intent-age-ms", &intent_age_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--listen", &listen)) continue;
+    if (common::FlagValue(argc, argv, &i, "--backend", &backend)) continue;
+    if (common::FlagValue(argc, argv, &i, "--metrics-out", &metrics_out)) continue;
+    if (common::FlagValue(argc, argv, &i, "--workers", &workers_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--store-dir", &store_dir)) continue;
+    if (common::FlagValue(argc, argv, &i, "--fault-spec", &fault_spec)) continue;
+    if (common::FlagValue(argc, argv, &i, "--gc-ops", &gc_ops_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--gc-batch", &gc_batch_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--shard-id", &shard_id_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--peers", &peers_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--gc-intent-age-ms", &intent_age_str)) continue;
     if (std::strcmp(argv[i], "--gc") == 0) {
       gc_enabled = true;
       continue;

@@ -21,7 +21,7 @@
 // node's circuit breaker immediately.
 //
 // --gc starts the background housekeeping thread (docs/HOUSEKEEPING.md):
-// session expiry plus incremental detection/repair of invariants I5-I7.
+// incremental detection/repair of invariants I5-I7.
 // The orphan-file detector (I5) needs the DMS to ask which directory uuids
 // are still live; point --gc-dms at it (defaults to the --announce target).
 // Sharded deployments pass every shard as a comma-separated list
@@ -57,17 +57,17 @@ int main(int argc, char** argv) {
   bool gc_enabled = false;
   bool decoupled = true;
   for (int i = 1; i < argc; ++i) {
-    if (daemons::FlagValue(argc, argv, &i, "--listen", &listen)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--sid", &sid_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--metrics-out", &metrics_out)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--workers", &workers_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--store-dir", &store_dir)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--fault-spec", &fault_spec)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--announce", &announce)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--node", &node_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--gc-ops", &gc_ops_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--gc-batch", &gc_batch_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--gc-dms", &gc_dms)) continue;
+    if (common::FlagValue(argc, argv, &i, "--listen", &listen)) continue;
+    if (common::FlagValue(argc, argv, &i, "--sid", &sid_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--metrics-out", &metrics_out)) continue;
+    if (common::FlagValue(argc, argv, &i, "--workers", &workers_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--store-dir", &store_dir)) continue;
+    if (common::FlagValue(argc, argv, &i, "--fault-spec", &fault_spec)) continue;
+    if (common::FlagValue(argc, argv, &i, "--announce", &announce)) continue;
+    if (common::FlagValue(argc, argv, &i, "--node", &node_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--gc-ops", &gc_ops_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--gc-batch", &gc_batch_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--gc-dms", &gc_dms)) continue;
     if (std::strcmp(argv[i], "--gc") == 0) {
       gc_enabled = true;
       continue;
@@ -155,11 +155,6 @@ int main(int argc, char** argv) {
   server_options.fault = fault.get();
   server_options.dedup = &dedup;
   server_options.epoch = daemons::NextEpoch(store_dir);
-  // A client's last connection dropping prunes its sessions right away
-  // (crash containment); the TTL sweep in GcStep is the fallback.
-  server_options.on_client_disconnect = [&server](std::uint64_t client) {
-    server.DropClientSessions(client);
-  };
   const std::uint64_t epoch = server_options.epoch;
   return daemons::RunDaemon(
       "locofs_fmsd", &server, listen, metrics_out, workers, server_options,

@@ -53,17 +53,17 @@ int main(int argc, char** argv) {
   bool gc_enabled = false;
   bool retain = true;
   for (int i = 1; i < argc; ++i) {
-    if (daemons::FlagValue(argc, argv, &i, "--listen", &listen)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--block-bytes", &block_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--metrics-out", &metrics_out)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--workers", &workers_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--store-dir", &store_dir)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--fault-spec", &fault_spec)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--announce", &announce)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--node", &node_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--gc-ops", &gc_ops_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--gc-batch", &gc_batch_str)) continue;
-    if (daemons::FlagValue(argc, argv, &i, "--gc-fms", &gc_fms)) continue;
+    if (common::FlagValue(argc, argv, &i, "--listen", &listen)) continue;
+    if (common::FlagValue(argc, argv, &i, "--block-bytes", &block_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--metrics-out", &metrics_out)) continue;
+    if (common::FlagValue(argc, argv, &i, "--workers", &workers_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--store-dir", &store_dir)) continue;
+    if (common::FlagValue(argc, argv, &i, "--fault-spec", &fault_spec)) continue;
+    if (common::FlagValue(argc, argv, &i, "--announce", &announce)) continue;
+    if (common::FlagValue(argc, argv, &i, "--node", &node_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--gc-ops", &gc_ops_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--gc-batch", &gc_batch_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--gc-fms", &gc_fms)) continue;
     if (std::strcmp(argv[i], "--gc") == 0) {
       gc_enabled = true;
       continue;

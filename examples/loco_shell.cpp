@@ -8,10 +8,9 @@
 //   touch <path>            rm <path>            mv <from> <to>
 //   write <path> <text>     cat <path>           stat <path>
 //   chmod <octal> <path>    su <uid> <gid>       cache
-//   stats [json]            sessions             gc
-//   load                    help                 quit
+//   stats [json]            gc                   load
+//   help                    quit
 //
-// `sessions` lists the open file sessions on every FMS (kCtlSessionList);
 // `gc` prints each daemon's background-GC status (kCtlGcStatus) — daemons
 // report "not running" unless started with --gc (docs/HOUSEKEEPING.md).
 // `load` prints each daemon's overload-control status (kCtlLoadStatus:
@@ -23,7 +22,6 @@
 //   printf 'mkdir /a\ntouch /a/f\nls /a\n' | ./build/examples/loco_shell
 #include <condition_variable>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -32,6 +30,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/flags.h"
 #include "common/metrics.h"
 #include "core/client.h"
 #include "core/connect.h"
@@ -40,7 +39,6 @@
 #include "core/gc.h"
 #include "core/object_store.h"
 #include "core/proto.h"
-#include "fs/wire.h"
 #include "net/inproc.h"
 #include "net/task.h"
 #include "net/tcp.h"
@@ -75,40 +73,6 @@ Result<std::string> AdminCall(net::Channel& channel, net::NodeId node,
   cv.wait(lock, [&] { return done; });
   if (!resp.ok()) return ErrStatus(resp.code);
   return std::move(resp.payload);
-}
-
-void PrintSessions(net::Channel& channel,
-                   const std::vector<net::NodeId>& fms_nodes) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < fms_nodes.size(); ++i) {
-    auto r = AdminCall(channel, fms_nodes[i], core::proto::kCtlSessionList, {});
-    if (!r.ok()) {
-      std::printf("fms%zu: %s\n", i, r.status().ToString().c_str());
-      continue;
-    }
-    std::vector<std::string> entries;
-    if (!fs::Unpack(*r, entries)) {
-      std::printf("fms%zu: bad session list payload\n", i);
-      continue;
-    }
-    for (const std::string& entry : entries) {
-      fs::Uuid dir_uuid;
-      std::string name;
-      std::uint64_t client_id = 0, ttl = 0;
-      std::uint8_t exclusive = 0;
-      if (!fs::Unpack(entry, dir_uuid, name, client_id, ttl, exclusive)) {
-        std::printf("fms%zu: bad session entry\n", i);
-        continue;
-      }
-      std::printf("fms%zu dir=%llu name='%s' client=%llu ttl=%.1fs%s\n", i,
-                  static_cast<unsigned long long>(dir_uuid.raw()), name.c_str(),
-                  static_cast<unsigned long long>(client_id),
-                  static_cast<double>(ttl) / 1e9,
-                  exclusive ? " [exclusive]" : "");
-      ++total;
-    }
-  }
-  std::printf("%zu session(s) across %zu fms\n", total, fms_nodes.size());
 }
 
 void PrintGcStatus(net::Channel& channel,
@@ -198,16 +162,10 @@ void PrintLoadStatus(net::Channel& channel,
 int main(int argc, char** argv) {
   std::string connect;
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--connect" && i + 1 < argc) {
-      connect = argv[++i];
-    } else if (arg.rfind("--connect=", 0) == 0) {
-      connect = std::string(arg.substr(std::strlen("--connect=")));
-    } else {
-      std::fprintf(stderr,
-                   "usage: loco_shell [--connect dms=h:p[,dms=h:p...],fms=h:p,osd=h:p]\n");
-      return 2;
-    }
+    if (common::FlagValue(argc, argv, &i, "--connect", &connect)) continue;
+    std::fprintf(stderr,
+                 "usage: loco_shell [--connect dms=h:p[,dms=h:p...],fms=h:p,osd=h:p]\n");
+    return 2;
   }
 
   // In-process deployment state (unused in --connect mode, but the objects
@@ -218,7 +176,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<core::ObjectStoreServer> object_store;
   core::MountHandle mount;
 
-  // Admin plane (sessions / gc): the channel and node ids the housekeeping
+  // Admin plane (gc / load): the channel and node ids the housekeeping
   // RPCs go to, same in both deployment modes.
   net::Channel* admin_channel = nullptr;
   std::vector<net::NodeId> admin_dms{0};
@@ -294,7 +252,7 @@ int main(int argc, char** argv) {
     if (cmd == "help") {
       std::printf(
           "mkdir rmdir ls touch rm mv write cat stat chmod su cache stats"
-          " sessions gc load quit\n");
+          " gc load quit\n");
     } else if (cmd == "mkdir" || cmd == "rmdir" || cmd == "touch" ||
                cmd == "rm") {
       std::string path;
@@ -382,8 +340,6 @@ int main(int argc, char** argv) {
       auto& registry = common::MetricsRegistry::Default();
       std::printf("%s\n", format == "json" ? registry.ToJson().c_str()
                                            : registry.ToText().c_str());
-    } else if (cmd == "sessions") {
-      PrintSessions(*admin_channel, admin_fms);
     } else if (cmd == "gc") {
       PrintGcStatus(*admin_channel, admin_dms, admin_fms, admin_osd);
     } else if (cmd == "load") {

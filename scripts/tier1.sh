@@ -113,8 +113,7 @@ cmake --build build-tsan -j --target net_test kvstore_test fs_test \
 # net_test exercises the server event loop, the client reactor and the
 # worker pool under TSan; core_test adds the batch handler suites over the
 # striped stores, and core_housekeeping_test runs the GcManager scan
-# thread against serving handlers (token bucket, snapshot pins, session
-# table).
+# thread against serving handlers (token bucket, snapshot pins).
 ./build-tsan/tests/net/net_test
 ./build-tsan/tests/kvstore/kvstore_test
 ./build-tsan/tests/fs/fs_test

@@ -854,24 +854,9 @@ net::Task<Result<fs::Attr>> LocoClient::Open(std::string path) {
   co_return AttrFrom(resp);
 }
 
-net::Task<Status> LocoClient::Close(std::string path) {
-  // LocoFS keeps no server-side open state beyond the file session the FMS
-  // registered on Open/Create: drop it now (kFmsCloseSession) instead of
-  // letting it age out or die with the connection.  Best-effort — close
-  // itself never fails: a missing parent, an unreachable FMS, or an
-  // anonymous (no-hello) peer all leave nothing worth closing.
-  if (!fs::IsValidPath(path) || path == "/") co_return OkStatus();
-  const std::string name(fs::BaseName(path));
-  auto parent = co_await LookupDir(std::string(fs::ParentPath(path)), 0, {});
-  if (parent.ok()) {
-    // Session maintenance, not serving work: a saturated FMS may shed it
-    // (the session then ages out via TTL or the disconnect hook).
-    net::CallMeta close_meta;
-    close_meta.priority = net::Priority::kBackground;
-    (void)co_await net::Call(channel_, FmsFor(parent->uuid, name),
-                             proto::kFmsCloseSession,
-                             fs::Pack(parent->uuid, name), close_meta);
-  }
+net::Task<Status> LocoClient::Close(std::string) {
+  // The FMS keeps no per-client open state (§3.3), so there is nothing to
+  // release on a server: close is local and never fails.
   co_return OkStatus();
 }
 

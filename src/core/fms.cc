@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "common/clock.h"
 #include "common/codec.h"
 #include "common/hash.h"
 #include "core/proto.h"
@@ -41,14 +40,6 @@ void CountBatch(std::size_t subops, std::size_t failed) {
 
 FileMetadataServer::FileMetadataServer(const Options& options)
     : options_(options),
-      sessions_([&options] {
-        SessionTable::Options s = options.session;
-        if (s.metrics_prefix.empty()) {
-          s.metrics_prefix =
-              "server.fms" + std::to_string(options.sid) + ".sessions";
-        }
-        return s;
-      }()),
       op_metrics_(&common::MetricsRegistry::Default(),
                   "server.fms" + std::to_string(options.sid)) {
   // Per-store subdirectories keep the WALs of the co-located stores apart.
@@ -137,27 +128,15 @@ Result<fs::Attr> FileMetadataServer::GetAttrInternal(const std::string& key) con
 
 net::RpcResponse FileMetadataServer::Handle(std::uint16_t opcode,
                                             std::string_view payload) {
-  return HandleCtx(opcode, payload, net::HandlerContext{});
-}
-
-net::RpcResponse FileMetadataServer::HandleCtx(std::uint16_t opcode,
-                                               std::string_view payload,
-                                               const net::HandlerContext& ctx) {
   const common::ServerOpCounters::PerOp& m = op_metrics_.For(opcode);
   m.calls->Add();
-  if (ctx.client_id != 0) {
-    // Any traffic from an identified client is its session heartbeat.
-    sessions_.Touch(ctx.client_id,
-                    static_cast<std::uint64_t>(common::CpuTimer::Now()));
-  }
-  net::RpcResponse resp = Dispatch(opcode, payload, ctx.client_id);
+  net::RpcResponse resp = Dispatch(opcode, payload);
   if (resp.code != ErrCode::kOk) m.errors->Add();
   return resp;
 }
 
 net::RpcResponse FileMetadataServer::Dispatch(std::uint16_t opcode,
-                                              std::string_view payload,
-                                              std::uint64_t client) {
+                                              std::string_view payload) {
   // Snapshot pinning excludes every other handler so the materialized cut is
   // a point in time; everything else proceeds concurrently under the shared
   // side (the per-dir and per-file lock tables do the fine-grained work).
@@ -167,10 +146,10 @@ net::RpcResponse FileMetadataServer::Dispatch(std::uint16_t opcode,
   }
   std::shared_lock scan(scan_mu_);
   switch (opcode) {
-    case proto::kFmsCreate: return Create(payload, client);
+    case proto::kFmsCreate: return Create(payload);
     case proto::kFmsRemove: return Remove(payload);
     case proto::kFmsGetAttr: return GetAttr(payload);
-    case proto::kFmsOpen: return Open(payload, client);
+    case proto::kFmsOpen: return Open(payload);
     case proto::kFmsChmod: return Chmod(payload);
     case proto::kFmsChown: return Chown(payload);
     case proto::kFmsUtimens: return Utimens(payload);
@@ -178,9 +157,12 @@ net::RpcResponse FileMetadataServer::Dispatch(std::uint16_t opcode,
     case proto::kFmsSetSize: return SetSize(payload);
     case proto::kFmsSetAtime: return SetAtime(payload);
     case proto::kFmsReaddir: return Readdir(payload);
-    case proto::kFmsBatchCreate: return BatchCreate(payload, client);
-    case proto::kFmsBatchStat: return BatchStat(payload);
-    case proto::kFmsBatchSetSize: return BatchSetSize(payload);
+    case proto::kFmsBatchCreate:
+      return Batch(payload, &FileMetadataServer::Create);
+    case proto::kFmsBatchStat:
+      return Batch(payload, &FileMetadataServer::GetAttr);
+    case proto::kFmsBatchSetSize:
+      return Batch(payload, &FileMetadataServer::SetSize);
     case proto::kFmsReaddirPlus: return ReaddirPlus(payload);
     case proto::kFmsCheckEmpty: return CheckEmpty(payload);
     case proto::kFmsReadRaw: return ReadRaw(payload);
@@ -193,17 +175,13 @@ net::RpcResponse FileMetadataServer::Dispatch(std::uint16_t opcode,
     case proto::kFmsRepairDirent: return RepairDirent(payload);
     case proto::kFmsPurgeFile: return PurgeFile(payload);
     case proto::kFmsCheckUuids: return CheckUuids(payload);
-    case proto::kFmsOpenSession: return OpenSession(payload, client);
-    case proto::kFmsCloseSession: return CloseSession(payload, client);
-    case proto::kCtlSessionList: return SessionList();
     case proto::kCtlGcStatus: return GcManager::StatusReply(gc_);
     case proto::kCtlSnapshotEnd: return snapshots_.End(payload);
     default: return Fail(ErrCode::kUnsupported);
   }
 }
 
-net::RpcResponse FileMetadataServer::Create(std::string_view payload,
-                                            std::uint64_t client) {
+net::RpcResponse FileMetadataServer::Create(std::string_view payload) {
   fs::Uuid dir_uuid;
   std::string name;
   std::uint32_t mode = 0;
@@ -256,12 +234,6 @@ net::RpcResponse FileMetadataServer::Create(std::string_view payload,
     }
     return Fail(ErrCode::kIo);
   }
-  if (client != 0) {
-    // Implicit (non-exclusive) session for the creator; refusal is
-    // impossible to act on here — the file already exists — so ignore it.
-    (void)sessions_.Open(dir_uuid, name, client, false,
-                         static_cast<std::uint64_t>(common::CpuTimer::Now()));
-  }
   return OkPayload(fs::Pack(uuid));
 }
 
@@ -281,7 +253,6 @@ net::RpcResponse FileMetadataServer::Remove(std::string_view payload) {
     (void)coupled_->Delete(key);
   }
   (void)dirents_->Delete(key);
-  sessions_.DropFile(dir_uuid, name);
   return OkPayload(fs::Pack(attr->uuid));
 }
 
@@ -294,8 +265,7 @@ net::RpcResponse FileMetadataServer::GetAttr(std::string_view payload) {
   return OkPayload(fs::Pack(*attr));
 }
 
-net::RpcResponse FileMetadataServer::Open(std::string_view payload,
-                                          std::uint64_t client) {
+net::RpcResponse FileMetadataServer::Open(std::string_view payload) {
   fs::Uuid dir_uuid;
   std::string name;
   fs::Identity who;
@@ -305,10 +275,6 @@ net::RpcResponse FileMetadataServer::Open(std::string_view payload,
   if (!fs::CheckPermission(who, attr->mode, attr->uid, attr->gid,
                            fs::kModeRead)) {
     return Fail(ErrCode::kPermission);
-  }
-  if (client != 0) {
-    (void)sessions_.Open(dir_uuid, name, client, false,
-                         static_cast<std::uint64_t>(common::CpuTimer::Now()));
   }
   return OkPayload(fs::Pack(*attr));
 }
@@ -575,51 +541,20 @@ net::RpcResponse FileMetadataServer::Readdir(std::string_view payload) {
   return OkPayload(std::move(reply));
 }
 
-net::RpcResponse FileMetadataServer::BatchCreate(std::string_view payload,
-                                                 std::uint64_t client) {
+net::RpcResponse FileMetadataServer::Batch(
+    std::string_view payload,
+    net::RpcResponse (FileMetadataServer::*op)(std::string_view)) {
   std::vector<std::string_view> subops;
   if (!net::wire::DecodeBatchRequest(payload, &subops)) return BadRequest();
   // Each sub-op reuses the single-op handler wholesale, so it takes the same
-  // per-directory lock and the same content-before-access write order; a
-  // duplicate name or I/O failure fails that entry alone.
+  // locks and keeps the same write order (a batched create writes content
+  // before access; a batched SetSize never regresses a concurrent writer's
+  // size); a failure fails that entry alone.
   std::vector<net::wire::BatchItem> items;
   items.reserve(subops.size());
   std::size_t failed = 0;
   for (const std::string_view sub : subops) {
-    net::RpcResponse r = Create(sub, client);
-    if (r.code != ErrCode::kOk) ++failed;
-    items.push_back(net::wire::BatchItem{r.code, std::move(r.payload)});
-  }
-  CountBatch(subops.size(), failed);
-  return OkPayload(net::wire::EncodeBatchResponse(items));
-}
-
-net::RpcResponse FileMetadataServer::BatchStat(std::string_view payload) {
-  std::vector<std::string_view> subops;
-  if (!net::wire::DecodeBatchRequest(payload, &subops)) return BadRequest();
-  std::vector<net::wire::BatchItem> items;
-  items.reserve(subops.size());
-  std::size_t failed = 0;
-  for (const std::string_view sub : subops) {
-    net::RpcResponse r = GetAttr(sub);
-    if (r.code != ErrCode::kOk) ++failed;
-    items.push_back(net::wire::BatchItem{r.code, std::move(r.payload)});
-  }
-  CountBatch(subops.size(), failed);
-  return OkPayload(net::wire::EncodeBatchResponse(items));
-}
-
-net::RpcResponse FileMetadataServer::BatchSetSize(std::string_view payload) {
-  std::vector<std::string_view> subops;
-  if (!net::wire::DecodeBatchRequest(payload, &subops)) return BadRequest();
-  // The metadata half of a bulk small-file ingest: each sub-op takes the
-  // same per-file lock as a single SetSize, so the size-monotonicity
-  // guarantee holds against concurrent writers.
-  std::vector<net::wire::BatchItem> items;
-  items.reserve(subops.size());
-  std::size_t failed = 0;
-  for (const std::string_view sub : subops) {
-    net::RpcResponse r = SetSize(sub);
+    net::RpcResponse r = (this->*op)(sub);
     if (r.code != ErrCode::kOk) ++failed;
     items.push_back(net::wire::BatchItem{r.code, std::move(r.payload)});
   }
@@ -749,46 +684,6 @@ net::RpcResponse FileMetadataServer::CheckUuids(std::string_view payload) {
   return OkPayload(bitmap.Take());
 }
 
-net::RpcResponse FileMetadataServer::OpenSession(std::string_view payload,
-                                                 std::uint64_t client) {
-  fs::Uuid dir_uuid;
-  std::string name;
-  std::uint8_t exclusive = 0;
-  if (!fs::Unpack(payload, dir_uuid, name, exclusive)) return BadRequest();
-  // Sessions key off the hello's client id; an anonymous peer has nothing
-  // to attach one to.
-  if (client == 0) return Fail(ErrCode::kInvalid);
-  auto attr = GetAttrInternal(FileKey(dir_uuid, name));
-  if (!attr.ok()) return Fail(attr.code());
-  if (!sessions_.Open(dir_uuid, name, client, exclusive != 0,
-                      static_cast<std::uint64_t>(common::CpuTimer::Now()))) {
-    return Fail(ErrCode::kExists);
-  }
-  return Ok();
-}
-
-net::RpcResponse FileMetadataServer::CloseSession(std::string_view payload,
-                                                  std::uint64_t client) {
-  fs::Uuid dir_uuid;
-  std::string name;
-  if (!fs::Unpack(payload, dir_uuid, name)) return BadRequest();
-  if (client == 0) return Fail(ErrCode::kInvalid);
-  (void)sessions_.Close(dir_uuid, name, client);  // close twice: idempotent
-  return Ok();
-}
-
-net::RpcResponse FileMetadataServer::SessionList() {
-  const std::uint64_t now =
-      static_cast<std::uint64_t>(common::CpuTimer::Now());
-  std::vector<std::string> entries;
-  for (const SessionTable::Entry& e : sessions_.List()) {
-    const std::uint64_t ttl = e.expiry > now ? e.expiry - now : 0;
-    entries.push_back(fs::Pack(e.dir_uuid, e.name, e.client, ttl,
-                               static_cast<std::uint8_t>(e.exclusive ? 1 : 0)));
-  }
-  return OkPayload(fs::Pack(entries));
-}
-
 net::RpcResponse FileMetadataServer::RepairDirent(std::string_view payload) {
   fs::Uuid dir_uuid;
   std::string name;
@@ -823,7 +718,6 @@ net::RpcResponse FileMetadataServer::PurgeFile(std::string_view payload) {
     (void)coupled_->Delete(key);
   }
   (void)dirents_->Delete(key);
-  sessions_.DropFile(dir_uuid, name);
   return OkPayload(fs::Pack(uuid));
 }
 
@@ -831,14 +725,11 @@ net::RpcResponse FileMetadataServer::PurgeFile(std::string_view payload) {
 
 GcStepResult FileMetadataServer::GcStep(std::uint32_t budget,
                                         const UuidProbe& dir_alive) {
-  const std::uint64_t now =
-      static_cast<std::uint64_t>(common::CpuTimer::Now());
-  const std::uint32_t swept = sessions_.SweepExpired(now) > 0 ? 1 : 0;
   if (!gc_steps_) {
     gc_steps_ = std::make_unique<GcStepper>(
         ServerRole::kFms, "gc.fms" + std::to_string(options_.sid));
   }
-  GcStepResult result = gc_steps_->Step(
+  return gc_steps_->Step(
       budget, *this,
       [this](ScanView* view) {
         std::string files, dirents;
@@ -850,8 +741,6 @@ GcStepResult FileMetadataServer::GcStep(std::uint32_t budget,
         return DecodeFmsScan(files, dirents, view);
       },
       dir_alive);
-  result.ops += swept;
-  return result;
 }
 
 }  // namespace loco::core

@@ -40,7 +40,6 @@
 #include "core/gc.h"
 #include "core/invariants.h"
 #include "core/layout.h"
-#include "core/session_table.h"
 #include "kvstore/kv.h"
 #include "net/rpc.h"
 
@@ -58,36 +57,28 @@ class FileMetadataServer final : public net::RpcHandler {
     // Post-construction wrapper applied to each store (fault injection:
     // daemons install kv::FaultyKv here when --fault-spec arms KV faults).
     std::function<std::unique_ptr<kv::Kv>(std::unique_ptr<kv::Kv>)> kv_decorator;
-    // File-session bookkeeping (docs/HOUSEKEEPING.md).  The metrics prefix is
-    // filled in by the constructor when left empty.
-    SessionTable::Options session;
   };
 
   explicit FileMetadataServer(const Options& options);
 
   net::RpcResponse Handle(std::uint16_t opcode, std::string_view payload) override;
-  net::RpcResponse HandleCtx(std::uint16_t opcode, std::string_view payload,
-                             const net::HandlerContext& ctx) override;
 
   // Wire the hosting daemon's GC manager so kCtlGcStatus can answer.  The
   // manager must outlive the server.
   void SetGcManager(GcManager* gc) noexcept { gc_ = gc; }
 
-  // Disconnect hook (TcpServer::Options::on_client_disconnect): drop every
-  // session the vanished client held.  Returns the number dropped.
-  std::size_t DropClientSessions(std::uint64_t client) {
-    return sessions_.DropClient(client);
-  }
+  // The FMS keeps no per-client state, so there is nothing to drop.  Kept
+  // as a no-op because perfbench/workloads.cc still wires it to
+  // TcpServer::Options::on_client_disconnect.
+  std::size_t DropClientSessions(std::uint64_t) { return 0; }
 
   // One incremental GC step (docs/HOUSEKEEPING.md, core/gc.h GcStepper):
-  // sweep expired sessions, apply queued repairs, else scan this server and
-  // detect invariants I5–I7.  `dir_alive` probes the DMS for parent-directory
-  // liveness (kDmsCheckUuids); orphan purges (I5, destructive) require the
-  // directory to be seen dead in two consecutive harvests.  Called from a
-  // single GcManager thread.
+  // apply queued repairs, else scan this server and detect invariants
+  // I5–I7.  `dir_alive` probes the DMS for parent-directory liveness
+  // (kDmsCheckUuids); orphan purges (I5, destructive) require the directory
+  // to be seen dead in two consecutive harvests.  Called from a single
+  // GcManager thread.
   GcStepResult GcStep(std::uint32_t budget, const UuidProbe& dir_alive);
-
-  SessionTable& sessions() noexcept { return sessions_; }
 
   std::size_t FileCount() const;
   bool decoupled() const noexcept { return options_.decoupled; }
@@ -106,13 +97,12 @@ class FileMetadataServer final : public net::RpcHandler {
   // Read the full Attr of a file (mode-independent helper).
   Result<fs::Attr> GetAttrInternal(const std::string& key) const;
 
-  net::RpcResponse Dispatch(std::uint16_t opcode, std::string_view payload,
-                            std::uint64_t client);
+  net::RpcResponse Dispatch(std::uint16_t opcode, std::string_view payload);
 
-  net::RpcResponse Create(std::string_view payload, std::uint64_t client);
+  net::RpcResponse Create(std::string_view payload);
   net::RpcResponse Remove(std::string_view payload);
   net::RpcResponse GetAttr(std::string_view payload);
-  net::RpcResponse Open(std::string_view payload, std::uint64_t client);
+  net::RpcResponse Open(std::string_view payload);
   net::RpcResponse Chmod(std::string_view payload);
   net::RpcResponse Chown(std::string_view payload);
   net::RpcResponse Utimens(std::string_view payload);
@@ -120,12 +110,12 @@ class FileMetadataServer final : public net::RpcHandler {
   net::RpcResponse SetSize(std::string_view payload);
   net::RpcResponse SetAtime(std::string_view payload);
   net::RpcResponse Readdir(std::string_view payload);
-  // Batched metadata ops (net/wire.h batch framing): each sub-op runs under
-  // the same lock-table guards as its single-op twin and fails individually;
-  // only a malformed batch envelope fails the whole frame (kCorruption).
-  net::RpcResponse BatchCreate(std::string_view payload, std::uint64_t client);
-  net::RpcResponse BatchStat(std::string_view payload);
-  net::RpcResponse BatchSetSize(std::string_view payload);
+  // Batched metadata ops (net/wire.h batch framing): runs `op`, a single-op
+  // handler, on each sub-op.  Each sub-op fails individually; only a
+  // malformed batch envelope fails the whole frame (kCorruption).
+  net::RpcResponse Batch(std::string_view payload,
+                         net::RpcResponse (FileMetadataServer::*op)(
+                             std::string_view));
   net::RpcResponse ReaddirPlus(std::string_view payload);
   net::RpcResponse CheckEmpty(std::string_view payload);
   net::RpcResponse ReadRaw(std::string_view payload);
@@ -135,10 +125,6 @@ class FileMetadataServer final : public net::RpcHandler {
   net::RpcResponse RepairDirent(std::string_view payload);
   net::RpcResponse PurgeFile(std::string_view payload);
   net::RpcResponse CheckUuids(std::string_view payload);
-  // Housekeeping / control surface.
-  net::RpcResponse OpenSession(std::string_view payload, std::uint64_t client);
-  net::RpcResponse CloseSession(std::string_view payload, std::uint64_t client);
-  net::RpcResponse SessionList();
 
   // Visits every file inode with its key and uuid.
   void ForEachFile(
@@ -168,9 +154,6 @@ class FileMetadataServer final : public net::RpcHandler {
   // in-flight mutations and never tears one.  Slots: files, dirents.
   mutable std::shared_mutex scan_mu_;
   SnapshotRing snapshots_;
-
-  // File sessions (implicit via Create/Open, explicit via kFmsOpenSession).
-  SessionTable sessions_;
 
   // Housekeeping: the GC step engine (created by the first GcStep) and the
   // hosting daemon's manager (kCtlGcStatus).

@@ -1,8 +1,6 @@
 #include "core/fsck.h"
 
 #include <algorithm>
-#include <map>
-#include <tuple>
 #include <utility>
 
 #include "core/proto.h"
@@ -127,35 +125,6 @@ Result<std::uint64_t> FsckRunner::Repair(
   return applied;
 }
 
-void FsckRunner::AnnotateSessionHolders(std::vector<FsckFinding>* findings) {
-  // One session-list sweep, then match findings by (server, dir uuid, name).
-  // Best-effort: an FMS that fails the list RPC just contributes no holders.
-  std::map<std::tuple<std::size_t, std::uint64_t, std::string>,
-           std::vector<std::uint64_t>>
-      holders;
-  for (std::size_t i = 0; i < config_.fms.size(); ++i) {
-    const net::RpcResponse r = Call(config_.fms[i], proto::kCtlSessionList, {});
-    if (!r.ok()) continue;
-    std::vector<std::string> entries;
-    if (!fs::Unpack(r.payload, entries)) continue;
-    for (const std::string& entry : entries) {
-      fs::Uuid dir_uuid{0};
-      std::string name;
-      std::uint64_t client_id = 0, ttl = 0;
-      std::uint8_t exclusive = 0;
-      if (!fs::Unpack(entry, dir_uuid, name, client_id, ttl, exclusive)) {
-        continue;
-      }
-      holders[{i, dir_uuid.raw(), name}].push_back(client_id);
-    }
-  }
-  if (holders.empty()) return;
-  for (FsckFinding& f : *findings) {
-    auto it = holders.find({f.server, f.dir_uuid.raw(), f.name});
-    if (it != holders.end()) f.holders = it->second;
-  }
-}
-
 Result<FsckReport> FsckRunner::Run(const Options& options) {
   FsckReport report;
   Sightings sightings;
@@ -182,9 +151,6 @@ Result<FsckReport> FsckRunner::Run(const Options& options) {
     report.repairs += *applied;
     // Live: unconfirmed suspects (in-flight ops or fresh damage) get another
     // pass.
-  }
-  if (options.live && !report.findings.empty()) {
-    AnnotateSessionHolders(&report.findings);
   }
   return report;
 }

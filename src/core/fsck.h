@@ -67,9 +67,6 @@ class FsckRunner {
   Result<ScanView> Scan(const std::vector<std::uint64_t>* epochs);
   // Live mode: pin every server, scan the pinned cut, release.
   Result<ScanView> ScanPinned();
-  // Live mode: attach session-holder client ids (kCtlSessionList) to every
-  // finding whose (server, dir uuid, name) an open session covers.
-  void AnnotateSessionHolders(std::vector<FsckFinding>* findings);
   // Applies every finding's repair; returns the number of repairs applied.
   Result<std::uint64_t> Repair(const std::vector<FsckFinding>& findings);
 

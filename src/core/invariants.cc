@@ -112,15 +112,6 @@ std::string FsckFinding::Describe() const {
              (roll_forward ? "roll forward" : "roll back");
       break;
   }
-  if (!holders.empty()) {
-    out += " [held by client";
-    if (holders.size() > 1) out += "s";
-    for (std::size_t i = 0; i < holders.size(); ++i) {
-      out += i == 0 ? " " : ", ";
-      out += std::to_string(holders[i]);
-    }
-    out += "]";
-  }
   return out;
 }
 

@@ -97,10 +97,6 @@ struct FsckFinding {
   bool has_intent = false;   // outgoing intent seen on src_shard
   bool has_marker = false;   // incoming marker seen on dst_shard
   bool roll_forward = false;
-  // Live fsck: client ids holding an open session on this (dir, name) — who
-  // pins the file a repair would touch.  Empty for offline runs and for
-  // findings no session covers.
-  std::vector<std::uint64_t> holders;
 
   std::string Describe() const;
 };

@@ -194,14 +194,7 @@ enum FmsOp : std::uint16_t {
   // Request entries are Pack(uuid); the reply is one byte per entry, '\1' if
   // some file inode on this server carries that uuid.  [entries] -> [bitmap]
   kFmsCheckUuids = 60,
-  // Explicit session open: register (or renew) a file session for the
-  // calling client id (from the connection's hello).  exclusive=1 demands sole
-  // ownership — kExists if any other client holds a session on the file, and
-  // later openers are refused until the holder closes, disconnects, or its
-  // session TTL lapses.  [dir_uuid, name, exclusive u8] -> []
-  kFmsOpenSession = 61,
-  // Drop the calling client's session on one file.  [dir_uuid, name] -> []
-  kFmsCloseSession = 62,
+  // Retired with the FMS file sessions, never to be reused: 61, 62 and 244.
 };
 
 // ----------------------------------- Object store --------------------------
@@ -248,10 +241,6 @@ enum CtlOp : std::uint16_t {
   // Release a pinned snapshot.  Unknown epochs are ignored (the snapshot
   // may have been evicted).  [epoch u64] -> []
   kCtlSnapshotEnd = 243,
-  // Live file sessions of an FMS.  [] -> [entries]
-  //   entry = Pack(dir_uuid, name, client u64, ttl_ns u64, exclusive u8)
-  // kUnsupported on daemons without a session table (DMS, OSD).
-  kCtlSessionList = 244,
 };
 
 // Mutations eligible for the server-side idempotent-replay window

@@ -133,10 +133,10 @@ Status SendAll(int fd, std::string_view data, common::Nanos deadline_abs) {
   return OkStatus();
 }
 
-// Encode a handler-free response frame (shed, expired, or otherwise refused
-// requests): echoes the request's opcode / ids so the client's waiter matches.
-std::string EncodeErrorReply(const wire::FrameHeader& req, ErrCode code,
-                             std::string_view payload, std::string buf) {
+// Encode the response frame to `req` into `buf`: echoes the request's opcode
+// and ids so the client's waiter matches.
+std::string EncodeReply(const wire::FrameHeader& req, ErrCode code,
+                        std::string_view payload, std::string buf) {
   wire::FrameHeader reply;
   reply.type = wire::FrameType::kResponse;
   reply.opcode = req.opcode;
@@ -396,7 +396,7 @@ void TcpServer::Stop() {
   // so end-of-run --metrics-out dumps still carry the worker count.
   gauges_.clear();
   std::scoped_lock lock(notify_mu_);
-  notify_sessions_.clear();
+  notify_conns_.clear();
   pending_notify_.clear();
 }
 
@@ -405,7 +405,7 @@ bool TcpServer::PushNotify(std::uint64_t client_id, std::uint16_t opcode,
   if (client_id == 0 || !running_.load(std::memory_order_acquire)) return false;
   {
     std::scoped_lock lock(notify_mu_);
-    if (notify_sessions_.find(client_id) == notify_sessions_.end()) {
+    if (notify_conns_.find(client_id) == notify_conns_.end()) {
       common::MetricsRegistry::Default()
           .GetCounter("notify.server.no_session")
           .Add();
@@ -424,7 +424,7 @@ std::size_t TcpServer::BroadcastNotify(std::uint16_t opcode,
   std::size_t sessions = 0;
   {
     std::scoped_lock lock(notify_mu_);
-    sessions = notify_sessions_.size();
+    sessions = notify_conns_.size();
     if (sessions == 0) return 0;
     pending_notify_.push_back(PendingNotify{0, opcode, std::move(payload)});
   }
@@ -438,7 +438,7 @@ std::size_t TcpServer::BroadcastNotify(std::uint16_t opcode,
 
 std::size_t TcpServer::notify_sessions() const {
   std::scoped_lock lock(notify_mu_);
-  return notify_sessions_.size();
+  return notify_conns_.size();
 }
 
 std::string TcpServer::Execute(const wire::FrameHeader& req,
@@ -483,15 +483,7 @@ std::string TcpServer::Execute(const wire::FrameHeader& req,
                                    std::memory_order_relaxed);
   }
   requests_.fetch_add(1, std::memory_order_relaxed);
-  wire::FrameHeader reply;
-  reply.type = wire::FrameType::kResponse;
-  reply.opcode = req.opcode;
-  reply.request_id = req.request_id;
-  reply.trace_id = req.trace_id;
-  reply.code = resp.code;
-  buf.clear();
-  wire::EncodeFrameInto(reply, resp.payload, &buf);
-  return buf;
+  return EncodeReply(req, resp.code, resp.payload, std::move(buf));
 }
 
 std::string TcpServer::RunWork(const Work& work, std::string buf) {
@@ -521,7 +513,7 @@ std::string TcpServer::RunWork(const Work& work, std::string buf) {
     // later response on the connection.
     expired_metric_->Add();
     expired_total_.fetch_add(1, std::memory_order_relaxed);
-    return EncodeErrorReply(work.header, ErrCode::kTimeout, {}, std::move(buf));
+    return EncodeReply(work.header, ErrCode::kTimeout, {}, std::move(buf));
   }
   return Execute(work.header, work.payload, work.client_id, std::move(buf));
 }
@@ -566,21 +558,15 @@ bool TcpServer::HandleHello(Conn* conn, const wire::PinnedFrame& frame) {
       reply.features = wire::kFeatureNotify;
       conn->notify = true;
       std::scoped_lock lock(notify_mu_);
-      notify_sessions_[hello.client_id] = conn->id;
+      notify_conns_[hello.client_id] = conn->id;
     }
   } else {
     code = ErrCode::kInvalid;
   }
-  wire::FrameHeader rh;
-  rh.type = wire::FrameType::kResponse;
-  rh.opcode = frame.header.opcode;
-  rh.request_id = frame.header.request_id;
-  rh.trace_id = frame.header.trace_id;
-  rh.code = code;
-  const std::string reply_payload =
-      code == ErrCode::kOk ? wire::EncodeHelloReply(reply) : std::string();
-  std::string bytes = GetBuffer();
-  wire::EncodeFrameInto(rh, reply_payload, &bytes);
+  std::string bytes = EncodeReply(
+      frame.header, code,
+      code == ErrCode::kOk ? wire::EncodeHelloReply(reply) : std::string(),
+      GetBuffer());
   // The hello is answered inline on the loop thread, but in worker mode
   // the reply must not overtake responses still in the pool: give it a slot
   // in the per-connection sequence and release it in order.
@@ -607,8 +593,8 @@ bool TcpServer::HandleLoadStatus(Conn* conn, const wire::PinnedFrame& frame) {
   status.read_stalls = read_stall_total_.load(std::memory_order_relaxed);
   status.slow_client_disconnects =
       slow_disconnect_total_.load(std::memory_order_relaxed);
-  std::string bytes = EncodeErrorReply(frame.header, ErrCode::kOk,
-                                       EncodeLoadStatus(status), GetBuffer());
+  std::string bytes = EncodeReply(frame.header, ErrCode::kOk,
+                                  EncodeLoadStatus(status), GetBuffer());
   // Like the hello: answered inline, but never ahead of responses already in
   // the worker pool for this connection.
   if (options_.workers == 0) return AppendResponse(conn, std::move(bytes));
@@ -632,7 +618,7 @@ void TcpServer::CompleteWithError(std::uint64_t conn_id, std::uint64_t seq,
   // slot in the per-connection response order — an evicted background
   // request may even belong to a different connection than the one whose
   // frames are being drained.
-  std::string bytes = EncodeErrorReply(req, code, payload, std::string());
+  std::string bytes = EncodeReply(req, code, payload, std::string());
   {
     std::scoped_lock lock(comp_mu_);
     completions_.push_back(Completion{conn_id, seq, std::move(bytes)});
@@ -1002,8 +988,8 @@ void TcpServer::DrainNotify(
       std::uint64_t conn_id = 0;
       {
         std::scoped_lock lock(notify_mu_);
-        const auto it = notify_sessions_.find(p.client_id);
-        if (it == notify_sessions_.end()) continue;  // client disconnected
+        const auto it = notify_conns_.find(p.client_id);
+        if (it == notify_conns_.end()) continue;  // client disconnected
         conn_id = it->second;
       }
       const auto it = conns.find(conn_id);
@@ -1025,9 +1011,9 @@ void TcpServer::ForgetNotifySession(const Conn& conn) {
   bool forgotten = false;
   {
     std::scoped_lock lock(notify_mu_);
-    const auto it = notify_sessions_.find(conn.client_id);
-    if (it != notify_sessions_.end() && it->second == conn.id) {
-      notify_sessions_.erase(it);
+    const auto it = notify_conns_.find(conn.client_id);
+    if (it != notify_conns_.end() && it->second == conn.id) {
+      notify_conns_.erase(it);
       forgotten = true;
     }
   }

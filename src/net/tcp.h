@@ -155,8 +155,8 @@ class TcpServer : public Notifier {
     // the DMS drops the client's lease watches immediately instead of
     // waiting out the expiry sweep).  on_client_disconnect fires when the
     // *last* connection that said hello as `client_id` closes (the client
-    // process is gone: the FMS prunes its file sessions).  Not fired during
-    // server Stop() — shutdown is not a client crash.
+    // process is gone).  Not fired during server Stop() — shutdown is not a
+    // client crash.
     std::function<void(std::uint64_t client_id)> on_notify_disconnect;
     std::function<void(std::uint64_t client_id)> on_client_disconnect;
     // Admission control (docs/OVERLOAD.md): cap on queued-but-unstarted
@@ -401,7 +401,7 @@ class TcpServer : public Notifier {
   // Notify plane: client_id → conn id of its (single) notify session, plus
   // pushes queued for the loop thread.
   mutable std::mutex notify_mu_;
-  std::unordered_map<std::uint64_t, std::uint64_t> notify_sessions_;
+  std::unordered_map<std::uint64_t, std::uint64_t> notify_conns_;
   std::vector<PendingNotify> pending_notify_;
 
   // client_id → number of live connections that said hello as that id.

@@ -87,8 +87,8 @@ inline constexpr std::uint64_t kFeatureNotify = 1ull << 0;
 
 // Priority classes carried in the header (2-bit field; 3 is reserved).
 // Foreground is the default serving traffic; background marks housekeeping
-// (GC probes, fsck scans, session keepalives) that admission control sheds
-// first; control marks admin RPCs that must get through under saturation.
+// (GC probes, fsck scans) that admission control sheds first; control marks
+// admin RPCs that must get through under saturation.
 inline constexpr std::uint8_t kPriorityForeground = 0;
 inline constexpr std::uint8_t kPriorityBackground = 1;
 inline constexpr std::uint8_t kPriorityControl = 2;

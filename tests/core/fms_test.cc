@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "core/proto.h"
 #include "fs/wire.h"
@@ -329,6 +331,26 @@ TEST_P(FmsModeTest, MalformedBatchEnvelopeIsCorruption) {
   oversized += "junk";
   EXPECT_EQ(fms_.Handle(proto::kFmsBatchStat, oversized).code,
             ErrCode::kCorruption);
+}
+
+TEST_P(FmsModeTest, RetiredSessionOpcodesAreUnsupported) {
+  // 61 and 62 opened and closed file sessions and 244 listed them.  The FMS
+  // keeps no per-client state, so it answers them like any unknown opcode,
+  // whether or not the peer said hello with a client id.
+  ASSERT_TRUE(Create("f").ok());
+  const net::HandlerContext identified{.client_id = 7};
+  const std::pair<std::uint16_t, std::string> retired[] = {
+      {61, fs::Pack(kDir, std::string("f"), std::uint8_t{0})},
+      {62, fs::Pack(kDir, std::string("f"))},
+      {244, std::string()},
+  };
+  for (const auto& [opcode, payload] : retired) {
+    EXPECT_EQ(fms_.Handle(opcode, payload).code, ErrCode::kUnsupported)
+        << opcode;
+    EXPECT_EQ(fms_.HandleCtx(opcode, payload, identified).code,
+              ErrCode::kUnsupported)
+        << opcode;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, FmsModeTest, ::testing::Bool(),

@@ -1,8 +1,8 @@
 // Housekeeping plane (docs/HOUSEKEEPING.md): GcManager scheduling and status
 // codec, the per-server incremental GC steps (DMS I1–I4, FMS I5–I7, OSD I9)
 // with their two-cycle confirmation for destructive reclaims, the "probe
-// error is not death" rule, and the session/admin RPC surface
-// (kFmsOpenSession, kCtlSessionList, kCtlGcStatus, k*CheckUuids).
+// error is not death" rule, and the admin RPC surface (kCtlGcStatus,
+// k*CheckUuids).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -466,75 +466,6 @@ TEST(FmsGcStepTest, ProbeErrorOrLivenessBlocksPurge) {
   fx.fms->GcStep(kBigBudget, Unreachable());
   fx.fms->GcStep(kBigBudget, AllAlive());
   EXPECT_TRUE(net::RunInline(fx.client->StatFile("/keep/f")).ok());
-}
-
-TEST(FmsGcStepTest, SessionRpcSurface) {
-  FmsGcFixture fx;
-  ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/s", 0755)).ok());
-  ASSERT_TRUE(net::RunInline(fx.client->Create("/s/f", 0644)).ok());
-  const fs::Uuid dir = fx.DirUuid("/s");
-
-  // The in-proc transport carries no hello, so sessions need HandleCtx with
-  // an explicit client id.  Anonymous (client 0) opens are refused.
-  const std::string open_req =
-      fs::Pack(dir, std::string("f"), std::uint8_t{1});
-  EXPECT_EQ(fx.fms->Handle(proto::kFmsOpenSession, open_req).code,
-            ErrCode::kInvalid);
-
-  net::HandlerContext alice{.client_id = 7};
-  net::HandlerContext bob{.client_id = 8};
-  EXPECT_TRUE(fx.fms->HandleCtx(proto::kFmsOpenSession, open_req, alice).ok());
-  // Exclusive session held: another client is refused with kExists.
-  EXPECT_EQ(fx.fms->HandleCtx(proto::kFmsOpenSession, open_req, bob).code,
-            ErrCode::kExists);
-  // A session on a nonexistent file is refused.
-  EXPECT_EQ(fx.fms
-                ->HandleCtx(proto::kFmsOpenSession,
-                            fs::Pack(dir, std::string("nope"), std::uint8_t{0}),
-                            alice)
-                .code,
-            ErrCode::kNotFound);
-
-  // kCtlSessionList shows the holder.
-  const auto list = fx.fms->Handle(proto::kCtlSessionList, {});
-  ASSERT_TRUE(list.ok());
-  std::vector<std::string> entries;
-  ASSERT_TRUE(fs::Unpack(list.payload, entries));
-  ASSERT_EQ(entries.size(), 1u);
-  fs::Uuid got_dir;
-  std::string got_name;
-  std::uint64_t got_client = 0, ttl = 0;
-  std::uint8_t exclusive = 0;
-  ASSERT_TRUE(fs::Unpack(entries[0], got_dir, got_name, got_client, ttl,
-                         exclusive));
-  EXPECT_EQ(got_dir.raw(), dir.raw());
-  EXPECT_EQ(got_name, "f");
-  EXPECT_EQ(got_client, 7u);
-  EXPECT_EQ(exclusive, 1);
-
-  // DropClientSessions (the TcpServer disconnect hook) frees the file.
-  EXPECT_EQ(fx.fms->DropClientSessions(7), 1u);
-  EXPECT_TRUE(fx.fms->HandleCtx(proto::kFmsOpenSession, open_req, bob).ok());
-  // Close is idempotent.
-  const std::string close_req = fs::Pack(dir, std::string("f"));
-  EXPECT_TRUE(fx.fms->HandleCtx(proto::kFmsCloseSession, close_req, bob).ok());
-  EXPECT_TRUE(fx.fms->HandleCtx(proto::kFmsCloseSession, close_req, bob).ok());
-}
-
-TEST(FmsGcStepTest, RemovingFileDropsItsSessions) {
-  FmsGcFixture fx;
-  ASSERT_TRUE(net::RunInline(fx.client->Mkdir("/r", 0755)).ok());
-  ASSERT_TRUE(net::RunInline(fx.client->Create("/r/f", 0644)).ok());
-  const fs::Uuid dir = fx.DirUuid("/r");
-  net::HandlerContext alice{.client_id = 7};
-  ASSERT_TRUE(fx.fms
-                  ->HandleCtx(proto::kFmsOpenSession,
-                              fs::Pack(dir, std::string("f"), std::uint8_t{0}),
-                              alice)
-                  .ok());
-  EXPECT_EQ(fx.fms->sessions().size(), 1u);
-  ASSERT_TRUE(net::RunInline(fx.client->Unlink("/r/f")).ok());
-  EXPECT_EQ(fx.fms->sessions().size(), 0u);
 }
 
 // ------------------------------------------------------------ OSD GcStep --

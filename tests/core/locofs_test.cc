@@ -343,7 +343,8 @@ class RoundCounter final : public net::Channel {
 
 TEST(LocoFsTest, WarmListingAndRenameRoundsMatchDesign) {
   // DESIGN.md §5, "rounds (C, warm)": a listing sends its DMS leg and every
-  // FMS leg at once; a rename sends its probes at once, then acts.
+  // FMS leg at once; a rename sends its probes at once, then acts; a close
+  // sends nothing.
   LocoFixture fx(4);
   RoundCounter counter(fx.transport);
   LocoClient client(counter, fx.config);
@@ -364,11 +365,18 @@ TEST(LocoFsTest, WarmListingAndRenameRoundsMatchDesign) {
   EXPECT_EQ(plus->size(), 9u);
   EXPECT_EQ(counter.rounds, 1);
   counter.rounds = 0;
+  ASSERT_TRUE(net::RunInline(client.Close("/d/f1")).ok());  // warm parent
+  EXPECT_EQ(counter.rounds, 0);
+  counter.rounds = 0;
   ASSERT_TRUE(net::RunInline(client.Rename("/d/sub", "/d/sub2")).ok());
   EXPECT_EQ(counter.rounds, 2);
   counter.rounds = 0;
   ASSERT_TRUE(net::RunInline(client.Rename("/d/f0", "/d/g0")).ok());
   EXPECT_EQ(counter.rounds, 3);
+  counter.rounds = 0;
+  client.DropCache();
+  ASSERT_TRUE(net::RunInline(client.Close("/d/g0")).ok());  // cold parent
+  EXPECT_EQ(counter.rounds, 0);
 }
 
 TEST(LocoFsTest, PermissionDeniedPropagates) {

@@ -1,10 +1,9 @@
-// GC soak test (ISSUE 7 acceptance; docs/HOUSEKEEPING.md): create/delete
-// churn against real daemons running their housekeeping plane (--gc), with a
-// SIGKILLed client *and* a SIGKILLed FMS mid-storm.  The cluster never stops
-// serving: background GC reclaims the damage the kills left behind (within
-// its token-bucket rate budget), killed-client sessions are pruned the moment
-// their connections die rather than when their TTL lapses, and
-// `loco_fsck --live` verifies I1–I9 hold on the serving cluster.
+// GC soak test (docs/HOUSEKEEPING.md): create/delete churn against real
+// daemons running their housekeeping plane (--gc), with a SIGKILLed client
+// *and* a SIGKILLed FMS mid-storm.  The cluster never stops serving:
+// background GC reclaims the damage the kills left behind (within its
+// token-bucket rate budget), and `loco_fsck --live` verifies I1–I9 hold on
+// the serving cluster.
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
@@ -14,7 +13,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,30 +190,6 @@ struct AdminPlane {
     channel.Register(kOsd, "127.0.0.1", cluster.osd().port);
   }
 
-  // Number of live file sessions whose parent is `dir_uuid` (both FMS).
-  int SessionsUnder(fs::Uuid dir_uuid) {
-    int count = 0;
-    for (net::NodeId node : {kFms1, kFms2}) {
-      const net::RpcResponse resp = BlockingCall(
-          channel, node, static_cast<std::uint16_t>(core::proto::kCtlSessionList),
-          {});
-      if (!resp.ok()) continue;
-      std::vector<std::string> entries;
-      if (!fs::Unpack(resp.payload, entries)) continue;
-      for (const std::string& entry : entries) {
-        fs::Uuid uuid;
-        std::string name;
-        std::uint64_t client = 0, ttl = 0;
-        std::uint8_t exclusive = 0;
-        if (fs::Unpack(entry, uuid, name, client, ttl, exclusive) &&
-            uuid.raw() == dir_uuid.raw()) {
-          ++count;
-        }
-      }
-    }
-    return count;
-  }
-
   // GC status of one daemon; false when the RPC fails or GC is not running.
   bool GcStatus(net::NodeId node, core::GcManager::Status* out) {
     const net::RpcResponse resp = BlockingCall(
@@ -230,7 +204,7 @@ struct AdminPlane {
 };
 
 // Fork+exec a loco_shell churn client wired to a stdin pipe so the test can
-// SIGKILL it while its mount (and its file sessions) are alive.
+// SIGKILL it while its mount is alive.
 struct ShellClient {
   pid_t pid = -1;
   int stdin_fd = -1;
@@ -294,8 +268,8 @@ TEST(GcSoakTest, ChurnWithKilledClientAndFmsStaysCleanLive) {
   auto client = deployment->MakeClient(WallClockNs);
   client->SetIdentity(fs::Identity{1000, 1000});
 
-  // A second, killable client: a real loco_shell process holding file
-  // sessions on both FMS through its own wire-v2 mount.
+  // A second, killable client: a real loco_shell process creating files on
+  // both FMS through its own mount.
   ShellClient victim;
   ASSERT_TRUE(victim.Start(cluster.ConnectSpec())) << "loco_shell not built";
   victim.Send("mkdir /victim");
@@ -306,13 +280,7 @@ TEST(GcSoakTest, ChurnWithKilledClientAndFmsStaysCleanLive) {
     return net::RunInline(client->StatFile("/victim/v7")).ok();
   })) << "shell client never processed its churn script";
 
-  const auto victim_attr = net::RunInline(client->Stat("/victim"));
-  ASSERT_TRUE(victim_attr.ok());
-  const fs::Uuid victim_uuid = victim_attr->uuid;
-
   AdminPlane admin(cluster);
-  ASSERT_TRUE(Eventually([&] { return admin.SessionsUnder(victim_uuid) > 0; }))
-      << "shell creates registered no sessions";
 
   // Inject a leaked object (I9): a write keyed by a uuid no FMS inode owns.
   // Background GC on the OSD must reclaim it without any fsck involvement —
@@ -382,12 +350,6 @@ TEST(GcSoakTest, ChurnWithKilledClientAndFmsStaysCleanLive) {
     return net::RunInline(client->Stat("/")).ok();
   })) << "cluster did not come back";
 
-  // The SIGKILLed client's sessions are pruned by the disconnect hook (its
-  // TTL is 60 s — far beyond this poll — so expiry cannot explain this).
-  EXPECT_TRUE(Eventually([&] { return admin.SessionsUnder(victim_uuid) == 0; }))
-      << "killed client still pins " << admin.SessionsUnder(victim_uuid)
-      << " sessions";
-
   // Every daemon reports a live GC loop that has completed cycles, and the
   // OSD's reclaim counter shows the injected leak was collected.
   for (net::NodeId node : {AdminPlane::kDms, AdminPlane::kFms1,
@@ -421,113 +383,6 @@ TEST(GcSoakTest, ChurnWithKilledClientAndFmsStaysCleanLive) {
       return net::RunInline(client->StatFile(path)).ok();
     })) << path;
   }
-}
-
-TEST(GcSoakTest, ExplicitCloseReleasesSessionsWhileMountStaysConnected) {
-  // LocoClient::Close sends kFmsCloseSession for the implicit session its
-  // Open/Create registered.  The session count under the directory must
-  // drop to zero on Close alone — the mount stays connected (so the
-  // disconnect hook cannot explain it) and the TTL is 60 s (so expiry
-  // cannot either).
-  GcCluster cluster("close");
-  if (!cluster.BinariesPresent()) {
-    GTEST_SKIP() << "daemon or loco_fsck binaries not built";
-  }
-  ASSERT_TRUE(cluster.StartAll());
-
-  auto deployment = cluster.Connect();
-  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
-  auto client = deployment->MakeClient(WallClockNs);
-  client->SetIdentity(fs::Identity{1000, 1000});
-
-  ASSERT_TRUE(net::RunInline(client->Mkdir("/closing", 0755)).ok());
-  std::vector<std::string> paths;
-  for (int i = 0; i < 6; ++i) {
-    const std::string path = "/closing/c" + std::to_string(i);
-    ASSERT_TRUE(net::RunInline(client->Create(path, 0644)).ok());
-    paths.push_back(path);
-  }
-  const auto attr = net::RunInline(client->Stat("/closing"));
-  ASSERT_TRUE(attr.ok());
-  const fs::Uuid dir_uuid = attr->uuid;
-
-  AdminPlane admin(cluster);
-  ASSERT_TRUE(Eventually([&] {
-    return admin.SessionsUnder(dir_uuid) == static_cast<int>(paths.size());
-  })) << "creates registered " << admin.SessionsUnder(dir_uuid)
-      << " sessions, expected " << paths.size();
-
-  for (const std::string& path : paths) {
-    ASSERT_TRUE(net::RunInline(client->Close(path)).ok()) << path;
-  }
-  EXPECT_TRUE(Eventually([&] { return admin.SessionsUnder(dir_uuid) == 0; }))
-      << "explicit Close left " << admin.SessionsUnder(dir_uuid)
-      << " sessions registered";
-
-  // The mount is still healthy afterwards: sessions were closed, not the
-  // connection.
-  EXPECT_TRUE(net::RunInline(client->StatFile(paths[0])).ok());
-}
-
-TEST(GcSoakTest, KilledClientsExclusiveSessionIsTakeable) {
-  GcCluster cluster("excl");
-  if (!cluster.BinariesPresent()) {
-    GTEST_SKIP() << "daemon or loco_fsck binaries not built";
-  }
-  ASSERT_TRUE(cluster.StartAll());
-
-  auto deployment = cluster.Connect();
-  ASSERT_TRUE(deployment.ok()) << deployment.status().ToString();
-  auto client = deployment->MakeClient(WallClockNs);
-  client->SetIdentity(fs::Identity{1000, 1000});
-  ASSERT_TRUE(net::RunInline(client->Mkdir("/lock", 0755)).ok());
-  ASSERT_TRUE(net::RunInline(client->Create("/lock/f", 0644)).ok());
-  const auto attr = net::RunInline(client->Stat("/lock"));
-  ASSERT_TRUE(attr.ok());
-  const std::string open_payload =
-      fs::Pack(attr->uuid, std::string("f"), std::uint8_t{1});
-
-  // Two identified channels stand in for two clients; each connection says
-  // hello with its own id, so closing one is a client death to the server.
-  net::TcpChannelOptions holder_options;
-  holder_options.client_id = 901;
-  auto holder = std::make_unique<net::TcpChannel>(holder_options);
-  net::TcpChannelOptions contender_options;
-  contender_options.client_id = 902;
-  net::TcpChannel contender(contender_options);
-  for (int i = 0; i < 2; ++i) {
-    holder->Register(i, "127.0.0.1", cluster.fms(i).port);
-    contender.Register(i, "127.0.0.1", cluster.fms(i).port);
-  }
-
-  // Creating /lock/f registered an implicit shared session for the mount,
-  // which rightly blocks an exclusive open.  Sever the mount's connections:
-  // the disconnect hook must release that session, after which the FMS that
-  // owns the file accepts the exclusive open (the other reports kNotFound).
-  deployment->channel->DisconnectAll();
-  const auto open_opcode =
-      static_cast<std::uint16_t>(core::proto::kFmsOpenSession);
-  int owner = -1;
-  ASSERT_TRUE(Eventually([&] {
-    for (int i = 0; i < 2; ++i) {
-      if (BlockingCall(*holder, i, open_opcode, open_payload).ok()) {
-        owner = i;
-        return true;
-      }
-    }
-    return false;
-  })) << "creator's implicit session was never released on disconnect";
-
-  // While the holder lives, the contender is refused.
-  EXPECT_EQ(BlockingCall(contender, owner, open_opcode, open_payload).code,
-            ErrCode::kExists);
-
-  // The holder dies (connection severed).  Its session TTL is 60 s, so only
-  // the disconnect hook can free the file this fast.
-  holder.reset();
-  EXPECT_TRUE(Eventually([&] {
-    return BlockingCall(contender, owner, open_opcode, open_payload).ok();
-  })) << "dead client's exclusive session was never pruned";
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// TcpServer disconnect callbacks (docs/HOUSEKEEPING.md): on_client_disconnect
-// fires exactly once when the *last* connection that said hello as a client id
-// closes, and on_notify_disconnect fires as soon as a notify stream drops —
-// the hooks the DMS lease table and FMS session table use to shed state
-// without waiting out a TTL sweep.
+// TcpServer disconnect callbacks: on_client_disconnect fires exactly once
+// when the *last* connection that said hello as a client id closes, and
+// on_notify_disconnect fires as soon as a notify stream drops — the hook the
+// DMS lease table uses to shed a dead client's watches without waiting out a
+// TTL sweep (docs/LEASES.md).
 #include <gtest/gtest.h>
 
 #include <chrono>

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/flags.h"
 #include "core/connect.h"
 #include "core/fsck.h"
 
@@ -27,24 +28,6 @@ namespace {
 constexpr const char* kUsage =
     "usage: loco_fsck --connect dms=H:P,fms=H:P[,...],osd=H:P[,...]"
     " [--repair] [--live] [--max-passes N] [--quiet]\n";
-
-// `--flag value` and `--flag=value`.
-bool FlagValue(int argc, char** argv, int* i, const char* flag,
-               std::string* out) {
-  const std::string_view arg = argv[*i];
-  const std::size_t flag_len = std::strlen(flag);
-  if (arg == flag) {
-    if (*i + 1 >= argc) return false;
-    *out = argv[++*i];
-    return true;
-  }
-  if (arg.size() > flag_len + 1 && arg.substr(0, flag_len) == flag &&
-      arg[flag_len] == '=') {
-    *out = std::string(arg.substr(flag_len + 1));
-    return true;
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -57,8 +40,8 @@ int main(int argc, char** argv) {
   bool live = false;
   bool quiet = false;
   for (int i = 1; i < argc; ++i) {
-    if (FlagValue(argc, argv, &i, "--connect", &connect)) continue;
-    if (FlagValue(argc, argv, &i, "--max-passes", &passes_str)) continue;
+    if (common::FlagValue(argc, argv, &i, "--connect", &connect)) continue;
+    if (common::FlagValue(argc, argv, &i, "--max-passes", &passes_str)) continue;
     if (std::strcmp(argv[i], "--repair") == 0) {
       repair = true;
       continue;
