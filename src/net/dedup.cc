@@ -21,41 +21,45 @@ std::string DedupWindow::Key(const wire::FrameHeader& header,
   return key;
 }
 
-DedupWindow::Outcome DedupWindow::Begin(const std::string& key, ErrCode* code,
-                                        std::string* payload) {
+DedupWindow::Outcome DedupWindow::Begin(std::string key, ErrCode* code,
+                                        std::string* payload, Slot* slot,
+                                        Wait wait) {
+  StoredKey stored{std::move(key)};
+  stored.hash = std::hash<std::string_view>()(stored.bytes);
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    auto [it, inserted] = entries_.try_emplace(key);
-    if (inserted) return Outcome::kExecute;
+    // try_emplace leaves `stored` untouched when the key is already present.
+    auto [it, inserted] = entries_.try_emplace(std::move(stored));
+    if (inserted) {
+      *slot = &*it;
+      return Outcome::kExecute;
+    }
     if (it->second.done) {
       *code = it->second.code;
       *payload = it->second.payload;
       replays_->Add();
       return Outcome::kReplay;
     }
-    // The owner is still executing this key.  Wait for its completion —
-    // returning early would let the caller re-run the handler concurrently,
-    // which is exactly the double-apply this window exists to prevent.  The
-    // loop re-probes after waking: if the entry was evicted in between, the
-    // cached response is gone and the only option left is to execute.
+    // The owner is still executing this key.  Returning kExecute would let
+    // the caller re-run the handler concurrently, which is exactly the
+    // double-apply this window exists to prevent: either say so without
+    // waiting, or wait for the owner's completion.  The loop re-probes after
+    // waking: if the entry was evicted in between, the cached response is
+    // gone and the only option left is to execute.
+    if (wait == Wait::kNo) return Outcome::kRunning;
     cv_.wait(lock);
   }
 }
 
-void DedupWindow::Complete(const std::string& key, ErrCode code,
-                           std::string_view payload) {
+void DedupWindow::Complete(Slot slot, ErrCode code, std::string_view payload) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return;  // evicted under pathological pressure
-  // Queue each entry once, so every pointer in completed_ stays live until
-  // its own eviction.
-  if (!it->second.done) completed_.push_back(&it->first);
-  it->second.done = true;
-  it->second.code = code;
-  it->second.payload.assign(payload.data(), payload.size());
+  slot->second.done = true;
+  slot->second.code = code;
+  slot->second.payload.assign(payload.data(), payload.size());
+  completed_.push_back(&slot->first);
   while (completed_.size() > options_.capacity) {
     // Look the key up before erasing: erase(key) would compare against the
-    // very string it destroys.
+    // very key it destroys.
     entries_.erase(entries_.find(*completed_.front()));
     completed_.pop_front();
   }

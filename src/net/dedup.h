@@ -20,10 +20,16 @@
 //
 // Concurrency: the first arrival of a key executes the handler; concurrent
 // duplicates block on a condition variable until the owner completes, then
-// replay the cached (code, payload).  Completed entries are evicted FIFO
-// once the window exceeds its capacity.  The map holds each key once: the
-// eviction queue points at the map's own key strings, which stay put when
-// the map rehashes (a key can be a whole ~256 KiB batch frame).
+// replay the cached (code, payload).  A caller that must not block (the
+// server's event loop) asks with Wait::kNo and is told the original is
+// still running instead.  Completed entries are evicted FIFO once the window
+// exceeds its capacity.
+//
+// A key can be a whole ~256 KiB batch frame, so the window touches its bytes
+// as little as it can: Begin moves the caller's key in and hashes it once,
+// outside the lock; the owner completes through the slot Begin handed it,
+// without a lookup; and the eviction queue points at the map's own keys
+// (which stay put when the map rehashes), found again by their stored hash.
 #pragma once
 
 #include <condition_variable>
@@ -43,6 +49,29 @@
 namespace loco::net {
 
 class DedupWindow {
+  // A map key: the request's exact bytes and their hash, computed once.
+  struct StoredKey {
+    std::string bytes;
+    std::size_t hash = 0;
+  };
+  struct StoredKeyHash {
+    std::size_t operator()(const StoredKey& k) const noexcept { return k.hash; }
+  };
+  struct StoredKeyEq {
+    // Byte-exact: equal hashes never make two requests one.  An eviction
+    // finds a key by the map's own copy, which the address test settles
+    // without comparing the bytes.
+    bool operator()(const StoredKey& a, const StoredKey& b) const noexcept {
+      return &a == &b || (a.hash == b.hash && a.bytes == b.bytes);
+    }
+  };
+  struct Entry {
+    bool done = false;
+    ErrCode code = ErrCode::kOk;
+    std::string payload;
+  };
+  using Map = std::unordered_map<StoredKey, Entry, StoredKeyHash, StoredKeyEq>;
+
  public:
   struct Options {
     std::size_t capacity = 1024;  // completed entries retained
@@ -65,28 +94,31 @@ class DedupWindow {
                          std::string_view payload);
 
   enum class Outcome {
-    kExecute,  // first arrival: caller runs the handler, must call Complete
+    kExecute,  // first arrival: caller runs the handler, then Complete(slot)
     kReplay,   // duplicate: *code/*payload carry the cached response
+    kRunning,  // Wait::kNo only: the original is still running; nothing
+               // was inserted or copied
   };
-  Outcome Begin(const std::string& key, ErrCode* code, std::string* payload);
-  void Complete(const std::string& key, ErrCode code, std::string_view payload);
+  // Whether Begin may block until a running original completes.
+  enum class Wait { kYes, kNo };
+  // The entry a first arrival owns.  Valid until its Complete: only
+  // completed entries are evicted, and map nodes stay put across rehashes.
+  using Slot = Map::value_type*;
+  Outcome Begin(std::string key, ErrCode* code, std::string* payload,
+                Slot* slot, Wait wait = Wait::kYes);
+  // Cache the owner's response (once per kExecute) and wake its duplicates.
+  void Complete(Slot slot, ErrCode code, std::string_view payload);
 
   std::uint64_t replays() const noexcept { return replays_->value(); }
 
  private:
-  struct Entry {
-    bool done = false;
-    ErrCode code = ErrCode::kOk;
-    std::string payload;
-  };
-
   const std::unordered_set<std::uint16_t> opcodes_;
   const Options options_;
   common::Counter* replays_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::unordered_map<std::string, Entry> entries_;
-  std::deque<const std::string*> completed_;  // keys in entries_, oldest first
+  Map entries_;
+  std::deque<const StoredKey*> completed_;  // keys in entries_, oldest first
 };
 
 }  // namespace loco::net

@@ -441,43 +441,67 @@ std::size_t TcpServer::notify_sessions() const {
   return notify_conns_.size();
 }
 
-std::string TcpServer::Execute(const wire::FrameHeader& req,
-                               std::string_view payload,
-                               std::uint64_t client_id, std::string buf) {
-  const common::RpcMetricsTable::PerOp& m = metrics_.For(req.opcode);
-  m.calls->Add();
-  m.bytes_received->Add(payload.size());
+void TcpServer::SampleQueueDelay(const Work& work, common::Nanos dequeued_ns) {
+  if (work.enqueue_ns == 0 || dequeued_ns <= work.enqueue_ns) return;
+  const common::Nanos qdelay = dequeued_ns - work.enqueue_ns;
+  queue_delay_hist_->Record(qdelay);
+  // EWMA (alpha 0.2) of the admission-queue wait: the serving-load signal
+  // behind RetryAfterPayload and GC pacing.  Single-writer per sample is not
+  // guaranteed (any worker, or the loop, updates it), but a lost update
+  // between concurrent dequeues only costs one sample of smoothing.
+  const common::Nanos prev = queue_delay_ewma_ns_.load(std::memory_order_relaxed);
+  queue_delay_ewma_ns_.store(prev - prev / 5 + qdelay / 5,
+                             std::memory_order_relaxed);
+}
+
+std::optional<std::string> TcpServer::RunWork(const Work& work, std::string buf,
+                                              DedupWindow::Wait wait) {
+  const common::Nanos dequeued_ns = common::CpuTimer::Now();
+  if (work.delay_ns > 0) {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(work.delay_ns));
+  }
+  const wire::FrameHeader& req = work.header;
+  if (work.expire_ns != 0 && common::CpuTimer::Now() > work.expire_ns) {
+    // The caller's budget ran out while the request sat queued (or stalled):
+    // answer kTimeout without executing.  The response still flows through
+    // the ordered release path — silently dropping the seq would wedge every
+    // later response on the connection.
+    SampleQueueDelay(work, dequeued_ns);
+    expired_metric_->Add();
+    expired_total_.fetch_add(1, std::memory_order_relaxed);
+    return EncodeReply(req, ErrCode::kTimeout, {}, std::move(buf));
+  }
   const common::CpuTimer timer;
   RpcResponse resp;
+  DedupWindow::Slot owned = nullptr;
   bool replayed = false;
-  std::string dedup_key;
-  bool dedup_owner = false;
   if (options_.dedup != nullptr && options_.dedup->Eligible(req.opcode)) {
     // Idempotent replay: a retried or duplicated mutation must not apply
     // twice.  The first arrival executes; later arrivals (including ones
     // racing the first) get the cached response verbatim.
-    dedup_key = DedupWindow::Key(req, payload);
-    ErrCode cached_code = ErrCode::kOk;
-    std::string cached;
-    if (options_.dedup->Begin(dedup_key, &cached_code, &cached) ==
-        DedupWindow::Outcome::kReplay) {
-      resp.code = cached_code;
-      resp.payload = std::move(cached);
-      replayed = true;
-    } else {
-      dedup_owner = true;
+    switch (options_.dedup->Begin(DedupWindow::Key(req, work.payload),
+                                  &resp.code, &resp.payload, &owned, wait)) {
+      case DedupWindow::Outcome::kRunning: return std::nullopt;
+      case DedupWindow::Outcome::kReplay: replayed = true; break;
+      case DedupWindow::Outcome::kExecute: break;
     }
   }
+  SampleQueueDelay(work, dequeued_ns);
+  const common::RpcMetricsTable::PerOp& m = metrics_.For(req.opcode);
+  m.calls->Add();
+  m.bytes_received->Add(work.payload.size());
   if (!replayed) {
-    resp = handler_->HandleCtx(req.opcode, payload,
-                               HandlerContext{client_id, req.trace_id});
-    if (dedup_owner) options_.dedup->Complete(dedup_key, resp.code, resp.payload);
+    resp = handler_->HandleCtx(req.opcode, work.payload,
+                               HandlerContext{work.client_id, req.trace_id});
+    if (owned != nullptr) options_.dedup->Complete(owned, resp.code, resp.payload);
   }
   if (!resp.ok()) m.errors->Add();
   m.bytes_sent->Add(resp.payload.size());
   const common::Nanos elapsed = timer.ElapsedNanos();
   m.latency->Record(elapsed);
-  if (req.opcode < last_run_ns_.size()) {
+  if (!replayed && req.opcode < last_run_ns_.size()) {
+    // Only a handler run says what the opcode costs: a replay is a lookup,
+    // or a wait for its original, and would mark a slow batch cheap.
     // Floored at 1 ns: 0 means "never ran" to LoopRunnable.
     last_run_ns_[req.opcode].store(std::max<common::Nanos>(elapsed, 1),
                                    std::memory_order_relaxed);
@@ -486,48 +510,8 @@ std::string TcpServer::Execute(const wire::FrameHeader& req,
   return EncodeReply(req, resp.code, resp.payload, std::move(buf));
 }
 
-std::string TcpServer::RunWork(const Work& work, std::string buf) {
-  if (work.enqueue_ns > 0) {
-    const common::Nanos dequeued_ns = common::CpuTimer::Now();
-    if (dequeued_ns > work.enqueue_ns) {
-      const common::Nanos qdelay = dequeued_ns - work.enqueue_ns;
-      queue_delay_hist_->Record(qdelay);
-      // EWMA (alpha 0.2) of the admission-queue wait: the serving-load
-      // signal behind RetryAfterPayload and GC pacing.  Single-writer per
-      // sample is not guaranteed (any worker, or the loop, updates it), but
-      // a lost update between concurrent dequeues only costs one sample of
-      // smoothing.
-      const common::Nanos prev =
-          queue_delay_ewma_ns_.load(std::memory_order_relaxed);
-      queue_delay_ewma_ns_.store(prev - prev / 5 + qdelay / 5,
-                                 std::memory_order_relaxed);
-    }
-  }
-  if (work.delay_ns > 0) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(work.delay_ns));
-  }
-  if (work.expire_ns != 0 && common::CpuTimer::Now() > work.expire_ns) {
-    // The caller's budget ran out while the request sat queued (or stalled):
-    // answer kTimeout without executing.  The response still flows through
-    // the ordered release path — silently dropping the seq would wedge every
-    // later response on the connection.
-    expired_metric_->Add();
-    expired_total_.fetch_add(1, std::memory_order_relaxed);
-    return EncodeReply(work.header, ErrCode::kTimeout, {}, std::move(buf));
-  }
-  return Execute(work.header, work.payload, work.client_id, std::move(buf));
-}
-
 bool TcpServer::LoopRunnable(std::uint16_t opcode) const noexcept {
   if (opcode >= last_run_ns_.size()) return false;
-  // Tracked mutations stay on workers: their window entries outlive the
-  // request, and allocating those from the loop thread too (glibc keeps a
-  // malloc arena per thread) grew peak RSS on the live-stack benchmark by
-  // up to a quarter.  A replayed duplicate may also wait in the window for
-  // its still-running original, which must not stall the loop.
-  if (options_.dedup != nullptr && options_.dedup->Eligible(opcode)) {
-    return false;
-  }
   const common::Nanos last =
       last_run_ns_[opcode].load(std::memory_order_relaxed);
   return last > 0 && last <= kLoopRunMaxNs;
@@ -739,9 +723,9 @@ bool TcpServer::DrainFrames(Conn* conn) {
             : 0;
     for (int copy = 0; copy < copies; ++copy) {
       if (options_.workers == 0) {
-        if (!AppendResponse(conn, RunWork(work, GetBuffer()))) return false;
+        if (!AppendResponse(conn, *RunWork(work, GetBuffer()))) return false;
       } else {
-        // Duplicated frames share the payload view and its pin; Execute
+        // Duplicated frames share the payload view and its pin; RunWork
         // only reads the bytes.
         Work queued = work;
         queued.seq = conn->next_seq++;
@@ -847,7 +831,7 @@ void TcpServer::WorkerMain(std::size_t index) {
       src->pop_front();
     }
     busy_[index].store(true, std::memory_order_relaxed);
-    std::string bytes = RunWork(w, std::string());
+    std::string bytes = *RunWork(w, std::string());
     busy_[index].store(false, std::memory_order_relaxed);
     {
       std::scoped_lock lock(comp_mu_);
@@ -909,7 +893,7 @@ void TcpServer::FinishRound(
   if (!round.held) return;
   const auto it = conns.find(round.conn_id);
   Work work;
-  bool run_here = false;
+  std::deque<Work>* only = nullptr;
   if (it != conns.end() && !it->second->dead) {
     std::scoped_lock lock(queue_mu_);
     // An idle worker means one would have picked the request up at once
@@ -917,7 +901,6 @@ void TcpServer::FinishRound(
     // priorities apply to it like to anything else.  A worker that was awake
     // regardless may already hold it, so the one queued request must still
     // be this one.
-    std::deque<Work>* only = nullptr;
     std::size_t depth = 0;
     for (auto& q : queues_) {
       depth += q.size();
@@ -928,20 +911,32 @@ void TcpServer::FinishRound(
         only->front().seq == round.seq) {
       work = std::move(only->front());
       only->pop_front();
-      run_here = true;
+    } else {
+      only = nullptr;
     }
   }
-  if (!run_here) {
+  std::optional<std::string> bytes;
+  if (only != nullptr) {
+    bytes = RunWork(work, GetBuffer(), DedupWindow::Wait::kNo);
+    if (!bytes) {
+      // A duplicate whose original is still running: waiting for it here
+      // would stall every connection.  It goes back where it was, keeping
+      // its sequence slot and its inflight charge, and a worker waits in the
+      // window instead.
+      std::scoped_lock lock(queue_mu_);
+      only->push_front(std::move(work));
+    }
+  }
+  if (!bytes) {
     queue_cv_.notify_one();
     return;
   }
   Conn* conn = it->second.get();
-  std::string bytes = RunWork(work, GetBuffer());
   // Counted before the reply leaves, so a caller holding the reply sees it.
   loop_runs_.fetch_add(1, std::memory_order_relaxed);
   loop_runs_metric_->Add();
   --conn->inflight;
-  if (!ReleaseOrdered(conn, work.seq, std::move(bytes)) || !FlushWrites(conn)) {
+  if (!ReleaseOrdered(conn, work.seq, std::move(*bytes)) || !FlushWrites(conn)) {
     conn->dead = true;
   }
 }

@@ -15,18 +15,19 @@
 // single-threaded mode), with workers > 0 decoded requests are dispatched to
 // a pool of worker threads and may execute in any order — even requests from
 // the same connection.  A lone cheap request (the only admission of its
-// loop round, nothing else queued, a worker idle, not a dedup-tracked
-// mutation, and its opcode's last run took at most 50 µs) is run by the
-// loop itself at the end of the round, saving the two thread wake-ups of
-// the worker hand-off.  Responses are still written back **in decode order
-// per connection** (a per-connection sequence number reorders completions),
-// so a pipelining client can match responses positionally as well as by the
-// echoed request id.  Handlers behind a multi-worker server must be
-// thread-safe (DMS, FMS, and the object store all are).  A handler's
-// RpcResponse::extra_service_ns (modeled device time) is a simulator input
-// and is ignored here: no server path sleeps except the fault plane's
-// injected delay.  Malformed streams drop the connection; they never crash
-// the daemon or wedge the loop.
+// loop round, nothing else queued, a worker idle, and its opcode's last run
+// took at most 50 µs), read or mutation alike, is run by the loop itself at
+// the end of the round, saving the two thread wake-ups of the worker
+// hand-off; the loop never waits in the dedup window, so a duplicate whose
+// original is still running goes to a worker.  Responses are still written
+// back **in decode order per connection** (a per-connection sequence number
+// reorders completions), so a pipelining client can match responses
+// positionally as well as by the echoed request id.  Handlers behind a
+// multi-worker server must be thread-safe (DMS, FMS, and the object store
+// all are).  A handler's RpcResponse::extra_service_ns (modeled device time)
+// is a simulator input and is ignored here: no server path sleeps except the
+// fault plane's injected delay.  Malformed streams drop the connection; they
+// never crash the daemon or wedge the loop.
 //
 // TcpChannel is the client side: a net::Channel whose NodeIds map to
 // host:port endpoints.  Each endpoint keeps a small set of connections and
@@ -65,6 +66,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -132,9 +134,10 @@ class TcpServer : public Notifier {
     // Worker threads executing handler calls.  0 = run handlers inline on
     // the loop thread; N > 0 requires a thread-safe handler, which the loop
     // thread also calls: when a round admits one request, nothing else is
-    // queued, a worker is idle, no delay is injected, the opcode is not a
-    // dedup-tracked mutation and its last run took at most kLoopRunMaxNs,
-    // the loop runs it instead of waking a worker (docs/NET.md).
+    // queued, a worker is idle, no delay is injected and the opcode's last
+    // run took at most kLoopRunMaxNs, the loop runs it instead of waking a
+    // worker — unless it is a duplicate whose original is still running,
+    // which a worker waits out in the dedup window (docs/NET.md).
     int workers = 0;
     // Optional fault plane (--fault-spec): decoded request frames may be
     // dropped, duplicated, delayed, or answered with a torn response, and the
@@ -274,24 +277,30 @@ class TcpServer : public Notifier {
 
   void Loop();
   void WorkerMain(std::size_t index);
-  // Run the handler for one request: metrics, execution (or dedup replay),
-  // response encoding, and the opcode's last-run time.  The frame is
-  // encoded into `buf` (cleared first) so the loop thread can hand Execute
-  // an arena-recycled buffer; workers pass a fresh string.
-  std::string Execute(const wire::FrameHeader& req, std::string_view payload,
-                      std::uint64_t client_id, std::string buf);
-  // Serve one dequeued (or, inline, just decoded) request: queue-delay
-  // sample and EWMA when it was queued, the injected delay, then kTimeout if
-  // its deadline lapsed, else Execute.  Returns the encoded response, built
-  // in `buf`.  Workers, the loop run and inline mode all go through here.
-  std::string RunWork(const Work& work, std::string buf);
-  // True when a lone request of `opcode` may run on the loop: its last run
-  // on this server took at most kLoopRunMaxNs (an opcode that never ran is
-  // not cheap), and it is not a mutation the dedup window tracks.
+  // Serve one dequeued (or, inline, just decoded) request: the injected
+  // delay, then kTimeout if its deadline lapsed, else the dedup window's
+  // claim and the handler (or the cached reply), with metrics, the queue-
+  // delay sample when it was queued, and — after a handler run — the
+  // opcode's last-run time.  Returns the encoded response, built in `buf`
+  // (cleared first, so the loop thread can pass an arena-recycled buffer).
+  // With Wait::kNo, a duplicate whose original is still running is not
+  // served: nullopt, and nothing was sampled, counted or recorded.  Workers,
+  // the loop run and inline mode all go through here.
+  std::optional<std::string> RunWork(
+      const Work& work, std::string buf,
+      DedupWindow::Wait wait = DedupWindow::Wait::kYes);
+  // Fold one queued request's admission-queue wait into the histogram and
+  // the EWMA behind RecentQueueDelayNs.
+  void SampleQueueDelay(const Work& work, common::Nanos dequeued_ns);
+  // True when a lone request of `opcode` may run on the loop: its last
+  // handler run on this server took at most kLoopRunMaxNs (an opcode that
+  // never ran is not cheap).
   bool LoopRunnable(std::uint16_t opcode) const noexcept;
   // End of an event-loop round (worker mode): the round's held-back first
   // admission either runs here on the loop — it is still the only queued
-  // request and a worker is parked idle — or wakes a worker as usual.
+  // request and a worker is parked idle — or wakes a worker as usual.  A
+  // loop run the dedup window turns away (its original is still running)
+  // goes back to the front of its queue for a worker.
   void FinishRound(
       const std::unordered_map<std::uint64_t, std::unique_ptr<Conn>>& conns);
   // Decode every complete frame buffered on `conn` and execute (inline mode)
@@ -382,8 +391,9 @@ class TcpServer : public Notifier {
 
   // Loop-run state.  `round_` is loop-thread only: what this round admitted,
   // and whether the first admission's worker wake is held back for
-  // FinishRound.  last_run_ns_ holds each opcode's most recent Execute time
-  // (0 = never ran; opcodes >= 256 have no slot and always go to a worker).
+  // FinishRound.  last_run_ns_ holds each opcode's most recent handler run
+  // time, replays excluded (0 = never ran; opcodes >= 256 have no slot and
+  // always go to a worker).
   struct Round {
     int admitted = 0;
     bool held = false;

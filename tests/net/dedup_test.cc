@@ -67,10 +67,11 @@ TEST(DedupWindowTest, DifferentRequestsNeverReplayEachOther) {
     const std::string key = DedupWindow::Key(Header(7, trace), payload);
     ErrCode code = ErrCode::kOk;
     std::string cached;
-    ASSERT_EQ(window.Begin(key, &code, &cached),
+    DedupWindow::Slot slot = nullptr;
+    ASSERT_EQ(window.Begin(key, &code, &cached, &slot),
               DedupWindow::Outcome::kExecute)
         << "request " << i << " replayed a different request's response";
-    window.Complete(key, ErrCode::kOk, payload);
+    window.Complete(slot, ErrCode::kOk, payload);
   }
   EXPECT_EQ(window.replays(), 0u);
 }
@@ -80,10 +81,13 @@ TEST(DedupWindowTest, RetryReplaysCachedResponse) {
   const std::string key = DedupWindow::Key(Header(7, 5), "mutate");
   ErrCode code = ErrCode::kOk;
   std::string cached;
-  ASSERT_EQ(window.Begin(key, &code, &cached), DedupWindow::Outcome::kExecute);
-  window.Complete(key, ErrCode::kExists, "original-response");
+  DedupWindow::Slot slot = nullptr;
+  ASSERT_EQ(window.Begin(key, &code, &cached, &slot),
+            DedupWindow::Outcome::kExecute);
+  window.Complete(slot, ErrCode::kExists, "original-response");
 
-  ASSERT_EQ(window.Begin(key, &code, &cached), DedupWindow::Outcome::kReplay);
+  ASSERT_EQ(window.Begin(key, &code, &cached, &slot),
+            DedupWindow::Outcome::kReplay);
   EXPECT_EQ(code, ErrCode::kExists);
   EXPECT_EQ(cached, "original-response");
 }
@@ -104,9 +108,10 @@ TEST(DedupWindowTest, EvictionForgetsOldEntries) {
         DedupWindow::Key(Header(7, static_cast<std::uint64_t>(i)), "p");
     ErrCode code = ErrCode::kOk;
     std::string cached;
-    const auto outcome = window.Begin(key, &code, &cached);
+    DedupWindow::Slot slot = nullptr;
+    const auto outcome = window.Begin(key, &code, &cached, &slot);
     if (outcome == DedupWindow::Outcome::kExecute) {
-      window.Complete(key, ErrCode::kOk, "r");
+      window.Complete(slot, ErrCode::kOk, "r");
     }
     return outcome;
   };
@@ -131,9 +136,10 @@ TEST(DedupWindowTest, EvictionOrderSurvivesRehash) {
         Header(7, static_cast<std::uint64_t>(i)), "payload-" + std::to_string(i));
     ErrCode code = ErrCode::kOk;
     std::string cached;
-    const auto outcome = window.Begin(key, &code, &cached);
+    DedupWindow::Slot slot = nullptr;
+    const auto outcome = window.Begin(key, &code, &cached, &slot);
     if (outcome == DedupWindow::Outcome::kExecute) {
-      window.Complete(key, ErrCode::kOk, "r" + std::to_string(i));
+      window.Complete(slot, ErrCode::kOk, "r" + std::to_string(i));
     } else {
       EXPECT_EQ(cached, "r" + std::to_string(i));
     }
@@ -158,19 +164,77 @@ TEST(DedupWindowTest, ConcurrentDuplicateWaitsForOwner) {
   const std::string key = DedupWindow::Key(Header(7, 77), "racy");
   ErrCode code = ErrCode::kOk;
   std::string cached;
-  ASSERT_EQ(window.Begin(key, &code, &cached), DedupWindow::Outcome::kExecute);
+  DedupWindow::Slot slot = nullptr;
+  ASSERT_EQ(window.Begin(key, &code, &cached, &slot),
+            DedupWindow::Outcome::kExecute);
 
   std::thread dup([&] {
     ErrCode dup_code = ErrCode::kOk;
     std::string dup_cached;
+    DedupWindow::Slot dup_slot = nullptr;
     // Blocks until the owner completes, then replays — never re-executes.
-    EXPECT_EQ(window.Begin(key, &dup_code, &dup_cached),
+    EXPECT_EQ(window.Begin(key, &dup_code, &dup_cached, &dup_slot),
               DedupWindow::Outcome::kReplay);
     EXPECT_EQ(dup_cached, "owner-result");
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  window.Complete(key, ErrCode::kOk, "owner-result");
+  window.Complete(slot, ErrCode::kOk, "owner-result");
   dup.join();
+}
+
+TEST(DedupWindowTest, NonWaitingBeginReportsARunningOriginal) {
+  // The event loop asks without waiting: a duplicate of an in-flight key is
+  // told the original is running, gets no entry of its own and no replay,
+  // and replays the owner's response once the owner has completed.
+  DedupWindow window({7});
+  const std::uint64_t replays_before = window.replays();  // process-wide
+  const std::string key = DedupWindow::Key(Header(7, 78), "in-flight");
+  ErrCode code = ErrCode::kOk;
+  std::string cached;
+  DedupWindow::Slot slot = nullptr;
+  ASSERT_EQ(window.Begin(key, &code, &cached, &slot, DedupWindow::Wait::kNo),
+            DedupWindow::Outcome::kExecute)
+      << "a fresh key is claimed without waiting too";
+  ASSERT_NE(slot, nullptr);
+
+  ErrCode dup_code = ErrCode::kOk;
+  std::string dup_cached = "untouched";
+  DedupWindow::Slot dup_slot = nullptr;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(window.Begin(key, &dup_code, &dup_cached, &dup_slot,
+                           DedupWindow::Wait::kNo),
+              DedupWindow::Outcome::kRunning);
+  }
+  EXPECT_EQ(dup_slot, nullptr);
+  EXPECT_EQ(dup_cached, "untouched");
+  EXPECT_EQ(window.replays(), replays_before);
+
+  window.Complete(slot, ErrCode::kExists, "owner-result");
+  EXPECT_EQ(window.Begin(key, &dup_code, &dup_cached, &dup_slot,
+                         DedupWindow::Wait::kNo),
+            DedupWindow::Outcome::kReplay);
+  EXPECT_EQ(dup_code, ErrCode::kExists);
+  EXPECT_EQ(dup_cached, "owner-result");
+  EXPECT_EQ(dup_slot, nullptr);
+  EXPECT_EQ(window.replays(), replays_before + 1);
+
+  // The kRunning probes left nothing behind: with room for one completed
+  // entry, one newer request evicts the owner's, and the key executes anew.
+  DedupWindow::Options options;
+  options.capacity = 1;
+  DedupWindow small({7}, options);
+  ASSERT_EQ(small.Begin(key, &code, &cached, &slot, DedupWindow::Wait::kNo),
+            DedupWindow::Outcome::kExecute);
+  EXPECT_EQ(small.Begin(key, &dup_code, &dup_cached, &dup_slot,
+                        DedupWindow::Wait::kNo),
+            DedupWindow::Outcome::kRunning);
+  small.Complete(slot, ErrCode::kOk, "first");
+  const std::string other = DedupWindow::Key(Header(7, 79), "other");
+  ASSERT_EQ(small.Begin(other, &code, &cached, &slot),
+            DedupWindow::Outcome::kExecute);
+  small.Complete(slot, ErrCode::kOk, "second");
+  EXPECT_EQ(small.Begin(key, &code, &cached, &slot, DedupWindow::Wait::kNo),
+            DedupWindow::Outcome::kExecute);
 }
 
 }  // namespace

@@ -175,12 +175,15 @@ TEST(DedupWindowTest, FirstExecutesDuplicateReplays) {
   const std::string key = DedupWindow::Key(MakeHeader(kEchoOp, 1, 9), "payload");
   ErrCode code = ErrCode::kOk;
   std::string payload;
-  ASSERT_EQ(window.Begin(key, &code, &payload), DedupWindow::Outcome::kExecute);
-  window.Complete(key, ErrCode::kExists, "cached-response");
+  DedupWindow::Slot slot = nullptr;
+  ASSERT_EQ(window.Begin(key, &code, &payload, &slot),
+            DedupWindow::Outcome::kExecute);
+  window.Complete(slot, ErrCode::kExists, "cached-response");
 
   code = ErrCode::kOk;
   payload.clear();
-  ASSERT_EQ(window.Begin(key, &code, &payload), DedupWindow::Outcome::kReplay);
+  ASSERT_EQ(window.Begin(key, &code, &payload, &slot),
+            DedupWindow::Outcome::kReplay);
   EXPECT_EQ(code, ErrCode::kExists);
   EXPECT_EQ(payload, "cached-response");
 }
@@ -191,20 +194,21 @@ TEST(DedupWindowTest, EvictsCompletedEntriesFifo) {
   DedupWindow window({kEchoOp}, options);
   ErrCode code = ErrCode::kOk;
   std::string payload;
+  DedupWindow::Slot slot = nullptr;
   const auto key = [](std::uint64_t trace) {
     return DedupWindow::Key(MakeHeader(kEchoOp, 1, trace), "p");
   };
   for (std::uint64_t trace : {10u, 11u, 12u}) {
-    ASSERT_EQ(window.Begin(key(trace), &code, &payload),
+    ASSERT_EQ(window.Begin(key(trace), &code, &payload, &slot),
               DedupWindow::Outcome::kExecute);
-    window.Complete(key(trace), ErrCode::kOk, "r");
+    window.Complete(slot, ErrCode::kOk, "r");
   }
   // Key 10 was evicted (capacity 2), so its retry executes again; key 12 is
   // still cached and replays.
-  EXPECT_EQ(window.Begin(key(10), &code, &payload),
+  EXPECT_EQ(window.Begin(key(10), &code, &payload, &slot),
             DedupWindow::Outcome::kExecute);
-  window.Complete(key(10), ErrCode::kOk, "r");
-  EXPECT_EQ(window.Begin(key(12), &code, &payload),
+  window.Complete(slot, ErrCode::kOk, "r");
+  EXPECT_EQ(window.Begin(key(12), &code, &payload, &slot),
             DedupWindow::Outcome::kReplay);
 }
 

@@ -698,12 +698,15 @@ bool Eventually(const std::function<bool()>& pred,
   return true;
 }
 
-// Calls the echo opcode until the server runs one on its loop (the echo's
-// last run must have been cheap and a worker idle); false if none did.
-bool WarmUntilLoopRun(Channel& ch, const TcpServer& server) {
+// Calls an echoing opcode until the server runs one on its loop (the
+// opcode's last run must have been cheap and a worker idle); false if none
+// did.  Every call carries a fresh trace id, so a tracked opcode executes
+// each time rather than replaying.
+bool WarmUntilLoopRun(Channel& ch, const TcpServer& server,
+                      std::uint16_t opcode = 7) {
   const std::uint64_t before = server.loop_runs();
   for (int i = 0; i < 50 && server.loop_runs() == before; ++i) {
-    const RpcResponse r = BlockingCall(ch, 1, 7, "warm");
+    const RpcResponse r = BlockingCall(ch, 1, opcode, "warm");
     EXPECT_EQ(r.code, ErrCode::kOk);
     EXPECT_EQ(r.payload, "warm");
   }
@@ -711,12 +714,13 @@ bool WarmUntilLoopRun(Channel& ch, const TcpServer& server) {
 }
 
 // Echoes; opcode 50 sleeps 1 ms (never cheap); opcode 60 parks its thread
-// until Open() has been called once per parked call.
+// until Open() has been called once per parked call, and opcode 61 does the
+// same for a "park" payload only (it is cheap otherwise).
 class ParkingHandler final : public RpcHandler {
  public:
   RpcResponse Handle(std::uint16_t opcode, std::string_view payload) override {
     if (opcode == 50) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    if (opcode == 60) {
+    if (opcode == 60 || (opcode == 61 && payload == "park")) {
       std::unique_lock lock(mu_);
       const int ticket = ++parked_;
       cv_.notify_all();
@@ -763,12 +767,10 @@ TEST(TcpWorkerPoolTest, WarmCheapOpcodeRunsOnTheLoop) {
   EXPECT_GE(metric.value() - metric_before, server.loop_runs());
 }
 
-TEST(TcpWorkerPoolTest, FirstCallSlowOpcodeAndTrackedMutationGoToAWorker) {
+TEST(TcpWorkerPoolTest, FirstCallAndSlowOpcodeGoToAWorker) {
   ParkingHandler handler;
-  DedupWindow dedup({8});
   TcpServer::Options options;
   options.workers = 2;
-  options.dedup = &dedup;
   TcpServer server(&handler, options);
   ASSERT_TRUE(server.Start().ok());
   TcpChannel channel;
@@ -782,15 +784,64 @@ TEST(TcpWorkerPoolTest, FirstCallSlowOpcodeAndTrackedMutationGoToAWorker) {
     EXPECT_EQ(BlockingCall(channel, 1, 50, "slow").code, ErrCode::kOk);
   }
   EXPECT_EQ(server.loop_runs(), 0u);
-  // Opcode 8 is cheap, but the dedup window tracks it: always a worker.
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(BlockingCall(channel, 1, 8, "m" + std::to_string(i)).code,
+  EXPECT_EQ(server.requests_served(), 4u);
+  // The same server does run the cheap echo on its loop.
+  EXPECT_TRUE(WarmUntilLoopRun(channel, server));
+}
+
+TEST(TcpWorkerPoolTest, WarmTrackedMutationRunsOnTheLoop) {
+  // Opcode 8 is cheap and the dedup window tracks it: once warm it is
+  // served on the loop like a read, claimed and completed in the window
+  // there, and every call executes (distinct trace ids never replay).
+  ParkingHandler handler;
+  DedupWindow dedup({8});
+  const std::uint64_t replays_before = dedup.replays();  // process-wide
+  TcpServer::Options options;
+  options.workers = 2;
+  options.dedup = &dedup;
+  TcpServer server(&handler, options);
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+
+  EXPECT_TRUE(WarmUntilLoopRun(channel, server, 8));
+  EXPECT_EQ(dedup.replays(), replays_before);
+  EXPECT_EQ(static_cast<std::uint64_t>(handler.echoes()),
+            server.requests_served());
+}
+
+TEST(TcpWorkerPoolTest, ReplayDoesNotMarkASlowOpcodeCheap) {
+  // Opcode 50 is tracked and its handler sleeps 1 ms.  A replayed duplicate
+  // costs a window lookup, not a handler run, so it must leave the opcode's
+  // history alone: the next fresh request still goes to a worker.
+  ParkingHandler handler;
+  DedupWindow dedup({50});
+  TcpServer::Options options;
+  options.workers = 2;
+  options.dedup = &dedup;
+  TcpServer server(&handler, options);
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+
+  for (int i = 0; i < 3; ++i) {
+    CallMeta meta;
+    meta.trace_id = 9000 + static_cast<std::uint64_t>(i);
+    const std::string payload = "once-" + std::to_string(i);
+    const int echoes_before = handler.echoes();
+    const std::uint64_t replays_before = dedup.replays();
+    const RpcResponse original = BlockingCall(channel, 1, 50, payload, meta);
+    const RpcResponse replay = BlockingCall(channel, 1, 50, payload, meta);
+    EXPECT_EQ(original.code, ErrCode::kOk);
+    EXPECT_EQ(replay.code, ErrCode::kOk);
+    EXPECT_EQ(replay.payload, original.payload);
+    EXPECT_EQ(handler.echoes(), echoes_before + 1) << "the duplicate re-ran";
+    EXPECT_EQ(dedup.replays(), replays_before + 1);
+    // A fresh lone request of the opcode right after the replay.
+    EXPECT_EQ(BlockingCall(channel, 1, 50, "fresh-" + std::to_string(i)).code,
               ErrCode::kOk);
   }
   EXPECT_EQ(server.loop_runs(), 0u);
-  EXPECT_EQ(server.requests_served(), 14u);
-  // The same server does run the cheap echo on its loop.
-  EXPECT_TRUE(WarmUntilLoopRun(channel, server));
 }
 
 TEST(TcpWorkerPoolTest, DelayedLoneRequestNeverRunsOnTheLoop) {
@@ -918,6 +969,96 @@ TEST(TcpWorkerPoolTest, LoopRunReplyWaitsForEarlierWorkerReply) {
   }
   EXPECT_TRUE(looped) << "the loop never ran the echo";
   ::close(fd);
+}
+
+TEST(TcpWorkerPoolTest, DuplicateOfARunningRequestNeverStallsTheLoop) {
+  // A duplicate reaches the loop as a lone request of a warm tracked opcode
+  // while its original is parked on a worker.  Waiting in the dedup window
+  // there would stall every connection until the original finished; the
+  // loop hands the duplicate to a worker instead, which waits and replays.
+  ParkingHandler handler;
+  DedupWindow dedup({61});
+  TcpServer::Options options;
+  options.workers = 2;
+  options.dedup = &dedup;
+  TcpServer server(&handler, options);
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel, probe;
+  channel.Register(1, server.host(), server.port());
+  probe.Register(1, server.host(), server.port());
+  ASSERT_TRUE(WarmUntilLoopRun(channel, server, 61));
+  ASSERT_EQ(BlockingCall(probe, 1, wire::kCtlLoadStatus, {}).code,
+            ErrCode::kOk);
+
+  // The original goes to a worker: sent in one write with a second request,
+  // so the round admits two and wakes a worker for each.
+  wire::FrameHeader original;
+  original.opcode = 61;
+  original.request_id = 1;
+  original.trace_id = 4242;
+  wire::FrameHeader second;
+  second.opcode = 7;
+  second.request_id = 2;
+  const std::string burst = wire::EncodeFrame(original, "park") +
+                            wire::EncodeFrame(second, "second");
+  const int echoes_before = handler.echoes();
+  const std::uint64_t replays_before = dedup.replays();  // process-wide
+  const int original_fd = DialServer(server);
+  ASSERT_EQ(::send(original_fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+  ASSERT_TRUE(handler.WaitParked(1));
+  ASSERT_TRUE(Eventually([&] { return handler.echoes() > echoes_before; }));
+  // Let the second request's worker park again, so the duplicate finds the
+  // loop-run conditions (a worker idle, nothing queued).
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  // The duplicate, alone on its own connection (a retry's fresh socket).
+  const std::uint64_t loop_before = server.loop_runs();
+  wire::FrameHeader dup = original;
+  dup.request_id = 3;
+  const std::string dup_bytes = wire::EncodeFrame(dup, "park");
+  const int retry_fd = DialServer(server);
+  ASSERT_EQ(::send(retry_fd, dup_bytes.data(), dup_bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(dup_bytes.size()));
+
+  // A worker takes it and waits in the window: both workers are busy.
+  auto& registry = common::MetricsRegistry::Default();
+  EXPECT_TRUE(Eventually(
+      [&] {
+        return registry.GaugeValue("rpc.tcp_server.worker0.busy") +
+                   registry.GaugeValue("rpc.tcp_server.worker1.busy") ==
+               2.0;
+      },
+      std::chrono::seconds(2)))
+      << "no worker took the duplicate";
+  // The loop is not waiting: a probe on another connection is answered
+  // while the original is still parked.
+  CallMeta meta;
+  meta.deadline_ns = 2 * common::kSecond;
+  EXPECT_EQ(BlockingCall(probe, 1, wire::kCtlLoadStatus, {}, meta).code,
+            ErrCode::kOk)
+      << "the loop stalled behind the parked original";
+
+  handler.Open();
+  wire::PinnedFrameReader original_reader, retry_reader;
+  const std::optional<wire::PinnedFrame> first =
+      ReadResponse(original_fd, original_reader);
+  const std::optional<wire::PinnedFrame> replayed =
+      ReadResponse(retry_fd, retry_reader);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(replayed.has_value());
+  EXPECT_EQ(first->header.request_id, 1u);
+  EXPECT_EQ(replayed->header.request_id, 3u);
+  EXPECT_EQ(replayed->header.code, first->header.code);
+  EXPECT_EQ(replayed->payload, first->payload);
+  EXPECT_EQ(first->payload, "park");
+  // The handler ran the original once (plus the second request); the
+  // duplicate was a replay, served by a worker.
+  EXPECT_EQ(handler.echoes(), echoes_before + 2);
+  EXPECT_EQ(dedup.replays(), replays_before + 1);
+  EXPECT_EQ(server.loop_runs(), loop_before);
+  ::close(original_fd);
+  ::close(retry_fd);
 }
 
 // ---------------------------------------------------------------------------
