@@ -23,13 +23,14 @@ loco_add_bench(fig11_decoupled bench/fig11_decoupled.cc)
 loco_add_bench(fig12_fullsystem bench/fig12_fullsystem.cc)
 loco_add_bench(fig13_depth bench/fig13_depth.cc)
 loco_add_bench(fig14_rename bench/fig14_rename.cc)
-# The live-stack driver records perfbench's host fingerprint with its results.
-loco_add_bench(fig_loopback bench/fig_loopback.cc perfbench/host.cc)
-target_include_directories(fig_loopback PRIVATE ${CMAKE_SOURCE_DIR}/perfbench)
-target_compile_definitions(fig_loopback PRIVATE
-  LOCOBENCH_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
-loco_add_bench(fig_overload bench/fig_overload.cc)
-loco_add_bench(fig_shard bench/fig_shard.cc)
+# The drivers behind the committed BENCH_*.json files record perfbench's
+# host fingerprint with their results.
+foreach(name fig_loopback fig_overload fig_shard)
+  loco_add_bench(${name} bench/${name}.cc perfbench/host.cc)
+  target_include_directories(${name} PRIVATE ${CMAKE_SOURCE_DIR}/perfbench)
+  target_compile_definitions(${name} PRIVATE
+    LOCOBENCH_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
+endforeach()
 loco_add_bench(tab01_access_matrix bench/tab01_access_matrix.cc)
 loco_add_bench(tab03_clients bench/tab03_clients.cc)
 loco_add_bench(abl01_lease bench/abl01_lease.cc)

@@ -48,6 +48,7 @@
 #include "core/proto.h"
 #include "fs/types.h"
 #include "fs/wire.h"
+#include "host.h"
 #include "net/tcp.h"
 #include "net/wire.h"
 
@@ -451,10 +452,12 @@ int main(int argc, char** argv) {
       "Overload control: goodput, shedding and deadlines at 2x load",
       "stat volleys against one FMS behind a bounded admission queue; "
       "peak -> expiry burst -> sustained saturation");
+  const std::string host = locobench::FingerprintJson(locobench::MeasureHost());
   std::printf(
-      "service=%dus workers=%d max_queue=%d threads=%d volley=%d%s\n\n",
-      cfg.service_us, cfg.workers, cfg.max_queue, cfg.threads, cfg.volley,
-      live ? " (live daemon: gates skipped)" : "");
+      "host: %s\nservice=%dus workers=%d max_queue=%d threads=%d volley=%d"
+      "%s\n\n",
+      host.c_str(), cfg.service_us, cfg.workers, cfg.max_queue, cfg.threads,
+      cfg.volley, live ? " (live daemon: gates skipped)" : "");
 
   bench::Driver driver(cfg);
   if (!driver.Start()) bench::Fail("driver start");
@@ -562,7 +565,7 @@ int main(int argc, char** argv) {
   if (std::FILE* f = std::fopen(cfg.out.c_str(), "w")) {
     std::fprintf(
         f,
-        "{\n  \"benchmark\": \"fig_overload\",\n"
+        "{\n  \"benchmark\": \"fig_overload\",\n  \"host\": %s,\n"
         "  \"live\": %s,\n  \"service_us\": %d,\n  \"workers\": %d,\n"
         "  \"max_queue\": %d,\n  \"threads\": %d,\n  \"volley\": %d,\n"
         "  \"deadline_ms\": %.1f,\n"
@@ -583,8 +586,8 @@ int main(int argc, char** argv) {
         "  \"server_totals\": {\"shed\": %zu, \"expired_dropped\": %zu},\n"
         "  \"gates\": {\"offered_ge_2x\": %s, \"retention_ge_0_70\": %s,"
         " \"expired_dropped_gt_0\": %s, \"queue_bounded\": %s}\n}\n",
-        live ? "true" : "false", cfg.service_us, cfg.workers, cfg.max_queue,
-        cfg.threads, cfg.volley, cfg.deadline_ms, peak_goodput,
+        host.c_str(), live ? "true" : "false", cfg.service_us, cfg.workers,
+        cfg.max_queue, cfg.threads, cfg.volley, cfg.deadline_ms, peak_goodput,
         cfg.burst_deadline_ms, static_cast<std::size_t>(burst.counts.ok),
         static_cast<std::size_t>(burst.counts.shed),
         static_cast<std::size_t>(burst.counts.expired),

@@ -38,6 +38,7 @@
 #include "benchlib/deploy.h"
 #include "core/shard.h"
 #include "fs/path.h"
+#include "host.h"
 #include "net/task.h"
 #include "sim/simulation.h"
 
@@ -237,7 +238,9 @@ int main(int argc, char** argv) {
   bench::PrintBanner("DMS sharding scale-out",
                      "directory-op throughput vs DMS shard count "
                      "(4 metadata nodes; docs/SHARDING.md)");
-  std::printf("clients=%d items/client=%d\n\n", clients, items);
+  const std::string host = locobench::FingerprintJson(locobench::MeasureHost());
+  std::printf("host: %s\nclients=%d items/client=%d\n\n", host.c_str(),
+              clients, items);
 
   const int sweep[] = {1, 2, 4};
   std::vector<bench::ShardResult> results;
@@ -272,10 +275,10 @@ int main(int argc, char** argv) {
 
   if (std::FILE* f = std::fopen(out.c_str(), "w")) {
     std::fprintf(f,
-                 "{\n  \"benchmark\": \"fig_shard\",\n"
+                 "{\n  \"benchmark\": \"fig_shard\",\n  \"host\": %s,\n"
                  "  \"clients\": %d,\n  \"items_per_client\": %d,\n"
                  "  \"metadata_nodes\": 4,\n  \"results\": [\n",
-                 clients, items);
+                 host.c_str(), clients, items);
     for (std::size_t i = 0; i < results.size(); ++i) {
       const auto& r = results[i];
       std::fprintf(f,

@@ -22,6 +22,13 @@ ctest --test-dir build --output-on-failure \
   -R '^((TcpTest|TcpWorkerPoolTest|TcpFanOutTest|TcpFaultTest|OverloadTest|DisconnectTest|DedupWindowTest|NotifyListenerTest|WireTest|WireFuzzTest|PinnedReaderTest|FsckTest|DmsGcStepTest|FmsGcStepTest|ObjGcStepTest)\.|TcpClusterTest\.RenameAndReaddirFanOutsOverTcp$)' \
   --repeat until-fail:20
 
+echo "== tier-1: net_test shuffled and repeated in one process =="
+# ctest runs each case in its own process, so state one case leaves in the
+# process (a metrics counter, a thread, a socket) never reaches the next.
+# Here every net_test case shares one process, in a new random order ten
+# times over: a case that reads another's leftovers fails here.
+./build/tests/net/net_test --gtest_shuffle --gtest_repeat=10 --gtest_brief=1
+
 echo "== tier-1: live-stack benchmark smoke (perfbench/run.py --smoke) =="
 # Builds perfbench/ (its own Release CMake package into .bench_build/) and
 # runs every workload briefly in both the untraced and the traced mode,
@@ -111,10 +118,11 @@ cmake --build build-tsan -j --target net_test kvstore_test fs_test \
   sim_test core_test striped_kv_test \
   core_concurrency_test core_housekeeping_test notify_e2e_test \
   integration_test >/dev/null
-# net_test exercises the server event loop, the client reactor and the
-# worker pool under TSan; core_test adds the batch handler suites over the
-# striped stores, and core_housekeeping_test runs the GcManager scan
-# thread against serving handlers (token bucket, snapshot pins).
+# net_test exercises the server event loop, the callers reading their own
+# connections and the worker pool under TSan; core_test adds the batch
+# handler suites over the striped stores, and core_housekeeping_test runs
+# the GcManager scan thread against serving handlers (token bucket,
+# snapshot pins).
 ./build-tsan/tests/net/net_test
 ./build-tsan/tests/kvstore/kvstore_test
 ./build-tsan/tests/fs/fs_test
@@ -124,8 +132,8 @@ cmake --build build-tsan -j --target net_test kvstore_test fs_test \
 ./build-tsan/tests/core/core_concurrency_test
 ./build-tsan/tests/core/core_housekeeping_test
 ./build-tsan/tests/integration/notify_e2e_test
-# The reactor completes several legs of one caller's fan-out at once, and
-# ResilientChannel retries legs of that fan-out on the calling thread; the
+# A reading caller completes other callers' legs along with its own, and
+# ResilientChannel retries legs of a fan-out on the calling thread; the
 # TcpCluster suite drives the client's own fan-outs (listings, rename
 # probes, batch frames) through both over real sockets.
 ./build-tsan/tests/integration/integration_test \

@@ -138,9 +138,6 @@ Result<MountHandle> Connect(const ClientOptions& options) {
                       "bad endpoint '" + options.dms[i] + "'");
       }
       lo.client_id = m.client_id;
-      // The whole mount shares the channel's reactor thread: pooled RPC
-      // connections and every notify stream wait on the same epoll instance.
-      lo.reactor = &m.channel->reactor();
       // The callback runs on the listener's reader thread.  It captures the
       // fanout by shared_ptr and the resilient channel by raw pointer — both
       // heap-stable across MountHandle moves.

@@ -5,7 +5,7 @@ namespace loco::net {
 DedupWindow::DedupWindow(std::vector<std::uint16_t> opcodes, Options options)
     : opcodes_(opcodes.begin(), opcodes.end()),
       options_(options),
-      replays_(&common::MetricsRegistry::Default().GetCounter(
+      replays_metric_(&common::MetricsRegistry::Default().GetCounter(
           "rpc.tcp_server.dedup.replays")) {}
 
 std::string DedupWindow::Key(const wire::FrameHeader& header,
@@ -37,7 +37,8 @@ DedupWindow::Outcome DedupWindow::Begin(std::string key, ErrCode* code,
     if (it->second.done) {
       *code = it->second.code;
       *payload = it->second.payload;
-      replays_->Add();
+      replays_.fetch_add(1, std::memory_order_relaxed);
+      replays_metric_->Add();
       return Outcome::kReplay;
     }
     // The owner is still executing this key.  Returning kExecute would let

@@ -32,6 +32,7 @@
 // (which stay put when the map rehashes), found again by their stored hash.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -109,12 +110,17 @@ class DedupWindow {
   // Cache the owner's response (once per kExecute) and wake its duplicates.
   void Complete(Slot slot, ErrCode code, std::string_view payload);
 
-  std::uint64_t replays() const noexcept { return replays_->value(); }
+  // Duplicates this window answered from its cache (the
+  // rpc.tcp_server.dedup.replays counter sums every window in the process).
+  std::uint64_t replays() const noexcept {
+    return replays_.load(std::memory_order_relaxed);
+  }
 
  private:
   const std::unordered_set<std::uint16_t> opcodes_;
   const Options options_;
-  common::Counter* replays_;
+  std::atomic<std::uint64_t> replays_{0};
+  common::Counter* replays_metric_;
   std::mutex mu_;
   std::condition_variable cv_;
   Map entries_;

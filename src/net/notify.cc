@@ -10,7 +10,6 @@
 
 #include "common/codec.h"
 #include "common/metrics.h"
-#include "net/reactor.h"
 #include "net/tcp.h"
 
 namespace loco::net {
@@ -184,14 +183,9 @@ bool NotifyListener::RecvOne(int fd, wire::PinnedFrameReader* reader,
       return true;
     }
     if (!reader->status().ok()) return false;
-    // Readability waits go through the shared reactor when the mount has
-    // one (a one-shot registration per wait; the stop pipe doubles as the
-    // cancel descriptor), else through the private poll fallback.
-    const int ready =
-        options_.reactor != nullptr
-            ? options_.reactor->AwaitReadable(fd, stop_fds_[0], deadline_abs)
-            : PollStoppable(fd, stop_fds_[0], POLLIN, deadline_abs);
-    if (ready <= 0) return false;
+    if (PollStoppable(fd, stop_fds_[0], POLLIN, deadline_abs) <= 0) {
+      return false;
+    }
     std::size_t capacity = 0;
     char* dst = reader->RecvInto(wire::kMinRecvWindow, &capacity);
     const ssize_t n = ::recv(fd, dst, capacity, 0);
@@ -310,12 +304,8 @@ void NotifyListener::Run() {
                   : std::min(backoff * 2, options_.backoff_cap_ns);
     // Interruptible backoff sleep (no data descriptor; only the stop pipe
     // can cut the wait short).
-    const common::Nanos wake_at = common::CpuTimer::Now() + backoff;
-    if (options_.reactor != nullptr) {
-      (void)options_.reactor->AwaitReadable(-1, stop_fds_[0], wake_at);
-    } else {
-      (void)PollStoppable(-1, stop_fds_[0], 0, wake_at);
-    }
+    (void)PollStoppable(-1, stop_fds_[0], 0,
+                        common::CpuTimer::Now() + backoff);
   }
   connected_.store(false, std::memory_order_release);
 }

@@ -34,8 +34,6 @@
 
 namespace loco::net {
 
-class Reactor;
-
 // Capability to push notify frames to connected clients.  Implemented by
 // net::TcpServer; servers hand it to their handler (the DMS) which calls it
 // from worker threads — implementations must be thread-safe.
@@ -113,12 +111,6 @@ class NotifyListener {
     // Reconnect backoff: doubles from base to cap while the server is down.
     common::Nanos backoff_base_ns = 50 * common::kMilli;
     common::Nanos backoff_cap_ns = 2 * common::kSecond;
-    // Shared client-side reactor (not owned; must outlive the listener).
-    // When set, the stream's readability waits ride the reactor's epoll
-    // thread (core::Connect passes the TcpChannel's reactor so the mount
-    // runs one I/O thread); when null the listener falls back to a private
-    // two-descriptor ::poll.
-    Reactor* reactor = nullptr;
   };
 
   // Invoked on the listener's reader thread.  Must not block for long and
@@ -151,8 +143,9 @@ class NotifyListener {
   // hello and a dropped stream all just end the cycle; Run backs off and
   // redials until Stop.
   void RunOnce(bool* ever_connected, bool* connected_this_cycle);
-  // Read one frame; false on stream failure or stop.  deadline_abs == 0
-  // waits forever (the stop pipe still interrupts it).
+  // Read one frame, waiting in a poll on the stream and the stop pipe;
+  // false on stream failure or stop.  deadline_abs == 0 waits forever (the
+  // stop pipe still interrupts it).
   bool RecvOne(int fd, wire::PinnedFrameReader* reader, wire::PinnedFrame* out,
                common::Nanos deadline_abs);
   void Emit(NotifyEvent::Kind kind);

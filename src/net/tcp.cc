@@ -1154,6 +1154,9 @@ void TcpServer::Loop() {
           const ssize_t r = ::recv(conn->fd, dst, capacity, 0);
           if (r > 0) {
             conn->reader.Commit(static_cast<std::size_t>(r));
+            // A short read likely drained the socket; epoll is
+            // level-triggered, so later bytes are reported next round.
+            if (static_cast<std::size_t>(r) < capacity) break;
             continue;
           }
           if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -1191,8 +1194,6 @@ TcpChannel::TcpChannel(TcpChannelOptions options)
       pipeline_depth_(&common::MetricsRegistry::Default().GetHistogram(
           "rpc.tcp.pipeline_depth", "requests")) {}
 
-TcpChannel::~TcpChannel() { DisconnectAll(); }
-
 void TcpChannel::Register(NodeId id, std::string host, std::uint16_t port) {
   auto ep = std::make_unique<Endpoint>();
   ep->host = std::move(host);
@@ -1217,30 +1218,8 @@ void TcpChannel::SetNextRequestIdForTest(NodeId server, std::uint64_t value) {
 
 void TcpChannel::DisconnectAll() {
   for (auto& [id, ep] : endpoints_) {
-    std::vector<std::shared_ptr<PipeConn>> dropped;
-    {
-      std::scoped_lock lock(ep->mu);
-      dropped.swap(ep->conns);
-    }
-    // Idle connections are deregistered from the reactor and closed here;
-    // connections with calls in flight are marked orphaned — the reactor
-    // keeps serving their waiters and drops its reference once the last
-    // response lands.
-    for (const std::shared_ptr<PipeConn>& conn : dropped) {
-      bool idle = false;
-      {
-        std::scoped_lock lock(conn->mu);
-        if (conn->waiting.empty() &&
-            conn->inflight.load(std::memory_order_acquire) == 0) {
-          idle = true;
-        } else {
-          conn->orphaned = true;
-        }
-      }
-      // Never while holding conn->mu: Remove waits out an in-flight reactor
-      // callback, and that callback takes conn->mu.
-      if (idle) reactor_.Remove(conn->fd);
-    }
+    std::scoped_lock lock(ep->mu);
+    ep->conns.clear();
   }
 }
 
@@ -1311,7 +1290,7 @@ std::shared_ptr<TcpChannel::PipeConn> TcpChannel::AcquireConn(
   if (options_.client_id != 0) {
     // Fire-and-forget hello: identifies this mount to the server without
     // costing a round trip.  Request id 0 is never used by calls, so the
-    // reactor discards the reply.
+    // first call's reader discards the reply.
     wire::Hello hello;
     hello.client_id = options_.client_id;
     wire::FrameHeader header;
@@ -1325,32 +1304,37 @@ std::shared_ptr<TcpChannel::PipeConn> TcpChannel::AcquireConn(
   }
   conn->inflight.store(1, std::memory_order_relaxed);
   *reused = false;
-  {
-    std::scoped_lock lock(ep.mu);
-    ep.conns.push_back(conn);
-  }
-  // Hand the receive side to the reactor.  On registration failure the conn
-  // is broken immediately; the caller's RegisterWaiter observes it and fails
-  // the call with kUnavailable.
-  if (!reactor_.Add(fd, [this, conn] { return OnReadable(conn); }).ok()) {
-    std::scoped_lock lock(conn->mu);
-    FailConnLocked(*conn, ErrCode::kUnavailable);
-  }
+  std::scoped_lock lock(ep.mu);
+  ep.conns.push_back(conn);
   return conn;
 }
 
-bool TcpChannel::OnReadable(const std::shared_ptr<PipeConn>& conn) {
-  // Reactor thread only — the reader needs no lock, the waiter table does.
+void TcpChannel::ReadReplies(std::unique_lock<std::mutex>& lock,
+                             PipeConn& conn, common::Nanos wait_until) {
+  conn.reading = true;
+  lock.unlock();
+  // The reader needs no lock while `reading` is set; the waiter table does.
   // One recv sweep drains however many pipelined responses arrived, straight
   // into the reader's arena.
+  if (wait_until > 0) {
+    const common::Nanos remaining = wait_until - common::CpuTimer::Now();
+    if (remaining > 0) {
+      struct pollfd pfd{conn.fd, POLLIN, 0};
+      const struct timespec ts{
+          static_cast<time_t>(remaining / common::kSecond),
+          static_cast<long>(remaining % common::kSecond)};
+      // Readable, expired or interrupted: the sweep below tells which.
+      (void)::ppoll(&pfd, 1, &ts, nullptr);
+    }
+  }
   bool dead = false;
   ErrCode fail_code = ErrCode::kUnavailable;
   for (;;) {
     std::size_t capacity = 0;
-    char* dst = conn->reader.RecvInto(wire::kMinRecvWindow, &capacity);
-    const ssize_t n = ::recv(conn->fd, dst, capacity, 0);
+    char* dst = conn.reader.RecvInto(wire::kMinRecvWindow, &capacity);
+    const ssize_t n = ::recv(conn.fd, dst, capacity, MSG_DONTWAIT);
     if (n > 0) {
-      conn->reader.Commit(static_cast<std::size_t>(n));
+      conn.reader.Commit(static_cast<std::size_t>(n));
       if (static_cast<std::size_t>(n) < capacity) break;  // likely drained
       continue;
     }
@@ -1359,9 +1343,10 @@ bool TcpChannel::OnReadable(const std::shared_ptr<PipeConn>& conn) {
     dead = true;  // orderly close or hard error
     break;
   }
+  lock.lock();
+  conn.reading = false;
   std::size_t dispatched = 0;
-  std::scoped_lock lock(conn->mu);
-  while (auto frame = conn->reader.Next()) {
+  while (auto frame = conn.reader.Next()) {
     if (frame->header.type == wire::FrameType::kNotify) {
       // Push frame on an RPC connection (pooled conns never ask for
       // notify, but tolerate it): not addressed to any waiter.
@@ -1372,16 +1357,16 @@ bool TcpChannel::OnReadable(const std::shared_ptr<PipeConn>& conn) {
       fail_code = ErrCode::kCorruption;
       break;
     }
-    const auto it = conn->waiting.find(frame->header.request_id);
-    if (it == conn->waiting.end()) {
+    const auto it = conn.waiting.find(frame->header.request_id);
+    if (it == conn.waiting.end()) {
       // The hello's reply (id 0), or a response to a call that already timed
       // out: drop it.  A timed-out call's id is spendable again — the stream
       // can hold no second response.
-      conn->abandoned.erase(frame->header.request_id);
+      conn.abandoned.erase(frame->header.request_id);
       continue;
     }
     Waiter* w = it->second;
-    conn->waiting.erase(it);
+    conn.waiting.erase(it);
     // The one copy out of the arena: the chunk is recycled once unpinned.
     w->code = frame->header.code;
     w->payload.assign(frame->payload);
@@ -1389,18 +1374,12 @@ bool TcpChannel::OnReadable(const std::shared_ptr<PipeConn>& conn) {
     w->cv.notify_one();
     ++dispatched;
   }
-  if (dispatched > 0) reactor_frames_->Add(dispatched);
-  if (!dead && !conn->reader.status().ok()) {
+  if (dispatched > 0) frames_->Add(dispatched);
+  if (!dead && !conn.reader.status().ok()) {
     dead = true;
     fail_code = ErrCode::kCorruption;
   }
-  if (dead) {
-    FailConnLocked(*conn, fail_code);
-    return false;  // deregister; the reactor drops its reference
-  }
-  // An orphaned conn (DisconnectAll raced in-flight calls) lives only for
-  // its remaining waiters; once they are answered, release the socket.
-  return !(conn->orphaned && conn->waiting.empty());
+  if (dead) FailConnLocked(conn, fail_code);
 }
 
 void TcpChannel::FailConnLocked(PipeConn& conn, ErrCode code) {
@@ -1413,6 +1392,7 @@ void TcpChannel::FailConnLocked(PipeConn& conn, ErrCode code) {
   }
   conn.waiting.clear();
   conn.abandoned.clear();  // no more frames will arrive on this socket
+  ::shutdown(conn.fd, SHUT_RDWR);
 }
 
 std::uint64_t TcpChannel::NextRequestId(Endpoint& ep) {
@@ -1442,49 +1422,55 @@ TcpChannel::RegisterResult TcpChannel::RegisterWaiter(PipeConn& conn,
 
 void TcpChannel::AwaitWaiter(PipeConn& conn, std::uint64_t request_id,
                              Waiter& w, common::Nanos deadline_abs) {
-  // Spin-then-park.  A blocking caller's response is typically one loopback
-  // round trip away; parking on the cv immediately would put two sequential
-  // futex wake-ups (epoll -> reactor -> caller) on every call's critical
-  // path, which on a busy single-core host costs more than the RPC itself.
-  // Yield-spin briefly — ceding the CPU to the reactor and the server — and
-  // only fall back to the cv for responses that are genuinely slow.
+  // Spin, then park.  A blocking caller's response is typically one loopback
+  // round trip away, and parking at once would put a futex wake-up on the
+  // call's critical path.  While spinning, the reader sweeps the socket
+  // without blocking and the other callers yield on `done`; after the spin,
+  // the reader blocks in ppoll and the others sleep on their own cv.
   constexpr common::Nanos kSpinNs = 200'000;
   const common::Nanos spin_until =
       std::min(common::CpuTimer::Now() + kSpinNs, deadline_abs);
-  for (;;) {
-    {
-      std::scoped_lock spin_lock(conn.mu);
-      if (w.done) return;
-      if (conn.broken != ErrCode::kOk) {
-        w.done = true;
-        w.fail = conn.broken;
-        return;
-      }
-    }
-    if (common::CpuTimer::Now() >= spin_until) break;
-    std::this_thread::yield();
-  }
-  // The reactor thread completes the waiter (or fails the connection); this
-  // thread only sleeps on its own cv until then.
   std::unique_lock lock(conn.mu);
   for (;;) {
-    if (w.done) return;
+    if (w.done) break;
     if (conn.broken != ErrCode::kOk) {
       w.done = true;
       w.fail = conn.broken;
-      return;
+      break;
     }
-    const common::Nanos remaining = deadline_abs - common::CpuTimer::Now();
-    if (remaining <= 0) {
+    const common::Nanos now = common::CpuTimer::Now();
+    if (now >= deadline_abs) {
       // Leave the request outstanding on the wire; the conn stays usable and
-      // the reactor discards the eventual response.  Remember the id until
-      // that response arrives so a post-wrap call can never mint it.
+      // a later reader discards the eventual response.  Remember the id
+      // until that response arrives so a post-wrap call can never mint it.
       if (conn.waiting.erase(request_id) > 0) conn.abandoned.insert(request_id);
       w.done = true;
       w.fail = ErrCode::kTimeout;
+      break;
+    }
+    const bool spinning = now < spin_until;
+    if (!conn.reading) {
+      ReadReplies(lock, conn, spinning ? 0 : deadline_abs);
+      if (!spinning || w.done) continue;
+    } else if (!spinning) {
+      w.parked = true;
+      w.cv.wait_for(lock, std::chrono::nanoseconds(deadline_abs - now));
+      w.parked = false;
+      continue;
+    }
+    lock.unlock();
+    std::this_thread::yield();
+    lock.lock();
+  }
+  // Hand the socket over: a caller asleep on its cv would otherwise sleep
+  // while its response sits unread.  One that is spinning, or whose thread
+  // is awaiting another leg, reads for itself when it gets here.
+  if (conn.reading) return;
+  for (const auto& [rid, other] : conn.waiting) {
+    if (other->parked) {
+      other->cv.notify_one();
       return;
     }
-    w.cv.wait_for(lock, std::chrono::nanoseconds(remaining));
   }
 }
 

@@ -36,12 +36,14 @@
 // arrive out of order).  A fan-out (FanOutAsync) puts every leg on the wire
 // before awaiting any: the legs for one endpoint go out as one burst on one
 // pooled connection, so a call to N servers waits one round, not N.  A
-// single call is a one-leg fan-out.  The receive side is event-driven: every
-// pooled connection is registered with the channel's net::Reactor, whose single
-// thread drains readable sockets (one recv sweep per readable socket, so a
-// pipelined burst of N responses costs one syscall, not N) into a
-// wire::PinnedFrameReader and completes each response's waiter by request id
-// — waking only the owning caller, never the whole pool.  Every request
+// single call is a one-leg fan-out.  The channel runs no thread: the callers
+// waiting on a connection read it themselves, one at a time.  The reader
+// drains the socket into a wire::PinnedFrameReader (one recv sweep, so a
+// pipelined burst of N responses costs one syscall, not N) and completes
+// every waiter whose response it finds by request id; a reader that leaves
+// while others still wait hands the socket to one of them.  Nobody reads an
+// idle connection: a late response, or the server's close, waits in the
+// kernel until the next call on it.  Every request
 // carries what is left of its deadline and its priority class in the frame
 // header (docs/OVERLOAD.md).  The channel enforces a per-call deadline,
 // retries refused connects a bounded number of times with exponential
@@ -79,7 +81,6 @@
 #include "net/dedup.h"
 #include "net/fault.h"
 #include "net/notify.h"
-#include "net/reactor.h"
 #include "net/rpc.h"
 #include "net/wire.h"
 
@@ -486,8 +487,8 @@ struct TcpChannelOptions {
   // (the delay=/delay_ms= knobs of the spec).  Not owned.
   FaultInjector* fault = nullptr;
   // Mount identity announced in a fire-and-forget hello on every fresh
-  // connection (request id 0 — never used by calls, so the reactor discards
-  // the reply).  The server attributes requests on the connection to this
+  // connection (request id 0 — never used by calls, so its reply is
+  // discarded).  The server attributes requests on the connection to this
   // id (HandlerContext), which is how the DMS knows not to invalidate the
   // mutating client's own lease.  0 skips the hello (anonymous).  The hello
   // never asks for notify: the push stream belongs on the NotifyListener's
@@ -498,7 +499,6 @@ struct TcpChannelOptions {
 class TcpChannel final : public Channel {
  public:
   explicit TcpChannel(TcpChannelOptions options = {});
-  ~TcpChannel() override;
 
   // Map `id` to an endpoint.  Like InProcTransport::Register: perform all
   // registrations before serving traffic.
@@ -518,26 +518,25 @@ class TcpChannel final : public Channel {
   void FanOutAsync(std::vector<CallLeg> legs, const CallMeta& meta,
                    std::function<void(std::vector<RpcResponse>)> done) override;
 
-  // Drop every pooled connection (tests; forces fresh connects).  Calls in
-  // flight keep their connection alive until they complete.
+  // Drop the pool's reference to every connection (tests; forces fresh
+  // connects).  Calls in flight keep theirs and keep reading; each socket
+  // closes with its last reference.
   void DisconnectAll();
 
   // Force the endpoint's request-id counter (tests: exercises the counter
   // wrap / id-reuse window without issuing 2^64 calls).
   void SetNextRequestIdForTest(NodeId server, std::uint64_t value);
 
-  // The channel's I/O reactor (core::Connect hands it to the NotifyListener
-  // so the whole mount shares one event thread).
-  Reactor& reactor() noexcept { return reactor_; }
-
  private:
   // One caller blocked on a pipelined response.  Each waiter has its own
-  // condition variable so the reactor wakes exactly the owning caller.
+  // condition variable, so a reader wakes exactly the owning caller.  The
+  // connection's mu guards it until AwaitWaiter returns.
   struct Waiter {
     ErrCode code = ErrCode::kOk;  // the response's code
     std::string payload;          // copied out of the reader's arena
     bool done = false;
     ErrCode fail = ErrCode::kOk;
+    bool parked = false;         // asleep on cv while another caller reads
     std::condition_variable cv;  // paired with the connection's mu
   };
 
@@ -554,7 +553,8 @@ class TcpChannel final : public Channel {
     std::atomic<std::uint32_t> inflight{0};  // reservations (load balancing)
     std::mutex write_mu;  // serializes request bytes onto the socket
     std::mutex mu;        // guards everything below (except `reader`)
-    wire::PinnedFrameReader reader;  // reactor thread only
+    wire::PinnedFrameReader reader;  // owned by the caller that set `reading`
+    bool reading = false;            // a caller is reading the socket
     std::unordered_map<std::uint64_t, Waiter*> waiting;
     // Request ids whose caller timed out while the request was still
     // outstanding on the wire.  The server WILL answer them eventually; until
@@ -563,10 +563,6 @@ class TcpChannel final : public Channel {
     // complete the new call.  Ids leave the set when their response shows up
     // or the connection dies.
     std::unordered_set<std::uint64_t> abandoned;
-    // DisconnectAll dropped this conn from the endpoint pool while calls were
-    // in flight: the reactor keeps reading until the last waiter is answered,
-    // then drops its (final) reference.
-    bool orphaned = false;
     ErrCode broken = ErrCode::kOk;  // terminal failure code
   };
 
@@ -619,17 +615,27 @@ class TcpChannel final : public Channel {
   // response complete the *new* call.
   RegisterResult RegisterWaiter(PipeConn& conn, std::uint64_t request_id,
                                 Waiter* w);
-  // Block until `w` completes or `deadline_abs` passes.  Completion arrives
-  // from the reactor thread, which reads frames and signals the waiter's cv.
+  // Block until `w` completes or `deadline_abs` passes.  One waiting caller
+  // at a time reads the connection (ReadReplies) and completes every waiter
+  // whose response it finds; the others yield-spin on `done` briefly, then
+  // sleep on their own cv.  The reader sweeps without blocking while it
+  // spins, then blocks in ppoll until its own deadline.  A caller leaving
+  // with nobody reading and waiters left wakes one that sleeps, so no
+  // response sits unread while its caller does.
   void AwaitWaiter(PipeConn& conn, std::uint64_t request_id, Waiter& w,
                    common::Nanos deadline_abs);
-  // Reactor callback: drain the socket, dispatch complete response frames to
-  // their waiters by request id.  Returns false (deregister) when the
-  // connection died or an orphaned connection ran out of waiters.
-  bool OnReadable(const std::shared_ptr<PipeConn>& conn);
+  // Become the connection's reader (conn.mu held on entry and exit; dropped
+  // meanwhile): wait until the socket is readable or `wait_until` passes
+  // (0 = do not wait), drain it with one recv sweep, then complete each
+  // whole response frame's waiter by request id.  A framing violation fails
+  // the connection with kCorruption, EOF or a socket error with
+  // kUnavailable.
+  void ReadReplies(std::unique_lock<std::mutex>& lock, PipeConn& conn,
+                   common::Nanos wait_until);
   // Mint the next request id for `ep`, skipping 0 (reserved for the hello).
   static std::uint64_t NextRequestId(Endpoint& ep);
-  // Mark the connection dead and fail every registered waiter (conn.mu held).
+  // Mark the connection dead, fail every registered waiter and shut the
+  // socket down, which wakes a reader blocked in ppoll (conn.mu held).
   static void FailConnLocked(PipeConn& conn, ErrCode code);
 
   TcpChannelOptions options_;
@@ -638,12 +644,9 @@ class TcpChannel final : public Channel {
                                    "tcp", "wall_ns"};
   // Waiters outstanding on the connection at each call issue (docs/METRICS.md).
   common::LatencyHistogram* pipeline_depth_;
-  // Response frames the reactor matched to a waiter (docs/METRICS.md).
-  common::Counter* reactor_frames_ =
-      &common::MetricsRegistry::Default().GetCounter("rpc.tcp.reactor.frames");
-  // Declared last so it is destroyed first: joining the reactor thread before
-  // any other member dies guarantees no callback touches a dead channel.
-  Reactor reactor_;
+  // Response frames a reader matched to a waiter (docs/METRICS.md).
+  common::Counter* frames_ =
+      &common::MetricsRegistry::Default().GetCounter("rpc.tcp.frames");
 };
 
 }  // namespace loco::net

@@ -152,10 +152,10 @@ struct PinnedFrame {
 };
 
 // Incremental frame extractor over a byte stream, used by every receiver
-// (server loop, client reactor, notify listener).  recv() lands directly in
-// refcounted arena chunks (RecvInto/Commit) and Next() yields complete
-// frames in order — payload views pinned into those chunks — and
-// std::nullopt while more bytes are needed.  A chunk returns to the internal
+// (server loop, a client connection's reading caller, notify listener).
+// recv() lands directly in refcounted arena chunks (RecvInto/Commit) and
+// Next() yields complete frames in order — payload views pinned into those
+// chunks — and std::nullopt while more bytes are needed.  A chunk returns to the internal
 // pool once the reader has consumed it and every holder has dropped its pin
 // (use_count == 1), so steady-state traffic recycles a handful of chunks
 // with no allocation.  The first framing violation (bad header, oversized

@@ -210,12 +210,10 @@ TEST_F(NotifyClusterTest, SeveredStreamFallsBackToLeaseTimeout) {
 }
 
 // Server-side severing: the DMS dies and comes back on the same port.  The
-// listener (riding the mount's shared reactor thread) must notice the dead
+// listener (polling its stream on its own thread) must notice the dead
 // stream, reconnect with backoff, surface kResync — dropping the client's
 // cached state, since pushes may have been missed — and then deliver pushes
-// on the re-established stream.  Regression for the reactor port of the
-// reconnect path: the old poll-loop listener owned its own descriptors, the
-// reactor one must re-register its stream fd after every reconnect.
+// on the re-established stream, polling the new stream's descriptor.
 TEST_F(NotifyClusterTest, ServerSeveredStreamReconnectsAndResyncs) {
   StartCluster();
   Peer a = MakePeer(BaseOptions());

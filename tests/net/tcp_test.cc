@@ -10,9 +10,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -368,8 +371,8 @@ TEST(TcpTest, OversizedRequestPayloadRejectedClientSide) {
 
 TEST(TcpTest, LargePayloadSpansArenaChunks) {
   // A payload many arena chunks long arrives over many recv() calls on both
-  // sides (server loop and client reactor) and must reassemble byte-exactly
-  // in the pinned readers.
+  // sides (server loop and the reading caller) and must reassemble
+  // byte-exactly in the pinned readers.
   EchoHandler handler;
   TcpServer::Options options;
   options.workers = 2;
@@ -795,7 +798,6 @@ TEST(TcpWorkerPoolTest, WarmTrackedMutationRunsOnTheLoop) {
   // there, and every call executes (distinct trace ids never replay).
   ParkingHandler handler;
   DedupWindow dedup({8});
-  const std::uint64_t replays_before = dedup.replays();  // process-wide
   TcpServer::Options options;
   options.workers = 2;
   options.dedup = &dedup;
@@ -805,7 +807,7 @@ TEST(TcpWorkerPoolTest, WarmTrackedMutationRunsOnTheLoop) {
   channel.Register(1, server.host(), server.port());
 
   EXPECT_TRUE(WarmUntilLoopRun(channel, server, 8));
-  EXPECT_EQ(dedup.replays(), replays_before);
+  EXPECT_EQ(dedup.replays(), 0u);
   EXPECT_EQ(static_cast<std::uint64_t>(handler.echoes()),
             server.requests_served());
 }
@@ -829,14 +831,13 @@ TEST(TcpWorkerPoolTest, ReplayDoesNotMarkASlowOpcodeCheap) {
     meta.trace_id = 9000 + static_cast<std::uint64_t>(i);
     const std::string payload = "once-" + std::to_string(i);
     const int echoes_before = handler.echoes();
-    const std::uint64_t replays_before = dedup.replays();
     const RpcResponse original = BlockingCall(channel, 1, 50, payload, meta);
     const RpcResponse replay = BlockingCall(channel, 1, 50, payload, meta);
     EXPECT_EQ(original.code, ErrCode::kOk);
     EXPECT_EQ(replay.code, ErrCode::kOk);
     EXPECT_EQ(replay.payload, original.payload);
     EXPECT_EQ(handler.echoes(), echoes_before + 1) << "the duplicate re-ran";
-    EXPECT_EQ(dedup.replays(), replays_before + 1);
+    EXPECT_EQ(dedup.replays(), static_cast<std::uint64_t>(i) + 1);
     // A fresh lone request of the opcode right after the replay.
     EXPECT_EQ(BlockingCall(channel, 1, 50, "fresh-" + std::to_string(i)).code,
               ErrCode::kOk);
@@ -1002,7 +1003,6 @@ TEST(TcpWorkerPoolTest, DuplicateOfARunningRequestNeverStallsTheLoop) {
   const std::string burst = wire::EncodeFrame(original, "park") +
                             wire::EncodeFrame(second, "second");
   const int echoes_before = handler.echoes();
-  const std::uint64_t replays_before = dedup.replays();  // process-wide
   const int original_fd = DialServer(server);
   ASSERT_EQ(::send(original_fd, burst.data(), burst.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(burst.size()));
@@ -1055,10 +1055,139 @@ TEST(TcpWorkerPoolTest, DuplicateOfARunningRequestNeverStallsTheLoop) {
   // The handler ran the original once (plus the second request); the
   // duplicate was a replay, served by a worker.
   EXPECT_EQ(handler.echoes(), echoes_before + 2);
-  EXPECT_EQ(dedup.replays(), replays_before + 1);
+  EXPECT_EQ(dedup.replays(), 1u);
   EXPECT_EQ(server.loop_runs(), loop_before);
   ::close(original_fd);
   ::close(retry_fd);
+}
+
+// ---------------------------------------------------------------------------
+// Receive path: the callers waiting on a connection read it themselves.
+// ---------------------------------------------------------------------------
+
+// Echoes after sleeping the number of milliseconds its payload names.
+class SleepingHandler final : public RpcHandler {
+ public:
+  RpcResponse Handle(std::uint16_t, std::string_view payload) override {
+    int ms = 0;
+    std::from_chars(payload.data(), payload.data() + payload.size(), ms);
+    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+    return RpcResponse{ErrCode::kOk, std::string(payload)};
+  }
+};
+
+// Threads of this process, as /proc/self/task lists them.
+std::ptrdiff_t ThreadCount() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
+}
+
+TEST(TcpWorkerPoolTest, ReaderHandsTheSocketToAParkedCaller) {
+  // A reads the one pooled connection while B, whose reply comes later,
+  // sleeps on its own cv.  A leaves with its reply and must hand the socket
+  // to B, or B's reply sits unread until B's 5 s deadline.  Opcode 9 has no
+  // history, so both calls run on workers at once.
+  SleepingHandler handler;
+  TcpServer::Options options;
+  options.workers = 2;
+  TcpServer server(&handler, options);
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+  ASSERT_EQ(BlockingCall(channel, 1, 7, "0").code, ErrCode::kOk);
+
+  RpcResponse a;
+  std::thread first([&] { a = BlockingCall(channel, 1, 9, "30"); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const common::CpuTimer timer;
+  const RpcResponse b = BlockingCall(channel, 1, 9, "120");
+  const common::Nanos b_ns = timer.ElapsedNanos();
+  first.join();
+  EXPECT_EQ(a.code, ErrCode::kOk);
+  EXPECT_EQ(a.payload, "30");
+  EXPECT_EQ(b.code, ErrCode::kOk);
+  EXPECT_EQ(b.payload, "120");
+  EXPECT_LT(b_ns, 2 * common::kSecond) << "B slept while its reply sat unread";
+}
+
+TEST(TcpWorkerPoolTest, TimedOutReaderHandsTheSocketOver) {
+  // Same, but the reader leaves on its deadline: A gives up after 20 ms and
+  // must hand the socket to B.  A's reply lands later on the idle
+  // connection; the next call reads it, drops it and gets its own.
+  SleepingHandler handler;
+  TcpServer::Options options;
+  options.workers = 2;
+  TcpServer server(&handler, options);
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+  ASSERT_EQ(BlockingCall(channel, 1, 7, "0").code, ErrCode::kOk);
+
+  RpcResponse a;
+  std::thread first([&] {
+    CallMeta meta;
+    meta.deadline_ns = 20 * common::kMilli;
+    a = BlockingCall(channel, 1, 9, "200", meta);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const common::CpuTimer timer;
+  const RpcResponse b = BlockingCall(channel, 1, 9, "80");
+  const common::Nanos b_ns = timer.ElapsedNanos();
+  first.join();
+  EXPECT_EQ(a.code, ErrCode::kTimeout);
+  EXPECT_EQ(b.code, ErrCode::kOk);
+  EXPECT_EQ(b.payload, "80");
+  EXPECT_LT(b_ns, 2 * common::kSecond) << "B slept while its reply sat unread";
+
+  EXPECT_TRUE(Eventually([&] { return server.requests_served() == 3; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const RpcResponse third = BlockingCall(channel, 1, 7, "third");
+  EXPECT_EQ(third.code, ErrCode::kOk);
+  EXPECT_EQ(third.payload, "third");
+}
+
+TEST(TcpTest, DisconnectAllLetsInFlightCallsFinish) {
+  // DisconnectAll drops only the pool's references.  A call parked on the
+  // server keeps its connection and reads its own reply, and the next call
+  // dials a new connection: on the old one its reply would queue behind the
+  // parked call's, since a server answers each connection in order.
+  ParkingHandler handler;
+  TcpServer::Options options;
+  options.workers = 2;
+  TcpServer server(&handler, options);
+  ASSERT_TRUE(server.Start().ok());
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+  ASSERT_EQ(BlockingCall(channel, 1, 7, "warm").code, ErrCode::kOk);
+
+  RpcResponse parked;
+  std::thread caller([&] { parked = BlockingCall(channel, 1, 60, "parked"); });
+  EXPECT_TRUE(handler.WaitParked(1));
+  channel.DisconnectAll();
+  CallMeta meta;
+  meta.deadline_ns = 2 * common::kSecond;
+  const RpcResponse next = BlockingCall(channel, 1, 7, "next", meta);
+  EXPECT_EQ(next.code, ErrCode::kOk) << "the next call rode the old connection";
+  EXPECT_EQ(next.payload, "next");
+  handler.Open();
+  caller.join();
+  EXPECT_EQ(parked.code, ErrCode::kOk);
+  EXPECT_EQ(parked.payload, "parked");
+}
+
+TEST(TcpTest, ChannelStartsNoThread) {
+  EchoHandler handler;
+  TcpServer server(&handler);
+  ASSERT_TRUE(server.Start().ok());
+  const std::ptrdiff_t before = ThreadCount();
+  TcpChannel channel;
+  channel.Register(1, server.host(), server.port());
+  EXPECT_EQ(BlockingCall(channel, 1, 7, "one").code, ErrCode::kOk);
+  EXPECT_EQ(BlockingFanOut(channel, {{1, 7, "two"}, {1, 7, "three"}}).size(),
+            2u);
+  // A joined thread of an earlier test in the same process may still be
+  // leaving /proc/self/task: the count may fall, but must not rise.
+  EXPECT_LE(ThreadCount(), before);
 }
 
 // ---------------------------------------------------------------------------
