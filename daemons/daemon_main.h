@@ -36,9 +36,8 @@ inline volatile std::sig_atomic_t g_stop = 0;
 inline void OnSignal(int) { g_stop = 1; }
 }  // namespace internal
 
-// Parse a --workers value into a dispatch-pool size.  An empty string (flag
-// not given) selects hardware_concurrency; "0" serves inline on the event
-// loop (the pre-pool single-threaded mode).
+// Parse a --workers value into a dispatch-pool size (at least 1).  An empty
+// string (flag not given) selects hardware_concurrency.
 inline bool ParseWorkers(const char* name, const std::string& str, int* out) {
   if (str.empty()) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -49,8 +48,8 @@ inline bool ParseWorkers(const char* name, const std::string& str, int* out) {
   const char* begin = str.data();
   const char* end = begin + str.size();
   if (auto [p, ec] = std::from_chars(begin, end, workers);
-      ec != std::errc{} || p != end || workers < 0) {
-    std::fprintf(stderr, "%s: bad --workers '%s' (want an integer >= 0)\n",
+      ec != std::errc{} || p != end || workers < 1) {
+    std::fprintf(stderr, "%s: bad --workers '%s' (want an integer >= 1)\n",
                  name, str.c_str());
     return false;
   }

@@ -5,10 +5,10 @@
 //               [--shard-id N] [--peers h1:p1,h2:p2,...]
 //               [--metrics-out file.json]
 //
-// --workers sizes the request dispatch pool (default: hardware concurrency;
-// 0 serves inline on the event loop).  With N > 0 the event loop still
-// serves a lone cheap request itself when a worker is idle and the opcode's
-// last run took at most 50 µs, saving the hand-off (docs/NET.md "Loop runs").
+// --workers sizes the request dispatch pool (at least 1; default: hardware
+// concurrency).  The event loop still serves a lone cheap request itself
+// when a worker is idle and the opcode's last run took at most 50 µs,
+// saving the hand-off (docs/NET.md "Loop runs").
 // --store-dir persists both KV stores (WAL per stripe) so a restarted daemon
 // recovers its namespace; --fault-spec arms the deterministic fault plane
 // (grammar in net/fault.h).  Idempotent mutations are always served through

@@ -7,9 +7,9 @@
 //
 // --sid must match this server's position in the client's FMS list (it seeds
 // the high bits of the file uuids this server mints).  --workers sizes the
-// request dispatch pool (default: hardware concurrency; 0 serves inline;
-// with N > 0 a lone cheap request, one whose opcode's last run took at most
-// 50 µs, still runs on the event loop when a worker is idle, docs/NET.md).
+// request dispatch pool (at least 1; default: hardware concurrency); a lone
+// cheap request, one whose opcode's last run took at most 50 µs, still runs
+// on the event loop when a worker is idle (docs/NET.md).
 // --store-dir persists the inode and dirent stores so a restarted daemon
 // recovers its files; --fault-spec arms the deterministic fault plane
 // (grammar in net/fault.h).  Idempotent mutations are always served through

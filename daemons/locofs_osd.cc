@@ -18,10 +18,10 @@
 //
 // --no-retain accounts block payloads without storing them (reads return
 // zeros); use it for metadata-only benchmarks that push a lot of data.
-// --workers sizes the request dispatch pool (default: hardware concurrency;
-// 0 serves inline; with N > 0 a lone cheap request, one whose opcode's last
-// run took at most 50 µs, still runs on the event loop when a worker is
-// idle, docs/NET.md).  ObjectStoreServer is thread-safe (striped block table,
+// --workers sizes the request dispatch pool (at least 1; default: hardware
+// concurrency); a lone cheap request, one whose opcode's last run took at
+// most 50 µs, still runs on the event loop when a worker is idle
+// (docs/NET.md).  ObjectStoreServer is thread-safe (striped block table,
 // per-object locks), so it runs bare behind the pool.  --store-dir persists
 // the block table across restarts; --fault-spec arms the deterministic
 // fault plane (grammar in net/fault.h).

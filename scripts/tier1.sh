@@ -10,16 +10,17 @@ cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "== tier-1: repeat gate (dispatch, dedup window, frame reader, fsck + GC step suites, client fan-outs, until-fail:20) =="
+echo "== tier-1: repeat gate (dispatch, dedup window, frame reader, fsck + GC step suites, TCP cluster suites, until-fail:20) =="
 # The worker / loop-run dispatch suites, the dedup window (a duplicate
 # racing its running original, with and without waiting), the notify
 # listener, the wire / frame-reader suites, the invariant-engine suites
-# (fsck and the in-process GcStep drivers) and the client's mixed DMS+FMS
-# fan-outs over TCP (warm readdir, rename probes) must pass 20 times in a
-# row: a test that leans on thread timing or on state left by an earlier
-# step fails here instead of flaking later.
+# (fsck and the in-process GcStep drivers) and the suites that drive real
+# services over TCP (the client's mixed DMS+FMS fan-outs, the notify plane,
+# the mount's connect path, the resilient channel) must pass 20 times in a
+# row: a test that leans on thread timing, on reply order or on state left
+# by an earlier step fails here instead of flaking later.
 ctest --test-dir build --output-on-failure \
-  -R '^((TcpTest|TcpWorkerPoolTest|TcpFanOutTest|TcpFaultTest|OverloadTest|DisconnectTest|DedupWindowTest|NotifyListenerTest|WireTest|WireFuzzTest|PinnedReaderTest|FsckTest|DmsGcStepTest|FmsGcStepTest|ObjGcStepTest)\.|TcpClusterTest\.RenameAndReaddirFanOutsOverTcp$)' \
+  -R '^(TcpTest|TcpWorkerPoolTest|TcpFanOutTest|TcpFaultTest|OverloadTest|DisconnectTest|DedupWindowTest|NotifyListenerTest|WireTest|WireFuzzTest|PinnedReaderTest|FsckTest|DmsGcStepTest|FmsGcStepTest|ObjGcStepTest|TcpClusterTest|NotifyClusterTest|ConnectTest|ResilientChannelTest)\.' \
   --repeat until-fail:20
 
 echo "== tier-1: net_test shuffled and repeated in one process =="

@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "common/codec.h"
 #include "kvstore/wal_records.h"
 
 namespace loco::kv {
@@ -79,38 +78,25 @@ BTreeKV::~BTreeKV() {
 Status BTreeKV::Open() {
   if (options_.dir.empty()) return OkStatus();
   const std::string path = options_.dir + "/btreekv.wal";
-  replaying_ = true;
-  auto replayed = Wal::Replay(path, [this](std::string_view rec) {
-    common::Reader r(rec);
-    const std::uint8_t op = r.GetU8();
-    if (op == walrec::kOpPut) {
-      std::string_view key = r.GetBytes();
-      std::string_view value = r.GetBytes();
-      if (r.ok()) InsertNoLog(key, value);
-    } else if (op == walrec::kOpDelete) {
-      std::string_view key = r.GetBytes();
-      if (r.ok()) EraseNoLog(key);
-    } else if (op == walrec::kOpPatch) {
-      std::string_view key = r.GetBytes();
-      const std::uint64_t off = r.GetU64();
-      std::string_view patch = r.GetBytes();
-      if (r.ok()) {
-        if (std::string* v = FindValue(key);
-            v != nullptr && off + patch.size() <= v->size()) {
-          v->replace(static_cast<std::size_t>(off), patch.size(), patch);
-        }
-      }
+  auto replayed = walrec::Replay(path, [this](const walrec::Record& rec) {
+    if (rec.op == walrec::kOpPut) {
+      InsertNoLog(rec.key, rec.value);
+    } else if (rec.op == walrec::kOpDelete) {
+      EraseNoLog(rec.key);
+    } else if (std::string* v = FindValue(rec.key);
+               v != nullptr && rec.offset + rec.value.size() <= v->size()) {
+      v->replace(static_cast<std::size_t>(rec.offset), rec.value.size(),
+                 rec.value);
     }
   });
-  replaying_ = false;
   if (!replayed.ok()) return replayed.status();
   return wal_.Open(path, options_.sync_writes);
 }
 
-Status BTreeKV::LogAppend(std::string record) {
-  if (!wal_.IsOpen() || replaying_) return OkStatus();
+Status BTreeKV::LogAppend(std::string_view record) {
+  if (!wal_.IsOpen()) return OkStatus();
   stats_.io_ops += 1;
-  stats_.io_bytes += record.size() + 8;  // + frame header
+  stats_.io_bytes += Wal::kHeaderBytes + record.size();
   return wal_.Append(record);
 }
 

@@ -68,7 +68,8 @@ class BTreeKV final : public Kv {
   Status VisitRange(std::string_view lo, std::string_view hi,
                     std::size_t limit, const Visitor& fn) const;
 
-  Status LogAppend(std::string record);
+  // Append one encoded record to the WAL, when persistence is on.
+  Status LogAppend(std::string_view record);
 
   KvOptions options_;
   std::size_t max_keys_;  // order: max keys per node
@@ -76,7 +77,6 @@ class BTreeKV final : public Kv {
   std::unique_ptr<Node> root_;
   std::size_t size_ = 0;
   Wal wal_;
-  bool replaying_ = false;
 };
 
 }  // namespace loco::kv

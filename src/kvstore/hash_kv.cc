@@ -4,8 +4,8 @@
 #include <limits>
 #include <utility>
 
-#include "common/codec.h"
 #include "common/hash.h"
+#include "kvstore/wal_records.h"
 
 namespace loco::kv {
 
@@ -14,11 +14,6 @@ constexpr std::size_t kInitialCapacity = 64;
 constexpr double kMaxLoad = 0.70;
 // Slots keep 32-bit lengths.
 constexpr std::size_t kMaxLen = std::numeric_limits<std::uint32_t>::max();
-
-// WAL record tags.
-constexpr std::uint8_t kOpPut = 1;
-constexpr std::uint8_t kOpDelete = 2;
-constexpr std::uint8_t kOpPatch = 3;
 
 std::uint64_t KeyHash(std::string_view key) noexcept {
   // Never zero/used as "empty" marker; Mix64 of FNV avoids clustering.
@@ -43,30 +38,17 @@ HashKV::HashKV(const KvOptions& options) : options_(options) {
 Status HashKV::Open() {
   if (options_.dir.empty()) return OkStatus();
   const std::string path = options_.dir + "/hashkv.wal";
-  replaying_ = true;
-  auto replayed = Wal::Replay(path, [this](std::string_view rec) {
-    common::Reader r(rec);
-    const std::uint8_t op = r.GetU8();
-    if (op == kOpPut) {
-      std::string_view key = r.GetBytes();
-      std::string_view value = r.GetBytes();
-      if (r.ok()) InsertNoLog(key, value);
-    } else if (op == kOpDelete) {
-      std::string_view key = r.GetBytes();
-      if (r.ok()) EraseNoLog(key);
-    } else if (op == kOpPatch) {
-      std::string_view key = r.GetBytes();
-      const std::uint64_t off = r.GetU64();
-      std::string_view patch = r.GetBytes();
-      if (r.ok()) {
-        if (Slot* s = Find(key);
-            s != nullptr && off + patch.size() <= s->value_len) {
-          std::copy(patch.begin(), patch.end(), s->value_data() + off);
-        }
-      }
+  auto replayed = walrec::Replay(path, [this](const walrec::Record& rec) {
+    if (rec.op == walrec::kOpPut) {
+      InsertNoLog(rec.key, rec.value);
+    } else if (rec.op == walrec::kOpDelete) {
+      EraseNoLog(rec.key);
+    } else if (Slot* s = Find(rec.key);
+               s != nullptr && rec.offset + rec.value.size() <= s->value_len) {
+      std::copy(rec.value.begin(), rec.value.end(),
+                s->value_data() + rec.offset);
     }
   });
-  replaying_ = false;
   if (!replayed.ok()) return replayed.status();
   return wal_.Open(path, options_.sync_writes);
 }
@@ -176,38 +158,10 @@ const HashKV::Slot* HashKV::Find(std::string_view key) const noexcept {
   }
 }
 
-Status HashKV::LogPut(std::string_view key, std::string_view value) {
-  if (!wal_.IsOpen() || replaying_) return OkStatus();
-  common::Writer w;
-  w.PutU8(kOpPut);
-  w.PutBytes(key);
-  w.PutBytes(value);
+Status HashKV::LogAppend(std::string_view record) {
   stats_.io_ops += 1;
-  stats_.io_bytes += w.size();
-  return wal_.Append(w.str());
-}
-
-Status HashKV::LogDelete(std::string_view key) {
-  if (!wal_.IsOpen() || replaying_) return OkStatus();
-  common::Writer w;
-  w.PutU8(kOpDelete);
-  w.PutBytes(key);
-  stats_.io_ops += 1;
-  stats_.io_bytes += w.size();
-  return wal_.Append(w.str());
-}
-
-Status HashKV::LogPatch(std::string_view key, std::size_t offset,
-                        std::string_view patch) {
-  if (!wal_.IsOpen() || replaying_) return OkStatus();
-  common::Writer w;
-  w.PutU8(kOpPatch);
-  w.PutBytes(key);
-  w.PutU64(offset);
-  w.PutBytes(patch);
-  stats_.io_ops += 1;
-  stats_.io_bytes += w.size();
-  return wal_.Append(w.str());
+  stats_.io_bytes += Wal::kHeaderBytes + record.size();
+  return wal_.Append(record);
 }
 
 Status HashKV::Put(std::string_view key, std::string_view value) {
@@ -217,7 +171,8 @@ Status HashKV::Put(std::string_view key, std::string_view value) {
   stats_.puts += 1;
   stats_.bytes_written += key.size() + value.size();
   InsertNoLog(key, value);
-  return LogPut(key, value);
+  return wal_.IsOpen() ? LogAppend(walrec::EncodePut(key, value))
+                       : OkStatus();
 }
 
 Status HashKV::Get(std::string_view key, std::string* value) const {
@@ -232,7 +187,7 @@ Status HashKV::Get(std::string_view key, std::string* value) const {
 Status HashKV::Delete(std::string_view key) {
   stats_.deletes += 1;
   if (!EraseNoLog(key)) return ErrStatus(ErrCode::kNotFound);
-  return LogDelete(key);
+  return wal_.IsOpen() ? LogAppend(walrec::EncodeDelete(key)) : OkStatus();
 }
 
 bool HashKV::Contains(std::string_view key) const {
@@ -250,7 +205,8 @@ Status HashKV::PatchValue(std::string_view key, std::size_t offset,
   }
   std::copy(patch.begin(), patch.end(), s->value_data() + offset);
   stats_.bytes_written += patch.size();
-  return LogPatch(key, offset, patch);
+  return wal_.IsOpen() ? LogAppend(walrec::EncodePatch(key, offset, patch))
+                       : OkStatus();
 }
 
 Status HashKV::ReadValueAt(std::string_view key, std::size_t offset,

@@ -72,15 +72,14 @@ class HashKV final : public Kv {
   void Rehash(std::size_t new_capacity);
   std::size_t ProbeDistance(std::size_t slot_index, std::uint64_t hash) const noexcept;
 
-  Status LogPut(std::string_view key, std::string_view value);
-  Status LogDelete(std::string_view key);
-  Status LogPatch(std::string_view key, std::size_t offset, std::string_view patch);
+  // Append one encoded record to the open WAL.  Callers check
+  // wal_.IsOpen() first, so a memory-only table never encodes a record.
+  Status LogAppend(std::string_view record);
 
   KvOptions options_;
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
   Wal wal_;
-  bool replaying_ = false;
 };
 
 }  // namespace loco::kv

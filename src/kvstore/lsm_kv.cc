@@ -50,16 +50,11 @@ Status LsmKV::Open() {
   LOCO_RETURN_IF_ERROR(LoadRuns());
   const std::string path = options_.dir + "/lsmkv.wal";
   replaying_ = true;
-  auto replayed = Wal::Replay(path, [this](std::string_view rec) {
-    common::Reader r(rec);
-    const std::uint8_t op = r.GetU8();
-    if (op == walrec::kOpPut) {
-      std::string_view key = r.GetBytes();
-      std::string_view value = r.GetBytes();
-      if (r.ok()) (void)Write(key, value);
-    } else if (op == walrec::kOpDelete) {
-      std::string_view key = r.GetBytes();
-      if (r.ok()) (void)Write(key, std::nullopt);
+  auto replayed = walrec::Replay(path, [this](const walrec::Record& rec) {
+    if (rec.op == walrec::kOpPut) {
+      (void)Write(rec.key, rec.value);
+    } else if (rec.op == walrec::kOpDelete) {
+      (void)Write(rec.key, std::nullopt);
     }
   });
   replaying_ = false;
@@ -147,7 +142,7 @@ Status LsmKV::Write(std::string_view key, std::optional<std::string_view> value)
     const std::string rec = value.has_value() ? walrec::EncodePut(key, *value)
                                               : walrec::EncodeDelete(key);
     stats_.io_ops += 1;
-    stats_.io_bytes += rec.size() + 8;
+    stats_.io_bytes += Wal::kHeaderBytes + rec.size();
     if (wal_.IsOpen()) LOCO_RETURN_IF_ERROR(wal_.Append(rec));
   }
   auto [it, inserted] = memtable_.try_emplace(std::string(key));

@@ -77,7 +77,7 @@ Result<std::size_t> Wal::Replay(const std::string& path,
   std::size_t delivered = 0;
   std::vector<char> payload;
   for (;;) {
-    char header[8];
+    char header[kHeaderBytes];
     if (std::fread(header, 1, sizeof(header), f) != sizeof(header)) break;
     common::Reader r(std::string_view(header, sizeof(header)));
     const std::uint32_t crc = r.GetU32();

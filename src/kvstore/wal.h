@@ -20,6 +20,9 @@ std::uint32_t Crc32c(std::string_view data) noexcept;
 
 class Wal {
  public:
+  // Bytes of the [crc][len] frame in front of every record's payload.
+  static constexpr std::size_t kHeaderBytes = 8;
+
   Wal() = default;
   ~Wal();
 

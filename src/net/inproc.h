@@ -2,11 +2,11 @@
 //
 // This is the "real" (non-simulated) deployment of the services, used by the
 // examples and the multi-threaded integration tests.  Each registered server
-// is protected by its own mutex, matching the one-request-at-a-time handler
-// contract the services are written against; concurrent client threads
-// therefore serialize per server exactly as single-threaded event-loop
-// servers would.  An optional injected round-trip latency emulates a LAN for
-// tests that want wall-clock realism.
+// is protected by its own mutex, so concurrent client threads serialize per
+// server, one request at a time.  The LocoFS services would not need it
+// (they are thread-safe, and run behind a multi-worker TcpServer); the
+// baseline services have no locking of their own.  An optional injected
+// round-trip latency emulates a LAN for tests that want wall-clock realism.
 #pragma once
 
 #include <atomic>

@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <thread>
 
 #include "common/codec.h"
@@ -251,12 +250,6 @@ struct TcpServer::Conn {
   std::uint64_t client_id = 0;   // announced identity; 0 = anonymous
   bool notify = false;           // this conn is its client's notify session
   std::uint64_t notify_seq = 0;  // last push sequence number sent
-  // Worker mode: responses must leave in decode order even though workers
-  // finish in any order.
-  std::uint64_t next_seq = 0;    // assigned to the next decoded frame
-  std::uint64_t next_flush = 0;  // next seq allowed into `out`
-  std::uint64_t inflight = 0;    // dispatched, not yet delivered
-  std::map<std::uint64_t, std::string> done;  // finished out-of-order
 };
 
 TcpServer::TcpServer(RpcHandler* handler, Options options)
@@ -267,6 +260,9 @@ TcpServer::~TcpServer() { Stop(); }
 Status TcpServer::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return ErrStatus(ErrCode::kInvalid, "server already running");
+  }
+  if (options_.workers < 1) {
+    return ErrStatus(ErrCode::kInvalid, "a server needs at least one worker");
   }
   struct addrinfo hints{};
   hints.ai_family = AF_UNSPEC;
@@ -339,7 +335,7 @@ Status TcpServer::Start() {
   busy_.clear();
   running_.store(true, std::memory_order_release);
   // Fully populate busy_ before any worker indexes into it, and spawn the
-  // poll loop last so it never observes a half-built pool.
+  // event loop last so it never observes a half-built pool.
   for (int i = 0; i < options_.workers; ++i) busy_.emplace_back(false);
   for (int i = 0; i < options_.workers; ++i) {
     workers_.emplace_back(&TcpServer::WorkerMain, this,
@@ -463,9 +459,7 @@ std::optional<std::string> TcpServer::RunWork(const Work& work, std::string buf,
   const wire::FrameHeader& req = work.header;
   if (work.expire_ns != 0 && common::CpuTimer::Now() > work.expire_ns) {
     // The caller's budget ran out while the request sat queued (or stalled):
-    // answer kTimeout without executing.  The response still flows through
-    // the ordered release path — silently dropping the seq would wedge every
-    // later response on the connection.
+    // answer kTimeout without executing.
     SampleQueueDelay(work, dequeued_ns);
     expired_metric_->Add();
     expired_total_.fetch_add(1, std::memory_order_relaxed);
@@ -547,20 +541,16 @@ bool TcpServer::HandleHello(Conn* conn, const wire::PinnedFrame& frame) {
   } else {
     code = ErrCode::kInvalid;
   }
-  std::string bytes = EncodeReply(
-      frame.header, code,
-      code == ErrCode::kOk ? wire::EncodeHelloReply(reply) : std::string(),
-      GetBuffer());
-  // The hello is answered inline on the loop thread, but in worker mode
-  // the reply must not overtake responses still in the pool: give it a slot
-  // in the per-connection sequence and release it in order.
-  if (options_.workers == 0) return AppendResponse(conn, std::move(bytes));
-  return ReleaseOrdered(conn, conn->next_seq++, std::move(bytes));
+  return AppendResponse(
+      conn, EncodeReply(frame.header, code,
+                        code == ErrCode::kOk ? wire::EncodeHelloReply(reply)
+                                             : std::string(),
+                        GetBuffer()));
 }
 
 bool TcpServer::HandleLoadStatus(Conn* conn, const wire::PinnedFrame& frame) {
   LoadStatus status;
-  status.workers = static_cast<std::uint32_t>(std::max(options_.workers, 0));
+  status.workers = static_cast<std::uint32_t>(options_.workers);
   {
     std::scoped_lock lock(queue_mu_);
     status.queued_foreground = static_cast<std::uint32_t>(
@@ -577,12 +567,9 @@ bool TcpServer::HandleLoadStatus(Conn* conn, const wire::PinnedFrame& frame) {
   status.read_stalls = read_stall_total_.load(std::memory_order_relaxed);
   status.slow_client_disconnects =
       slow_disconnect_total_.load(std::memory_order_relaxed);
-  std::string bytes = EncodeReply(frame.header, ErrCode::kOk,
-                                  EncodeLoadStatus(status), GetBuffer());
-  // Like the hello: answered inline, but never ahead of responses already in
-  // the worker pool for this connection.
-  if (options_.workers == 0) return AppendResponse(conn, std::move(bytes));
-  return ReleaseOrdered(conn, conn->next_seq++, std::move(bytes));
+  return AppendResponse(conn, EncodeReply(frame.header, ErrCode::kOk,
+                                          EncodeLoadStatus(status),
+                                          GetBuffer()));
 }
 
 std::string TcpServer::RetryAfterPayload() const {
@@ -595,17 +582,13 @@ std::string TcpServer::RetryAfterPayload() const {
   return w.Take();
 }
 
-void TcpServer::CompleteWithError(std::uint64_t conn_id, std::uint64_t seq,
+void TcpServer::CompleteWithError(std::uint64_t conn_id,
                                   const wire::FrameHeader& req, ErrCode code,
                                   std::string payload) {
-  // Through the completion path so the refused request still releases its
-  // slot in the per-connection response order — an evicted background
-  // request may even belong to a different connection than the one whose
-  // frames are being drained.
   std::string bytes = EncodeReply(req, code, payload, std::string());
   {
     std::scoped_lock lock(comp_mu_);
-    completions_.push_back(Completion{conn_id, seq, std::move(bytes)});
+    completions_.push_back(Completion{conn_id, std::move(bytes)});
   }
   // Self-wake: the loop only drains completions at the top of a round.
   const char byte = 0;
@@ -619,8 +602,6 @@ void TcpServer::AdmitWork(Work&& work) {
   const bool forced =
       options_.fault != nullptr && options_.fault->ForceQueueFull();
   // `work` is moved into a queue below; keep what the loop-run test needs.
-  const std::uint64_t conn_id = work.conn_id;
-  const std::uint64_t seq = work.seq;
   const std::uint16_t opcode = work.header.opcode;
   const common::Nanos delay_ns = work.delay_ns;
   bool shed_self = false;
@@ -651,16 +632,14 @@ void TcpServer::AdmitWork(Work&& work) {
     shed_metric_->Add();
     shed_total_.fetch_add(1, std::memory_order_relaxed);
     const Work& victim = shed_self ? work : *evicted;
-    CompleteWithError(victim.conn_id, victim.seq, victim.header,
-                      ErrCode::kOverloaded, RetryAfterPayload());
+    CompleteWithError(victim.conn_id, victim.header, ErrCode::kOverloaded,
+                      RetryAfterPayload());
   }
   if (shed_self) return;
   if (++round_.admitted == 1 && delay_ns == 0 && LoopRunnable(opcode)) {
     // Maybe the round's only request: FinishRound decides whether the loop
     // runs it or a worker is woken.
     round_.held = true;
-    round_.conn_id = conn_id;
-    round_.seq = seq;
     return;
   }
   if (round_.held) {
@@ -692,7 +671,7 @@ bool TcpServer::DrainFrames(Conn* conn) {
       if (!HandleLoadStatus(conn, *frame)) return false;
       continue;
     }
-    int copies = 1;
+    bool dup = false;
     common::Nanos delay_ns = 0;
     if (options_.fault != nullptr) {
       const FaultInjector::FrameFate fate = options_.fault->OnServerFrame();
@@ -703,7 +682,7 @@ bool TcpServer::DrainFrames(Conn* conn) {
       }
       if (fate.reset) return false;
       if (fate.drop) continue;
-      if (fate.dup) copies = 2;
+      dup = fate.dup;
       delay_ns = fate.delay_ns;
     }
     // The wire deadline budget counts from decode: by the time the request
@@ -715,26 +694,18 @@ bool TcpServer::DrainFrames(Conn* conn) {
     work.client_id = conn->client_id;
     work.header = frame->header;
     work.payload = frame->payload;
+    work.pin = frame->pin;
     work.delay_ns = delay_ns;
+    work.enqueue_ns = decoded_ns;
     work.expire_ns =
         frame->header.deadline_budget_ns > 0
             ? decoded_ns +
                   static_cast<common::Nanos>(frame->header.deadline_budget_ns)
             : 0;
-    for (int copy = 0; copy < copies; ++copy) {
-      if (options_.workers == 0) {
-        if (!AppendResponse(conn, *RunWork(work, GetBuffer()))) return false;
-      } else {
-        // Duplicated frames share the payload view and its pin; RunWork
-        // only reads the bytes.
-        Work queued = work;
-        queued.seq = conn->next_seq++;
-        queued.pin = frame->pin;
-        queued.enqueue_ns = decoded_ns;
-        ++conn->inflight;
-        AdmitWork(std::move(queued));
-      }
-    }
+    // A duplicated frame shares the payload view and its pin; RunWork only
+    // reads the bytes.
+    if (dup) AdmitWork(Work(work));
+    AdmitWork(std::move(work));
   }
   // A framing violation is unrecoverable: drop the connection.
   return conn->reader.status().ok();
@@ -835,26 +806,12 @@ void TcpServer::WorkerMain(std::size_t index) {
     busy_[index].store(false, std::memory_order_relaxed);
     {
       std::scoped_lock lock(comp_mu_);
-      completions_.push_back(Completion{w.conn_id, w.seq, std::move(bytes)});
+      completions_.push_back(Completion{w.conn_id, std::move(bytes)});
     }
     // Wake the loop to deliver; a full pipe is fine (the loop is awake).
     const char byte = 0;
     [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &byte, 1);
   }
-}
-
-bool TcpServer::ReleaseOrdered(Conn* conn, std::uint64_t seq,
-                               std::string&& bytes) {
-  conn->done.emplace(seq, std::move(bytes));
-  while (!conn->done.empty() &&
-         conn->done.begin()->first == conn->next_flush) {
-    if (!AppendResponse(conn, std::move(conn->done.begin()->second))) {
-      return false;
-    }
-    conn->done.erase(conn->done.begin());
-    ++conn->next_flush;
-  }
-  return true;
 }
 
 void TcpServer::DeliverCompletions(
@@ -864,16 +821,15 @@ void TcpServer::DeliverCompletions(
     std::scoped_lock lock(comp_mu_);
     batch.swap(completions_);
   }
-  // Release everything first, then flush each touched connection once: k
+  // Queue everything first, then flush each touched connection once: k
   // completions for one connection cost one sendmsg, not k.
   std::vector<Conn*> touched;
   for (Completion& c : batch) {
     const auto it = conns.find(c.conn_id);
     if (it == conns.end()) continue;  // connection dropped meanwhile
     Conn* conn = it->second.get();
-    --conn->inflight;
     if (conn->dead) continue;
-    if (!ReleaseOrdered(conn, c.seq, std::move(c.bytes))) {
+    if (!AppendResponse(conn, std::move(c.bytes))) {
       conn->dead = true;
       continue;
     }
@@ -888,27 +844,25 @@ void TcpServer::DeliverCompletions(
 
 void TcpServer::FinishRound(
     const std::unordered_map<std::uint64_t, std::unique_ptr<Conn>>& conns) {
-  const Round round = round_;
+  const bool held = round_.held;
   round_ = Round{};
-  if (!round.held) return;
-  const auto it = conns.find(round.conn_id);
+  if (!held) return;
   Work work;
   std::deque<Work>* only = nullptr;
-  if (it != conns.end() && !it->second->dead) {
+  {
     std::scoped_lock lock(queue_mu_);
     // An idle worker means one would have picked the request up at once
     // anyway; with every worker busy, leave it queued so shedding, expiry and
     // priorities apply to it like to anything else.  A worker that was awake
-    // regardless may already hold it, so the one queued request must still
-    // be this one.
+    // regardless may already have taken the held request, so the one queued
+    // must itself qualify.
     std::size_t depth = 0;
     for (auto& q : queues_) {
       depth += q.size();
       if (!q.empty()) only = &q;
     }
-    if (idle_workers_ > 0 && depth == 1 &&
-        only->front().conn_id == round.conn_id &&
-        only->front().seq == round.seq) {
+    if (idle_workers_ > 0 && depth == 1 && only->front().delay_ns == 0 &&
+        LoopRunnable(only->front().header.opcode)) {
       work = std::move(only->front());
       only->pop_front();
     } else {
@@ -920,9 +874,8 @@ void TcpServer::FinishRound(
     bytes = RunWork(work, GetBuffer(), DedupWindow::Wait::kNo);
     if (!bytes) {
       // A duplicate whose original is still running: waiting for it here
-      // would stall every connection.  It goes back where it was, keeping
-      // its sequence slot and its inflight charge, and a worker waits in the
-      // window instead.
+      // would stall every connection.  It goes back where it was, and a
+      // worker waits in the window instead.
       std::scoped_lock lock(queue_mu_);
       only->push_front(std::move(work));
     }
@@ -931,12 +884,13 @@ void TcpServer::FinishRound(
     queue_cv_.notify_one();
     return;
   }
-  Conn* conn = it->second.get();
   // Counted before the reply leaves, so a caller holding the reply sees it.
   loop_runs_.fetch_add(1, std::memory_order_relaxed);
   loop_runs_metric_->Add();
-  --conn->inflight;
-  if (!ReleaseOrdered(conn, work.seq, std::move(*bytes)) || !FlushWrites(conn)) {
+  const auto it = conns.find(work.conn_id);
+  if (it == conns.end() || it->second->dead) return;
+  Conn* conn = it->second.get();
+  if (!AppendResponse(conn, std::move(*bytes)) || !FlushWrites(conn)) {
     conn->dead = true;
   }
 }
@@ -1113,7 +1067,7 @@ void TcpServer::Loop() {
         accept_ready = true;
       }
     }
-    if (options_.workers > 0) DeliverCompletions(conns);
+    DeliverCompletions(conns);
     DrainNotify(conns);
     if (accept_ready) {
       for (;;) {
@@ -1169,7 +1123,7 @@ void TcpServer::Loop() {
       if (alive && conn->out_bytes > 0) alive = FlushWrites(conn);
       if (!alive) conn->dead = true;
     }
-    if (options_.workers > 0) FinishRound(conns);
+    FinishRound(conns);
     // End-of-round sweep: reap failed connections, then reconcile EPOLLOUT
     // interest on the survivors (completions and notify pushes above may
     // have queued output on connections with no event this round).

@@ -8,22 +8,19 @@
 // did.  Responses are queued as whole encoded frames (one std::string per
 // frame, moved — never memcpy'd — into a per-connection deque) and flushed
 // with scatter-gather writev; drained frame buffers are recycled through a
-// loop-thread-only arena that the inline-execution, hello, and notify encode
-// paths draw from (rpc.tcp_server.bufpool.* counters).  Frames
-// are decoded incrementally (net/wire.h) on the loop thread; with
-// Options::workers == 0 the handler runs inline on that thread (the original
-// single-threaded mode), with workers > 0 decoded requests are dispatched to
-// a pool of worker threads and may execute in any order — even requests from
-// the same connection.  A lone cheap request (the only admission of its
-// loop round, nothing else queued, a worker idle, and its opcode's last run
-// took at most 50 µs), read or mutation alike, is run by the loop itself at
-// the end of the round, saving the two thread wake-ups of the worker
-// hand-off; the loop never waits in the dedup window, so a duplicate whose
-// original is still running goes to a worker.  Responses are still written
-// back **in decode order per connection** (a per-connection sequence number
-// reorders completions), so a pipelining client can match responses
-// positionally as well as by the echoed request id.  Handlers behind a
-// multi-worker server must be thread-safe (DMS, FMS, and the object store
+// loop-thread-only arena that the loop-run, hello, load-status and notify
+// encode paths draw from (rpc.tcp_server.bufpool.* counters).  Every request
+// takes one path: decoded incrementally (net/wire.h) on the loop thread,
+// admitted to a bounded queue, and executed by a pool of worker threads in
+// any order — even requests from the same connection.  A lone cheap request
+// (the only admission of its loop round, nothing else queued, a worker idle,
+// and its opcode's last run took at most 50 µs), read or mutation alike, is
+// run by the loop itself at the end of the round, saving the two thread
+// wake-ups of the worker hand-off; the loop never waits in the dedup window,
+// so a duplicate whose original is still running goes to a worker.  A reply
+// is appended to its connection as soon as it exists, so replies on one
+// connection may leave in any order: clients match them by the echoed
+// request id.  Handlers must be thread-safe (DMS, FMS, and the object store
 // all are).  A handler's RpcResponse::extra_service_ns (modeled device time)
 // is a simulator input and is ignored here: no server path sleeps except the
 // fault plane's injected delay.  Malformed streams drop the connection; they
@@ -108,7 +105,7 @@ bool IsSelfConnected(int fd);
 // ---------------------------------------------------------------------------
 
 // wire::kCtlLoadStatus reply payload: a point-in-time view of one server's
-// admission state (docs/OVERLOAD.md).  Answered inline by the event loop,
+// admission state (docs/OVERLOAD.md).  Answered by the event loop itself,
 // so it works against every daemon regardless of handler.
 struct LoadStatus {
   std::uint32_t workers = 0;
@@ -132,14 +129,14 @@ class TcpServer : public Notifier {
     std::uint16_t port = 0;  // 0 = kernel-assigned; read port() after Start
     int backlog = 128;
     std::uint32_t max_payload_bytes = wire::kMaxPayloadBytes;
-    // Worker threads executing handler calls.  0 = run handlers inline on
-    // the loop thread; N > 0 requires a thread-safe handler, which the loop
-    // thread also calls: when a round admits one request, nothing else is
-    // queued, a worker is idle, no delay is injected and the opcode's last
-    // run took at most kLoopRunMaxNs, the loop runs it instead of waking a
-    // worker — unless it is a duplicate whose original is still running,
-    // which a worker waits out in the dedup window (docs/NET.md).
-    int workers = 0;
+    // Worker threads executing handler calls; Start() refuses fewer than
+    // one.  The handler must be thread-safe, and the loop thread calls it
+    // too: when a round admits one request, nothing else is queued, a
+    // worker is idle, no delay is injected and the opcode's last run took
+    // at most kLoopRunMaxNs, the loop runs it instead of waking a worker —
+    // unless it is a duplicate whose original is still running, which a
+    // worker waits out in the dedup window (docs/NET.md).
+    int workers = 1;
     // Optional fault plane (--fault-spec): decoded request frames may be
     // dropped, duplicated, delayed, or answered with a torn response, and the
     // process may _exit mid-stream.  Not owned; must outlive the server.
@@ -169,7 +166,6 @@ class TcpServer : public Notifier {
     // arrival is shed with ErrCode::kOverloaded + a retry-after hint; a
     // foreground arrival first evicts the oldest queued background request
     // (which is shed the same way) and is only refused when none is queued.
-    // Worker mode only — inline mode has no queue to bound.
     std::size_t max_queue = 4096;
     // Per-connection cap on buffered response bytes.  Above this soft cap
     // the server stops reading the connection (a slow reader stalls itself,
@@ -195,8 +191,8 @@ class TcpServer : public Notifier {
   // Notify sessions currently registered (tests).
   std::size_t notify_sessions() const;
 
-  // Bind, listen and spawn the event-loop (and worker) threads.  One Start
-  // per instance.
+  // Bind, listen and spawn the event-loop and worker threads (kInvalid
+  // when Options::workers < 1).  One Start per instance.
   Status Start();
   // Close the listening socket and every connection, then join the loop and
   // the workers (queued-but-unstarted requests are dropped).  Idempotent;
@@ -211,13 +207,13 @@ class TcpServer : public Notifier {
   std::uint64_t requests_served() const noexcept {
     return requests_.load(std::memory_order_relaxed);
   }
-  // Worker-mode requests the event loop ran itself instead of waking a
-  // worker, this server instance only.
+  // Requests the event loop ran itself instead of waking a worker, this
+  // server instance only.
   std::uint64_t loop_runs() const noexcept {
     return loop_runs_.load(std::memory_order_relaxed);
   }
 
-  // A worker-mode request may run on the loop only if the previous run of
+  // A request may run on the loop only if the previous run of
   // its opcode took at most this long: above every single-op metadata
   // handler, below an fsync'd WAL append or a large listing, which would
   // hold every other connection's I/O for their whole run.
@@ -252,7 +248,6 @@ class TcpServer : public Notifier {
   // until the worker finishes (zero-copy decode, docs/NET.md).
   struct Work {
     std::uint64_t conn_id = 0;
-    std::uint64_t seq = 0;  // per-connection decode order
     std::uint64_t client_id = 0;  // from the connection's hello; 0 = unknown
     wire::FrameHeader header;
     std::string_view payload;
@@ -266,7 +261,6 @@ class TcpServer : public Notifier {
   // One encoded response headed back to the loop thread.
   struct Completion {
     std::uint64_t conn_id = 0;
-    std::uint64_t seq = 0;
     std::string bytes;
   };
   // One queued push (loop thread turns it into a kNotify frame).
@@ -278,15 +272,15 @@ class TcpServer : public Notifier {
 
   void Loop();
   void WorkerMain(std::size_t index);
-  // Serve one dequeued (or, inline, just decoded) request: the injected
+  // Serve one dequeued request: the injected
   // delay, then kTimeout if its deadline lapsed, else the dedup window's
   // claim and the handler (or the cached reply), with metrics, the queue-
   // delay sample when it was queued, and — after a handler run — the
   // opcode's last-run time.  Returns the encoded response, built in `buf`
   // (cleared first, so the loop thread can pass an arena-recycled buffer).
   // With Wait::kNo, a duplicate whose original is still running is not
-  // served: nullopt, and nothing was sampled, counted or recorded.  Workers,
-  // the loop run and inline mode all go through here.
+  // served: nullopt, and nothing was sampled, counted or recorded.  Workers
+  // and the loop run both go through here.
   std::optional<std::string> RunWork(
       const Work& work, std::string buf,
       DedupWindow::Wait wait = DedupWindow::Wait::kYes);
@@ -297,36 +291,34 @@ class TcpServer : public Notifier {
   // handler run on this server took at most kLoopRunMaxNs (an opcode that
   // never ran is not cheap).
   bool LoopRunnable(std::uint16_t opcode) const noexcept;
-  // End of an event-loop round (worker mode): the round's held-back first
-  // admission either runs here on the loop — it is still the only queued
-  // request and a worker is parked idle — or wakes a worker as usual.  A
-  // loop run the dedup window turns away (its original is still running)
-  // goes back to the front of its queue for a worker.
+  // End of an event-loop round: when the round held back its first
+  // admission's wake-up, the loop runs the queued request itself if it is
+  // the only one, a worker is parked idle and it is loop-runnable (no
+  // injected delay, cheap opcode history); otherwise a worker is woken as
+  // usual.  A loop run the dedup window turns away (its original is still
+  // running) goes back to the front of its queue for a worker.
   void FinishRound(
       const std::unordered_map<std::uint64_t, std::unique_ptr<Conn>>& conns);
-  // Decode every complete frame buffered on `conn` and execute (inline mode)
-  // or enqueue (worker mode) each; returns false when the connection must be
-  // dropped (framing violation).
+  // Decode every complete frame buffered on `conn` and admit each; returns
+  // false when the connection must be dropped (framing violation).
   bool DrainFrames(Conn* conn);
-  // Answer a kCtlHello inline on the loop thread (the client id must be
+  // Answer a kCtlHello on the loop thread (the client id must be
   // known before any dispatch) and register the notify session when asked.
   bool HandleHello(Conn* conn, const wire::PinnedFrame& frame);
-  // Answer a kCtlLoadStatus inline on the loop thread (the loop owns the
+  // Answer a kCtlLoadStatus on the loop thread (the loop owns the
   // admission queues; no handler dispatch, works under full saturation).
   bool HandleLoadStatus(Conn* conn, const wire::PinnedFrame& frame);
-  // Worker-mode admission: enqueue the decoded request or shed it (and
-  // possibly an older background request) with kOverloaded, then wake a
-  // worker — except for a round's first admission when it is a loop-run
-  // candidate, whose wake waits for FinishRound (or for a second admission
-  // in the same round).  The caller has already charged conn->inflight and
-  // minted `seq`.
+  // Admission: enqueue the decoded request or shed it (and possibly an
+  // older background request) with kOverloaded, then wake a worker — except
+  // for a round's first admission when it is a loop-run candidate, whose
+  // wake waits for FinishRound (or for a second admission in the same
+  // round).
   void AdmitWork(Work&& work);
-  // Answer request `seq` on `conn_id` with `code` (no handler execution) via
-  // the completion path: shed and expired work still releases its slot in
-  // the per-connection response order.  Loop or worker thread.
-  void CompleteWithError(std::uint64_t conn_id, std::uint64_t seq,
-                         const wire::FrameHeader& req, ErrCode code,
-                         std::string payload);
+  // Answer a refused request on `conn_id` with `code` (no handler execution)
+  // through the completion path: an evicted request may belong to another
+  // connection than the one being drained.
+  void CompleteWithError(std::uint64_t conn_id, const wire::FrameHeader& req,
+                         ErrCode code, std::string payload);
   // Encode the kOverloaded retry-after hint payload (EWMA queue delay).
   std::string RetryAfterPayload() const;
   // Flush pending response bytes; returns false on a dead peer.
@@ -335,12 +327,8 @@ class TcpServer : public Notifier {
   // fault (truncate mid-frame, flush what fits, then drop the connection).
   // Returns false when the connection must be dropped.
   bool AppendResponse(Conn* conn, std::string&& bytes);
-  // Queue `bytes` as response number `seq`, holding it back until every
-  // earlier response has been queued (worker mode keeps per-connection
-  // decode order).  Returns false when the connection must be dropped.
-  bool ReleaseOrdered(Conn* conn, std::uint64_t seq, std::string&& bytes);
-  // Move finished worker results into their connections' output buffers in
-  // per-connection decode order, then flush each touched connection once.
+  // Move finished worker results into their connections' output buffers,
+  // then flush each touched connection once.
   void DeliverCompletions(
       const std::unordered_map<std::uint64_t, std::unique_ptr<Conn>>& conns);
   // Turn queued pushes into kNotify frames on their sessions' connections.
@@ -377,9 +365,9 @@ class TcpServer : public Notifier {
   std::uint16_t port_ = 0;
   std::atomic<std::uint64_t> requests_{0};
 
-  // Worker pool (empty in inline mode).  Admission queues are bounded and
-  // per-priority (dequeue order control > foreground > background; see
-  // Options::max_queue for the shed policy).
+  // Worker pool.  Admission queues are bounded and per-priority (dequeue
+  // order control > foreground > background; see Options::max_queue for
+  // the shed policy).
   std::vector<std::thread> workers_;
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
@@ -398,8 +386,6 @@ class TcpServer : public Notifier {
   struct Round {
     int admitted = 0;
     bool held = false;
-    std::uint64_t conn_id = 0;  // the held admission
-    std::uint64_t seq = 0;
   };
   Round round_;
   std::array<std::atomic<common::Nanos>, 256> last_run_ns_{};

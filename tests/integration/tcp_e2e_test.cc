@@ -19,6 +19,7 @@
 #include "core/fms.h"
 #include "core/object_store.h"
 #include "core/proto.h"
+#include "daemon_main.h"
 #include "fs/wire.h"
 #include "net/task.h"
 #include "net/tcp.h"
@@ -330,6 +331,19 @@ TEST_F(TcpClusterTest, RenameAndReaddirFanOutsOverTcp) {
   ASSERT_TRUE(net::RunInline(other->Create("/r/x", 0644)).ok());
   EXPECT_EQ(names_of("/r"), std::vector<std::string>{"x"});
   EXPECT_EQ(names_of("/moved"), want);
+}
+
+// Every request is served by the worker pool or the event loop: a daemon
+// needs at least one worker, so --workers 0 is a usage error.
+TEST(DaemonTest, WorkersBelowOneIsAUsageError) {
+  int workers = 7;
+  EXPECT_FALSE(daemons::ParseWorkers("test", "0", &workers));
+  EXPECT_FALSE(daemons::ParseWorkers("test", "-2", &workers));
+  EXPECT_EQ(workers, 7);
+  EXPECT_TRUE(daemons::ParseWorkers("test", "3", &workers));
+  EXPECT_EQ(workers, 3);
+  EXPECT_TRUE(daemons::ParseWorkers("test", "", &workers));
+  EXPECT_GE(workers, 1);
 }
 
 // ---------------------------------------------------------------------------

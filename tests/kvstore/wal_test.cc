@@ -6,7 +6,10 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "kvstore/kv.h"
 
 namespace loco::kv {
 namespace {
@@ -137,6 +140,36 @@ TEST_F(WalTest, CountsAppendedBytes) {
   ASSERT_TRUE(wal.Append("12345").ok());
   EXPECT_EQ(wal.appended_records(), 1u);
   EXPECT_EQ(wal.appended_bytes(), 5u + 8u);
+}
+
+TEST_F(WalTest, StoreIoBytesEqualTheLogFileSize) {
+  // A store counts each logged record with its frame header, so after any
+  // mix of puts, patches and deletes its io_bytes is its log's size.  LsmKV
+  // is left out: it also counts run writes and truncates its log on flush.
+  for (const auto& [backend, file] :
+       {std::pair{KvBackend::kHash, "hashkv.wal"},
+        std::pair{KvBackend::kBTree, "btreekv.wal"}}) {
+    const std::string name(KvBackendName(backend));
+    KvOptions options;
+    options.dir = (dir_ / name).string();
+    std::filesystem::create_directories(options.dir);
+    auto made = MakeKv(backend, options);
+    ASSERT_TRUE(made.ok()) << name;
+    Kv& kv = **made;
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(
+          kv.Put("key" + std::to_string(i), std::string(1 + i % 17, 'v')).ok());
+    }
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(kv.PatchValue("key" + std::to_string(20 + i), 0, "p").ok());
+    }
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(kv.Delete("key" + std::to_string(3 * i)).ok());
+    }
+    EXPECT_EQ(kv.stats().io_bytes,
+              std::filesystem::file_size(options.dir + "/" + file))
+        << name;
+  }
 }
 
 TEST_F(WalTest, OpenInvalidPathFails) {

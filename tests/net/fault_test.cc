@@ -2,8 +2,11 @@
 // replay semantics, and end-to-end injected faults over a real TcpServer /
 // TcpChannel pair (docs/FAULTS.md).
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -241,14 +244,25 @@ RpcResponse BlockingCall(TcpChannel& channel, NodeId server,
   return out;  // TcpChannel completes inline.
 }
 
+// Polls `pred` until it holds or 10 s pass.  A duplicated frame's second
+// copy may still be running on a worker when the first copy's reply reaches
+// the caller, so counts that include both copies are polled for.
+bool Eventually(const std::function<bool()>& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
 struct FaultyServer {
-  explicit FaultyServer(const char* spec_text, DedupWindow* dedup = nullptr,
-                        int workers = 0) {
+  explicit FaultyServer(const char* spec_text, DedupWindow* dedup = nullptr) {
     auto spec = FaultSpec::Parse(spec_text);
     EXPECT_TRUE(spec.ok()) << spec.status().ToString();
     injector = std::make_unique<FaultInjector>(*spec);
     TcpServer::Options options;
-    options.workers = workers;
     options.fault = injector.get();
     options.dedup = dedup;
     server = std::make_unique<TcpServer>(&handler, options);
@@ -343,8 +357,10 @@ TEST(TcpFaultTest, DuplicatedFramesApplyExactlyOnceWithDedup) {
   }
   // Every frame was delivered twice; the dedup window must have served each
   // duplicate from cache, executing the handler exactly once per call.
+  EXPECT_TRUE(Eventually([&] {
+    return dedup.replays() == static_cast<std::uint64_t>(kCalls);
+  })) << dedup.replays();
   EXPECT_EQ(fs.handler.calls(), kCalls);
-  EXPECT_EQ(dedup.replays(), static_cast<std::uint64_t>(kCalls));
 }
 
 TEST(TcpFaultTest, DuplicatedFramesDoubleApplyWithoutDedup) {
@@ -356,7 +372,9 @@ TEST(TcpFaultTest, DuplicatedFramesDoubleApplyWithoutDedup) {
   meta.trace_id = NextTraceId();
   const RpcResponse resp = BlockingCall(channel, 1, kEchoOp, "x", meta);
   EXPECT_TRUE(resp.ok());
-  EXPECT_EQ(fs.handler.calls(), 2);  // the hazard the window exists to close
+  // The hazard the window exists to close.
+  EXPECT_TRUE(Eventually([&] { return fs.handler.calls() == 2; }))
+      << fs.handler.calls();
 }
 
 }  // namespace

@@ -89,6 +89,17 @@ TEST(TcpTest, RequestResponseRoundtrip) {
   EXPECT_EQ(server.requests_served(), 1u);
 }
 
+TEST(TcpTest, StartRefusesFewerThanOneWorker) {
+  EchoHandler handler;
+  for (const int workers : {0, -1}) {
+    TcpServer::Options options;
+    options.workers = workers;
+    TcpServer server(&handler, options);
+    EXPECT_EQ(server.Start().code(), ErrCode::kInvalid) << workers;
+    EXPECT_FALSE(server.running());
+  }
+}
+
 TEST(TcpTest, ModeledServiceTimeIsNotSlept) {
   // extra_service_ns is the simulator's modeled device time; over real
   // sockets the reply goes out as soon as the handler returns.
@@ -537,24 +548,18 @@ TEST(TcpWorkerPoolTest, PipelinedBurstExecutesOutOfOrderYetCorrelates) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], "fast") << "fast call should overtake the slow one";
   EXPECT_EQ(order[1], "slow");
-}
 
-TEST(TcpWorkerPoolTest, PipelinedBurstOnInlineServerStillCorrelates) {
-  EchoHandler handler;
-  TcpServer server(&handler);  // workers == 0: responses arrive in order
-  ASSERT_TRUE(server.Start().ok());
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-
+  // A longer burst on the same connection: every reply, whichever thread
+  // ran its request, lands on its own leg.
   std::vector<CallLeg> legs;
-  for (int i = 0; i < 16; ++i) legs.push_back({1, 7, "p" + std::to_string(i)});
-  const std::vector<RpcResponse> rs = BlockingFanOut(channel, legs);
-  ASSERT_EQ(rs.size(), legs.size());
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    EXPECT_EQ(rs[i].code, ErrCode::kOk);
-    EXPECT_EQ(rs[i].payload, legs[i].payload);
+  for (int i = 0; i < 16; ++i) legs.push_back({1, 51, "p" + std::to_string(i)});
+  const std::vector<RpcResponse> burst = BlockingFanOut(channel, legs);
+  ASSERT_EQ(burst.size(), legs.size());
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    EXPECT_EQ(burst[i].code, ErrCode::kOk);
+    EXPECT_EQ(burst[i].payload, legs[i].payload);
   }
-  EXPECT_EQ(server.requests_served(), legs.size());
+  EXPECT_EQ(server.requests_served(), 2 + legs.size());
 }
 
 TEST(TcpWorkerPoolTest, TimeoutThenLateResponseIsDiscardedNotCorruption) {
@@ -923,12 +928,13 @@ std::optional<wire::PinnedFrame> ReadResponse(int fd,
   }
 }
 
-TEST(TcpWorkerPoolTest, LoopRunReplyWaitsForEarlierWorkerReply) {
+TEST(TcpWorkerPoolTest, LoopRunReplyOvertakesAParkedWorkerReply) {
   // One connection: a request parked on a worker, then a cheap echo the
-  // loop runs while it is parked.  The echo's reply must still follow the
-  // parked request's.  If the echo's history happens to be slow it goes to
-  // the idle worker instead; the order must hold either way, and the
-  // scenario repeats until the loop did run the echo.
+  // loop runs while it is parked.  A reply leaves as soon as it exists, so
+  // the echo's arrives while the parked request is still parked; the client
+  // tells them apart by request id.  If the echo's history happens to be
+  // slow it goes to the idle worker instead, whose reply must not wait
+  // either; the scenario repeats until the loop did run the echo.
   ParkingHandler handler;
   TcpServer::Options options;
   options.workers = 2;
@@ -947,26 +953,20 @@ TEST(TcpWorkerPoolTest, LoopRunReplyWaitsForEarlierWorkerReply) {
     const std::uint64_t echo_id = ++id;
     SendRequest(fd, 60, parked_id, "parked");
     ASSERT_TRUE(handler.WaitParked(round));
-    const int echoes_before = handler.echoes();
     const std::uint64_t loop_before = server.loop_runs();
     SendRequest(fd, 7, echo_id, "echo");
-    EXPECT_TRUE(Eventually([&] { return handler.echoes() > echoes_before; }));
-    // A loop run is counted right after the handler returns.
-    looped = Eventually([&] { return server.loop_runs() > loop_before; },
-                        std::chrono::milliseconds(100));
-    char byte = 0;
-    EXPECT_EQ(::recv(fd, &byte, 1, MSG_DONTWAIT), -1)
-        << "the echo's reply overtook the parked request's";
-
-    handler.Open();
-    const std::optional<wire::PinnedFrame> first = ReadResponse(fd, reader);
-    const std::optional<wire::PinnedFrame> second = ReadResponse(fd, reader);
-    ASSERT_TRUE(first.has_value());
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(first->header.request_id, parked_id);
-    EXPECT_EQ(first->payload, "parked");
-    EXPECT_EQ(second->header.request_id, echo_id);
-    EXPECT_EQ(second->payload, "echo");
+    const std::optional<wire::PinnedFrame> echo = ReadResponse(fd, reader);
+    // A loop run is counted before its reply leaves.
+    looped = server.loop_runs() > loop_before;
+    handler.Open();  // first, so a failed assertion cannot strand a worker
+    ASSERT_TRUE(echo.has_value())
+        << "the echo's reply waited for the parked request's";
+    EXPECT_EQ(echo->header.request_id, echo_id);
+    EXPECT_EQ(echo->payload, "echo");
+    const std::optional<wire::PinnedFrame> parked = ReadResponse(fd, reader);
+    ASSERT_TRUE(parked.has_value());
+    EXPECT_EQ(parked->header.request_id, parked_id);
+    EXPECT_EQ(parked->payload, "parked");
   }
   EXPECT_TRUE(looped) << "the loop never ran the echo";
   ::close(fd);
@@ -1041,12 +1041,17 @@ TEST(TcpWorkerPoolTest, DuplicateOfARunningRequestNeverStallsTheLoop) {
 
   handler.Open();
   wire::PinnedFrameReader original_reader, retry_reader;
+  // The second request's reply left while the original was parked.
+  const std::optional<wire::PinnedFrame> second_reply =
+      ReadResponse(original_fd, original_reader);
   const std::optional<wire::PinnedFrame> first =
       ReadResponse(original_fd, original_reader);
   const std::optional<wire::PinnedFrame> replayed =
       ReadResponse(retry_fd, retry_reader);
+  ASSERT_TRUE(second_reply.has_value());
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(replayed.has_value());
+  EXPECT_EQ(second_reply->header.request_id, 2u);
   EXPECT_EQ(first->header.request_id, 1u);
   EXPECT_EQ(replayed->header.request_id, 3u);
   EXPECT_EQ(replayed->header.code, first->header.code);
@@ -1146,35 +1151,6 @@ TEST(TcpWorkerPoolTest, TimedOutReaderHandsTheSocketOver) {
   EXPECT_EQ(third.payload, "third");
 }
 
-TEST(TcpTest, DisconnectAllLetsInFlightCallsFinish) {
-  // DisconnectAll drops only the pool's references.  A call parked on the
-  // server keeps its connection and reads its own reply, and the next call
-  // dials a new connection: on the old one its reply would queue behind the
-  // parked call's, since a server answers each connection in order.
-  ParkingHandler handler;
-  TcpServer::Options options;
-  options.workers = 2;
-  TcpServer server(&handler, options);
-  ASSERT_TRUE(server.Start().ok());
-  TcpChannel channel;
-  channel.Register(1, server.host(), server.port());
-  ASSERT_EQ(BlockingCall(channel, 1, 7, "warm").code, ErrCode::kOk);
-
-  RpcResponse parked;
-  std::thread caller([&] { parked = BlockingCall(channel, 1, 60, "parked"); });
-  EXPECT_TRUE(handler.WaitParked(1));
-  channel.DisconnectAll();
-  CallMeta meta;
-  meta.deadline_ns = 2 * common::kSecond;
-  const RpcResponse next = BlockingCall(channel, 1, 7, "next", meta);
-  EXPECT_EQ(next.code, ErrCode::kOk) << "the next call rode the old connection";
-  EXPECT_EQ(next.payload, "next");
-  handler.Open();
-  caller.join();
-  EXPECT_EQ(parked.code, ErrCode::kOk);
-  EXPECT_EQ(parked.payload, "parked");
-}
-
 TEST(TcpTest, ChannelStartsNoThread) {
   EchoHandler handler;
   TcpServer server(&handler);
@@ -1271,9 +1247,10 @@ TEST(TcpFanOutTest, BurstToOneServerGetsTwoWorkers) {
   EXPECT_EQ(server.loop_runs(), loop_before);
 }
 
-// A hand-rolled frame server on one thread, serving one connection at a
-// time: it echoes each request's payload, answers every `burst` requests
-// together in reverse arrival order, and closes the connection instead of
+// A hand-rolled frame server with one thread per connection: it echoes each
+// request's payload, holds requests until `burst` of them (counted across
+// connections) have arrived, then answers those together, last arrival
+// first, each on its own connection.  It closes the connection instead of
 // answering request number `close_at` (counted across connections from 1;
 // 0 = never).  Talk to it with an anonymous channel (client_id 0, so no
 // hello): it does not speak the hello.
@@ -1292,29 +1269,43 @@ class FramedResponder {
     ::getsockname(fd_, reinterpret_cast<struct sockaddr*>(&addr), &len);
     port_ = ntohs(addr.sin_port);
     ::listen(fd_, 8);
-    thread_ = std::thread([this] {
+    acceptor_ = std::thread([this] {
       for (;;) {
         const int conn = ::accept(fd_, nullptr, nullptr);
         if (conn < 0) return;  // listener closed
-        connections_.fetch_add(1);
-        Serve(conn);
-        ::close(conn);
+        std::scoped_lock lock(mu_);
+        conns_.push_back(conn);
+        servers_.emplace_back([this, conn] { Serve(conn); });
       }
     });
   }
   ~FramedResponder() {
     ::shutdown(fd_, SHUT_RDWR);
     ::close(fd_);
-    thread_.join();
+    acceptor_.join();
+    // No connection is accepted any more: conns_ and servers_ stay as is.
+    for (const int conn : conns_) ::shutdown(conn, SHUT_RDWR);
+    for (std::thread& server : servers_) server.join();
+    for (const int conn : conns_) ::close(conn);
   }
   std::uint16_t port() const { return port_; }
-  int connections() const { return connections_.load(); }
-  std::uint64_t requests() const { return requests_.load(); }
+  int connections() const {
+    std::scoped_lock lock(mu_);
+    return static_cast<int>(conns_.size());
+  }
+  std::uint64_t requests() const {
+    std::scoped_lock lock(mu_);
+    return requests_;
+  }
 
  private:
+  struct Held {
+    int conn;
+    wire::PinnedFrame frame;
+  };
+
   void Serve(int conn) {
     wire::PinnedFrameReader reader;
-    std::vector<wire::PinnedFrame> held;
     for (;;) {
       std::size_t capacity = 0;
       char* dst = reader.RecvInto(wire::kMinRecvWindow, &capacity);
@@ -1322,18 +1313,21 @@ class FramedResponder {
       if (n <= 0) return;
       reader.Commit(static_cast<std::size_t>(n));
       while (auto frame = reader.Next()) {
-        if (requests_.fetch_add(1) + 1 == close_at_) return;
-        held.push_back(std::move(*frame));
-        if (held.size() < burst_) continue;
-        std::string out;
-        for (auto it = held.rbegin(); it != held.rend(); ++it) {
-          wire::FrameHeader h = it->header;
+        std::scoped_lock lock(mu_);
+        if (++requests_ == close_at_) {
+          ::shutdown(conn, SHUT_RDWR);
+          return;
+        }
+        held_.push_back(Held{conn, std::move(*frame)});
+        if (held_.size() < burst_) continue;
+        for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
+          wire::FrameHeader h = it->frame.header;
           h.type = wire::FrameType::kResponse;
           h.code = ErrCode::kOk;
-          out += wire::EncodeFrame(h, it->payload);
+          const std::string out = wire::EncodeFrame(h, it->frame.payload);
+          (void)::send(it->conn, out.data(), out.size(), MSG_NOSIGNAL);
         }
-        held.clear();
-        (void)::send(conn, out.data(), out.size(), MSG_NOSIGNAL);
+        held_.clear();
       }
     }
   }
@@ -1342,10 +1336,37 @@ class FramedResponder {
   const std::uint64_t close_at_;
   int fd_ = -1;
   std::uint16_t port_ = 0;
-  std::atomic<int> connections_{0};
-  std::atomic<std::uint64_t> requests_{0};
-  std::thread thread_;
+  mutable std::mutex mu_;
+  std::vector<int> conns_;
+  std::vector<std::thread> servers_;
+  std::vector<Held> held_;
+  std::uint64_t requests_ = 0;
+  std::thread acceptor_;
 };
+
+TEST(TcpTest, DisconnectAllLetsInFlightCallsFinish) {
+  // DisconnectAll drops only the pool's references: a call in flight keeps
+  // its connection and reads its own reply, and the next call dials a new
+  // one.  The responder holds the first request until a second arrives on
+  // any connection, so the held call finishes only once the next call's
+  // request is in; the responder's connection count shows where it came.
+  FramedResponder responder(/*burst=*/2, /*close_at=*/0);
+  TcpChannel channel;
+  channel.Register(1, "127.0.0.1", responder.port());
+
+  RpcResponse held;
+  std::thread caller([&] { held = BlockingCall(channel, 1, 7, "held"); });
+  EXPECT_TRUE(Eventually([&] { return responder.requests() == 1; }));
+  channel.DisconnectAll();
+  const RpcResponse next = BlockingCall(channel, 1, 7, "next");
+  caller.join();
+  EXPECT_EQ(next.code, ErrCode::kOk);
+  EXPECT_EQ(next.payload, "next");
+  EXPECT_EQ(held.code, ErrCode::kOk);
+  EXPECT_EQ(held.payload, "held");
+  EXPECT_EQ(responder.connections(), 2)
+      << "the next call rode the old connection";
+}
 
 TEST(TcpFanOutTest, LegsToOneServerShareOneConnectionAndCorrelate) {
   FramedResponder responder(/*burst=*/8, /*close_at=*/0);
