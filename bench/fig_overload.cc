@@ -189,7 +189,6 @@ class Driver {
   // priority stamping matters.
   std::unique_ptr<net::TcpChannel> NewChannel() {
     net::TcpChannelOptions options;
-    options.connect_attempts = 3;
     options.call_deadline_ns = 10 * common::kSecond;
     auto channel = std::make_unique<net::TcpChannel>(options);
     if (!channel->Register(kNode, endpoint_)) Fail("endpoint parse");

@@ -10,7 +10,6 @@
 
 #include <sys/stat.h>
 
-#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -45,10 +44,7 @@ inline bool ParseWorkers(const char* name, const std::string& str, int* out) {
     return true;
   }
   int workers = -1;
-  const char* begin = str.data();
-  const char* end = begin + str.size();
-  if (auto [p, ec] = std::from_chars(begin, end, workers);
-      ec != std::errc{} || p != end || workers < 1) {
+  if (!common::ParseInt(str, &workers) || workers < 1) {
     std::fprintf(stderr, "%s: bad --workers '%s' (want an integer >= 1)\n",
                  name, str.c_str());
     return false;
@@ -99,13 +95,12 @@ inline std::uint64_t NextEpoch(const std::string& store_dir) {
 }
 
 // A channel to `endpoints` (node i = endpoints[i]) for a daemon's own calls
-// to its peers: one connect attempt, `deadline` per call.  A malformed
-// endpoint is reported in *bad_spec and left unregistered.
+// to its peers: `deadline` per call, no retry layer.  A malformed endpoint
+// is reported in *bad_spec and left unregistered.
 inline std::unique_ptr<net::TcpChannel> PeerChannel(
     const std::vector<std::string>& endpoints, std::string* bad_spec,
-    common::Nanos deadline = 5 * common::kSecond) {
+    common::Nanos deadline = net::kDefaultCallDeadlineNs) {
   net::TcpChannelOptions channel_options;
-  channel_options.connect_attempts = 1;
   channel_options.call_deadline_ns = deadline;
   auto channel = std::make_unique<net::TcpChannel>(channel_options);
   for (std::size_t i = 0; i < endpoints.size(); ++i) {
@@ -167,10 +162,7 @@ inline bool ParseGcFlags(const char* name, const std::string& ops_str,
   }
   if (!batch_str.empty()) {
     unsigned batch = 0;
-    const char* begin = batch_str.data();
-    const char* end = begin + batch_str.size();
-    if (auto [p, ec] = std::from_chars(begin, end, batch);
-        ec != std::errc{} || p != end || batch == 0) {
+    if (!common::ParseInt(batch_str, &batch) || batch == 0) {
       std::fprintf(stderr, "%s: bad --gc-batch '%s' (want an integer > 0)\n",
                    name, batch_str.c_str());
       return false;

@@ -30,7 +30,6 @@
 // no peers (everything it checks lives in this server's two stores), plus —
 // when --peers is given — the cross-shard intent resolver above.
 // --gc-ops caps the scan rate, --gc-batch sizes one step.
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -220,10 +219,7 @@ int main(int argc, char** argv) {
 
   std::uint32_t shard_id = 0;
   if (!shard_id_str.empty()) {
-    const char* sb = shard_id_str.data();
-    const char* se = sb + shard_id_str.size();
-    if (auto [p, ec] = std::from_chars(sb, se, shard_id);
-        ec != std::errc{} || p != se || shard_id >= 0xfffe) {
+    if (!common::ParseInt(shard_id_str, &shard_id) || shard_id >= 0xfffe) {
       std::fprintf(stderr, "locofs_dmsd: bad --shard-id '%s'\n",
                    shard_id_str.c_str());
       return 2;
@@ -239,10 +235,7 @@ int main(int argc, char** argv) {
   std::uint64_t intent_age_ns = 10'000 * common::kMilli;  // 10 s default
   if (!intent_age_str.empty()) {
     std::uint64_t ms = 0;
-    const char* ab = intent_age_str.data();
-    const char* ae = ab + intent_age_str.size();
-    if (auto [p, ec] = std::from_chars(ab, ae, ms);
-        ec != std::errc{} || p != ae || ms == 0) {
+    if (!common::ParseInt(intent_age_str, &ms) || ms == 0) {
       std::fprintf(stderr, "locofs_dmsd: bad --gc-intent-age-ms '%s'\n",
                    intent_age_str.c_str());
       return 2;

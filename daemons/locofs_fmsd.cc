@@ -28,7 +28,6 @@
 // (--gc-dms h1:p1,h2:p2,...): a uuid is alive if ANY shard claims it.
 // --gc-ops caps the scan rate (touched entries/sec), --gc-batch sizes one
 // step.
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -94,10 +93,7 @@ int main(int argc, char** argv) {
   if (!daemons::ParseFaultSpec("locofs_fmsd", fault_spec, &fault)) return 2;
 
   std::uint32_t sid = 0;
-  const char* begin = sid_str.data();
-  const char* end = begin + sid_str.size();
-  if (auto [p, ec] = std::from_chars(begin, end, sid);
-      ec != std::errc{} || p != end) {
+  if (!common::ParseInt(sid_str, &sid)) {
     std::fprintf(stderr, "locofs_fmsd: bad --sid '%s'\n", sid_str.c_str());
     return 2;
   }
@@ -113,10 +109,7 @@ int main(int argc, char** argv) {
   }
   std::uint32_t node = sid;  // core::Connect numbers fms nodes by sid
   if (!node_str.empty()) {
-    const char* nb = node_str.data();
-    const char* ne = nb + node_str.size();
-    if (auto [p, ec] = std::from_chars(nb, ne, node);
-        ec != std::errc{} || p != ne) {
+    if (!common::ParseInt(node_str, &node)) {
       std::fprintf(stderr, "locofs_fmsd: bad --node '%s'\n", node_str.c_str());
       return 2;
     }

@@ -25,7 +25,6 @@
 // per-object locks), so it runs bare behind the pool.  --store-dir persists
 // the block table across restarts; --fault-spec arms the deterministic
 // fault plane (grammar in net/fault.h).
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -94,10 +93,7 @@ int main(int argc, char** argv) {
   options.kv.dir = store_dir;
   if (!block_str.empty()) {
     std::size_t block_bytes = 0;
-    const char* begin = block_str.data();
-    const char* end = begin + block_str.size();
-    if (auto [p, ec] = std::from_chars(begin, end, block_bytes);
-        ec != std::errc{} || p != end || block_bytes == 0) {
+    if (!common::ParseInt(block_str, &block_bytes) || block_bytes == 0) {
       std::fprintf(stderr, "locofs_osd: bad --block-bytes '%s'\n",
                    block_str.c_str());
       return 2;
@@ -107,10 +103,7 @@ int main(int argc, char** argv) {
 
   std::uint32_t node = 1000;  // core::Connect numbers osd nodes from 1000
   if (!node_str.empty()) {
-    const char* nb = node_str.data();
-    const char* ne = nb + node_str.size();
-    if (auto [p, ec] = std::from_chars(nb, ne, node);
-        ec != std::errc{} || p != ne) {
+    if (!common::ParseInt(node_str, &node)) {
       std::fprintf(stderr, "locofs_osd: bad --node '%s'\n", node_str.c_str());
       return 2;
     }

@@ -53,7 +53,13 @@ smoke_dir=$(mktemp -d)
   --store-dir "$smoke_dir" >"$smoke_dir/fms.log" 2>&1 &
 smoke_pid=$!
 trap 'kill $smoke_pid 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
-sleep 0.5
+# The channel makes one connect attempt per call, so wait (up to 10 s) for
+# the daemon's "listening on" banner before the warm-up call.
+for _ in $(seq 100); do
+  grep -q 'listening on' "$smoke_dir/fms.log" && break
+  sleep 0.1
+done
+grep -q 'listening on' "$smoke_dir/fms.log"
 ./build/bench/fig_overload --short --connect 127.0.0.1:47117 \
   --out build/BENCH_overload_live.json
 kill $smoke_pid 2>/dev/null || true

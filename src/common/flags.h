@@ -1,9 +1,12 @@
-// Command-line flag matching shared by the daemons, the tools, the benches
-// and the shell.
+// Command-line flag matching and whole-string integer parsing, shared by the
+// daemons, the tools, the benches, the shell and the transport's spec
+// parsers (--fault-spec, host:port).
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 namespace loco::common {
 
@@ -25,6 +28,20 @@ inline bool FlagValue(int argc, char** argv, int* i, std::string_view flag,
     return true;
   }
   return false;
+}
+
+// Parses all of `text` as a base-10 integer of type Int.  False, with *out
+// untouched, on an empty string, a sign Int cannot take ('+' never, '-'
+// for an unsigned Int), trailing characters or a value out of Int's range;
+// the caller adds its own range check.
+template <typename Int>
+bool ParseInt(std::string_view text, Int* out) {
+  Int value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return false;
+  *out = value;
+  return true;
 }
 
 }  // namespace loco::common

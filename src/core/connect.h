@@ -51,12 +51,13 @@ struct ClientOptions {
   bool cache_enabled = true;
   std::uint64_t lease_ns = 30ull * 1'000'000'000;
 
-  // Transport tuning (deadlines, connect retry, fault plane...).
+  // Transport tuning.  channel.call_deadline_ns is the mount's one
+  // deadline: with resilience on it bounds all attempts of a call together.
   net::TcpChannelOptions channel;
 
-  // Retry + per-endpoint circuit breakers (net/resilience.h).  Safe by
-  // default because the daemons deduplicate idempotent mutations server-side
-  // (net::DedupWindow).
+  // Retry with backoff + per-endpoint circuit breakers (net/resilience.h),
+  // the mount's only retry layer.  Safe by default because the daemons
+  // deduplicate idempotent mutations server-side (net::DedupWindow).
   bool resilience = true;
   net::ResilienceOptions resilience_options;
 

@@ -94,7 +94,6 @@ Status BTreeKV::Open() {
 }
 
 Status BTreeKV::LogAppend(std::string_view record) {
-  if (!wal_.IsOpen()) return OkStatus();
   stats_.io_ops += 1;
   stats_.io_bytes += Wal::kHeaderBytes + record.size();
   return wal_.Append(record);
@@ -375,7 +374,7 @@ Status BTreeKV::Put(std::string_view key, std::string_view value) {
   stats_.puts += 1;
   stats_.bytes_written += key.size() + value.size();
   InsertNoLog(key, value);
-  return LogAppend(walrec::EncodePut(key, value));
+  return wal_.IsOpen() ? LogAppend(walrec::EncodePut(key, value)) : OkStatus();
 }
 
 Status BTreeKV::Get(std::string_view key, std::string* value) const {
@@ -390,7 +389,7 @@ Status BTreeKV::Get(std::string_view key, std::string* value) const {
 Status BTreeKV::Delete(std::string_view key) {
   stats_.deletes += 1;
   if (!EraseNoLog(key)) return ErrStatus(ErrCode::kNotFound);
-  return LogAppend(walrec::EncodeDelete(key));
+  return wal_.IsOpen() ? LogAppend(walrec::EncodeDelete(key)) : OkStatus();
 }
 
 bool BTreeKV::Contains(std::string_view key) const {
@@ -408,7 +407,8 @@ Status BTreeKV::PatchValue(std::string_view key, std::size_t offset,
   }
   v->replace(offset, patch.size(), patch);
   stats_.bytes_written += patch.size();
-  return LogAppend(walrec::EncodePatch(key, offset, patch));
+  return wal_.IsOpen() ? LogAppend(walrec::EncodePatch(key, offset, patch))
+                       : OkStatus();
 }
 
 Status BTreeKV::ReadValueAt(std::string_view key, std::size_t offset,

@@ -68,7 +68,8 @@ class BTreeKV final : public Kv {
   Status VisitRange(std::string_view lo, std::string_view hi,
                     std::size_t limit, const Visitor& fn) const;
 
-  // Append one encoded record to the WAL, when persistence is on.
+  // Append one encoded record to the open WAL.  Callers check
+  // wal_.IsOpen() first, so a memory-only tree never encodes a record.
   Status LogAppend(std::string_view record);
 
   KvOptions options_;

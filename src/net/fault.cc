@@ -1,17 +1,12 @@
 #include "net/fault.h"
 
-#include <charconv>
 #include <cstdlib>
+
+#include "common/flags.h"
 
 namespace loco::net {
 
 namespace {
-
-bool ParseU64(std::string_view text, std::uint64_t* out) {
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
-}
 
 bool ParseDouble(std::string_view text, double* out) {
   // std::from_chars<double> is spotty across standard libraries; strtod on a
@@ -47,7 +42,7 @@ Result<FaultSpec> FaultSpec::Parse(std::string_view text) {
     const std::string_view value = item.substr(eq + 1);
     bool ok = true;
     if (key == "seed") {
-      ok = ParseU64(value, &spec.seed);
+      ok = common::ParseInt(value, &spec.seed);
     } else if (key == "drop") {
       ok = ParseProbability(value, &spec.drop);
     } else if (key == "dup") {
@@ -56,18 +51,18 @@ Result<FaultSpec> FaultSpec::Parse(std::string_view text) {
       ok = ParseProbability(value, &spec.delay);
     } else if (key == "delay_ms") {
       std::uint64_t ms = 0;
-      ok = ParseU64(value, &ms);
+      ok = common::ParseInt(value, &ms);
       spec.delay_ns = static_cast<common::Nanos>(ms) * common::kMilli;
     } else if (key == "reset") {
       ok = ParseProbability(value, &spec.reset);
     } else if (key == "short_write") {
       ok = ParseProbability(value, &spec.short_write);
     } else if (key == "crash_after") {
-      ok = ParseU64(value, &spec.crash_after);
+      ok = common::ParseInt(value, &spec.crash_after);
     } else if (key == "kv_put_fail") {
       ok = ParseProbability(value, &spec.kv_put_fail);
     } else if (key == "kv_fail_after") {
-      ok = ParseU64(value, &spec.kv_fail_after);
+      ok = common::ParseInt(value, &spec.kv_fail_after);
     } else if (key == "notify_drop") {
       ok = ParseProbability(value, &spec.notify_drop);
     } else if (key == "notify_dup") {

@@ -62,6 +62,9 @@ Status DecodeServerUp(std::string_view bytes, ServerUpEvent* out) {
 
 namespace {
 
+// How long the hello exchange on a fresh stream connection may take.
+constexpr common::Nanos kHelloTimeoutNs = 2 * common::kSecond;
+
 struct ListenerCounters {
   common::Counter* reconnects;
   common::Counter* resyncs;
@@ -203,7 +206,7 @@ bool NotifyListener::RecvOne(int fd, wire::PinnedFrameReader* reader,
 void NotifyListener::RunOnce(bool* ever_connected, bool* connected_this_cycle) {
   const auto& counters = ListenerCounters::Get();
   const int fd = DialTcp(options_.host, options_.port,
-                         common::CpuTimer::Now() + options_.connect_timeout_ns);
+                         common::CpuTimer::Now() + kDialTimeoutNs);
   if (fd < 0) return;
 
   // Hello: ask the server to make this connection our notify session.
@@ -216,7 +219,7 @@ void NotifyListener::RunOnce(bool* ever_connected, bool* connected_this_cycle) {
   header.request_id = 1;
   header.trace_id = NextTraceId();
   const common::Nanos hello_deadline =
-      common::CpuTimer::Now() + options_.hello_timeout_ns;
+      common::CpuTimer::Now() + kHelloTimeoutNs;
   wire::PinnedFrameReader reader;
   wire::PinnedFrame reply;
   wire::HelloReply granted;

@@ -106,8 +106,6 @@ class NotifyListener {
     std::string host;
     std::uint16_t port = 0;
     std::uint64_t client_id = 0;  // must match the RPC channel's client id
-    common::Nanos connect_timeout_ns = common::kSecond;
-    common::Nanos hello_timeout_ns = 2 * common::kSecond;
     // Reconnect backoff: doubles from base to cap while the server is down.
     common::Nanos backoff_base_ns = 50 * common::kMilli;
     common::Nanos backoff_cap_ns = 2 * common::kSecond;

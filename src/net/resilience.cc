@@ -1,6 +1,9 @@
 #include "net/resilience.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <thread>
@@ -25,12 +28,21 @@ common::Nanos RetryAfterHint(const std::string& payload) {
   return static_cast<common::Nanos>(hint);
 }
 
+// A jitter seed no other channel shares: process id, wall clock and a
+// process-wide count, mixed the way core::Connect mints client ids.
+std::uint64_t JitterSeed() {
+  static std::atomic<std::uint64_t> counter{0};
+  return (static_cast<std::uint64_t>(::getpid()) << 48) ^
+         static_cast<std::uint64_t>(common::WallClockNs()) ^
+         counter.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 ResilientChannel::ResilientChannel(Channel* inner, ResilienceOptions options)
     : inner_(inner),
       options_(options),
-      rng_(options.seed),
+      rng_(JitterSeed()),
       retry_tokens_(options.retry_budget_cap) {
   auto& reg = common::MetricsRegistry::Default();
   retries_ = &reg.GetCounter("rpc.resilient.retries");
@@ -81,7 +93,7 @@ void ResilientChannel::FanOutAsync(
   // stamped with what remains, so max_attempts can never stretch a call past
   // its total.
   const common::Nanos total_ns =
-      meta.deadline_ns > 0 ? meta.deadline_ns : options_.default_deadline_ns;
+      meta.deadline_ns > 0 ? meta.deadline_ns : inner_->call_deadline_ns();
   const common::Nanos deadline_abs = common::CpuTimer::Now() + total_ns;
   for (std::size_t i = 0; i < legs.size(); ++i) DepositRetryToken();
   std::vector<RpcResponse> out(legs.size());

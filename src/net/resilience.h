@@ -28,9 +28,11 @@
 //     call is let through; success closes the breaker, failure re-opens it.
 //
 // Two global guards bound what retrying may amplify:
-//   * One deadline budget covers ALL attempts of a call: the first attempt
-//     gets the full budget, later attempts only what is left of it, and the
-//     loop stops once it is spent — a 3-attempt call can never take 3x its
+//   * One deadline budget covers ALL attempts of a call: the caller's
+//     CallMeta deadline, else the inner channel's call_deadline_ns() (a
+//     mount's TcpChannelOptions::call_deadline_ns).  The first attempt gets
+//     the full budget, later attempts only what is left of it, and the loop
+//     stops once it is spent — a 3-attempt call can never take 3x its
 //     deadline.
 //   * A token-bucket retry budget (retry_budget_ratio per issued call,
 //     capped) gates every retry: when sustained failure drains the bucket,
@@ -63,20 +65,14 @@ struct ResilienceOptions {
   // Total tries per call (1 = no retry).
   int max_attempts = 3;
   // Full-jitter backoff before attempt N+1: sleep uniform in
-  // [0, min(cap, base * 2^N)].
+  // [0, min(cap, base * 2^N)], drawn from a stream seeded per channel
+  // instance, so clients that failed together do not retry in lockstep.
   common::Nanos backoff_base_ns = 5 * common::kMilli;
   common::Nanos backoff_cap_ns = 200 * common::kMilli;
   // Consecutive retryable failures that open the breaker.
   int breaker_threshold = 5;
   // How long an open breaker fails fast before probing.
   common::Nanos breaker_open_ns = 500 * common::kMilli;
-  // Seed for the deterministic jitter stream.
-  std::uint64_t seed = 0x5eed;
-  // Total deadline budget shared across all attempts of one call when the
-  // caller's CallMeta carries none (matches TcpChannelOptions'
-  // call_deadline_ns default).  A CallMeta deadline overrides it and is
-  // likewise treated as the all-attempts total.
-  common::Nanos default_deadline_ns = 5 * common::kSecond;
   // Retry token bucket: each issued call deposits `retry_budget_ratio`
   // tokens (bounded by `retry_budget_cap`; the bucket starts full) and each
   // retry spends one.  At ratio 0.1 sustained failure settles at ~10% retry

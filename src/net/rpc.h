@@ -84,6 +84,10 @@ enum class Priority : std::uint8_t {
   kControl = 2,
 };
 
+// The deadline a call gets when neither its CallMeta nor its channel's
+// options set one.
+inline constexpr common::Nanos kDefaultCallDeadlineNs = 5 * common::kSecond;
+
 // Per-call metadata carried alongside a request.  Transports that speak a
 // real wire format (net::TcpChannel) put the trace id, remaining deadline
 // budget and priority in the frame header and enforce the deadline; the
@@ -138,6 +142,13 @@ class Channel {
   // payload), so identical legs would replay one another's response.
   virtual void FanOutAsync(std::vector<CallLeg> legs, const CallMeta& meta,
                            std::function<void(std::vector<RpcResponse>)> done);
+
+  // The deadline of a call whose CallMeta carries none.  net::TcpChannel
+  // answers its TcpChannelOptions::call_deadline_ns; a ResilientChannel
+  // spreads its inner channel's over all attempts of a call.
+  virtual common::Nanos call_deadline_ns() const {
+    return kDefaultCallDeadlineNs;
+  }
 };
 
 // One call from code that is not a coroutine (fsck, the daemons' GC probes

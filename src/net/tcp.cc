@@ -14,14 +14,13 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
 
 #include "common/codec.h"
-#include "common/rng.h"
+#include "common/flags.h"
 
 namespace loco::net {
 
@@ -35,11 +34,11 @@ constexpr std::uint64_t kWakeTag = UINT64_MAX - 1;
 // Scatter-gather flush width: frames gathered into one sendmsg() call.
 constexpr int kMaxIov = 64;
 
-// Buffer-arena bounds: at most this many pooled buffers, none retained once
-// its capacity outgrows the cap (a one-off giant readdir reply must not pin
-// megabytes for the connection's lifetime).
-constexpr std::size_t kPoolMaxBuffers = 64;
-constexpr std::size_t kPoolMaxBufferBytes = 256 * 1024;
+constexpr int kListenBacklog = 128;
+
+// Outstanding calls multiplexed on one client connection before the channel
+// opens another.
+constexpr std::uint32_t kMaxPipeline = 32;
 
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -69,9 +68,76 @@ int PollUntil(int fd, short events, common::Nanos deadline_abs) {
   }
 }
 
-// One non-blocking connect attempt within the deadline; -1 on failure.
-int ConnectOnce(const std::string& host, std::uint16_t port,
-                common::Nanos deadline_abs) {
+// Write all of `data` before the deadline.
+Status SendAll(int fd, std::string_view data, common::Nanos deadline_abs) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+    if (n > 0) {
+      off += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      const int r = PollUntil(fd, POLLOUT, deadline_abs);
+      if (r == 0) return ErrStatus(ErrCode::kTimeout, "send deadline");
+      if (r < 0) return ErrStatus(ErrCode::kUnavailable, "poll failed");
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return ErrStatus(ErrCode::kUnavailable, "peer closed during send");
+  }
+  return OkStatus();
+}
+
+// Encode the response frame to `req`: echoes the request's opcode and ids
+// so the client's waiter matches.
+std::string EncodeReply(const wire::FrameHeader& req, ErrCode code,
+                        std::string_view payload) {
+  wire::FrameHeader reply;
+  reply.type = wire::FrameType::kResponse;
+  reply.opcode = req.opcode;
+  reply.request_id = req.request_id;
+  reply.trace_id = req.trace_id;
+  reply.code = code;
+  return wire::EncodeFrame(reply, payload);
+}
+
+}  // namespace
+
+std::string EncodeLoadStatus(const LoadStatus& status) {
+  common::Writer w;
+  w.PutU32(status.workers);
+  w.PutU32(status.queued_foreground);
+  w.PutU32(status.queued_background);
+  w.PutU32(status.queued_control);
+  w.PutU64(status.shed);
+  w.PutU64(status.expired_dropped);
+  w.PutU64(status.queue_delay_ewma_ns);
+  w.PutU64(status.read_stalls);
+  w.PutU64(status.slow_client_disconnects);
+  return w.Take();
+}
+
+Status DecodeLoadStatus(std::string_view payload, LoadStatus* out) {
+  common::Reader r(payload);
+  out->workers = r.GetU32();
+  out->queued_foreground = r.GetU32();
+  out->queued_background = r.GetU32();
+  out->queued_control = r.GetU32();
+  out->shed = r.GetU64();
+  out->expired_dropped = r.GetU64();
+  out->queue_delay_ewma_ns = r.GetU64();
+  out->read_stalls = r.GetU64();
+  out->slow_client_disconnects = r.GetU64();
+  if (!r.AtEnd()) {
+    return ErrStatus(ErrCode::kCorruption, "bad load-status payload");
+  }
+  return OkStatus();
+}
+
+int DialTcp(const std::string& host, std::uint16_t port,
+            common::Nanos deadline_abs) {
   struct addrinfo hints{};
   hints.ai_family = AF_UNSPEC;
   hints.ai_socktype = SOCK_STREAM;
@@ -110,98 +176,16 @@ int ConnectOnce(const std::string& host, std::uint16_t port,
   return fd;
 }
 
-// Write all of `data` before the deadline.
-Status SendAll(int fd, std::string_view data, common::Nanos deadline_abs) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      const int r = PollUntil(fd, POLLOUT, deadline_abs);
-      if (r == 0) return ErrStatus(ErrCode::kTimeout, "send deadline");
-      if (r < 0) return ErrStatus(ErrCode::kUnavailable, "poll failed");
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return ErrStatus(ErrCode::kUnavailable, "peer closed during send");
-  }
-  return OkStatus();
-}
-
-// Encode the response frame to `req` into `buf`: echoes the request's opcode
-// and ids so the client's waiter matches.
-std::string EncodeReply(const wire::FrameHeader& req, ErrCode code,
-                        std::string_view payload, std::string buf) {
-  wire::FrameHeader reply;
-  reply.type = wire::FrameType::kResponse;
-  reply.opcode = req.opcode;
-  reply.request_id = req.request_id;
-  reply.trace_id = req.trace_id;
-  reply.code = code;
-  buf.clear();
-  wire::EncodeFrameInto(reply, payload, &buf);
-  return buf;
-}
-
-}  // namespace
-
-std::string EncodeLoadStatus(const LoadStatus& status) {
-  common::Writer w;
-  w.PutU32(status.workers);
-  w.PutU32(status.queued_foreground);
-  w.PutU32(status.queued_background);
-  w.PutU32(status.queued_control);
-  w.PutU64(status.shed);
-  w.PutU64(status.expired_dropped);
-  w.PutU64(status.queue_delay_ewma_ns);
-  w.PutU64(status.read_stalls);
-  w.PutU64(status.slow_client_disconnects);
-  return w.Take();
-}
-
-Status DecodeLoadStatus(std::string_view payload, LoadStatus* out) {
-  common::Reader r(payload);
-  out->workers = r.GetU32();
-  out->queued_foreground = r.GetU32();
-  out->queued_background = r.GetU32();
-  out->queued_control = r.GetU32();
-  out->shed = r.GetU64();
-  out->expired_dropped = r.GetU64();
-  out->queue_delay_ewma_ns = r.GetU64();
-  out->read_stalls = r.GetU64();
-  out->slow_client_disconnects = r.GetU64();
-  if (!r.AtEnd()) {
-    return ErrStatus(ErrCode::kCorruption, "bad load-status payload");
-  }
-  return OkStatus();
-}
-
-int DialTcp(const std::string& host, std::uint16_t port,
-            common::Nanos deadline_abs) {
-  return ConnectOnce(host, port, deadline_abs);
-}
-
 bool ParseHostPort(std::string_view spec, std::string* host,
                    std::uint16_t* port) {
   const std::size_t colon = spec.rfind(':');
+  std::uint16_t value = 0;
   if (colon == std::string_view::npos || colon == 0 ||
-      colon + 1 == spec.size()) {
-    return false;
-  }
-  const std::string_view port_str = spec.substr(colon + 1);
-  unsigned value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(port_str.data(), port_str.data() + port_str.size(), value);
-  if (ec != std::errc{} || ptr != port_str.data() + port_str.size() ||
-      value > 65535) {
+      !common::ParseInt(spec.substr(colon + 1), &value)) {
     return false;
   }
   *host = std::string(spec.substr(0, colon));
-  *port = static_cast<std::uint16_t>(value);
+  *port = value;
   return true;
 }
 
@@ -228,8 +212,7 @@ bool IsSelfConnected(int fd) {
 // ---------------------------------------------------------------------------
 
 struct TcpServer::Conn {
-  explicit Conn(int fd_in, std::uint64_t id_in, std::uint32_t max_payload)
-      : fd(fd_in), id(id_in), reader(max_payload) {}
+  Conn(int fd_in, std::uint64_t id_in) : fd(fd_in), id(id_in) {}
   int fd;
   std::uint64_t id;
   // Zero-copy decode: recv() lands in the reader's refcounted arena and
@@ -280,7 +263,7 @@ Status TcpServer::Start() {
     int one = 1;
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     if (::bind(fd, ai->ai_addr, ai->ai_addrlen) == 0 &&
-        ::listen(fd, options_.backlog) == 0 && SetNonBlocking(fd)) {
+        ::listen(fd, kListenBacklog) == 0 && SetNonBlocking(fd)) {
       break;
     }
     ::close(fd);
@@ -387,7 +370,6 @@ void TcpServer::Stop() {
     if (w >= 0) ::close(w);
     w = -1;
   }
-  buf_pool_.clear();
   // Releasing the handles retires the final gauge values into the registry,
   // so end-of-run --metrics-out dumps still carry the worker count.
   gauges_.clear();
@@ -450,7 +432,7 @@ void TcpServer::SampleQueueDelay(const Work& work, common::Nanos dequeued_ns) {
                              std::memory_order_relaxed);
 }
 
-std::optional<std::string> TcpServer::RunWork(const Work& work, std::string buf,
+std::optional<std::string> TcpServer::RunWork(const Work& work,
                                               DedupWindow::Wait wait) {
   const common::Nanos dequeued_ns = common::CpuTimer::Now();
   if (work.delay_ns > 0) {
@@ -463,7 +445,7 @@ std::optional<std::string> TcpServer::RunWork(const Work& work, std::string buf,
     SampleQueueDelay(work, dequeued_ns);
     expired_metric_->Add();
     expired_total_.fetch_add(1, std::memory_order_relaxed);
-    return EncodeReply(req, ErrCode::kTimeout, {}, std::move(buf));
+    return EncodeReply(req, ErrCode::kTimeout, {});
   }
   const common::CpuTimer timer;
   RpcResponse resp;
@@ -501,7 +483,7 @@ std::optional<std::string> TcpServer::RunWork(const Work& work, std::string buf,
                                    std::memory_order_relaxed);
   }
   requests_.fetch_add(1, std::memory_order_relaxed);
-  return EncodeReply(req, resp.code, resp.payload, std::move(buf));
+  return EncodeReply(req, resp.code, resp.payload);
 }
 
 bool TcpServer::LoopRunnable(std::uint16_t opcode) const noexcept {
@@ -544,8 +526,7 @@ bool TcpServer::HandleHello(Conn* conn, const wire::PinnedFrame& frame) {
   return AppendResponse(
       conn, EncodeReply(frame.header, code,
                         code == ErrCode::kOk ? wire::EncodeHelloReply(reply)
-                                             : std::string(),
-                        GetBuffer()));
+                                             : std::string()));
 }
 
 bool TcpServer::HandleLoadStatus(Conn* conn, const wire::PinnedFrame& frame) {
@@ -568,8 +549,7 @@ bool TcpServer::HandleLoadStatus(Conn* conn, const wire::PinnedFrame& frame) {
   status.slow_client_disconnects =
       slow_disconnect_total_.load(std::memory_order_relaxed);
   return AppendResponse(conn, EncodeReply(frame.header, ErrCode::kOk,
-                                          EncodeLoadStatus(status),
-                                          GetBuffer()));
+                                          EncodeLoadStatus(status)));
 }
 
 std::string TcpServer::RetryAfterPayload() const {
@@ -585,7 +565,7 @@ std::string TcpServer::RetryAfterPayload() const {
 void TcpServer::CompleteWithError(std::uint64_t conn_id,
                                   const wire::FrameHeader& req, ErrCode code,
                                   std::string payload) {
-  std::string bytes = EncodeReply(req, code, payload, std::string());
+  std::string bytes = EncodeReply(req, code, payload);
   {
     std::scoped_lock lock(comp_mu_);
     completions_.push_back(Completion{conn_id, std::move(bytes)});
@@ -742,7 +722,6 @@ bool TcpServer::FlushWrites(Conn* conn) {
         break;
       }
       sent -= remaining;
-      RecycleBuffer(std::move(front));
       conn->outq.pop_front();
       conn->out_off = 0;
     }
@@ -802,7 +781,7 @@ void TcpServer::WorkerMain(std::size_t index) {
       src->pop_front();
     }
     busy_[index].store(true, std::memory_order_relaxed);
-    std::string bytes = *RunWork(w, std::string());
+    std::string bytes = *RunWork(w);
     busy_[index].store(false, std::memory_order_relaxed);
     {
       std::scoped_lock lock(comp_mu_);
@@ -871,7 +850,7 @@ void TcpServer::FinishRound(
   }
   std::optional<std::string> bytes;
   if (only != nullptr) {
-    bytes = RunWork(work, GetBuffer(), DedupWindow::Wait::kNo);
+    bytes = RunWork(work, DedupWindow::Wait::kNo);
     if (!bytes) {
       // A duplicate whose original is still running: waiting for it here
       // would stall every connection.  It goes back where it was, and a
@@ -916,8 +895,7 @@ void TcpServer::SendNotifyFrame(Conn* conn, std::uint16_t opcode,
   // *responses* and must not fire on the push path.  A duplicated push is
   // encoded twice (same sequence number; the client ignores the replay).
   for (int copy = 0; copy < copies; ++copy) {
-    std::string bytes = GetBuffer();
-    wire::EncodeFrameInto(header, payload, &bytes);
+    std::string bytes = wire::EncodeFrame(header, payload);
     conn->out_bytes += bytes.size();
     conn->outq.push_back(std::move(bytes));
   }
@@ -1005,8 +983,6 @@ void TcpServer::CloseConn(
   ::close(conn->fd);
   ForgetNotifySession(*conn);
   const std::uint64_t client_id = conn->client_id;
-  // Undelivered frames die with the connection; their buffers need not.
-  for (std::string& frame : conn->outq) RecycleBuffer(std::move(frame));
   conns->erase(it);
   if (client_id != 0) {
     auto cit = client_conns_.find(client_id);
@@ -1018,26 +994,6 @@ void TcpServer::CloseConn(
       }
     }
   }
-}
-
-std::string TcpServer::GetBuffer() {
-  if (buf_pool_.empty()) {
-    bufpool_allocs_->Add();
-    return std::string();
-  }
-  bufpool_reuses_->Add();
-  std::string buf = std::move(buf_pool_.back());
-  buf_pool_.pop_back();
-  buf.clear();
-  return buf;
-}
-
-void TcpServer::RecycleBuffer(std::string&& buf) {
-  if (buf_pool_.size() >= kPoolMaxBuffers ||
-      buf.capacity() > kPoolMaxBufferBytes) {
-    return;
-  }
-  buf_pool_.push_back(std::move(buf));
 }
 
 void TcpServer::Loop() {
@@ -1078,8 +1034,7 @@ void TcpServer::Loop() {
           continue;
         }
         SetNoDelay(fd);
-        auto conn = std::make_unique<Conn>(fd, next_conn_id++,
-                                           options_.max_payload_bytes);
+        auto conn = std::make_unique<Conn>(fd, next_conn_id++);
         struct epoll_event ev{};
         ev.events = EPOLLIN;
         ev.data.u64 = conn->id;
@@ -1163,52 +1118,11 @@ bool TcpChannel::Register(NodeId id, std::string_view host_port) {
   return true;
 }
 
-void TcpChannel::SetNextRequestIdForTest(NodeId server, std::uint64_t value) {
-  const auto it = endpoints_.find(server);
-  if (it != endpoints_.end()) {
-    it->second->next_request_id.store(value, std::memory_order_relaxed);
-  }
-}
-
 void TcpChannel::DisconnectAll() {
   for (auto& [id, ep] : endpoints_) {
     std::scoped_lock lock(ep->mu);
     ep->conns.clear();
   }
-}
-
-int TcpChannel::Connect(const Endpoint& ep, common::Nanos deadline_abs,
-                        bool* timed_out) {
-  *timed_out = false;
-  common::Nanos backoff = options_.connect_backoff_ns;
-  for (int attempt = 0; attempt < options_.connect_attempts; ++attempt) {
-    const common::Nanos now = common::CpuTimer::Now();
-    if (now >= deadline_abs) {
-      *timed_out = true;
-      return -1;
-    }
-    const common::Nanos attempt_deadline =
-        std::min(deadline_abs, now + options_.connect_timeout_ns);
-    const int fd = ConnectOnce(ep.host, ep.port, attempt_deadline);
-    if (fd >= 0) return fd;
-    if (attempt + 1 < options_.connect_attempts) {
-      // Full jitter (sleep uniform in [0, backoff]): after a daemon restart
-      // every blocked client retries at once, and synchronized exponential
-      // backoff would keep them colliding in lockstep.
-      static std::atomic<std::uint64_t> jitter_stream{0};
-      thread_local common::Rng jitter_rng(common::Mix64(
-          0x6a177e5 + jitter_stream.fetch_add(1, std::memory_order_relaxed)));
-      const common::Nanos jittered = static_cast<common::Nanos>(
-          jitter_rng.Uniform(static_cast<std::uint64_t>(backoff) + 1));
-      const common::Nanos sleep_ns =
-          std::min(jittered, deadline_abs - common::CpuTimer::Now());
-      if (sleep_ns > 0) {
-        std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns));
-      }
-      backoff *= 2;
-    }
-  }
-  return -1;
 }
 
 std::shared_ptr<TcpChannel::PipeConn> TcpChannel::AcquireConn(
@@ -1222,7 +1136,7 @@ std::shared_ptr<TcpChannel::PipeConn> TcpChannel::AcquireConn(
     std::uint32_t low = 0;
     for (const auto& c : ep.conns) {
       const std::uint32_t n = c->inflight.load(std::memory_order_relaxed);
-      if (n >= options_.max_pipeline) continue;
+      if (n >= kMaxPipeline) continue;
       if (!pick || n < low) {
         pick = c;
         low = n;
@@ -1234,10 +1148,16 @@ std::shared_ptr<TcpChannel::PipeConn> TcpChannel::AcquireConn(
       return pick;
     }
   }
-  bool timed_out = false;
-  const int fd = Connect(ep, deadline_abs, &timed_out);
+  // One connect attempt: a refused peer fails the call at once, and retry
+  // with backoff is ResilientChannel's job.
+  const common::Nanos now = common::CpuTimer::Now();
+  const int fd = now < deadline_abs
+                     ? DialTcp(ep.host, ep.port,
+                               std::min(deadline_abs, now + kDialTimeoutNs))
+                     : -1;
   if (fd < 0) {
-    *err = timed_out ? ErrCode::kTimeout : ErrCode::kUnavailable;
+    *err = common::CpuTimer::Now() >= deadline_abs ? ErrCode::kTimeout
+                                                   : ErrCode::kUnavailable;
     return nullptr;
   }
   auto conn = std::make_shared<PipeConn>(fd, options_.max_payload_bytes);
@@ -1314,9 +1234,7 @@ void TcpChannel::ReadReplies(std::unique_lock<std::mutex>& lock,
     const auto it = conn.waiting.find(frame->header.request_id);
     if (it == conn.waiting.end()) {
       // The hello's reply (id 0), or a response to a call that already timed
-      // out: drop it.  A timed-out call's id is spendable again — the stream
-      // can hold no second response.
-      conn.abandoned.erase(frame->header.request_id);
+      // out: drop it.
       continue;
     }
     Waiter* w = it->second;
@@ -1345,33 +1263,16 @@ void TcpChannel::FailConnLocked(PipeConn& conn, ErrCode code) {
     w->cv.notify_one();
   }
   conn.waiting.clear();
-  conn.abandoned.clear();  // no more frames will arrive on this socket
   ::shutdown(conn.fd, SHUT_RDWR);
 }
 
-std::uint64_t TcpChannel::NextRequestId(Endpoint& ep) {
-  std::uint64_t rid = ep.next_request_id.fetch_add(1, std::memory_order_relaxed);
-  // Id 0 belongs to the fire-and-forget hello; skip it on counter wrap.
-  while (rid == 0) {
-    rid = ep.next_request_id.fetch_add(1, std::memory_order_relaxed);
-  }
-  return rid;
-}
-
-TcpChannel::RegisterResult TcpChannel::RegisterWaiter(PipeConn& conn,
-                                                      std::uint64_t request_id,
-                                                      Waiter* w) {
+bool TcpChannel::RegisterWaiter(PipeConn& conn, std::uint64_t request_id,
+                                Waiter* w) {
   std::scoped_lock lock(conn.mu);
-  if (conn.broken != ErrCode::kOk) return RegisterResult::kBroken;
-  // After a counter wrap a freshly minted id can collide with one still in
-  // flight — or one whose caller timed out but whose response has not yet
-  // arrived.  Accepting it would deliver the old call's late response to
-  // this new call; refuse so the caller mints another id.
-  if (conn.abandoned.count(request_id) != 0) return RegisterResult::kIdInUse;
-  const auto [it, inserted] = conn.waiting.emplace(request_id, w);
-  if (!inserted) return RegisterResult::kIdInUse;
+  if (conn.broken != ErrCode::kOk) return false;
+  conn.waiting.emplace(request_id, w);
   pipeline_depth_->Record(static_cast<common::Nanos>(conn.waiting.size()));
-  return RegisterResult::kOk;
+  return true;
 }
 
 void TcpChannel::AwaitWaiter(PipeConn& conn, std::uint64_t request_id,
@@ -1395,9 +1296,9 @@ void TcpChannel::AwaitWaiter(PipeConn& conn, std::uint64_t request_id,
     const common::Nanos now = common::CpuTimer::Now();
     if (now >= deadline_abs) {
       // Leave the request outstanding on the wire; the conn stays usable and
-      // a later reader discards the eventual response.  Remember the id
-      // until that response arrives so a post-wrap call can never mint it.
-      if (conn.waiting.erase(request_id) > 0) conn.abandoned.insert(request_id);
+      // a later reader discards the eventual response (no later call gets
+      // the same id).
+      conn.waiting.erase(request_id);
       w.done = true;
       w.fail = ErrCode::kTimeout;
       break;
@@ -1472,14 +1373,9 @@ void TcpChannel::IssueLegs(const std::vector<CallLeg>& legs,
         header.deadline_budget_ns = static_cast<std::uint64_t>(remaining);
       }
       header.priority = static_cast<std::uint8_t>(priority);
-      RegisterResult reg = RegisterResult::kIdInUse;
-      // A collision (counter wrap onto an in-flight or abandoned id) just
-      // means "mint another"; only a broken connection is a real failure.
-      for (int mint = 0; mint < 8 && reg == RegisterResult::kIdInUse; ++mint) {
-        header.request_id = NextRequestId(*ep);
-        reg = RegisterWaiter(*conn, header.request_id, &leg.waiter);
-      }
-      if (reg != RegisterResult::kOk) {
+      header.request_id =
+          ep->next_request_id.fetch_add(1, std::memory_order_relaxed);
+      if (!RegisterWaiter(*conn, header.request_id, &leg.waiter)) {
         conn->inflight.fetch_sub(1, std::memory_order_relaxed);
         leg.Fail(ErrCode::kUnavailable);
         continue;

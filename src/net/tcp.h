@@ -7,9 +7,8 @@
 // never rebuilds a descriptor array per wakeup the way the old poll() loop
 // did.  Responses are queued as whole encoded frames (one std::string per
 // frame, moved — never memcpy'd — into a per-connection deque) and flushed
-// with scatter-gather writev; drained frame buffers are recycled through a
-// loop-thread-only arena that the loop-run, hello, load-status and notify
-// encode paths draw from (rpc.tcp_server.bufpool.* counters).  Every request
+// with scatter-gather writev; a frame's buffer is freed once the socket has
+// taken all of it.  Every request
 // takes one path: decoded incrementally (net/wire.h) on the loop thread,
 // admitted to a bounded queue, and executed by a pool of worker threads in
 // any order — even requests from the same connection.  A lone cheap request
@@ -28,7 +27,7 @@
 //
 // TcpChannel is the client side: a net::Channel whose NodeIds map to
 // host:port endpoints.  Each endpoint keeps a small set of connections and
-// **pipelines** up to Options::max_pipeline concurrent calls on each one,
+// **pipelines** up to 32 concurrent calls on each one,
 // correlating responses by the wire header's request id (responses may
 // arrive out of order).  A fan-out (FanOutAsync) puts every leg on the wire
 // before awaiting any: the legs for one endpoint go out as one burst on one
@@ -43,8 +42,8 @@
 // kernel until the next call on it.  Every request
 // carries what is left of its deadline and its priority class in the frame
 // header (docs/OVERLOAD.md).  The channel enforces a per-call deadline,
-// retries refused connects a bounded number of times with exponential
-// backoff, and surfaces failures exactly like the in-process transport does
+// makes one connect attempt per call (ResilientChannel owns retry with
+// backoff), and surfaces failures exactly like the in-process transport does
 // — kUnavailable for unreachable/dead peers, kTimeout for an expired
 // deadline, kCorruption for framing violations — so the client-side
 // FMS-outage fallbacks work unchanged over real sockets.  Calls complete
@@ -69,7 +68,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -86,6 +84,9 @@ namespace loco::net {
 // Split "host:port" ("127.0.0.1:9000"); false on malformed input.
 bool ParseHostPort(std::string_view spec, std::string* host,
                    std::uint16_t* port);
+
+// Cap on one connect() wait; a call's own deadline may cut it shorter.
+inline constexpr common::Nanos kDialTimeoutNs = common::kSecond;
 
 // One bounded non-blocking connect attempt (resolve, connect, poll until the
 // absolute steady-clock deadline, self-connect check, TCP_NODELAY); returns
@@ -127,8 +128,6 @@ class TcpServer : public Notifier {
   struct Options {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;  // 0 = kernel-assigned; read port() after Start
-    int backlog = 128;
-    std::uint32_t max_payload_bytes = wire::kMaxPayloadBytes;
     // Worker threads executing handler calls; Start() refuses fewer than
     // one.  The handler must be thread-safe, and the loop thread calls it
     // too: when a round admits one request, nothing else is queued, a
@@ -276,14 +275,12 @@ class TcpServer : public Notifier {
   // delay, then kTimeout if its deadline lapsed, else the dedup window's
   // claim and the handler (or the cached reply), with metrics, the queue-
   // delay sample when it was queued, and — after a handler run — the
-  // opcode's last-run time.  Returns the encoded response, built in `buf`
-  // (cleared first, so the loop thread can pass an arena-recycled buffer).
-  // With Wait::kNo, a duplicate whose original is still running is not
-  // served: nullopt, and nothing was sampled, counted or recorded.  Workers
-  // and the loop run both go through here.
+  // opcode's last-run time.  Returns the encoded response.  With
+  // Wait::kNo, a duplicate whose original is still running is not served:
+  // nullopt, and nothing was sampled, counted or recorded.  Workers and the
+  // loop run both go through here.
   std::optional<std::string> RunWork(
-      const Work& work, std::string buf,
-      DedupWindow::Wait wait = DedupWindow::Wait::kYes);
+      const Work& work, DedupWindow::Wait wait = DedupWindow::Wait::kYes);
   // Fold one queued request's admission-queue wait into the histogram and
   // the EWMA behind RecentQueueDelayNs.
   void SampleQueueDelay(const Work& work, common::Nanos dequeued_ns);
@@ -343,16 +340,10 @@ class TcpServer : public Notifier {
   // Reconcile the connection's EPOLLOUT interest with whether it has
   // buffered output (EPOLL_CTL_MOD only on transitions).
   void SyncWriteInterest(Conn* conn);
-  // Unregister, close and erase one connection, recycling its queued output
-  // buffers into the arena.
+  // Unregister, close and erase one connection (its queued output dies
+  // with it).
   void CloseConn(std::unordered_map<std::uint64_t, std::unique_ptr<Conn>>* conns,
                  std::uint64_t id);
-  // Loop-thread-only response-buffer arena: GetBuffer() reuses a drained
-  // frame buffer when one is pooled, RecycleBuffer() returns one after the
-  // socket accepted its bytes.  Bounded in count and per-buffer capacity so
-  // a burst of huge responses cannot pin memory.
-  std::string GetBuffer();
-  void RecycleBuffer(std::string&& buf);
 
   RpcHandler* handler_;
   Options options_;
@@ -406,16 +397,6 @@ class TcpServer : public Notifier {
   // Options::on_client_disconnect when a client's last connection dies.
   std::unordered_map<std::uint64_t, std::uint64_t> client_conns_;
 
-  // Arena of recycled response buffers (loop thread only — workers hand
-  // their encoded frames over via completions and the loop recycles them
-  // once flushed).
-  std::vector<std::string> buf_pool_;
-  common::Counter* bufpool_reuses_ =
-      &common::MetricsRegistry::Default().GetCounter(
-          "rpc.tcp_server.bufpool.reuses");
-  common::Counter* bufpool_allocs_ =
-      &common::MetricsRegistry::Default().GetCounter(
-          "rpc.tcp_server.bufpool.allocs");
   // Requests whose payload was dispatched as a view pinned into the receive
   // arena (no decode-time copy); .copies counts the chunk-straddlers.
   common::Counter* zerocopy_hits_ =
@@ -456,19 +437,11 @@ class TcpServer : public Notifier {
 // ---------------------------------------------------------------------------
 
 struct TcpChannelOptions {
-  // Default per-call deadline (send + receive, including connect time);
-  // CallMeta::deadline_ns overrides per call.
-  common::Nanos call_deadline_ns = 5 * common::kSecond;
-  // Bounded retry on connect failure: total attempts per call.
-  int connect_attempts = 3;
-  // Backoff before attempt N+1; doubles each retry.
-  common::Nanos connect_backoff_ns = 20 * common::kMilli;
-  // Cap on a single connect() wait (also bounded by the call deadline).
-  common::Nanos connect_timeout_ns = common::kSecond;
+  // The mount's one per-call deadline (send + receive, including connect
+  // time); CallMeta::deadline_ns overrides per call.  A ResilientChannel
+  // over this channel spreads it across all attempts of a call.
+  common::Nanos call_deadline_ns = kDefaultCallDeadlineNs;
   std::uint32_t max_payload_bytes = wire::kMaxPayloadBytes;
-  // Outstanding calls multiplexed on one connection before the channel opens
-  // another.
-  std::uint32_t max_pipeline = 32;
   // Optional client-side fault plane: stalls requests before they are sent
   // (the delay=/delay_ms= knobs of the spec).  Not owned.
   FaultInjector* fault = nullptr;
@@ -503,15 +476,14 @@ class TcpChannel final : public Channel {
   // a fresh connection; a fresh-connection failure is authoritative.
   void FanOutAsync(std::vector<CallLeg> legs, const CallMeta& meta,
                    std::function<void(std::vector<RpcResponse>)> done) override;
+  common::Nanos call_deadline_ns() const override {
+    return options_.call_deadline_ns;
+  }
 
   // Drop the pool's reference to every connection (tests; forces fresh
   // connects).  Calls in flight keep theirs and keep reading; each socket
   // closes with its last reference.
   void DisconnectAll();
-
-  // Force the endpoint's request-id counter (tests: exercises the counter
-  // wrap / id-reuse window without issuing 2^64 calls).
-  void SetNextRequestIdForTest(NodeId server, std::uint64_t value);
 
  private:
   // One caller blocked on a pipelined response.  Each waiter has its own
@@ -542,13 +514,6 @@ class TcpChannel final : public Channel {
     wire::PinnedFrameReader reader;  // owned by the caller that set `reading`
     bool reading = false;            // a caller is reading the socket
     std::unordered_map<std::uint64_t, Waiter*> waiting;
-    // Request ids whose caller timed out while the request was still
-    // outstanding on the wire.  The server WILL answer them eventually; until
-    // that late response arrives (and is discarded) the id must not be
-    // handed to a new call on this connection, or the old response would
-    // complete the new call.  Ids leave the set when their response shows up
-    // or the connection dies.
-    std::unordered_set<std::uint64_t> abandoned;
     ErrCode broken = ErrCode::kOk;  // terminal failure code
   };
 
@@ -557,6 +522,8 @@ class TcpChannel final : public Channel {
     std::uint16_t port = 0;
     std::mutex mu;
     std::vector<std::shared_ptr<PipeConn>> conns;
+    // Request ids count up from 1 (0 is the hello's) in 64 bits and never
+    // wrap, so an id names one call for the channel's lifetime.
     std::atomic<std::uint64_t> next_request_id{1};
   };
 
@@ -580,27 +547,18 @@ class TcpChannel final : public Channel {
                  const std::vector<std::size_t>& issue,
                  std::vector<LegState>& state, std::uint64_t trace_id,
                  Priority priority, common::Nanos deadline_abs);
-  // Connect with bounded retry + exponential backoff; -1 on failure
-  // (`timed_out` reports whether the call deadline, not the peer, gave up).
-  int Connect(const Endpoint& ep, common::Nanos deadline_abs, bool* timed_out);
-  // Pick (or dial) a connection and reserve one inflight slot on it.
+  // Pick a connection, or dial one (a single attempt, bounded by the call
+  // deadline and kDialTimeoutNs), and reserve one inflight slot on it.
   // `reused` reports whether the connection predates this call — only those
   // are eligible for the stale-connection retry.  nullptr on connect
-  // failure, with *err set.
+  // failure, with *err set: kTimeout when the call deadline ran out,
+  // kUnavailable when the peer refused or did not answer.
   std::shared_ptr<PipeConn> AcquireConn(Endpoint& ep,
                                         common::Nanos deadline_abs,
                                         bool* reused, ErrCode* err);
-  enum class RegisterResult {
-    kOk,
-    kBroken,   // connection already failed
-    kIdInUse,  // id collides with an in-flight or abandoned request: re-mint
-  };
-  // Add `w` to the conn's waiter table under `request_id`.  Refuses an id
-  // that is still in flight or abandoned on this connection — after a
-  // counter wrap, reusing such an id would let the *old* call's late
-  // response complete the *new* call.
-  RegisterResult RegisterWaiter(PipeConn& conn, std::uint64_t request_id,
-                                Waiter* w);
+  // Add `w` to the conn's waiter table under `request_id`; false when the
+  // connection already failed.
+  bool RegisterWaiter(PipeConn& conn, std::uint64_t request_id, Waiter* w);
   // Block until `w` completes or `deadline_abs` passes.  One waiting caller
   // at a time reads the connection (ReadReplies) and completes every waiter
   // whose response it finds; the others yield-spin on `done` briefly, then
@@ -618,8 +576,6 @@ class TcpChannel final : public Channel {
   // kUnavailable.
   void ReadReplies(std::unique_lock<std::mutex>& lock, PipeConn& conn,
                    common::Nanos wait_until);
-  // Mint the next request id for `ep`, skipping 0 (reserved for the hello).
-  static std::uint64_t NextRequestId(Endpoint& ep);
   // Mark the connection dead, fail every registered waiter and shut the
   // socket down, which wakes a reader blocked in ppoll (conn.mu held).
   static void FailConnLocked(PipeConn& conn, ErrCode code);

@@ -128,9 +128,8 @@ struct FrameHeader {
 // not from the struct).  The caller must keep payload within the peer's cap.
 std::string EncodeFrame(const FrameHeader& header, std::string_view payload);
 
-// Append the same frame bytes into a caller-supplied buffer.  The server's
-// flush path recycles response buffers through a per-loop arena; encoding
-// into a reused string avoids one allocation + memcpy per response.
+// Append the same frame bytes to `*out`: the client encodes a burst of
+// request frames into one buffer and sends it with one write.
 void EncodeFrameInto(const FrameHeader& header, std::string_view payload,
                      std::string* out);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 namespace loco::common {
@@ -33,6 +34,36 @@ TEST(FlagValueTest, SeparateAndJoinedFormsAndMissingValue) {
   EXPECT_FALSE(FlagValue(argc, argv, &i, "--out", &value));
   EXPECT_EQ(value, "unchanged");
   EXPECT_EQ(i, 5);
+}
+
+TEST(ParseIntTest, WholeStringInRangeOnly) {
+  std::uint32_t u = 7;
+  EXPECT_TRUE(ParseInt("42", &u));
+  EXPECT_EQ(u, 42u);
+  EXPECT_TRUE(ParseInt("4294967295", &u));
+  EXPECT_EQ(u, 4294967295u);
+
+  // Every rejection leaves the output as it was.
+  u = 7;
+  EXPECT_FALSE(ParseInt("", &u));             // empty
+  EXPECT_FALSE(ParseInt("12x", &u));          // trailing garbage
+  EXPECT_FALSE(ParseInt("12 ", &u));          // trailing space
+  EXPECT_FALSE(ParseInt(" 12", &u));          // leading space
+  EXPECT_FALSE(ParseInt("+5", &u));           // a plus sign
+  EXPECT_FALSE(ParseInt("-1", &u));           // a minus sign, unsigned
+  EXPECT_FALSE(ParseInt("4294967296", &u));   // overflow
+  EXPECT_EQ(u, 7u);
+
+  int i = 0;
+  EXPECT_TRUE(ParseInt("-3", &i));  // a signed type takes a minus sign
+  EXPECT_EQ(i, -3);
+  EXPECT_FALSE(ParseInt("99999999999", &i));  // overflow
+  EXPECT_EQ(i, -3);
+
+  std::uint64_t big = 0;
+  EXPECT_TRUE(ParseInt("18446744073709551615", &big));
+  EXPECT_EQ(big, UINT64_MAX);
+  EXPECT_FALSE(ParseInt("18446744073709551616", &big));
 }
 
 }  // namespace

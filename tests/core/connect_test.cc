@@ -1,6 +1,6 @@
 // core::Connect facade tests: the --connect spec grammar, the canonical node
-// id assignment, the notify-plane wiring, mount-scoped client ids, and the
-// overload-control fields a mount puts on the wire.
+// id assignment, the notify-plane wiring, mount-scoped client ids, the
+// overload-control fields a mount puts on the wire and its one call deadline.
 #include "core/connect.h"
 
 #include <gtest/gtest.h>
@@ -206,6 +206,40 @@ TEST(ConnectTest, NotifyMountWiresListenerAndFanout) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(mount->listeners[0]->connected());
+}
+
+TEST(ConnectTest, MountCallDeadlineBoundsAllAttempts) {
+  // channel.call_deadline_ns is the mount's one deadline: the resilient
+  // layer spends it across every attempt of a call and grants none of its
+  // own, so a 200 ms mount gives up on a 1 s handler after about 200 ms.
+  class SleepHandler final : public net::RpcHandler {
+   public:
+    net::RpcResponse Handle(std::uint16_t,
+                            std::string_view payload) override {
+      std::this_thread::sleep_for(std::chrono::seconds(1));
+      return net::RpcResponse{ErrCode::kOk, std::string(payload)};
+    }
+  };
+  SleepHandler handler;
+  net::TcpServer server(&handler);
+  ASSERT_TRUE(server.Start().ok());
+  const std::string addr =
+      server.host() + ":" + std::to_string(server.port());
+  ClientOptions opts;
+  opts.dms = {addr};
+  opts.fms = {addr};
+  opts.object_stores = {addr};
+  opts.WithNotify(false);
+  opts.channel.call_deadline_ns = 200 * common::kMilli;
+  auto mount = Connect(opts);
+  ASSERT_TRUE(mount.ok()) << mount.status().ToString();
+  ASSERT_NE(mount->resilient, nullptr);
+
+  const common::CpuTimer timer;
+  EXPECT_EQ(
+      BlockingCall(mount->rpc(), mount->config.fms[0], kEchoOp, "x").code,
+      ErrCode::kTimeout);
+  EXPECT_LT(timer.ElapsedNanos(), 500 * common::kMilli);
 }
 
 TEST(ConnectTest, MountCallsCarryDeadlineAndPriorityOnTheWire) {

@@ -126,7 +126,6 @@ class ChaosCluster {
     auto options = core::ClientOptions::FromSpec(ConnectSpec());
     if (!options.ok()) return options.status();
     options->channel.call_deadline_ns = 500 * common::kMilli;
-    options->channel.connect_attempts = 1;
     options->resilience_options.max_attempts = 2;
     options->resilience_options.backoff_base_ns = common::kMilli;
     options->resilience_options.backoff_cap_ns = 10 * common::kMilli;
@@ -509,7 +508,6 @@ TEST(ChaosTest, OverloadStormShedKillRestartFsckClean) {
   // exempt from admission control, so the probe answers even while the
   // daemon sheds serving work.
   net::TcpChannelOptions probe_options;
-  probe_options.connect_attempts = 1;
   probe_options.call_deadline_ns = 2 * common::kSecond;
   net::TcpChannel probe(probe_options);
   probe.Register(0, "127.0.0.1", cluster.fms(1).port);

@@ -72,7 +72,6 @@ class NotifyClusterTest : public ::testing::Test {
     options.dms = {HostPort(*dms_server_)};
     options.fms.push_back(HostPort(*fms_server_));
     options.object_stores.push_back(HostPort(*osd_server_));
-    options.channel.connect_attempts = 1;
     options.channel.call_deadline_ns = 2 * common::kSecond;
     return options;
   }

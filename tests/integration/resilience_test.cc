@@ -1,6 +1,7 @@
 // net::ResilientChannel — retry, circuit breaker, half-open probes, and
 // end-to-end exactly-once mutation replay against a faulty TcpServer with a
 // DedupWindow (docs/FAULTS.md).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -245,6 +246,28 @@ TEST(ResilientChannelTest, OneDeadlineBudgetBoundsAllAttempts) {
   }
 }
 
+TEST(ResilientChannelTest, EachChannelJittersOnItsOwnStream) {
+  // Clients that one daemon restart failed together must not retry in
+  // lockstep, so every channel seeds its own jitter stream.  A retry's wait
+  // is what its first attempt's budget held beyond the retry's.
+  ResilienceOptions options;
+  options.backoff_base_ns = 50 * common::kMilli;
+  options.backoff_cap_ns = 50 * common::kMilli;
+  std::vector<common::Nanos> delays;
+  for (int i = 0; i < 6; ++i) {
+    ScriptedChannel inner;
+    inner.script = {ErrCode::kUnavailable};
+    ResilientChannel channel(&inner, options);
+    ASSERT_TRUE(BlockingCall(channel, 7, "x").ok());
+    ASSERT_EQ(inner.deadlines.size(), 2u);
+    delays.push_back(inner.deadlines[0] - inner.deadlines[1]);
+  }
+  // Six independent draws from [0, 50 ms] all land within 2 ms of each
+  // other with probability about 6e-7.
+  const auto [lo, hi] = std::minmax_element(delays.begin(), delays.end());
+  EXPECT_GT(*hi - *lo, 2 * common::kMilli) << "the channels drew one delay";
+}
+
 TEST(ResilientChannelTest, RetryBudgetStopsAmplification) {
   ScriptedChannel inner;
   for (int i = 0; i < 100; ++i) inner.script.push_back(ErrCode::kUnavailable);
@@ -485,7 +508,6 @@ TEST(ResilientChannelTest, ExactlyOnceMutationsThroughFaultyTcpServer) {
 
   TcpChannelOptions channel_options;
   channel_options.call_deadline_ns = 500 * common::kMilli;
-  channel_options.connect_attempts = 1;
   TcpChannel tcp(channel_options);
   tcp.Register(1, server.host(), server.port());
 
@@ -533,7 +555,6 @@ TEST(ResilientChannelTest, BatchMkdirRepliesExactlyOnceThroughFaultyServer) {
 
   TcpChannelOptions channel_options;
   channel_options.call_deadline_ns = 500 * common::kMilli;
-  channel_options.connect_attempts = 1;
   TcpChannel tcp(channel_options);
   tcp.Register(1, server.host(), server.port());
 

@@ -137,7 +137,6 @@ class ShardCluster {
     auto options = core::ClientOptions::FromSpec(ConnectSpec());
     if (!options.ok()) return options.status();
     options->channel.call_deadline_ns = 500 * common::kMilli;
-    options->channel.connect_attempts = 1;
     options->resilience_options.max_attempts = 2;
     options->resilience_options.backoff_base_ns = common::kMilli;
     options->resilience_options.backoff_cap_ns = 10 * common::kMilli;

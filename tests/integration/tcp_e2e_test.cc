@@ -55,7 +55,6 @@ class TcpClusterTest : public ::testing::Test {
 
     // Keep operations against a killed FMS fast: refused connects already
     // fail fast, but cap the deadline so nothing can stall the suite.
-    options.channel.connect_attempts = 1;
     options.channel.call_deadline_ns = 2 * common::kSecond;
     auto mount = core::Connect(options);
     ASSERT_TRUE(mount.ok()) << mount.status().ToString();

@@ -278,7 +278,6 @@ struct FaultyServer {
 TcpChannelOptions FastFailOptions() {
   TcpChannelOptions options;
   options.call_deadline_ns = 300 * common::kMilli;
-  options.connect_attempts = 1;
   return options;
 }
 

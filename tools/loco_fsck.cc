@@ -14,7 +14,6 @@
 //
 // Exit codes: 0 = clean (or repaired to clean), 1 = findings remain,
 // 2 = usage error, 3 = RPC failure.
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -72,10 +71,7 @@ int main(int argc, char** argv) {
   options.live = live;
   if (!passes_str.empty()) {
     std::uint32_t passes = 0;
-    const char* begin = passes_str.data();
-    const char* end = begin + passes_str.size();
-    if (auto [p, ec] = std::from_chars(begin, end, passes);
-        ec != std::errc{} || p != end || passes == 0) {
+    if (!common::ParseInt(passes_str, &passes) || passes == 0) {
       std::fprintf(stderr, "loco_fsck: bad --max-passes '%s'\n",
                    passes_str.c_str());
       return 2;
