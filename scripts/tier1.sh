@@ -10,17 +10,18 @@ cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "== tier-1: repeat gate (dispatch, dedup window, frame reader, fsck + GC step suites, TCP cluster suites, until-fail:20) =="
+echo "== tier-1: repeat gate (dispatch, dedup window, lease table, frame reader, fsck + GC suites, in-process and TCP cluster suites, until-fail:20) =="
 # The worker / loop-run dispatch suites, the dedup window (a duplicate
-# racing its running original, with and without waiting), the notify
-# listener, the wire / frame-reader suites, the invariant-engine suites
-# (fsck and the in-process GcStep drivers) and the suites that drive real
-# services over TCP (the client's mixed DMS+FMS fan-outs, the notify plane,
-# the mount's connect path, the resilient channel) must pass 20 times in a
-# row: a test that leans on thread timing, on reply order or on state left
-# by an earlier step fails here instead of flaking later.
+# racing its running original, with and without waiting), the lease table,
+# the notify listener, the wire / frame-reader suites, the invariant-engine
+# suites (fsck, the in-process GcStep drivers, the GC manager's pacing), the
+# in-process transport and its concurrent clients, and the suites that drive
+# real services over TCP (the client's mixed DMS+FMS fan-outs, the notify
+# plane, the mount's connect path, the resilient channel) must pass 20 times
+# in a row: a test that leans on thread timing, on reply order or on state
+# left by an earlier step fails here instead of flaking later.
 ctest --test-dir build --output-on-failure \
-  -R '^(TcpTest|TcpWorkerPoolTest|TcpFanOutTest|TcpFaultTest|OverloadTest|DisconnectTest|DedupWindowTest|NotifyListenerTest|WireTest|WireFuzzTest|PinnedReaderTest|FsckTest|DmsGcStepTest|FmsGcStepTest|ObjGcStepTest|TcpClusterTest|NotifyClusterTest|ConnectTest|ResilientChannelTest)\.' \
+  -R '^(TcpTest|TcpWorkerPoolTest|TcpFanOutTest|TcpFaultTest|OverloadTest|DisconnectTest|DedupWindowTest|LeaseTableTest|NotifyListenerTest|WireTest|WireFuzzTest|PinnedReaderTest|FsckTest|DmsGcStepTest|FmsGcStepTest|ObjGcStepTest|GcManagerTest|InProcTest|MultiClientTest|TcpClusterTest|NotifyClusterTest|ConnectTest|ResilientChannelTest)\.' \
   --repeat until-fail:20
 
 echo "== tier-1: net_test shuffled and repeated in one process =="
@@ -119,7 +120,7 @@ cmake --build build-asan -j --target net_test kvstore_test fs_test \
 ./build-asan/tests/integration/gc_soak_test
 ./build-asan/tests/integration/notify_e2e_test
 
-echo "== tier-1: TSan pass (worker pool, striped KV, sim, concurrent handlers, GC, notify, resilient fan-out) =="
+echo "== tier-1: TSan pass (worker pool, striped KV, sim, concurrent handlers, GC, notify, resilient fan-out, in-process clients) =="
 cmake -B build-tsan -S . -DLOCO_SANITIZE=tsan >/dev/null
 cmake --build build-tsan -j --target net_test kvstore_test fs_test \
   sim_test core_test striped_kv_test \
@@ -142,8 +143,10 @@ cmake --build build-tsan -j --target net_test kvstore_test fs_test \
 # A reading caller completes other callers' legs along with its own, and
 # ResilientChannel retries legs of a fan-out on the calling thread; the
 # TcpCluster suite drives the client's own fan-outs (listings, rename
-# probes, batch frames) through both over real sockets.
+# probes, batch frames) through both over real sockets.  The in-process
+# transport takes no lock of its own, so MultiClientTest runs concurrent
+# clients' handlers on one server at once.
 ./build-tsan/tests/integration/integration_test \
-  --gtest_filter='ResilientChannel*:TcpClusterTest.*'
+  --gtest_filter='ResilientChannel*:TcpClusterTest.*:MultiClientTest.*'
 
 echo "tier1: OK"

@@ -6,16 +6,10 @@
 
 namespace loco::baselines {
 
-namespace {
-
-net::RpcResponse Fail(ErrCode code) { return net::RpcResponse{code, {}}; }
-net::RpcResponse Ok() { return net::RpcResponse{}; }
-net::RpcResponse OkPayload(std::string payload) {
-  return net::RpcResponse{ErrCode::kOk, std::move(payload)};
-}
-net::RpcResponse BadRequest() { return Fail(ErrCode::kCorruption); }
-
-}  // namespace
+using net::BadRequest;
+using net::Fail;
+using net::Ok;
+using net::OkPayload;
 
 net::RpcResponse NsServer::Handle(std::uint16_t opcode,
                                   std::string_view payload) {

@@ -104,7 +104,7 @@ struct DeployOptions {
   bool object_retain_data = true;
   // LocoFS client d-inode lease duration (ns); 0 disables caching entirely
   // even for System::kLocoC (ablation knob).
-  std::uint64_t loco_lease_ns = 30ull * 1'000'000'000;
+  std::uint64_t loco_lease_ns = core::proto::kLeaseNs;
 };
 
 // Deploy onto a simulated cluster (registers servers as SimCluster nodes).

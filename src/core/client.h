@@ -26,6 +26,7 @@
 
 #include "common/metrics.h"
 #include "core/layout.h"
+#include "core/proto.h"
 #include "core/ring.h"
 #include "core/shard.h"
 #include "fs/client.h"
@@ -67,9 +68,9 @@ class LocoClient final : public fs::FileSystemClient {
     std::vector<net::NodeId> dms = {0};
     std::vector<net::NodeId> fms;
     std::vector<net::NodeId> object_stores;
-    bool cache_enabled = true;                     // LocoFS-C vs LocoFS-NC
-    std::uint64_t lease_ns = 30ull * 1'000'000'000;  // 30 s (§3.2.2)
-    fs::TimeFn now;                                // operation timestamps
+    bool cache_enabled = true;                  // LocoFS-C vs LocoFS-NC
+    std::uint64_t lease_ns = proto::kLeaseNs;   // cache TTL (§3.2.2)
+    fs::TimeFn now;                             // operation timestamps
     // Optional push plane (core::Connect wires this): the client registers
     // with the fanout so server pushes invalidate its lease cache between
     // operations instead of waiting out lease_ns.

@@ -118,12 +118,10 @@ Result<MountHandle> Connect(const ClientOptions& options) {
     LOCO_RETURN_IF_ERROR(register_node(id, options.object_stores[i]));
     m.config.object_stores.push_back(id);
   }
-  m.config.cache_enabled = options.cache_enabled && options.lease_ns > 0;
-  m.config.lease_ns = options.lease_ns;
+  m.config.cache_enabled = options.cache_enabled;
 
   if (options.resilience) {
-    m.resilient = std::make_unique<net::ResilientChannel>(
-        m.channel.get(), options.resilience_options);
+    m.resilient = std::make_unique<net::ResilientChannel>(m.channel.get());
   }
 
   if (options.notify) {

@@ -47,9 +47,8 @@ struct ClientOptions {
   std::vector<std::string> fms;
   std::vector<std::string> object_stores;
 
-  // LocoFS-C vs LocoFS-NC; lease_ns = 0 also disables caching.
+  // LocoFS-C vs LocoFS-NC (the lease term is proto::kLeaseNs).
   bool cache_enabled = true;
-  std::uint64_t lease_ns = 30ull * 1'000'000'000;
 
   // Transport tuning.  channel.call_deadline_ns is the mount's one
   // deadline: with resilience on it bounds all attempts of a call together.
@@ -59,7 +58,6 @@ struct ClientOptions {
   // the mount's only retry layer.  Safe by default because the daemons
   // deduplicate idempotent mutations server-side (net::DedupWindow).
   bool resilience = true;
-  net::ResilienceOptions resilience_options;
 
   // Server-push plane (net/notify.h): lease invalidation + breaker gossip on
   // a dedicated connection to the DMS.  While the stream is down (or a
@@ -73,12 +71,6 @@ struct ClientOptions {
   // shard order, e.g.
   //   dms=127.0.0.1:9000,dms=127.0.0.1:9010,fms=127.0.0.1:9001,osd=127.0.0.1:9100
   static Result<ClientOptions> FromSpec(std::string_view spec);
-
-  // Fluent knobs for call sites that tweak one or two fields.
-  ClientOptions& WithCache(bool on) { cache_enabled = on; return *this; }
-  ClientOptions& WithLease(std::uint64_t ns) { lease_ns = ns; return *this; }
-  ClientOptions& WithResilience(bool on) { resilience = on; return *this; }
-  ClientOptions& WithNotify(bool on) { notify = on; return *this; }
 };
 
 // A mounted client-side view of a remote deployment.  Movable; destroying it

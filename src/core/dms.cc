@@ -18,12 +18,10 @@ namespace loco::core {
 
 namespace {
 
-net::RpcResponse Fail(ErrCode code) { return net::RpcResponse{code, {}}; }
-net::RpcResponse Ok() { return net::RpcResponse{}; }
-net::RpcResponse OkPayload(std::string payload) {
-  return net::RpcResponse{ErrCode::kOk, std::move(payload)};
-}
-net::RpcResponse BadRequest() { return Fail(ErrCode::kCorruption); }
+using net::BadRequest;
+using net::Fail;
+using net::Ok;
+using net::OkPayload;
 
 // Intent-log key: [kind u8 | txid u64] (see dms.h PendingRename).
 std::string IntentKey(std::uint8_t kind, std::uint64_t txid) {
@@ -46,28 +44,16 @@ std::uint64_t PathLockKey(std::string_view path) {
   return common::WyMix(path, 0xfeed);
 }
 
-// rpc.batch.* counters (docs/METRICS.md), shared with the FMS batch ops.
-void CountBatch(std::size_t subops, std::size_t failed) {
-  auto& reg = common::MetricsRegistry::Default();
-  reg.GetCounter("rpc.batch.calls").Add();
-  reg.GetCounter("rpc.batch.subops").Add(subops);
-  if (failed > 0) reg.GetCounter("rpc.batch.partial_failures").Add(failed);
-}
-
 }  // namespace
 
 DirectoryMetadataServer::DirectoryMetadataServer(const Options& options)
-    : leases_([this, &options] {
-        // Cap evictions must not silently drop an invalidation promise: wire
-        // the table's eviction callback to a targeted resync push.  The
-        // callback fires outside the table's lock (see LeaseTable::Grant),
-        // so the Drop() re-entry on a dead push session cannot deadlock.
-        LeaseTable::Options lease = options.lease;
-        lease.on_evict = [this](const std::string& path, std::uint64_t client) {
-          OnWatchEvicted(path, client);
-        };
-        return lease;
-      }()) {
+    // Cap evictions must not silently drop an invalidation promise: the
+    // table's eviction callback is a targeted resync push.  It fires outside
+    // the table's lock (see LeaseTable::Grant), so the Drop() re-entry on a
+    // dead push session cannot deadlock.
+    : leases_([this](const std::string& path, std::uint64_t client) {
+        OnWatchEvicted(path, client);
+      }) {
   sid_ = options.sid;
   // Each store gets its own subdirectory so their WALs never collide.  The
   // dirent records use "dirent_records", not the concatenated lists' old
@@ -85,13 +71,11 @@ DirectoryMetadataServer::DirectoryMetadataServer(const Options& options)
     std::filesystem::create_directories(dirents_opt.dir, ec);
     std::filesystem::create_directories(intents_opt.dir, ec);
   }
-  dirs_ = std::move(kv::MakeStripedKv(options.backend, dirs_opt,
-                                      options.kv_stripes))
-              .value();
+  dirs_ = std::move(kv::MakeStripedKv(options.backend, dirs_opt)).value();
   // One record per subdirectory, striped by the parent's uuid so a listing
   // is one ordered scan of one stripe (layout.h).
   dirents_ = std::move(kv::MakeStripedKv(kv::KvBackend::kBTree, dirents_opt,
-                                         options.kv_stripes, kDirentRouteBytes))
+                                         kv::kStripes, kDirentRouteBytes))
                  .value();
   // The rename intent log stays tiny (one record per in-flight cross-shard
   // transfer); a single stripe avoids 16 extra WAL files per daemon.
@@ -225,7 +209,12 @@ net::RpcResponse DirectoryMetadataServer::Dispatch(std::uint16_t opcode,
   std::shared_lock ns(ns_mu_);
   switch (opcode) {
     case proto::kDmsMkdir: return Mkdir(payload);
-    case proto::kDmsBatchMkdir: return BatchMkdir(payload);
+    case proto::kDmsBatchMkdir:
+      // Bulk tree materialization: the sub-ops run the single-op Mkdir (same
+      // per-parent lock, same rollback) in order, all inside this one shared
+      // namespace-lock acquisition, so a batch may create "a", then "a/b".
+      return net::wire::ServeBatch(
+          payload, [this](std::string_view sub) { return Mkdir(sub); });
     case proto::kDmsRmdir: return Rmdir(payload);
     case proto::kDmsLookup: return Lookup(payload);
     case proto::kDmsStat: return Stat(payload);
@@ -443,25 +432,6 @@ net::RpcResponse DirectoryMetadataServer::Mkdir(std::string_view payload) {
     return Fail(ErrCode::kIo);
   }
   return Ok();
-}
-
-net::RpcResponse DirectoryMetadataServer::BatchMkdir(std::string_view payload) {
-  std::vector<std::string_view> subops;
-  if (!net::wire::DecodeBatchRequest(payload, &subops)) return BadRequest();
-  // Dispatch already holds ns_mu_ shared for the whole frame: the entire
-  // batch is one namespace-lock acquisition.  Sub-ops apply in order, so a
-  // batch may materialize "a" and then "a/b"; each one reuses the single-op
-  // Mkdir (per-parent dir lock, rollback) and fails alone.
-  std::vector<net::wire::BatchItem> items;
-  items.reserve(subops.size());
-  std::size_t failed = 0;
-  for (const std::string_view sub : subops) {
-    net::RpcResponse r = Mkdir(sub);
-    if (r.code != ErrCode::kOk) ++failed;
-    items.push_back(net::wire::BatchItem{r.code, std::move(r.payload)});
-  }
-  CountBatch(subops.size(), failed);
-  return OkPayload(net::wire::EncodeBatchResponse(items));
 }
 
 net::RpcResponse DirectoryMetadataServer::Rmdir(std::string_view payload) {

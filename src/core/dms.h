@@ -48,15 +48,9 @@ class DirectoryMetadataServer final : public net::RpcHandler {
     // optimization; kHash is the Fig. 14 comparison point.
     kv::KvBackend backend = kv::KvBackend::kBTree;
     kv::KvOptions kv;
-    // Lock stripes per store (thread safety under multi-worker servers).
-    std::size_t kv_stripes = 16;
     // Post-construction wrapper applied to each store (fault injection:
     // daemons install kv::FaultyKv here when --fault-spec arms KV faults).
     std::function<std::unique_ptr<kv::Kv>(std::unique_ptr<kv::Kv>)> kv_decorator;
-    // Lease bookkeeping for the push plane: lease term granted per Lookup and
-    // the watch-table bound (docs/LEASES.md).  lease.lease_ns must match the
-    // clients' cache TTL.
-    LeaseTable::Options lease;
     // Server id minted into this shard's directory uuids (the root reserves
     // 0xffff).  Each DMS shard must use a distinct sid so uuids stay unique
     // cluster-wide: shard i conventionally runs 0xfffe - i (--shard-id).
@@ -135,12 +129,6 @@ class DirectoryMetadataServer final : public net::RpcHandler {
   void OnWatchEvicted(const std::string& path, std::uint64_t client);
 
   net::RpcResponse Mkdir(std::string_view payload);
-  // Bulk tree materialization (net/wire.h batch framing): N kDmsMkdir
-  // sub-ops applied in order inside the single shared namespace-lock
-  // acquisition Dispatch already took for the frame.  Each sub-op runs the
-  // single-op Mkdir wholesale (same per-parent lock, same rollback) and
-  // fails alone; a malformed envelope fails the frame with kCorruption.
-  net::RpcResponse BatchMkdir(std::string_view payload);
   net::RpcResponse Rmdir(std::string_view payload);
   net::RpcResponse Lookup(std::string_view payload);
   net::RpcResponse Stat(std::string_view payload);

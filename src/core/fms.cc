@@ -15,25 +15,14 @@ namespace loco::core {
 
 namespace {
 
-net::RpcResponse Fail(ErrCode code) { return net::RpcResponse{code, {}}; }
-net::RpcResponse Ok() { return net::RpcResponse{}; }
-net::RpcResponse OkPayload(std::string payload) {
-  return net::RpcResponse{ErrCode::kOk, std::move(payload)};
-}
-net::RpcResponse BadRequest() { return Fail(ErrCode::kCorruption); }
+using net::BadRequest;
+using net::Fail;
+using net::Ok;
+using net::OkPayload;
 
 // Lock-table key for a file's (dir_uuid + name) KV key.
 std::uint64_t FileLockKey(std::string_view key) {
   return common::WyMix(key, 0xfeed);
-}
-
-// rpc.batch.* counters (docs/METRICS.md): batch frames served, sub-ops they
-// carried, and sub-ops that failed while their siblings succeeded.
-void CountBatch(std::size_t subops, std::size_t failed) {
-  auto& reg = common::MetricsRegistry::Default();
-  reg.GetCounter("rpc.batch.calls").Add();
-  reg.GetCounter("rpc.batch.subops").Add(subops);
-  if (failed > 0) reg.GetCounter("rpc.batch.partial_failures").Add(failed);
 }
 
 }  // namespace
@@ -54,18 +43,16 @@ FileMetadataServer::FileMetadataServer(const Options& options)
     return opt;
   };
   if (options_.decoupled) {
-    access_ = std::move(kv::MakeStripedKv(options_.backend, sub_options("access"),
-                                          options_.kv_stripes))
-                  .value();
-    content_ = std::move(kv::MakeStripedKv(options_.backend,
-                                           sub_options("content"),
-                                           options_.kv_stripes))
-                   .value();
+    access_ =
+        std::move(kv::MakeStripedKv(options_.backend, sub_options("access")))
+            .value();
+    content_ =
+        std::move(kv::MakeStripedKv(options_.backend, sub_options("content")))
+            .value();
   } else {
-    coupled_ = std::move(kv::MakeStripedKv(options_.backend,
-                                           sub_options("coupled"),
-                                           options_.kv_stripes))
-                   .value();
+    coupled_ =
+        std::move(kv::MakeStripedKv(options_.backend, sub_options("coupled")))
+            .value();
   }
   // One record per file, striped by the directory uuid so a listing is one
   // ordered scan of one stripe (layout.h).  "dirent_records", not the
@@ -73,8 +60,7 @@ FileMetadataServer::FileMetadataServer(const Options& options)
   // format is never replayed as records.
   dirents_ = std::move(kv::MakeStripedKv(kv::KvBackend::kBTree,
                                          sub_options("dirent_records"),
-                                         options_.kv_stripes,
-                                         kDirentRouteBytes))
+                                         kv::kStripes, kDirentRouteBytes))
                  .value();
   if (options_.kv_decorator) {
     if (access_) access_ = options_.kv_decorator(std::move(access_));
@@ -157,12 +143,19 @@ net::RpcResponse FileMetadataServer::Dispatch(std::uint16_t opcode,
     case proto::kFmsSetSize: return SetSize(payload);
     case proto::kFmsSetAtime: return SetAtime(payload);
     case proto::kFmsReaddir: return Readdir(payload);
+    // A batch's sub-ops run the single-op handler wholesale, so they take
+    // the same locks and keep the same write order (a batched create writes
+    // content before access; a batched SetSize never regresses a concurrent
+    // writer's size).
     case proto::kFmsBatchCreate:
-      return Batch(payload, &FileMetadataServer::Create);
+      return net::wire::ServeBatch(
+          payload, [this](std::string_view sub) { return Create(sub); });
     case proto::kFmsBatchStat:
-      return Batch(payload, &FileMetadataServer::GetAttr);
+      return net::wire::ServeBatch(
+          payload, [this](std::string_view sub) { return GetAttr(sub); });
     case proto::kFmsBatchSetSize:
-      return Batch(payload, &FileMetadataServer::SetSize);
+      return net::wire::ServeBatch(
+          payload, [this](std::string_view sub) { return SetSize(sub); });
     case proto::kFmsReaddirPlus: return ReaddirPlus(payload);
     case proto::kFmsCheckEmpty: return CheckEmpty(payload);
     case proto::kFmsReadRaw: return ReadRaw(payload);
@@ -541,27 +534,6 @@ net::RpcResponse FileMetadataServer::Readdir(std::string_view payload) {
   return OkPayload(std::move(reply));
 }
 
-net::RpcResponse FileMetadataServer::Batch(
-    std::string_view payload,
-    net::RpcResponse (FileMetadataServer::*op)(std::string_view)) {
-  std::vector<std::string_view> subops;
-  if (!net::wire::DecodeBatchRequest(payload, &subops)) return BadRequest();
-  // Each sub-op reuses the single-op handler wholesale, so it takes the same
-  // locks and keeps the same write order (a batched create writes content
-  // before access; a batched SetSize never regresses a concurrent writer's
-  // size); a failure fails that entry alone.
-  std::vector<net::wire::BatchItem> items;
-  items.reserve(subops.size());
-  std::size_t failed = 0;
-  for (const std::string_view sub : subops) {
-    net::RpcResponse r = (this->*op)(sub);
-    if (r.code != ErrCode::kOk) ++failed;
-    items.push_back(net::wire::BatchItem{r.code, std::move(r.payload)});
-  }
-  CountBatch(subops.size(), failed);
-  return OkPayload(net::wire::EncodeBatchResponse(items));
-}
-
 net::RpcResponse FileMetadataServer::ReaddirPlus(std::string_view payload) {
   fs::Uuid dir_uuid;
   if (!fs::Unpack(payload, dir_uuid)) return BadRequest();
@@ -569,7 +541,6 @@ net::RpcResponse FileMetadataServer::ReaddirPlus(std::string_view payload) {
   // concurrent remove turns into a per-entry kNotFound, exactly what a
   // readdir+stat sequence could observe anyway.
   std::vector<net::wire::BatchItem> items;
-  std::size_t failed = 0;
   for (std::string& name : ListDirents(*dirents_, dir_uuid)) {
     auto attr = GetAttrInternal(FileKey(dir_uuid, name));
     net::wire::BatchItem item;
@@ -578,12 +549,10 @@ net::RpcResponse FileMetadataServer::ReaddirPlus(std::string_view payload) {
     } else {
       item.code = attr.code();
       item.payload = fs::Pack(name);
-      ++failed;
     }
     items.push_back(std::move(item));
   }
-  CountBatch(items.size(), failed);
-  return OkPayload(net::wire::EncodeBatchResponse(items));
+  return net::wire::BatchReply(items);
 }
 
 net::RpcResponse FileMetadataServer::CheckEmpty(std::string_view payload) {

@@ -52,8 +52,6 @@ class FileMetadataServer final : public net::RpcHandler {
     bool decoupled = true;   // DF (true) vs CF (false)
     kv::KvBackend backend = kv::KvBackend::kHash;
     kv::KvOptions kv;
-    // Lock stripes per store (thread safety under multi-worker servers).
-    std::size_t kv_stripes = 16;
     // Post-construction wrapper applied to each store (fault injection:
     // daemons install kv::FaultyKv here when --fault-spec arms KV faults).
     std::function<std::unique_ptr<kv::Kv>(std::unique_ptr<kv::Kv>)> kv_decorator;
@@ -110,12 +108,6 @@ class FileMetadataServer final : public net::RpcHandler {
   net::RpcResponse SetSize(std::string_view payload);
   net::RpcResponse SetAtime(std::string_view payload);
   net::RpcResponse Readdir(std::string_view payload);
-  // Batched metadata ops (net/wire.h batch framing): runs `op`, a single-op
-  // handler, on each sub-op.  Each sub-op fails individually; only a
-  // malformed batch envelope fails the whole frame (kCorruption).
-  net::RpcResponse Batch(std::string_view payload,
-                         net::RpcResponse (FileMetadataServer::*op)(
-                             std::string_view));
   net::RpcResponse ReaddirPlus(std::string_view payload);
   net::RpcResponse CheckEmpty(std::string_view payload);
   net::RpcResponse ReadRaw(std::string_view payload);

@@ -9,15 +9,14 @@
 namespace loco::core {
 
 GcManager::GcManager(Options options)
-    : options_(std::move(options)),
-      cycles_metric_(&common::MetricsRegistry::Default().GetCounter(
-          options_.metrics_prefix + ".cycles")),
-      ops_metric_(&common::MetricsRegistry::Default().GetCounter(
-          options_.metrics_prefix + ".ops")),
-      reclaimed_metric_(&common::MetricsRegistry::Default().GetCounter(
-          options_.metrics_prefix + ".reclaimed")),
-      throttle_ns_metric_(&common::MetricsRegistry::Default().GetCounter(
-          options_.metrics_prefix + ".throttle_ns")) {}
+    : options_(options),
+      cycles_metric_(
+          &common::MetricsRegistry::Default().GetCounter("gc.cycles")),
+      ops_metric_(&common::MetricsRegistry::Default().GetCounter("gc.ops")),
+      reclaimed_metric_(
+          &common::MetricsRegistry::Default().GetCounter("gc.reclaimed")),
+      throttle_ns_metric_(
+          &common::MetricsRegistry::Default().GetCounter("gc.throttle_ns")) {}
 
 GcManager::~GcManager() { Stop(); }
 
@@ -34,13 +33,12 @@ void GcManager::SetLoadSignal(LoadSignal signal) {
 double GcManager::PacingFactorLocked() const {
   if (!load_signal_) return 1.0;
   const common::Nanos delay = load_signal_();
-  if (delay <= options_.load_low_ns) return 1.0;
-  if (delay >= options_.load_high_ns) return options_.load_min_factor;
+  if (delay <= kLoadLowNs) return 1.0;
+  if (delay >= kLoadHighNs) return kLoadMinFactor;
   // Linear ramp between the watermarks.
-  const double span =
-      static_cast<double>(options_.load_high_ns - options_.load_low_ns);
-  const double t = static_cast<double>(delay - options_.load_low_ns) / span;
-  return 1.0 - t * (1.0 - options_.load_min_factor);
+  const double t = static_cast<double>(delay - kLoadLowNs) /
+                   static_cast<double>(kLoadHighNs - kLoadLowNs);
+  return 1.0 - t * (1.0 - kLoadMinFactor);
 }
 
 double GcManager::CurrentPacingFactor() const {
@@ -99,7 +97,7 @@ void GcManager::Loop() {
     last_refill = now;
 
     if (tasks_.empty()) {
-      cv_.wait_for(lock, std::chrono::nanoseconds(options_.idle_sleep_ns));
+      cv_.wait_for(lock, std::chrono::nanoseconds(kIdleSleepNs));
       continue;
     }
     if (tokens < 1.0) {
@@ -107,7 +105,7 @@ void GcManager::Loop() {
       // current (possibly load-scaled) rate.
       const double deficit = options_.batch_ops - tokens;
       const common::Nanos wait = std::min<common::Nanos>(
-          options_.idle_sleep_ns,
+          kIdleSleepNs,
           static_cast<common::Nanos>(deficit / std::max(rate, 1e-9) *
                                      common::kSecond) + 1);
       throttle_ns_metric_->Add(static_cast<std::uint64_t>(wait));
@@ -117,7 +115,7 @@ void GcManager::Loop() {
     if (idle_streak >= tasks_.size()) {
       // A full round found no work; back off before polling the stores again.
       idle_streak = 0;
-      cv_.wait_for(lock, std::chrono::nanoseconds(options_.idle_sleep_ns));
+      cv_.wait_for(lock, std::chrono::nanoseconds(kIdleSleepNs));
       continue;
     }
 

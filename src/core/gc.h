@@ -26,10 +26,10 @@
 //
 // Adaptive pacing (docs/OVERLOAD.md): a daemon can hand the manager a load
 // signal — its TcpServer's recent admission-queue delay.  While foreground
-// traffic queues (delay at or above Options::load_high_ns) the token refill
-// collapses toward load_min_factor, so housekeeping yields the machine to
-// the serving path; once the delay falls back below load_low_ns GC resumes
-// its configured rate.  The extra waiting shows up in <prefix>.throttle_ns.
+// traffic queues (delay at or above kLoadHighNs) the token refill collapses
+// toward kLoadMinFactor, so housekeeping yields the machine to the serving
+// path; once the delay falls back below kLoadLowNs GC resumes its
+// configured rate.  The extra waiting shows up in gc.throttle_ns.
 #pragma once
 
 #include <condition_variable>
@@ -101,15 +101,16 @@ class GcManager {
   struct Options {
     double ops_per_sec = 2000.0;       // sustained scan+repair rate
     std::uint32_t batch_ops = 64;      // max ops granted to one step call
-    common::Nanos idle_sleep_ns = 100 * common::kMilli;  // sleep when idle
-    std::string metrics_prefix = "gc";
-    // Adaptive pacing against the load signal (no effect without one).
-    // Queue delay >= load_high_ns scales the refill rate by load_min_factor;
-    // <= load_low_ns restores full rate; in between it ramps linearly.
-    common::Nanos load_high_ns = common::kMilli;
-    common::Nanos load_low_ns = 50 * common::kMicro;
-    double load_min_factor = 0.1;
   };
+
+  // Longest sleep of an idle or throttled loop.
+  static constexpr common::Nanos kIdleSleepNs = 100 * common::kMilli;
+  // Adaptive pacing against the load signal (no effect without one): queue
+  // delay >= kLoadHighNs scales the refill rate by kLoadMinFactor, <=
+  // kLoadLowNs restores full rate, and in between it ramps linearly.
+  static constexpr common::Nanos kLoadHighNs = common::kMilli;
+  static constexpr common::Nanos kLoadLowNs = 50 * common::kMicro;
+  static constexpr double kLoadMinFactor = 0.1;
 
   struct TaskStatus {
     std::string name;
@@ -141,7 +142,7 @@ class GcManager {
   using LoadSignal = std::function<common::Nanos()>;
   void SetLoadSignal(LoadSignal signal);
 
-  // Current pacing factor in [load_min_factor, 1]; 1 without a signal
+  // Current pacing factor in [kLoadMinFactor, 1]; 1 without a signal
   // (tests / loco_shell gc).
   double CurrentPacingFactor() const;
 

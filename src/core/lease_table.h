@@ -1,17 +1,17 @@
 // Server-side lease/watch bookkeeping for the DMS push plane (docs/LEASES.md).
 //
 // Every kDmsLookup that carries a client identity registers a watch: "client C
-// holds a lease on directory P until now + lease_ns".  When a mutation changes
-// P (or, for rename, a whole subtree), the DMS collects the live watchers and
-// pushes wire::kNotifyInvalidate to each of them — shrinking the remote-writer
-// staleness window from the full lease term to roughly one RTT.  The lease
-// timeout itself stays authoritative: a client that misses the push (stream
-// down, frame dropped) is still correct, just slower to notice.
+// holds a lease on directory P until now + proto::kLeaseNs".  When a mutation
+// changes P (or, for rename, a whole subtree), the DMS collects the live
+// watchers and pushes wire::kNotifyInvalidate to each of them — shrinking the
+// remote-writer staleness window from the full lease term to roughly one RTT.
+// The lease timeout itself stays authoritative: a client that misses the push
+// (stream down, frame dropped) is still correct, just slower to notice.
 //
-// The table is bounded: at most `max_watches` live entries.  When a grant
-// would exceed the bound, expired watches are swept first; if the table is
-// still full the soonest-to-expire watch is evicted (its holder merely loses
-// the push and falls back to the lease timeout, so eviction is always safe).
+// The table is bounded: at most kMaxWatches entries.  When a grant would
+// exceed the bound, expired watches are swept first; if the table is still
+// full the soonest-to-expire watch is evicted (its holder merely loses the
+// push and falls back to the lease timeout, so eviction is always safe).
 //
 // Thread safety: all methods take an internal mutex; DMS handlers call in
 // from many TcpServer workers at once.
@@ -29,23 +29,21 @@ namespace loco::core {
 
 class LeaseTable {
  public:
-  struct Options {
-    // Lease term granted to a Lookup; must match the client's cache TTL.
-    std::uint64_t lease_ns = 30ull * 1'000'000'000;
-    // Upper bound on live (path, client) watches.
-    std::size_t max_watches = 65536;
-    // Invoked when a *live* watch is evicted to make room at the cap.  The
-    // evicted holder believed it would be pushed an invalidation for `path`;
-    // since that promise is now broken, the owner (the DMS) must push a
-    // synthetic invalidation so the client resyncs instead of serving a
-    // stale entry until its lease times out.  Expired watches are swept
-    // without a callback — their holders already fell back to the timeout.
-    // Called with no internal lock held (safe to re-enter the table).
-    std::function<void(const std::string& path, std::uint64_t client)> on_evict;
-  };
+  // Upper bound on (path, client) watches.
+  static constexpr std::size_t kMaxWatches = 65536;
 
-  LeaseTable() : LeaseTable(Options()) {}
-  explicit LeaseTable(Options options) : options_(options) {}
+  // Invoked when a *live* watch is evicted to make room at the cap.  The
+  // evicted holder believed it would be pushed an invalidation for `path`;
+  // since that promise is now broken, the owner (the DMS) must push a
+  // synthetic invalidation so the client resyncs instead of serving a stale
+  // entry until its lease times out.  Expired watches are swept without a
+  // callback — their holders already fell back to the timeout.  Called with
+  // no internal lock held (safe to re-enter the table).
+  using OnEvict =
+      std::function<void(const std::string& path, std::uint64_t client)>;
+
+  explicit LeaseTable(OnEvict on_evict = nullptr)
+      : on_evict_(std::move(on_evict)) {}
 
   // Record that `client` leased `path` at steady-clock instant `now`.
   // Re-granting refreshes the expiry.
@@ -62,36 +60,39 @@ class LeaseTable {
   // can no longer be delivered).
   void Drop(std::uint64_t client);
 
-  // Live watch count (expired-but-unswept entries included).
+  // Watch count (expired-but-unswept entries included).
   std::size_t size() const;
 
-  std::uint64_t lease_ns() const noexcept { return options_.lease_ns; }
+  // True when the expiry index holds exactly one entry per watch, naming
+  // that watch (tests).
+  bool CheckInvariants() const;
 
  private:
   struct ExpiryKey {
     std::string path;
     std::uint64_t client = 0;
   };
+  // expiry -> (path, client), one entry per watch, soonest expiry first.
+  using ExpiryIndex = std::multimap<std::uint64_t, ExpiryKey>;
 
-  // Caller holds mu_.  Removes the watch and its by-expiry twin.
-  void EraseLocked(const std::string& path, std::uint64_t client,
-                   std::uint64_t expiry);
-  // Caller holds mu_.  Frees at least one slot: sweep expired watches, then
-  // evict the soonest-to-expire live one.  Live evictions are appended to
-  // `evicted` so the caller can fire on_evict after releasing mu_.
+  // Caller holds mu_.  Removes the watch `pos` indexes.
+  void EraseLocked(ExpiryIndex::iterator pos);
+  // Caller holds mu_.  Frees one slot: sweep expired watches, soonest
+  // first, then evict the soonest-to-expire live one.  Live evictions are
+  // appended to `evicted` so the caller can fire on_evict after releasing
+  // mu_.
   void MakeRoomLocked(
       std::uint64_t now,
       std::vector<std::pair<std::string, std::uint64_t>>* evicted);
 
-  const Options options_;
+  const OnEvict on_evict_;
   mutable std::mutex mu_;
-  // path -> {client -> expiry}; ordered so rename subtree invalidation is a
-  // prefix range scan, mirroring the B+-tree range move it reacts to.
-  std::map<std::string, std::map<std::uint64_t, std::uint64_t>> watches_;
-  // expiry -> (path, client) for bounded-size eviction.  Entries go stale
-  // when a watch is refreshed or consumed; lazily skipped on pop.
-  std::multimap<std::uint64_t, ExpiryKey> by_expiry_;
-  std::size_t count_ = 0;
+  // path -> {client -> the watch's index entry}; ordered so rename subtree
+  // invalidation is a prefix range scan, mirroring the B+-tree range move it
+  // reacts to.
+  std::map<std::string, std::map<std::uint64_t, ExpiryIndex::iterator>>
+      watches_;
+  ExpiryIndex by_expiry_;
 };
 
 }  // namespace loco::core

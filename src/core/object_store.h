@@ -54,7 +54,6 @@ class ObjectStoreServer final : public net::RpcHandler {
     // Block-table persistence (kv.dir = on-disk striped store recovered on
     // restart; empty = memory only, as before).
     kv::KvOptions kv;
-    std::size_t kv_stripes = 16;
   };
 
   ObjectStoreServer() : ObjectStoreServer(Options{}) {}
@@ -82,12 +81,6 @@ class ObjectStoreServer final : public net::RpcHandler {
   net::RpcResponse Dispatch(std::uint16_t opcode, std::string_view payload);
 
   net::RpcResponse Write(std::string_view payload);
-  // Bulk small-object write (net/wire.h batch framing): each sub-op runs
-  // the single-op Write (same per-object lock, same RMW rules) and fails
-  // alone; the frame's extra_service_ns sums the sub-op device costs so the
-  // simulator charges the batch exactly what N writes would have cost in
-  // storage time (the saved RPC overhead is the point).
-  net::RpcResponse BatchPut(std::string_view payload);
   net::RpcResponse Read(std::string_view payload);
   net::RpcResponse Truncate(std::string_view payload);
   net::RpcResponse Purge(std::string_view payload);

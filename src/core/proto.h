@@ -11,6 +11,11 @@
 
 namespace loco::core::proto {
 
+// The d-inode lease term (§3.2.2): a kDmsLookup grants the caller a lease
+// on the directory for this long, and the client caches the reply for the
+// same term.
+inline constexpr std::uint64_t kLeaseNs = 30ull * 1'000'000'000;
+
 // --------------------------- DMS (Directory Metadata Server) ---------------
 enum DmsOp : std::uint16_t {
   // [path, mode u32, Identity, ts u64] -> []

@@ -77,13 +77,17 @@ class StripedKv final : public Kv {
   bool ordered_ = false;
 };
 
+// Lock stripes per server store: enough that multi-worker servers rarely
+// contend on one stripe's mutex.
+inline constexpr std::size_t kStripes = 16;
+
 // Create a striped store over `stripes` inner `backend` stores (rounded up
-// to a power of two; default 16).  With options.dir set, stripe N persists
-// under "<dir>/stripeNN".  A nonzero `route_prefix` routes keys by their
-// first `route_prefix` bytes (see Routing above).
+// to a power of two).  With options.dir set, stripe N persists under
+// "<dir>/stripeNN".  A nonzero `route_prefix` routes keys by their first
+// `route_prefix` bytes (see Routing above).
 Result<std::unique_ptr<Kv>> MakeStripedKv(KvBackend backend,
                                           const KvOptions& options = {},
-                                          std::size_t stripes = 16,
+                                          std::size_t stripes = kStripes,
                                           std::size_t route_prefix = 0);
 
 }  // namespace loco::kv

@@ -2,9 +2,8 @@
 
 namespace loco::net {
 
-DedupWindow::DedupWindow(std::vector<std::uint16_t> opcodes, Options options)
+DedupWindow::DedupWindow(std::vector<std::uint16_t> opcodes)
     : opcodes_(opcodes.begin(), opcodes.end()),
-      options_(options),
       replays_metric_(&common::MetricsRegistry::Default().GetCounter(
           "rpc.tcp_server.dedup.replays")) {}
 
@@ -58,7 +57,7 @@ void DedupWindow::Complete(Slot slot, ErrCode code, std::string_view payload) {
   slot->second.code = code;
   slot->second.payload.assign(payload.data(), payload.size());
   completed_.push_back(&slot->first);
-  while (completed_.size() > options_.capacity) {
+  while (completed_.size() > kCapacity) {
     // Look the key up before erasing: erase(key) would compare against the
     // very key it destroys.
     entries_.erase(entries_.find(*completed_.front()));

@@ -74,15 +74,12 @@ class DedupWindow {
   using Map = std::unordered_map<StoredKey, Entry, StoredKeyHash, StoredKeyEq>;
 
  public:
-  struct Options {
-    std::size_t capacity = 1024;  // completed entries retained
-  };
+  // Completed entries retained.
+  static constexpr std::size_t kCapacity = 1024;
 
   // `opcodes` selects which operations are deduplicated (mutations only;
   // reads are idempotent and not worth caching).
-  explicit DedupWindow(std::vector<std::uint16_t> opcodes)
-      : DedupWindow(std::move(opcodes), Options()) {}
-  DedupWindow(std::vector<std::uint16_t> opcodes, Options options);
+  explicit DedupWindow(std::vector<std::uint16_t> opcodes);
 
   bool Eligible(std::uint16_t opcode) const noexcept {
     return opcodes_.count(opcode) != 0;
@@ -118,7 +115,6 @@ class DedupWindow {
 
  private:
   const std::unordered_set<std::uint16_t> opcodes_;
-  const Options options_;
   std::atomic<std::uint64_t> replays_{0};
   common::Counter* replays_metric_;
   std::mutex mu_;

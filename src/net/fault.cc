@@ -156,14 +156,6 @@ FaultInjector::NotifyFate FaultInjector::OnNotifyFrame() {
   return fate;
 }
 
-common::Nanos FaultInjector::OnClientSend() {
-  if (spec_.delay <= 0) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!rng_.Chance(spec_.delay)) return 0;
-  delay_count_->Add();
-  return spec_.delay_ns;
-}
-
 bool FaultInjector::ForceQueueFull() {
   if (spec_.queue_full <= 0) return false;
   std::lock_guard<std::mutex> lock(mu_);

@@ -12,7 +12,8 @@
 //                   sequence for a given arrival order (defaults to 1)
 //   drop=P          swallow a decoded request frame with probability P
 //   dup=P           deliver a decoded request frame twice
-//   delay=P         stall a request before service (see delay_ms)
+//   delay=P         stall a decoded request on the server before service
+//                   (see delay_ms; the client side injects nothing)
 //   delay_ms=N      duration of an injected stall (default 2 ms)
 //   reset=P         tear down the connection instead of serving the frame
 //   short_write=P   truncate the response mid-frame and drop the connection
@@ -98,9 +99,6 @@ class FaultInjector {
     bool dup = false;
   };
   NotifyFate OnNotifyFrame();
-
-  // Client-side stall before sending a request (TcpChannel hook).
-  common::Nanos OnClientSend();
 
   // True if this KV Put/PatchValue should fail with kIo (FaultyKv hook).
   bool FailKvPut();

@@ -1,7 +1,5 @@
 #include "net/inproc.h"
 
-#include <thread>
-
 namespace loco::net {
 
 void InProcTransport::Register(NodeId id, RpcHandler* handler) {
@@ -24,15 +22,8 @@ void InProcTransport::CallAsync(NodeId server, std::uint16_t opcode,
     done(RpcResponse{ErrCode::kUnavailable, {}});
     return;
   }
-  const common::Nanos rtt = rtt_.load(std::memory_order_relaxed);
-  if (rtt > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(rtt / 2));
-  RpcResponse resp;
-  {
-    std::scoped_lock lock(it->second->mu);
-    it->second->calls.fetch_add(1, std::memory_order_relaxed);
-    resp = it->second->handler->Handle(opcode, payload);
-  }
-  if (rtt > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(rtt / 2));
+  it->second->calls.fetch_add(1, std::memory_order_relaxed);
+  RpcResponse resp = it->second->handler->Handle(opcode, payload);
   if (resp.code != ErrCode::kOk) m.errors->Add();
   m.bytes_received->Add(resp.payload.size());
   m.latency->Record(timer.ElapsedNanos());

@@ -1,22 +1,18 @@
 // In-process transport: executes handlers on the calling thread.
 //
 // This is the "real" (non-simulated) deployment of the services, used by the
-// examples and the multi-threaded integration tests.  Each registered server
-// is protected by its own mutex, so concurrent client threads serialize per
-// server, one request at a time.  The LocoFS services would not need it
-// (they are thread-safe, and run behind a multi-worker TcpServer); the
-// baseline services have no locking of their own.  An optional injected
-// round-trip latency emulates a LAN for tests that want wall-clock realism.
+// examples and the multi-threaded integration tests.  Calls from different
+// threads run their handlers concurrently, even on one server, exactly as a
+// multi-worker TcpServer runs them: the LocoFS services are thread-safe.  The
+// baseline services have no locking of their own, so they are driven from
+// one thread only (the simulator, tab01, single-threaded tests).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 
-#include "common/clock.h"
 #include "common/metrics.h"
 #include "net/rpc.h"
 
@@ -30,9 +26,6 @@ class InProcTransport final : public Channel {
   // concurrent calls; perform all registrations before serving traffic.
   void Register(NodeId id, RpcHandler* handler);
 
-  // Inject a real round-trip latency (nanoseconds) on every call.
-  void SetRoundTripLatency(common::Nanos rtt) { rtt_.store(rtt); }
-
   void CallAsync(NodeId server, std::uint16_t opcode, std::string payload,
                  std::function<void(RpcResponse)> done) override;
 
@@ -42,12 +35,10 @@ class InProcTransport final : public Channel {
  private:
   struct Server {
     RpcHandler* handler = nullptr;
-    std::mutex mu;
     std::atomic<std::uint64_t> calls{0};
   };
 
   std::unordered_map<NodeId, std::unique_ptr<Server>> servers_;
-  std::atomic<common::Nanos> rtt_{0};
   // Per-opcode RPC metrics, measured in wall-clock time (this transport runs
   // handlers inline on real threads).
   common::RpcMetricsTable metrics_{&common::MetricsRegistry::Default(),

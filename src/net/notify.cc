@@ -298,13 +298,12 @@ void NotifyListener::RunOnce(bool* ever_connected, bool* connected_this_cycle) {
 
 void NotifyListener::Run() {
   bool ever_connected = false;
-  common::Nanos backoff = options_.backoff_base_ns;
+  common::Nanos backoff = kBackoffBaseNs;
   while (!stop_.load(std::memory_order_acquire)) {
     bool connected_this_cycle = false;
     RunOnce(&ever_connected, &connected_this_cycle);
-    backoff = connected_this_cycle
-                  ? options_.backoff_base_ns
-                  : std::min(backoff * 2, options_.backoff_cap_ns);
+    backoff = connected_this_cycle ? kBackoffBaseNs
+                                   : std::min(backoff * 2, kBackoffCapNs);
     // Interruptible backoff sleep (no data descriptor; only the stop pipe
     // can cut the wait short).
     (void)PollStoppable(-1, stop_fds_[0], 0,

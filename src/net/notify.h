@@ -106,10 +106,11 @@ class NotifyListener {
     std::string host;
     std::uint16_t port = 0;
     std::uint64_t client_id = 0;  // must match the RPC channel's client id
-    // Reconnect backoff: doubles from base to cap while the server is down.
-    common::Nanos backoff_base_ns = 50 * common::kMilli;
-    common::Nanos backoff_cap_ns = 2 * common::kSecond;
   };
+
+  // Reconnect backoff: doubles from base to cap while the server is down.
+  static constexpr common::Nanos kBackoffBaseNs = 50 * common::kMilli;
+  static constexpr common::Nanos kBackoffCapNs = 2 * common::kSecond;
 
   // Invoked on the listener's reader thread.  Must not block for long and
   // must not destroy the listener.

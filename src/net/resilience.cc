@@ -39,11 +39,8 @@ std::uint64_t JitterSeed() {
 
 }  // namespace
 
-ResilientChannel::ResilientChannel(Channel* inner, ResilienceOptions options)
-    : inner_(inner),
-      options_(options),
-      rng_(JitterSeed()),
-      retry_tokens_(options.retry_budget_cap) {
+ResilientChannel::ResilientChannel(Channel* inner)
+    : inner_(inner), rng_(JitterSeed()), retry_tokens_(kRetryBudgetCap) {
   auto& reg = common::MetricsRegistry::Default();
   retries_ = &reg.GetCounter("rpc.resilient.retries");
   fast_fails_ = &reg.GetCounter("rpc.resilient.fast_fails");
@@ -90,7 +87,7 @@ void ResilientChannel::FanOutAsync(
   CallMeta attempt_meta = meta;
   if (attempt_meta.trace_id == 0) attempt_meta.trace_id = NextTraceId();
   // ONE deadline budget covers every attempt of every leg: each retry is
-  // stamped with what remains, so max_attempts can never stretch a call past
+  // stamped with what remains, so kMaxAttempts can never stretch a call past
   // its total.
   const common::Nanos total_ns =
       meta.deadline_ns > 0 ? meta.deadline_ns : inner_->call_deadline_ns();
@@ -159,7 +156,7 @@ std::vector<RpcResponse> ResilientChannel::CallInner(std::vector<CallLeg> legs,
 RpcResponse ResilientChannel::RetryLeg(const CallLeg& leg, CallMeta meta,
                                        common::Nanos deadline_abs,
                                        RpcResponse last) {
-  for (int attempt = 1; attempt < options_.max_attempts; ++attempt) {
+  for (int attempt = 1; attempt < kMaxAttempts; ++attempt) {
     common::Nanos sleep_ns = 0;
     if (last.code == ErrCode::kOverloaded) {
       // The shedding server said when to come back; believe it.
@@ -197,14 +194,11 @@ RpcResponse ResilientChannel::RetryLeg(const CallLeg& leg, CallMeta meta,
 }
 
 void ResilientChannel::DepositRetryToken() {
-  if (options_.retry_budget_ratio <= 0) return;
   std::lock_guard<std::mutex> lock(mu_);
-  retry_tokens_ = std::min(options_.retry_budget_cap,
-                           retry_tokens_ + options_.retry_budget_ratio);
+  retry_tokens_ = std::min(kRetryBudgetCap, retry_tokens_ + kRetryBudgetRatio);
 }
 
 bool ResilientChannel::SpendRetryToken() {
-  if (options_.retry_budget_ratio <= 0) return true;
   std::lock_guard<std::mutex> lock(mu_);
   if (retry_tokens_ < 1.0) return false;
   retry_tokens_ -= 1.0;
@@ -235,19 +229,16 @@ void ResilientChannel::RecordOutcome(NodeId server, bool success,
     return;
   }
   ++b.consecutive_failures;
-  if (was_probe || b.consecutive_failures >= options_.breaker_threshold) {
+  if (was_probe || b.consecutive_failures >= kBreakerThreshold) {
     if (b.open_until == 0) breaker_opens_->Add();
-    b.open_until = common::CpuTimer::Now() + options_.breaker_open_ns;
+    b.open_until = common::CpuTimer::Now() + kBreakerOpenNs;
   }
 }
 
 common::Nanos ResilientChannel::JitterBackoff(int attempt) {
-  common::Nanos ceiling = options_.backoff_base_ns;
-  for (int i = 0; i < attempt && ceiling < options_.backoff_cap_ns; ++i) {
-    ceiling *= 2;
-  }
-  ceiling = std::min(ceiling, options_.backoff_cap_ns);
-  if (ceiling <= 0) return 0;
+  common::Nanos ceiling = kBackoffBaseNs;
+  for (int i = 0; i < attempt && ceiling < kBackoffCapNs; ++i) ceiling *= 2;
+  ceiling = std::min(ceiling, kBackoffCapNs);
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<common::Nanos>(
       rng_.Uniform(static_cast<std::uint64_t>(ceiling) + 1));

@@ -21,10 +21,10 @@
 //     shedding load: it never counts against the breaker, and the backoff
 //     before the next attempt honors the server's retry-after hint (the
 //     response payload, docs/OVERLOAD.md) instead of the jitter schedule.
-//   * `breaker_threshold` consecutive retryable failures open the breaker:
+//   * kBreakerThreshold consecutive retryable failures open the breaker:
 //     calls fail fast with kUnavailable without touching the wire, so a
 //     stampede of doomed connects never piles onto a dead daemon.
-//   * After `breaker_open_ns` the breaker goes half-open: exactly one probe
+//   * After kBreakerOpenNs the breaker goes half-open: exactly one probe
 //     call is let through; success closes the breaker, failure re-opens it.
 //
 // Two global guards bound what retrying may amplify:
@@ -34,7 +34,7 @@
 //     the full budget, later attempts only what is left of it, and the loop
 //     stops once it is spent — a 3-attempt call can never take 3x its
 //     deadline.
-//   * A token-bucket retry budget (retry_budget_ratio per issued call,
+//   * A token-bucket retry budget (kRetryBudgetRatio per issued call,
 //     capped) gates every retry: when sustained failure drains the bucket,
 //     calls fail after their first attempt (rpc.resilient.budget_exhausted)
 //     instead of multiplying offered load against a struggling cluster.
@@ -42,7 +42,7 @@
 // The notify plane short-circuits the probe wait: when the DMS broadcasts a
 // kNotifyServerUp (a restarted daemon announced itself), the client calls
 // NotifyServerUp(node) and the breaker closes immediately — the next call
-// goes straight to the wire instead of waiting out breaker_open_ns.
+// goes straight to the wire instead of waiting out kBreakerOpenNs.
 //
 // Metrics: rpc.resilient.retries, rpc.resilient.fast_fails,
 // rpc.resilient.breaker_opens, rpc.resilient.gossip_resets,
@@ -61,33 +61,30 @@
 
 namespace loco::net {
 
-struct ResilienceOptions {
-  // Total tries per call (1 = no retry).
-  int max_attempts = 3;
-  // Full-jitter backoff before attempt N+1: sleep uniform in
-  // [0, min(cap, base * 2^N)], drawn from a stream seeded per channel
-  // instance, so clients that failed together do not retry in lockstep.
-  common::Nanos backoff_base_ns = 5 * common::kMilli;
-  common::Nanos backoff_cap_ns = 200 * common::kMilli;
-  // Consecutive retryable failures that open the breaker.
-  int breaker_threshold = 5;
-  // How long an open breaker fails fast before probing.
-  common::Nanos breaker_open_ns = 500 * common::kMilli;
-  // Retry token bucket: each issued call deposits `retry_budget_ratio`
-  // tokens (bounded by `retry_budget_cap`; the bucket starts full) and each
-  // retry spends one.  At ratio 0.1 sustained failure settles at ~10% retry
-  // amplification.  ratio <= 0 disables the budget (unlimited retries).
-  double retry_budget_ratio = 0.1;
-  double retry_budget_cap = 50.0;
-};
-
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
 class ResilientChannel final : public Channel {
  public:
+  // Total tries per call (1 = no retry).
+  static constexpr int kMaxAttempts = 3;
+  // Full-jitter backoff before attempt N+1: sleep uniform in
+  // [0, min(cap, base * 2^N)], drawn from a stream seeded per channel
+  // instance, so clients that failed together do not retry in lockstep.
+  static constexpr common::Nanos kBackoffBaseNs = 5 * common::kMilli;
+  static constexpr common::Nanos kBackoffCapNs = 200 * common::kMilli;
+  // Consecutive retryable failures that open the breaker.
+  static constexpr int kBreakerThreshold = 5;
+  // How long an open breaker fails fast before probing.
+  static constexpr common::Nanos kBreakerOpenNs = 500 * common::kMilli;
+  // Retry token bucket: each issued call deposits kRetryBudgetRatio tokens
+  // (bounded by kRetryBudgetCap; the bucket starts full) and each retry
+  // spends one, so sustained failure settles at ~10% retry amplification.
+  static constexpr double kRetryBudgetRatio = 0.1;
+  static constexpr double kRetryBudgetCap = 50.0;
+
   // `inner` must complete calls inline (all project transports do) and must
   // outlive this channel.
-  ResilientChannel(Channel* inner, ResilienceOptions options = {});
+  explicit ResilientChannel(Channel* inner);
 
   void CallAsync(NodeId server, std::uint16_t opcode, std::string payload,
                  std::function<void(RpcResponse)> done) override;
@@ -130,7 +127,6 @@ class ResilientChannel final : public Channel {
   bool SpendRetryToken();
 
   Channel* inner_;
-  const ResilienceOptions options_;
   std::mutex mu_;  // guards breakers_, rng_ and retry_tokens_
   std::unordered_map<NodeId, Breaker> breakers_;
   common::Rng rng_;

@@ -4,9 +4,8 @@
 // RpcHandler: a request handler keyed by (opcode, payload bytes).  Clients
 // reach servers through a Channel.  Three Channel implementations exist:
 //
-//   * net::InProcTransport — executes handlers on the calling thread (or
-//     with real injected latency), used by the examples and the
-//     multi-threaded integration tests;
+//   * net::InProcTransport — executes handlers on the calling thread, used
+//     by the examples and the multi-threaded integration tests;
 //   * sim::SimTransport    — schedules the exchange on the discrete-event
 //     simulator's virtual clock, used by every paper experiment;
 //   * net::TcpChannel      — real sockets against net::TcpServer daemons
@@ -23,6 +22,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -46,6 +46,15 @@ struct RpcResponse {
 
   bool ok() const noexcept { return code == ErrCode::kOk; }
 };
+
+// Handler reply shorthands: a bare error, an empty or payload-carrying
+// success, and the reply to a request whose payload does not decode.
+inline RpcResponse Fail(ErrCode code) { return RpcResponse{code, {}}; }
+inline RpcResponse Ok() { return RpcResponse{}; }
+inline RpcResponse OkPayload(std::string payload) {
+  return RpcResponse{ErrCode::kOk, std::move(payload)};
+}
+inline RpcResponse BadRequest() { return Fail(ErrCode::kCorruption); }
 
 // Transport-provided context for one request.  Only transports with a wire
 // identity fill it in: net::TcpServer passes the client id learned from the

@@ -743,8 +743,7 @@ bool TcpServer::AppendResponse(Conn* conn, std::string&& bytes) {
     return false;
   }
   if (!bytes.empty()) {
-    if (options_.max_conn_output_bytes > 0 &&
-        conn->out_bytes + bytes.size() > 2 * options_.max_conn_output_bytes) {
+    if (conn->out_bytes + bytes.size() > 2 * kMaxConnOutputBytes) {
       // Twice the soft cap of undrained responses: the peer stopped reading
       // long ago (the soft cap already paused its requests).  Cut it loose
       // rather than buffer without bound.
@@ -957,8 +956,7 @@ void TcpServer::SyncWriteInterest(Conn* conn) {
   // Soft output cap: a reader this far behind loses EPOLLIN until its
   // backlog drains below the cap — the slow client stalls itself, not the
   // daemon's memory (docs/OVERLOAD.md).
-  const bool stall = options_.max_conn_output_bytes > 0 &&
-                     conn->out_bytes > options_.max_conn_output_bytes;
+  const bool stall = conn->out_bytes > kMaxConnOutputBytes;
   if (want == conn->want_write && stall == conn->read_stalled) return;
   struct epoll_event ev{};
   ev.events = (stall ? 0u : EPOLLIN) | (want ? EPOLLOUT : 0u);
@@ -1160,7 +1158,7 @@ std::shared_ptr<TcpChannel::PipeConn> TcpChannel::AcquireConn(
                                                    : ErrCode::kUnavailable;
     return nullptr;
   }
-  auto conn = std::make_shared<PipeConn>(fd, options_.max_payload_bytes);
+  auto conn = std::make_shared<PipeConn>(fd);
   if (options_.client_id != 0) {
     // Fire-and-forget hello: identifies this mount to the server without
     // costing a round trip.  Request id 0 is never used by calls, so the
@@ -1413,21 +1411,12 @@ void TcpChannel::FanOutAsync(std::vector<CallLeg> legs, const CallMeta& meta,
     const auto it = endpoints_.find(legs[i].server);
     if (it == endpoints_.end()) {
       state[i].Fail(ErrCode::kUnavailable);
-    } else if (legs[i].payload.size() > options_.max_payload_bytes) {
+    } else if (legs[i].payload.size() > wire::kMaxPayloadBytes) {
       state[i].Fail(ErrCode::kInvalid);
     } else {
       state[i].ep = it->second.get();
       issue.push_back(i);
     }
-  }
-  if (options_.fault != nullptr) {
-    // The legs travel concurrently, so the longest injected stall delays
-    // the whole fan-out.
-    common::Nanos stall = 0;
-    for (std::size_t n = 0; n < issue.size(); ++n) {
-      stall = std::max(stall, options_.fault->OnClientSend());
-    }
-    if (stall > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(stall));
   }
   const common::Nanos deadline_ns =
       meta.deadline_ns > 0 ? meta.deadline_ns : options_.call_deadline_ns;

@@ -166,12 +166,12 @@ class TcpServer : public Notifier {
     // foreground arrival first evicts the oldest queued background request
     // (which is shed the same way) and is only refused when none is queued.
     std::size_t max_queue = 4096;
-    // Per-connection cap on buffered response bytes.  Above this soft cap
-    // the server stops reading the connection (a slow reader stalls itself,
-    // not the daemon); above twice the cap the connection is dropped.
-    // 0 = uncapped.
-    std::size_t max_conn_output_bytes = 8u << 20;
   };
+
+  // Per-connection cap on buffered response bytes.  Above this soft cap the
+  // server stops reading the connection (a slow reader stalls itself, not
+  // the daemon); above twice the cap the connection is dropped.
+  static constexpr std::size_t kMaxConnOutputBytes = 8u << 20;
 
   explicit TcpServer(RpcHandler* handler) : TcpServer(handler, Options{}) {}
   TcpServer(RpcHandler* handler, Options options);
@@ -441,10 +441,6 @@ struct TcpChannelOptions {
   // time); CallMeta::deadline_ns overrides per call.  A ResilientChannel
   // over this channel spreads it across all attempts of a call.
   common::Nanos call_deadline_ns = kDefaultCallDeadlineNs;
-  std::uint32_t max_payload_bytes = wire::kMaxPayloadBytes;
-  // Optional client-side fault plane: stalls requests before they are sent
-  // (the delay=/delay_ms= knobs of the spec).  Not owned.
-  FaultInjector* fault = nullptr;
   // Mount identity announced in a fire-and-forget hello on every fresh
   // connection (request id 0 — never used by calls, so its reply is
   // discarded).  The server attributes requests on the connection to this
@@ -502,8 +498,7 @@ class TcpChannel final : public Channel {
   // count: the endpoint list holds one reference, every active call another;
   // the socket closes when the last reference drops.
   struct PipeConn {
-    PipeConn(int fd_in, std::uint32_t max_payload)
-        : fd(fd_in), reader(max_payload) {}
+    explicit PipeConn(int fd_in) : fd(fd_in) {}
     ~PipeConn();
 
     const int fd;

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/codec.h"
+#include "common/metrics.h"
 
 namespace loco::net::wire {
 
@@ -129,6 +130,34 @@ std::string EncodeBatchResponse(const std::vector<BatchItem>& items) {
     w.PutRaw(item.payload);
   }
   return w.Take();
+}
+
+RpcResponse BatchReply(const std::vector<BatchItem>& items) {
+  const auto failed = static_cast<std::uint64_t>(std::count_if(
+      items.begin(), items.end(),
+      [](const BatchItem& item) { return item.code != ErrCode::kOk; }));
+  auto& reg = common::MetricsRegistry::Default();
+  reg.GetCounter("rpc.batch.calls").Add();
+  reg.GetCounter("rpc.batch.subops").Add(items.size());
+  if (failed > 0) reg.GetCounter("rpc.batch.partial_failures").Add(failed);
+  return OkPayload(EncodeBatchResponse(items));
+}
+
+RpcResponse ServeBatch(std::string_view payload,
+                       const std::function<RpcResponse(std::string_view)>& op) {
+  std::vector<std::string_view> subops;
+  if (!DecodeBatchRequest(payload, &subops)) return BadRequest();
+  std::vector<BatchItem> items;
+  items.reserve(subops.size());
+  common::Nanos extra_service_ns = 0;
+  for (const std::string_view sub : subops) {
+    RpcResponse r = op(sub);
+    extra_service_ns += r.extra_service_ns;
+    items.push_back(BatchItem{r.code, std::move(r.payload)});
+  }
+  RpcResponse reply = BatchReply(items);
+  reply.extra_service_ns = extra_service_ns;
+  return reply;
 }
 
 bool DecodeBatchRequest(std::string_view payload,

@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,6 +49,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "net/rpc.h"
 
 namespace loco::net::wire {
 
@@ -235,5 +237,18 @@ std::string EncodeBatchResponse(const std::vector<BatchItem>& items);
 bool DecodeBatchRequest(std::string_view payload,
                         std::vector<std::string_view>* out);
 bool DecodeBatchResponse(std::string_view payload, std::vector<BatchItem>* out);
+
+// A batch reply carrying `items`, counted in rpc.batch.* (docs/METRICS.md):
+// one call, its sub-ops, and the sub-ops that failed while their siblings
+// succeeded.
+RpcResponse BatchReply(const std::vector<BatchItem>& items);
+
+// Serve one batch request: decode its sub-ops, run `op` on each in order
+// (a failure fails that entry alone) and answer with BatchReply.  The
+// reply's extra_service_ns sums the sub-ops' (modeled device time, which
+// only the simulator charges).  A payload that does not decode is answered
+// with BadRequest().
+RpcResponse ServeBatch(std::string_view payload,
+                       const std::function<RpcResponse(std::string_view)>& op);
 
 }  // namespace loco::net::wire

@@ -114,15 +114,13 @@ TEST(ConnectSpecTest, RepeatedDmsEntriesAreShardsInSpecOrder) {
             (std::vector<std::string>{"127.0.0.1:9000", "127.0.0.1:9010"}));
 }
 
-TEST(ConnectSpecTest, FluentKnobsChain) {
+TEST(ConnectSpecTest, SpecLeavesFeatureKnobsAtTheirDefaults) {
   auto opts = ClientOptions::FromSpec(
       "dms=127.0.0.1:9000,fms=127.0.0.1:9001,osd=127.0.0.1:9100");
   ASSERT_TRUE(opts.ok());
-  opts->WithCache(false).WithResilience(false).WithNotify(false).WithLease(7);
-  EXPECT_FALSE(opts->cache_enabled);
-  EXPECT_FALSE(opts->resilience);
-  EXPECT_FALSE(opts->notify);
-  EXPECT_EQ(opts->lease_ns, 7u);
+  EXPECT_TRUE(opts->cache_enabled);
+  EXPECT_TRUE(opts->resilience);
+  EXPECT_TRUE(opts->notify);
 }
 
 TEST(ConnectTest, AssignsStableNodeIdsAndHonoursFeatureKnobs) {
@@ -131,9 +129,13 @@ TEST(ConnectTest, AssignsStableNodeIdsAndHonoursFeatureKnobs) {
       "osd=127.0.0.1:9100,osd=127.0.0.1:9101");
   ASSERT_TRUE(opts.ok());
   // Notify off: no listener thread is spawned against the (absent) daemons.
-  opts->WithNotify(false).WithResilience(false);
+  opts->notify = false;
+  opts->resilience = false;
+  opts->cache_enabled = false;
   auto mount = Connect(*opts);
   ASSERT_TRUE(mount.ok()) << mount.status().ToString();
+  EXPECT_FALSE(mount->config.cache_enabled);
+  EXPECT_EQ(mount->config.lease_ns, proto::kLeaseNs);
   EXPECT_EQ(mount->config.dms, (std::vector<net::NodeId>{0}));
   EXPECT_EQ(mount->config.fms, (std::vector<net::NodeId>{1, 2}));
   EXPECT_EQ(mount->config.object_stores,
@@ -158,7 +160,8 @@ TEST(ConnectTest, DmsShardsGetStableNodeIds) {
       "dms=127.0.0.1:9000,dms=127.0.0.1:9010,dms=127.0.0.1:9020,"
       "fms=127.0.0.1:9001,osd=127.0.0.1:9100");
   ASSERT_TRUE(opts.ok());
-  opts->WithNotify(false).WithResilience(false);
+  opts->notify = false;
+  opts->resilience = false;
   auto mount = Connect(*opts);
   ASSERT_TRUE(mount.ok()) << mount.status().ToString();
   EXPECT_EQ(mount->config.dms, (std::vector<net::NodeId>{0, 901, 902}));
@@ -168,7 +171,8 @@ TEST(ConnectTest, DistinctMountsGetDistinctClientIds) {
   auto opts = ClientOptions::FromSpec(
       "dms=127.0.0.1:9000,fms=127.0.0.1:9001,osd=127.0.0.1:9100");
   ASSERT_TRUE(opts.ok());
-  opts->WithNotify(false).WithResilience(false);
+  opts->notify = false;
+  opts->resilience = false;
   auto a = Connect(*opts);
   auto b = Connect(*opts);
   ASSERT_TRUE(a.ok() && b.ok());
@@ -229,7 +233,7 @@ TEST(ConnectTest, MountCallDeadlineBoundsAllAttempts) {
   opts.dms = {addr};
   opts.fms = {addr};
   opts.object_stores = {addr};
-  opts.WithNotify(false);
+  opts.notify = false;
   opts.channel.call_deadline_ns = 200 * common::kMilli;
   auto mount = Connect(opts);
   ASSERT_TRUE(mount.ok()) << mount.status().ToString();
@@ -258,7 +262,7 @@ TEST(ConnectTest, MountCallsCarryDeadlineAndPriorityOnTheWire) {
   opts.dms = {addr};
   opts.fms = {addr};
   opts.object_stores = {addr};
-  opts.WithNotify(false);
+  opts.notify = false;
   auto mount = Connect(opts);
   ASSERT_TRUE(mount.ok()) << mount.status().ToString();
   const net::NodeId node = mount->config.fms[0];

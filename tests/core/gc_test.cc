@@ -51,9 +51,7 @@ UuidProbe Unreachable() {
 // ------------------------------------------------------------- GcManager --
 
 TEST(GcManagerTest, StatusPayloadRoundTrip) {
-  GcManager::Options options;
-  options.metrics_prefix = "gc_test_codec";
-  GcManager gc(options);
+  GcManager gc;
   gc.AddTask("alpha", [](std::uint32_t) { return GcStepResult{3, 1}; });
   gc.AddTask("beta", [](std::uint32_t) { return GcStepResult{0, 0}; });
 
@@ -73,8 +71,6 @@ TEST(GcManagerTest, RunsRegisteredTasksRoundRobin) {
   GcManager::Options options;
   options.ops_per_sec = 1e6;  // effectively unthrottled
   options.batch_ops = 16;
-  options.idle_sleep_ns = 1'000'000;  // 1ms: idle rounds retry quickly
-  options.metrics_prefix = "gc_test_run";
   GcManager gc(options);
   std::atomic<std::uint64_t> a_calls{0}, b_calls{0};
   std::atomic<std::uint32_t> max_budget{0};
@@ -116,8 +112,6 @@ TEST(GcManagerTest, TokenBucketBoundsSpend) {
   GcManager::Options options;
   options.ops_per_sec = 200.0;
   options.batch_ops = 10;
-  options.idle_sleep_ns = 1'000'000;
-  options.metrics_prefix = "gc_test_bucket";
   GcManager gc(options);
   gc.AddTask("spender", [](std::uint32_t budget) {
     return GcStepResult{budget, 0};  // always spends its full grant
@@ -133,24 +127,20 @@ TEST(GcManagerTest, TokenBucketBoundsSpend) {
 }
 
 TEST(GcManagerTest, PacingFactorFollowsTheLoadSignal) {
-  GcManager::Options options;
-  options.metrics_prefix = "gc_test_factor";
-  options.load_low_ns = 100 * common::kMicro;
-  options.load_high_ns = common::kMilli;
-  options.load_min_factor = 0.2;
-  GcManager gc(options);
+  GcManager gc;
 
   // No signal: full rate.
   EXPECT_DOUBLE_EQ(gc.CurrentPacingFactor(), 1.0);
 
   common::Nanos delay = 0;
   gc.SetLoadSignal([&delay] { return delay; });
-  delay = 50 * common::kMicro;  // below the low watermark
+  delay = GcManager::kLoadLowNs;  // at the low watermark
   EXPECT_DOUBLE_EQ(gc.CurrentPacingFactor(), 1.0);
-  delay = 10 * common::kMilli;  // far above the high watermark
-  EXPECT_DOUBLE_EQ(gc.CurrentPacingFactor(), 0.2);
-  delay = 550 * common::kMicro;  // halfway up the ramp
-  EXPECT_NEAR(gc.CurrentPacingFactor(), 0.6, 1e-9);
+  delay = 10 * GcManager::kLoadHighNs;  // far above the high watermark
+  EXPECT_DOUBLE_EQ(gc.CurrentPacingFactor(), GcManager::kLoadMinFactor);
+  delay = (GcManager::kLoadLowNs + GcManager::kLoadHighNs) / 2;  // halfway
+  EXPECT_NEAR(gc.CurrentPacingFactor(),
+              (1.0 + GcManager::kLoadMinFactor) / 2, 1e-9);
 }
 
 // Acceptance: gc.throttle_ns rises under injected foreground saturation and
@@ -159,8 +149,6 @@ TEST(GcManagerTest, AdaptivePacingYieldsToForegroundLoad) {
   GcManager::Options options;
   options.ops_per_sec = 2000.0;
   options.batch_ops = 10;
-  options.idle_sleep_ns = 1'000'000;
-  options.metrics_prefix = "gc_test_pacing";
   GcManager gc(options);
   std::atomic<common::Nanos> qdelay{0};
   gc.SetLoadSignal(
@@ -170,7 +158,7 @@ TEST(GcManagerTest, AdaptivePacingYieldsToForegroundLoad) {
   });
   auto throttle_ns = [] {
     return common::MetricsRegistry::Default()
-        .GetCounter("gc_test_pacing.throttle_ns")
+        .GetCounter("gc.throttle_ns")
         .value();
   };
 
@@ -179,11 +167,11 @@ TEST(GcManagerTest, AdaptivePacingYieldsToForegroundLoad) {
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   const std::uint64_t ops_idle = gc.GetStatus().ops;
 
-  // Foreground saturation: queue delay far above load_high_ns collapses the
-  // refill rate to load_min_factor, so the same wall-clock window grants far
-  // fewer ops and the extra waiting lands in <prefix>.throttle_ns.
-  qdelay.store(10 * common::kMilli, std::memory_order_relaxed);
-  EXPECT_DOUBLE_EQ(gc.CurrentPacingFactor(), options.load_min_factor);
+  // Foreground saturation: queue delay far above kLoadHighNs collapses the
+  // refill rate to kLoadMinFactor, so the same wall-clock window grants far
+  // fewer ops and the extra waiting lands in gc.throttle_ns.
+  qdelay.store(10 * GcManager::kLoadHighNs, std::memory_order_relaxed);
+  EXPECT_DOUBLE_EQ(gc.CurrentPacingFactor(), GcManager::kLoadMinFactor);
   const std::uint64_t throttle_at_saturation = throttle_ns();
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   const std::uint64_t ops_loaded = gc.GetStatus().ops - ops_idle;
@@ -339,9 +327,7 @@ TEST(DmsGcStepTest, CheckUuidsBitmapAndGcStatusRpc) {
 
   // kCtlGcStatus: unavailable until a manager is wired, then a live payload.
   EXPECT_EQ(fx.Call(proto::kCtlGcStatus, {}).code, ErrCode::kUnavailable);
-  GcManager::Options options;
-  options.metrics_prefix = "gc_test_dms_status";
-  GcManager gc(options);
+  GcManager gc;
   fx.dms.SetGcManager(&gc);
   const auto status_resp = fx.Call(proto::kCtlGcStatus, {});
   ASSERT_TRUE(status_resp.ok());

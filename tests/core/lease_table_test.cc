@@ -8,16 +8,20 @@
 #include <algorithm>
 #include <thread>
 
+#include "core/proto.h"
+
 namespace loco::core {
 namespace {
 
-constexpr std::uint64_t kLease = 1000;  // short lease for test arithmetic
+constexpr std::uint64_t kLease = proto::kLeaseNs;
+constexpr std::size_t kMax = LeaseTable::kMaxWatches;
 
-LeaseTable::Options SmallOptions(std::size_t max_watches = 64) {
-  LeaseTable::Options options;
-  options.lease_ns = kLease;
-  options.max_watches = max_watches;
-  return options;
+// Grant `count` watches on distinct filler paths at `now`, all to `client`.
+void Fill(LeaseTable& table, std::size_t count, std::uint64_t client,
+          std::uint64_t now) {
+  for (std::size_t i = 0; i < count; ++i) {
+    table.Grant("/fill" + std::to_string(i), client, now);
+  }
 }
 
 std::vector<std::uint64_t> Sorted(std::vector<std::uint64_t> v) {
@@ -26,7 +30,7 @@ std::vector<std::uint64_t> Sorted(std::vector<std::uint64_t> v) {
 }
 
 TEST(LeaseTableTest, CollectReturnsLiveWatchersAndConsumesThem) {
-  LeaseTable table(SmallOptions());
+  LeaseTable table;
   table.Grant("/d", 1, 0);
   table.Grant("/d", 2, 0);
   EXPECT_EQ(table.size(), 2u);
@@ -39,7 +43,7 @@ TEST(LeaseTableTest, CollectReturnsLiveWatchersAndConsumesThem) {
 }
 
 TEST(LeaseTableTest, ExcludesTheOriginatorButStillConsumesItsWatch) {
-  LeaseTable table(SmallOptions());
+  LeaseTable table;
   table.Grant("/d", 1, 0);
   table.Grant("/d", 2, 0);
   EXPECT_EQ(table.Collect("/d", false, /*exclude=*/1, 10),
@@ -51,7 +55,7 @@ TEST(LeaseTableTest, ExcludesTheOriginatorButStillConsumesItsWatch) {
 }
 
 TEST(LeaseTableTest, ExpiredWatchesAreNotCollected) {
-  LeaseTable table(SmallOptions());
+  LeaseTable table;
   table.Grant("/d", 1, 0);            // expires at kLease
   table.Grant("/d", 2, kLease / 2);   // expires at 1.5 * kLease
   EXPECT_EQ(table.Collect("/d", false, 0, kLease + 1),
@@ -59,7 +63,7 @@ TEST(LeaseTableTest, ExpiredWatchesAreNotCollected) {
 }
 
 TEST(LeaseTableTest, RegrantRefreshesExpiry) {
-  LeaseTable table(SmallOptions());
+  LeaseTable table;
   table.Grant("/d", 1, 0);
   table.Grant("/d", 1, kLease);  // refresh: now expires at 2 * kLease
   EXPECT_EQ(table.size(), 1u);
@@ -68,7 +72,7 @@ TEST(LeaseTableTest, RegrantRefreshesExpiry) {
 }
 
 TEST(LeaseTableTest, SubtreeCollectIsAPrefixScanWithBoundary) {
-  LeaseTable table(SmallOptions());
+  LeaseTable table;
   table.Grant("/a", 1, 0);
   table.Grant("/a/x", 2, 0);
   table.Grant("/a/x/y", 3, 0);
@@ -88,7 +92,7 @@ TEST(LeaseTableTest, SubtreeCollectIsAPrefixScanWithBoundary) {
 }
 
 TEST(LeaseTableTest, NonSubtreeCollectLeavesChildrenAlone) {
-  LeaseTable table(SmallOptions());
+  LeaseTable table;
   table.Grant("/a", 1, 0);
   table.Grant("/a/x", 2, 0);
   EXPECT_EQ(table.Collect("/a", false, 0, 10),
@@ -99,7 +103,7 @@ TEST(LeaseTableTest, NonSubtreeCollectLeavesChildrenAlone) {
 }
 
 TEST(LeaseTableTest, DropForgetsEveryWatchOfAClient) {
-  LeaseTable table(SmallOptions());
+  LeaseTable table;
   table.Grant("/a", 1, 0);
   table.Grant("/b", 1, 0);
   table.Grant("/b", 2, 0);
@@ -111,14 +115,17 @@ TEST(LeaseTableTest, DropForgetsEveryWatchOfAClient) {
 }
 
 TEST(LeaseTableTest, BoundSweepsExpiredBeforeEvictingLive) {
-  LeaseTable table(SmallOptions(/*max_watches=*/3));
+  LeaseTable table;
   table.Grant("/e1", 1, 0);  // expires at kLease
   table.Grant("/e2", 2, 0);
-  table.Grant("/l1", 3, 2 * kLease);  // live long past the others
-  // A fourth grant at a time when /e1 and /e2 are expired: the sweep frees
-  // their slots, the live watch stays.
+  // Live long past the others; fills the table.
+  table.Grant("/l1", 3, 2 * kLease);
+  Fill(table, kMax - 3, 5, 2 * kLease);
+  ASSERT_EQ(table.size(), kMax);
+  // One grant past the bound at a time when /e1 and /e2 are expired: the
+  // sweep frees a slot, the live watches stay.
   table.Grant("/l2", 4, 2 * kLease);
-  EXPECT_LE(table.size(), 3u);
+  EXPECT_LE(table.size(), kMax);
   EXPECT_EQ(table.Collect("/l1", false, 0, 2 * kLease + 1),
             (std::vector<std::uint64_t>{3}));
   EXPECT_EQ(table.Collect("/l2", false, 0, 2 * kLease + 1),
@@ -126,11 +133,12 @@ TEST(LeaseTableTest, BoundSweepsExpiredBeforeEvictingLive) {
 }
 
 TEST(LeaseTableTest, BoundEvictsSoonestToExpireWhenAllLive) {
-  LeaseTable table(SmallOptions(/*max_watches=*/2));
+  LeaseTable table;
   table.Grant("/a", 1, 0);   // soonest to expire
   table.Grant("/b", 2, 10);  // later
+  Fill(table, kMax - 2, 5, 10);
   table.Grant("/c", 3, 20);  // forces eviction of /a's watch
-  EXPECT_LE(table.size(), 2u);
+  EXPECT_EQ(table.size(), kMax);
   // /a's holder lost its push (safe: the lease timeout still bounds its
   // staleness); the younger watches survived.
   EXPECT_TRUE(table.Collect("/a", false, 0, 30).empty());
@@ -140,20 +148,33 @@ TEST(LeaseTableTest, BoundEvictsSoonestToExpireWhenAllLive) {
             (std::vector<std::uint64_t>{3}));
 }
 
+TEST(LeaseTableTest, EvictingTheGrantedPathsLastHolderKeepsTheGrant) {
+  // Regression: a grant at the bound whose eviction victim was the only
+  // other holder of the same path erased that path's entry while the grant
+  // still held a reference into it (a use-after-free under ASan).
+  LeaseTable table;
+  table.Grant("/a", 1, 0);  // soonest to expire: the eviction victim
+  Fill(table, kMax - 1, 5, 10);
+  table.Grant("/a", 2, 20);
+  EXPECT_EQ(table.size(), kMax);
+  EXPECT_TRUE(table.CheckInvariants());
+  EXPECT_EQ(table.Collect("/a", false, 0, 30),
+            (std::vector<std::uint64_t>{2}));
+}
+
 TEST(LeaseTableTest, EvictingALiveWatchFiresTheResyncCallback) {
   // Regression: at the watch cap, evicting a *live* watch used to silently
   // drop its invalidation promise — the holder kept serving a stale cache
   // entry until the lease timeout with no signal at all.  The table must
   // report the evicted (path, client) so the DMS can push a synthetic
   // invalidation.
-  LeaseTable::Options options = SmallOptions(/*max_watches=*/2);
   std::vector<std::pair<std::string, std::uint64_t>> evicted;
-  options.on_evict = [&](const std::string& path, std::uint64_t client) {
+  LeaseTable table([&](const std::string& path, std::uint64_t client) {
     evicted.emplace_back(path, client);
-  };
-  LeaseTable table(options);
+  });
   table.Grant("/a", 1, 0);   // soonest to expire: the eviction victim
   table.Grant("/b", 2, 10);
+  Fill(table, kMax - 2, 5, 10);
   table.Grant("/c", 3, 20);  // cap boundary: forces the eviction
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0].first, "/a");
@@ -163,13 +184,12 @@ TEST(LeaseTableTest, EvictingALiveWatchFiresTheResyncCallback) {
 TEST(LeaseTableTest, SweepingExpiredWatchesDoesNotFireTheCallback) {
   // Expired watches already fell back to the lease timeout; resyncing them
   // would be pure noise.
-  LeaseTable::Options options = SmallOptions(/*max_watches=*/2);
   int fired = 0;
-  options.on_evict = [&](const std::string&, std::uint64_t) { ++fired; };
-  LeaseTable table(options);
+  LeaseTable table([&](const std::string&, std::uint64_t) { ++fired; });
   table.Grant("/e1", 1, 0);  // expires at kLease
   table.Grant("/e2", 2, 0);
-  // Granting at 2*kLease sweeps both expired watches; no live eviction.
+  Fill(table, kMax - 2, 5, 0);
+  // Granting at 2*kLease sweeps an expired watch; no live eviction.
   table.Grant("/l1", 3, 2 * kLease);
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(table.Collect("/l1", false, 0, 2 * kLease + 1),
@@ -179,17 +199,16 @@ TEST(LeaseTableTest, SweepingExpiredWatchesDoesNotFireTheCallback) {
 TEST(LeaseTableTest, EvictCallbackMayReenterTheTable) {
   // The DMS callback re-enters via Drop() when the push session is gone; the
   // table must not hold its lock across the callback.
-  LeaseTable::Options options = SmallOptions(/*max_watches=*/2);
   LeaseTable* table_ptr = nullptr;
   int fired = 0;
-  options.on_evict = [&](const std::string&, std::uint64_t client) {
+  LeaseTable table([&](const std::string&, std::uint64_t client) {
     ++fired;
     table_ptr->Drop(client);  // deadlocks if mu_ were held across on_evict
-  };
-  LeaseTable table(options);
+  });
   table_ptr = &table;
   table.Grant("/a", 1, 0);
   table.Grant("/b", 2, 10);
+  Fill(table, kMax - 2, 5, 10);
   table.Grant("/c", 3, 20);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(table.Collect("/c", false, 0, 30),
@@ -197,7 +216,7 @@ TEST(LeaseTableTest, EvictCallbackMayReenterTheTable) {
 }
 
 TEST(LeaseTableTest, ConcurrentGrantCollectDropIsSafe) {
-  LeaseTable table(SmallOptions(/*max_watches=*/128));
+  LeaseTable table;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&table, t] {
@@ -214,7 +233,35 @@ TEST(LeaseTableTest, ConcurrentGrantCollectDropIsSafe) {
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_LE(table.size(), 128u);
+  // At most one watch per (path, client), each indexed exactly once.
+  EXPECT_LE(table.size(), 4u * 17u);
+  EXPECT_TRUE(table.CheckInvariants());
+}
+
+TEST(LeaseTableTest, ExpiryIndexHoldsExactlyTheWatches) {
+  // Regression: a refresh, a Collect and a Drop each left the watch's old
+  // expiry-index entry behind, and only a grant at the watch bound swept
+  // them, so one client cycling Grant + Collect on one path grew the index
+  // by one entry per grant.
+  LeaseTable table;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    table.Grant("/d", 1, i);
+    table.Grant("/d", 1, i + 1);  // refresh
+    table.Grant("/e", 2, i);
+    table.Grant("/f", 2, i);
+    ASSERT_TRUE(table.CheckInvariants()) << "after grants " << i;
+    table.Collect("/d", false, 0, i + 1);
+    ASSERT_TRUE(table.CheckInvariants()) << "after collect " << i;
+    table.Drop(2);
+    ASSERT_TRUE(table.CheckInvariants()) << "after drop " << i;
+    ASSERT_EQ(table.size(), 0u);
+  }
+  // Sweeps and evictions at the bound keep it too.
+  Fill(table, kMax, 3, 0);
+  table.Grant("/late", 4, kLease);  // sweeps one expired filler
+  table.Grant("/later", 4, 0);      // evicts a live filler
+  EXPECT_EQ(table.size(), kMax);
+  EXPECT_TRUE(table.CheckInvariants());
 }
 
 }  // namespace

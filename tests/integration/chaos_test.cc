@@ -120,17 +120,12 @@ class ChaosCluster {
     return spec;
   }
 
-  // A resilient client tuned for fast failure detection (the storm keeps
-  // running while a daemon is down; 5 s default deadlines would stall it).
+  // A resilient client with a short deadline (the storm keeps running while
+  // a daemon is down; 5 s default deadlines would stall it).
   Result<core::MountHandle> Connect() {
     auto options = core::ClientOptions::FromSpec(ConnectSpec());
     if (!options.ok()) return options.status();
     options->channel.call_deadline_ns = 500 * common::kMilli;
-    options->resilience_options.max_attempts = 2;
-    options->resilience_options.backoff_base_ns = common::kMilli;
-    options->resilience_options.backoff_cap_ns = 10 * common::kMilli;
-    options->resilience_options.breaker_threshold = 10;
-    options->resilience_options.breaker_open_ns = 100 * common::kMilli;
     return core::Connect(*options);
   }
 

@@ -125,11 +125,6 @@ class GcCluster {
     auto options = core::ClientOptions::FromSpec(ConnectSpec());
     if (!options.ok()) return options.status();
     options->channel.call_deadline_ns = 500 * common::kMilli;
-    options->resilience_options.max_attempts = 2;
-    options->resilience_options.backoff_base_ns = common::kMilli;
-    options->resilience_options.backoff_cap_ns = 10 * common::kMilli;
-    options->resilience_options.breaker_threshold = 10;
-    options->resilience_options.breaker_open_ns = 100 * common::kMilli;
     return core::Connect(*options);
   }
 

@@ -1,8 +1,9 @@
 // Multi-client integration tests over the in-process transport with REAL
-// threads: concurrent clients race on a live LocoFS deployment.  The
-// per-server mutex in InProcTransport provides the same one-request-at-a-
-// time handler contract the simulator provides, so these tests exercise
-// true interleavings of the client protocols.
+// threads: concurrent clients race on a live LocoFS deployment.
+// InProcTransport takes no lock of its own, so two clients' requests run
+// inside one server's handler at the same time, exactly as on a
+// multi-worker TcpServer: these tests exercise true interleavings of the
+// client protocols and of the servers' own locking.
 #include <gtest/gtest.h>
 
 #include <atomic>

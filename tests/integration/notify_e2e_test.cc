@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -80,18 +81,19 @@ class NotifyClusterTest : public ::testing::Test {
     return server.host() + ":" + std::to_string(server.port());
   }
 
-  // Connect a mount and build a wall-clocked client from it.
+  // Connect a mount and build a client from it, wall-clocked unless `now`
+  // says otherwise (a test moves an injected clock past the lease term).
   struct Peer {
     core::MountHandle mount;
     std::unique_ptr<fs::FileSystemClient> client;
     core::LocoClient* loco = nullptr;  // cache observability
   };
-  Peer MakePeer(const core::ClientOptions& options) {
+  Peer MakePeer(const core::ClientOptions& options, fs::TimeFn now = WallNow) {
     auto mount = core::Connect(options);
     EXPECT_TRUE(mount.ok()) << mount.status().ToString();
     Peer peer;
     peer.mount = std::move(*mount);
-    peer.client = peer.mount.MakeClient(WallNow);
+    peer.client = peer.mount.MakeClient(std::move(now));
     peer.client->SetIdentity(fs::Identity{1000, 1000});
     peer.loco = static_cast<core::LocoClient*>(peer.client.get());
     return peer;
@@ -165,12 +167,12 @@ TEST_F(NotifyClusterTest, RemoteWriterInvalidationArrivesWithinTwoRtt) {
 
 // When the push stream is severed the lease timeout is the correctness
 // fallback: the reader keeps serving (possibly stale) cached state until
-// its lease expires, and never past it.
+// its lease expires, and never past it.  The reader's clock is injected, so
+// the test steps it across the lease term instead of sleeping through it.
 TEST_F(NotifyClusterTest, SeveredStreamFallsBackToLeaseTimeout) {
   StartCluster();
-  core::ClientOptions reader_options = BaseOptions();
-  reader_options.WithLease(500 * common::kMilli);
-  Peer a = MakePeer(reader_options);
+  std::atomic<std::uint64_t> a_now{WallNow()};
+  Peer a = MakePeer(BaseOptions(), [&a_now] { return a_now.load(); });
   Peer b = MakePeer(BaseOptions());
   ASSERT_TRUE(Await([&] { return dms_server_->notify_sessions() == 2; }));
 
@@ -192,20 +194,17 @@ TEST_F(NotifyClusterTest, SeveredStreamFallsBackToLeaseTimeout) {
             no_session_before + 1);
 
   // A's leased cache still allows the write: the remote-writer relaxation
-  // in action (DESIGN.md).  This is within the 500 ms lease.
+  // in action (DESIGN.md).  A's clock still reads its lease's grant time,
+  // and even one nanosecond before the term ends the lease holds.
   EXPECT_TRUE(net::RunInline(a.client->Create("/d/f2", 0644)).ok());
+  a_now += core::proto::kLeaseNs - 1;
+  EXPECT_TRUE(net::RunInline(a.client->Create("/d/f3", 0644)).ok());
 
   // ...but not past the lease: once it expires, A revalidates at the DMS
   // and the new mode denies it.
-  const std::uint64_t t0 = WallNow();
-  int probe = 0;
-  ASSERT_TRUE(Await([&] {
-    const std::string path = "/d/p" + std::to_string(probe++);
-    return net::RunInline(a.client->Create(path, 0644)).code() ==
-           ErrCode::kPermission;
-  }));
-  // Staleness was bounded by the lease (plus poll slack), not by luck.
-  EXPECT_LE(WallNow() - t0, 5 * static_cast<std::uint64_t>(common::kSecond));
+  a_now += 1;
+  EXPECT_EQ(net::RunInline(a.client->Create("/d/f4", 0644)).code(),
+            ErrCode::kPermission);
 }
 
 // Server-side severing: the DMS dies and comes back on the same port.  The
@@ -278,11 +277,11 @@ TEST_F(NotifyClusterTest, DroppedAndDuplicatedPushesStillConverge) {
   net::FaultInjector fault(*spec);
   StartCluster(&fault);
 
-  core::ClientOptions reader_options = BaseOptions();
-  // A near-zero lease keeps the reader re-arming its watch every round so
-  // each writer mutation produces a push for the fault plane to mangle.
-  reader_options.WithLease(1 * common::kMilli);
-  Peer a = MakePeer(reader_options);
+  // The reader's clock is injected: stepping it past the lease term every
+  // round keeps it re-arming its watch, so each writer mutation produces a
+  // push for the fault plane to mangle.
+  std::atomic<std::uint64_t> a_now{WallNow()};
+  Peer a = MakePeer(BaseOptions(), [&a_now] { return a_now.load(); });
   Peer b = MakePeer(BaseOptions());
   ASSERT_TRUE(Await([&] { return dms_server_->notify_sessions() == 2; }));
 
@@ -298,7 +297,7 @@ TEST_F(NotifyClusterTest, DroppedAndDuplicatedPushesStillConverge) {
   for (int i = 0; i < 40; ++i) {
     // Let A's lease lapse, re-arm its watch on /d, then mutate /d from B:
     // one push per round for the fault plane to mangle.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    a_now += core::proto::kLeaseNs;
     ASSERT_TRUE(net::RunInline(a.client->Stat("/d/f")).ok());
     ASSERT_TRUE(
         net::RunInline(b.client->Mkdir("/d/s" + std::to_string(i), 0755))
@@ -313,10 +312,12 @@ TEST_F(NotifyClusterTest, DroppedAndDuplicatedPushesStillConverge) {
   }));
 
   // Convergence despite the faulty stream: B revokes access, and A observes
-  // it — through a delivered push, a gap-resync, or at worst the lease.
+  // it — through a delivered push, a gap-resync, or at worst the lease,
+  // which a hundredth of a term per probe runs out within 100 probes.
   ASSERT_TRUE(net::RunInline(b.client->Chmod("/d", 0000)).ok());
   int probe = 0;
   ASSERT_TRUE(Await([&] {
+    a_now += core::proto::kLeaseNs / 100;
     const std::string path = "/d/p" + std::to_string(probe++);
     return net::RunInline(a.client->Create(path, 0644)).code() ==
            ErrCode::kPermission;
@@ -332,16 +333,14 @@ TEST_F(NotifyClusterTest, BreakerGossipClosesATrippedBreaker) {
   StartCluster();
   core::ClientOptions options = BaseOptions();
   options.channel.call_deadline_ns = 500 * common::kMilli;
-  options.resilience_options.max_attempts = 1;
-  options.resilience_options.breaker_threshold = 2;
-  // Long enough that only gossip (not the half-open probe) can explain a
-  // fast recovery.
-  options.resilience_options.breaker_open_ns = 10 * common::kSecond;
   Peer a = MakePeer(options);
   ASSERT_TRUE(Await([&] { return dms_server_->notify_sessions() == 1; }));
   ASSERT_TRUE(net::RunInline(a.client->Create("/warm", 0644)).ok());
 
-  // Kill the FMS and trip its breaker.
+  // Kill the FMS and trip its breaker: every attempt of both creates fails,
+  // and together they make more than kBreakerThreshold attempts.
+  static_assert(2 * net::ResilientChannel::kMaxAttempts >
+                net::ResilientChannel::kBreakerThreshold);
   const std::string fms_hostport = HostPort(*fms_server_);
   const std::uint16_t fms_port = fms_server_->port();
   fms_server_->Stop();
@@ -371,12 +370,14 @@ TEST_F(NotifyClusterTest, BreakerGossipClosesATrippedBreaker) {
   ASSERT_TRUE(Await([&] { return announce_done; }));
   ASSERT_TRUE(announce.ok()) << int(announce.code);
 
+  // Only gossip closes the breaker here: without a call, the open interval
+  // running out leaves it half-open, never closed.
   ASSERT_TRUE(Await([&] {
     return a.mount.resilient->breaker_state(1) == net::BreakerState::kClosed;
   }));
   EXPECT_GE(registry.CounterValue("rpc.resilient.gossip_resets"),
             resets_before + 1);
-  // The node is usable again right away — 10 s before the probe would be.
+  // The node is usable again right away, with no half-open probe.
   EXPECT_TRUE(net::RunInline(a.client->Create("/x3", 0644)).ok());
 }
 

@@ -65,13 +65,6 @@ class ScriptedChannel final : public Channel {
   std::string overloaded_payload;          // attached to kOverloaded replies
 };
 
-ResilienceOptions FastOptions() {
-  ResilienceOptions options;
-  options.backoff_base_ns = 1;  // keep test wall-clock flat
-  options.backoff_cap_ns = 1;
-  return options;
-}
-
 RpcResponse BlockingCall(Channel& channel, NodeId server, std::string payload) {
   RpcResponse out;
   channel.CallAsync(server, kEchoOp, std::move(payload),
@@ -79,10 +72,29 @@ RpcResponse BlockingCall(Channel& channel, NodeId server, std::string payload) {
   return out;
 }
 
+// A kOverloaded retry-after hint of `ns` (the server's reply payload): a
+// 1 ns hint lets a test retry at once instead of sleeping out the jitter.
+std::string RetryAfter(common::Nanos ns) {
+  common::Writer hint;
+  hint.PutU64(static_cast<std::uint64_t>(ns));
+  return hint.Take();
+}
+
+// Fail calls to `server` until its breaker opens; every attempt fails, so
+// that takes exactly kBreakerThreshold attempts.
+void OpenBreaker(ResilientChannel& channel, NodeId server) {
+  for (int i = 0; i < ResilientChannel::kBreakerThreshold &&
+                  channel.breaker_state(server) != BreakerState::kOpen;
+       ++i) {
+    EXPECT_EQ(BlockingCall(channel, server, "x").code, ErrCode::kUnavailable);
+  }
+  ASSERT_EQ(channel.breaker_state(server), BreakerState::kOpen);
+}
+
 TEST(ResilientChannelTest, RetriesRetryableFailuresUntilSuccess) {
   ScriptedChannel inner;
   inner.script = {ErrCode::kUnavailable, ErrCode::kTimeout, ErrCode::kOk};
-  ResilientChannel channel(&inner, FastOptions());
+  ResilientChannel channel(&inner);
 
   const RpcResponse resp = BlockingCall(channel, 7, "hello");
   EXPECT_TRUE(resp.ok());
@@ -92,21 +104,20 @@ TEST(ResilientChannelTest, RetriesRetryableFailuresUntilSuccess) {
 
 TEST(ResilientChannelTest, GivesUpAfterMaxAttempts) {
   ScriptedChannel inner;
-  inner.script = {ErrCode::kUnavailable, ErrCode::kUnavailable,
-                  ErrCode::kUnavailable, ErrCode::kUnavailable};
-  auto options = FastOptions();
-  options.max_attempts = 3;
-  ResilientChannel channel(&inner, options);
+  for (int i = 0; i <= ResilientChannel::kMaxAttempts; ++i) {
+    inner.script.push_back(ErrCode::kUnavailable);
+  }
+  ResilientChannel channel(&inner);
 
   const RpcResponse resp = BlockingCall(channel, 7, "x");
   EXPECT_EQ(resp.code, ErrCode::kUnavailable);
-  EXPECT_EQ(inner.attempts, 3);
+  EXPECT_EQ(inner.attempts, ResilientChannel::kMaxAttempts);
 }
 
 TEST(ResilientChannelTest, NonRetryableErrorsReturnImmediately) {
   ScriptedChannel inner;
   inner.script = {ErrCode::kNotFound};
-  ResilientChannel channel(&inner, FastOptions());
+  ResilientChannel channel(&inner);
 
   const RpcResponse resp = BlockingCall(channel, 7, "x");
   EXPECT_EQ(resp.code, ErrCode::kNotFound);
@@ -116,7 +127,7 @@ TEST(ResilientChannelTest, NonRetryableErrorsReturnImmediately) {
 TEST(ResilientChannelTest, OneTraceIdAcrossAllAttempts) {
   ScriptedChannel inner;
   inner.script = {ErrCode::kTimeout, ErrCode::kTimeout, ErrCode::kOk};
-  ResilientChannel channel(&inner, FastOptions());
+  ResilientChannel channel(&inner);
 
   ASSERT_TRUE(BlockingCall(channel, 7, "x").ok());
   ASSERT_EQ(inner.trace_ids.size(), 3u);
@@ -128,19 +139,14 @@ TEST(ResilientChannelTest, OneTraceIdAcrossAllAttempts) {
 TEST(ResilientChannelTest, BreakerOpensAndFailsFast) {
   ScriptedChannel inner;
   for (int i = 0; i < 100; ++i) inner.script.push_back(ErrCode::kUnavailable);
-  auto options = FastOptions();
-  options.max_attempts = 1;
-  options.breaker_threshold = 3;
-  options.breaker_open_ns = 10 * common::kSecond;  // stays open for the test
-  ResilientChannel channel(&inner, options);
+  ResilientChannel channel(&inner);
 
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(BlockingCall(channel, 7, "x").code, ErrCode::kUnavailable);
-  }
-  EXPECT_EQ(channel.breaker_state(7), BreakerState::kOpen);
+  OpenBreaker(channel, 7);
   const int attempts_at_open = inner.attempts;
+  EXPECT_EQ(attempts_at_open, ResilientChannel::kBreakerThreshold);
 
-  // Fast-fail: the doomed endpoint is not touched again.
+  // Fast-fail: the doomed endpoint is not touched again while the breaker
+  // is open (kBreakerOpenNs outlasts these calls' backoff sleeps).
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(BlockingCall(channel, 7, "x").code, ErrCode::kUnavailable);
   }
@@ -152,19 +158,23 @@ TEST(ResilientChannelTest, BreakerOpensAndFailsFast) {
   EXPECT_EQ(channel.breaker_state(8), BreakerState::kClosed);
 }
 
+// Sleep until a breaker opened now has gone half-open.
+void SleepPastBreakerOpen() {
+  std::this_thread::sleep_for(
+      std::chrono::nanoseconds(ResilientChannel::kBreakerOpenNs) +
+      std::chrono::milliseconds(20));
+}
+
 TEST(ResilientChannelTest, HalfOpenProbeClosesBreakerOnSuccess) {
   ScriptedChannel inner;
-  for (int i = 0; i < 3; ++i) inner.script.push_back(ErrCode::kUnavailable);
-  auto options = FastOptions();
-  options.max_attempts = 1;
-  options.breaker_threshold = 3;
-  options.breaker_open_ns = 5 * common::kMilli;
-  ResilientChannel channel(&inner, options);
+  for (int i = 0; i < ResilientChannel::kBreakerThreshold; ++i) {
+    inner.script.push_back(ErrCode::kUnavailable);
+  }
+  ResilientChannel channel(&inner);
 
-  for (int i = 0; i < 3; ++i) (void)BlockingCall(channel, 7, "x");
-  EXPECT_EQ(channel.breaker_state(7), BreakerState::kOpen);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  OpenBreaker(channel, 7);
+  SleepPastBreakerOpen();
+  EXPECT_EQ(channel.breaker_state(7), BreakerState::kHalfOpen);
   // Script is exhausted, so the probe succeeds and the breaker closes.
   EXPECT_TRUE(BlockingCall(channel, 7, "probe").ok());
   EXPECT_EQ(channel.breaker_state(7), BreakerState::kClosed);
@@ -173,18 +183,17 @@ TEST(ResilientChannelTest, HalfOpenProbeClosesBreakerOnSuccess) {
 
 TEST(ResilientChannelTest, HalfOpenProbeFailureReopensBreaker) {
   ScriptedChannel inner;
-  for (int i = 0; i < 4; ++i) inner.script.push_back(ErrCode::kUnavailable);
-  auto options = FastOptions();
-  options.max_attempts = 1;
-  options.breaker_threshold = 3;
-  options.breaker_open_ns = 5 * common::kMilli;
-  ResilientChannel channel(&inner, options);
+  for (int i = 0; i <= ResilientChannel::kBreakerThreshold; ++i) {
+    inner.script.push_back(ErrCode::kUnavailable);
+  }
+  ResilientChannel channel(&inner);
 
-  for (int i = 0; i < 3; ++i) (void)BlockingCall(channel, 7, "x");
-  EXPECT_EQ(channel.breaker_state(7), BreakerState::kOpen);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  OpenBreaker(channel, 7);
+  SleepPastBreakerOpen();
+  // Exactly one probe reaches the wire; its failure re-opens the breaker,
+  // so the call's retries fail fast.
   EXPECT_EQ(BlockingCall(channel, 7, "probe").code, ErrCode::kUnavailable);
+  EXPECT_EQ(inner.attempts, ResilientChannel::kBreakerThreshold + 1);
   EXPECT_EQ(channel.breaker_state(7), BreakerState::kOpen);
   const int attempts = inner.attempts;
   EXPECT_EQ(BlockingCall(channel, 7, "x").code, ErrCode::kUnavailable);
@@ -212,14 +221,12 @@ class SlowFailChannel final : public Channel {
   std::vector<common::Nanos> deadlines;
 };
 
-// Satellite regression: ONE deadline budget covers every attempt.  Before
-// the fix each attempt got the full call deadline, so a max_attempts=5 call
-// against a 30ms-per-attempt failure could run ~5x its 50ms budget.
+// Regression: ONE deadline budget covers every attempt.  Before the fix
+// each attempt got the full call deadline, so a kMaxAttempts call against a
+// 30ms-per-attempt failure could run ~kMaxAttempts x its 50ms budget.
 TEST(ResilientChannelTest, OneDeadlineBudgetBoundsAllAttempts) {
   SlowFailChannel inner;
-  auto options = FastOptions();
-  options.max_attempts = 5;
-  ResilientChannel channel(&inner, options);
+  ResilientChannel channel(&inner);
 
   CallMeta meta;
   meta.deadline_ns = 50 * common::kMilli;
@@ -230,8 +237,8 @@ TEST(ResilientChannelTest, OneDeadlineBudgetBoundsAllAttempts) {
   const common::Nanos elapsed = common::CpuTimer::Now() - start;
 
   EXPECT_EQ(resp.code, ErrCode::kTimeout);
-  // Two 30ms attempts exhaust the 50ms budget; attempts 3-5 never run and
-  // the wall clock stays near the budget, not max_attempts x budget.
+  // Two 30ms attempts exhaust the 50ms budget; later attempts never run and
+  // the wall clock stays near the budget, not kMaxAttempts x budget.
   EXPECT_LE(inner.attempts, 2);
   EXPECT_GE(inner.attempts, 1);
   EXPECT_LT(elapsed, 150 * common::kMilli);
@@ -249,79 +256,88 @@ TEST(ResilientChannelTest, OneDeadlineBudgetBoundsAllAttempts) {
 TEST(ResilientChannelTest, EachChannelJittersOnItsOwnStream) {
   // Clients that one daemon restart failed together must not retry in
   // lockstep, so every channel seeds its own jitter stream.  A retry's wait
-  // is what its first attempt's budget held beyond the retry's.
-  ResilienceOptions options;
-  options.backoff_base_ns = 50 * common::kMilli;
-  options.backoff_cap_ns = 50 * common::kMilli;
+  // is what its first attempt's budget held beyond the retry's: the drawn
+  // delay, uniform in [0, kBackoffBaseNs], plus sleep and timer noise.
   std::vector<common::Nanos> delays;
-  for (int i = 0; i < 6; ++i) {
+  for (int i = 0; i < 16; ++i) {
     ScriptedChannel inner;
     inner.script = {ErrCode::kUnavailable};
-    ResilientChannel channel(&inner, options);
+    ResilientChannel channel(&inner);
     ASSERT_TRUE(BlockingCall(channel, 7, "x").ok());
     ASSERT_EQ(inner.deadlines.size(), 2u);
     delays.push_back(inner.deadlines[0] - inner.deadlines[1]);
   }
-  // Six independent draws from [0, 50 ms] all land within 2 ms of each
-  // other with probability about 6e-7.
+  // Channels sharing one stream draw one delay, and their waits differ only
+  // by that noise.  Sixteen independent draws from [0, 5 ms] all land
+  // within 1 ms of each other with probability about 5e-10.
   const auto [lo, hi] = std::minmax_element(delays.begin(), delays.end());
-  EXPECT_GT(*hi - *lo, 2 * common::kMilli) << "the channels drew one delay";
+  EXPECT_GT(*hi - *lo, common::kMilli) << "the channels drew one delay";
 }
 
 TEST(ResilientChannelTest, RetryBudgetStopsAmplification) {
+  // kOverloaded is retryable but never trips the breaker, so every call
+  // keeps spending retries; a 1 ns retry-after hint skips the jitter sleep.
   ScriptedChannel inner;
-  for (int i = 0; i < 100; ++i) inner.script.push_back(ErrCode::kUnavailable);
-  auto options = FastOptions();
-  options.max_attempts = 4;
-  options.breaker_threshold = 1000;  // keep the breaker out of the picture
-  options.retry_budget_cap = 2.0;
-  options.retry_budget_ratio = 0.01;
-  ResilientChannel channel(&inner, options);
+  for (int i = 0; i < 10000; ++i) inner.script.push_back(ErrCode::kOverloaded);
+  inner.overloaded_payload = RetryAfter(1);
+  ResilientChannel channel(&inner);
+  auto& exhausted = common::MetricsRegistry::Default().GetCounter(
+      "rpc.resilient.budget_exhausted");
+  const std::uint64_t exhausted_before = exhausted.value();
 
-  const std::uint64_t exhausted_before =
-      common::MetricsRegistry::Default()
-          .GetCounter("rpc.resilient.budget_exhausted")
-          .value();
-  // Bucket starts full (2 tokens): first attempt is free, two retries spend
-  // the bucket, the third retry is denied.
-  EXPECT_EQ(BlockingCall(channel, 7, "x").code, ErrCode::kUnavailable);
-  EXPECT_EQ(inner.attempts, 3);
-  EXPECT_GT(common::MetricsRegistry::Default()
-                .GetCounter("rpc.resilient.budget_exhausted")
-                .value(),
-            exhausted_before);
-  // Bucket (near) empty: the next call gets its first attempt only — offered
-  // load stops multiplying against a struggling cluster.
-  EXPECT_EQ(BlockingCall(channel, 7, "x").code, ErrCode::kUnavailable);
-  EXPECT_EQ(inner.attempts, 4);
+  // The bucket starts full: calls get every retry until it runs dry, which
+  // takes at least kRetryBudgetCap / (kMaxAttempts - 1) calls.
+  constexpr int kRetriesPerCall = ResilientChannel::kMaxAttempts - 1;
+  int calls = 0;
+  while (exhausted.value() == exhausted_before && calls < 1000) {
+    EXPECT_EQ(BlockingCall(channel, 7, "x").code, ErrCode::kOverloaded);
+    ++calls;
+  }
+  ASSERT_GT(exhausted.value(), exhausted_before) << "the budget never ran out";
+  EXPECT_GE(calls, static_cast<int>(ResilientChannel::kRetryBudgetCap) /
+                       kRetriesPerCall);
+
+  // Drained: each call deposits kRetryBudgetRatio of a retry, so sustained
+  // failure settles at that much amplification instead of kMaxAttempts x.
+  constexpr int kCalls = 100;
+  const int attempts_before = inner.attempts;
+  for (int i = 0; i < kCalls; ++i) {
+    EXPECT_EQ(BlockingCall(channel, 7, "x").code, ErrCode::kOverloaded);
+  }
+  const int attempts = inner.attempts - attempts_before;
+  EXPECT_GE(attempts, kCalls);
+  const int amplified = static_cast<int>(
+      kCalls * ResilientChannel::kRetryBudgetRatio);
+  EXPECT_LE(attempts, kCalls + amplified + 1);
 }
 
 TEST(ResilientChannelTest, OverloadedNeverTripsTheBreaker) {
   ScriptedChannel inner;
   for (int i = 0; i < 100; ++i) inner.script.push_back(ErrCode::kOverloaded);
-  auto options = FastOptions();
-  options.max_attempts = 2;
-  options.breaker_threshold = 2;
-  ResilientChannel channel(&inner, options);
+  inner.overloaded_payload = RetryAfter(1);
+  ResilientChannel channel(&inner);
 
   // Far more consecutive kOverloaded outcomes than the threshold: the server
   // is alive and answering, so the breaker must stay closed throughout.
-  for (int i = 0; i < 5; ++i) {
+  constexpr int kCalls = 5;
+  static_assert(kCalls * ResilientChannel::kMaxAttempts >
+                ResilientChannel::kBreakerThreshold);
+  for (int i = 0; i < kCalls; ++i) {
     EXPECT_EQ(BlockingCall(channel, 7, "x").code, ErrCode::kOverloaded);
     EXPECT_EQ(channel.breaker_state(7), BreakerState::kClosed);
   }
-  EXPECT_EQ(inner.attempts, 10);  // still retried, just never tripped
+  // Still retried, just never tripped.
+  EXPECT_EQ(inner.attempts, kCalls * ResilientChannel::kMaxAttempts);
 }
 
 TEST(ResilientChannelTest, OverloadedBackoffHonorsRetryAfterHint) {
   ScriptedChannel inner;
   inner.script = {ErrCode::kOverloaded};  // then kOk
-  common::Writer hint;
-  hint.PutU64(50 * common::kMilli);
-  inner.overloaded_payload = hint.Take();
-  // Jitter is capped at 1ns by FastOptions: any real wait below came from
-  // the server's hint.
-  ResilientChannel channel(&inner, FastOptions());
+  inner.overloaded_payload = RetryAfter(50 * common::kMilli);
+  // The first retry's jitter is at most kBackoffBaseNs (5 ms): a wait near
+  // 50 ms came from the server's hint.
+  static_assert(ResilientChannel::kBackoffBaseNs < 45 * common::kMilli);
+  ResilientChannel channel(&inner);
 
   const common::Nanos start = common::CpuTimer::Now();
   EXPECT_TRUE(BlockingCall(channel, 7, "x").ok());
@@ -398,7 +414,7 @@ std::vector<RpcResponse> BlockingFanOut(Channel& channel,
 TEST(ResilientChannelTest, FanOutRetriesOnlyTheFailedLegUnderItsTraceId) {
   FanOutScriptedChannel inner;
   inner.scripts[2] = {ErrCode::kUnavailable};  // then kOk
-  ResilientChannel channel(&inner, FastOptions());
+  ResilientChannel channel(&inner);
 
   const std::vector<RpcResponse> rs = BlockingFanOut(
       channel, {{1, kEchoOp, "a"}, {2, kEchoOp, "b"}, {3, kEchoOp, "c"}});
@@ -418,14 +434,12 @@ TEST(ResilientChannelTest, FanOutRetriesOnlyTheFailedLegUnderItsTraceId) {
 
 TEST(ResilientChannelTest, FanOutOpenBreakerFailsOnlyItsOwnLeg) {
   FanOutScriptedChannel inner;
-  inner.scripts[2] = {ErrCode::kUnavailable};
-  auto options = FastOptions();
-  options.max_attempts = 1;
-  options.breaker_threshold = 1;
-  options.breaker_open_ns = 10 * common::kSecond;  // stays open for the test
-  ResilientChannel channel(&inner, options);
-  ASSERT_EQ(BlockingCall(channel, 2, "x").code, ErrCode::kUnavailable);
-  ASSERT_EQ(channel.breaker_state(2), BreakerState::kOpen);
+  for (int i = 0; i < ResilientChannel::kBreakerThreshold; ++i) {
+    inner.scripts[2].push_back(ErrCode::kUnavailable);
+  }
+  ResilientChannel channel(&inner);
+  OpenBreaker(channel, 2);
+  const std::size_t rounds_at_open = inner.rounds.size();
 
   auto& fast_fails =
       common::MetricsRegistry::Default().GetCounter("rpc.resilient.fast_fails");
@@ -436,10 +450,12 @@ TEST(ResilientChannelTest, FanOutOpenBreakerFailsOnlyItsOwnLeg) {
   EXPECT_TRUE(rs[0].ok());
   EXPECT_EQ(rs[0].payload, "live");
   EXPECT_EQ(rs[1].code, ErrCode::kUnavailable);
-  // Server 2's leg never touched the wire; server 1's went out alone.
-  ASSERT_EQ(inner.rounds.size(), 2u);
-  EXPECT_EQ(inner.rounds[1].servers, (std::vector<NodeId>{1}));
-  EXPECT_EQ(fast_fails.value(), fast_fails_before + 1);
+  // Server 2's leg never touched the wire, on any of its attempts; server
+  // 1's went out alone.
+  ASSERT_EQ(inner.rounds.size(), rounds_at_open + 1);
+  EXPECT_EQ(inner.rounds.back().servers, (std::vector<NodeId>{1}));
+  EXPECT_EQ(fast_fails.value(),
+            fast_fails_before + ResilientChannel::kMaxAttempts);
   EXPECT_EQ(channel.breaker_state(1), BreakerState::kClosed);
 }
 
@@ -447,7 +463,7 @@ TEST(ResilientChannelTest, FanOutRetryGetsOnlyWhatRemainsOfTheBudget) {
   FanOutScriptedChannel inner;
   inner.scripts[2] = {ErrCode::kTimeout};  // then kOk
   inner.round_delay_ns = 40 * common::kMilli;
-  ResilientChannel channel(&inner, FastOptions());
+  ResilientChannel channel(&inner);
 
   CallMeta meta;
   meta.deadline_ns = 200 * common::kMilli;
@@ -490,6 +506,27 @@ class ApplyOnceHandler final : public RpcHandler {
   std::map<std::string, int> applied_;
 };
 
+// Issue one call until it succeeds, always under one trace id, so every
+// repeat is the same request to the server's dedup window.  At the fault
+// rates below all kMaxAttempts tries of one call can hit torn replies, and
+// an open breaker fails calls fast until its probe interval passes; the
+// caller then repeats the call, as an application would.
+RpcResponse CallUntilOk(ResilientChannel& channel, NodeId server,
+                        std::uint16_t opcode, const std::string& payload) {
+  CallMeta meta;
+  meta.trace_id = NextTraceId();
+  RpcResponse resp;
+  for (int call = 0; call < 20; ++call) {
+    if (channel.breaker_state(server) == BreakerState::kOpen) {
+      SleepPastBreakerOpen();
+    }
+    channel.CallAsyncMeta(server, opcode, payload, meta,
+                          [&](RpcResponse r) { resp = std::move(r); });
+    if (resp.ok()) break;
+  }
+  return resp;
+}
+
 TEST(ResilientChannelTest, ExactlyOnceMutationsThroughFaultyTcpServer) {
   // The server tears 40% of responses mid-frame and duplicates 20% of
   // request frames; the client retries.  The dedup window must absorb both:
@@ -511,17 +548,12 @@ TEST(ResilientChannelTest, ExactlyOnceMutationsThroughFaultyTcpServer) {
   TcpChannel tcp(channel_options);
   tcp.Register(1, server.host(), server.port());
 
-  ResilienceOptions resilience;
-  resilience.max_attempts = 10;
-  resilience.backoff_base_ns = common::kMilli;
-  resilience.backoff_cap_ns = 5 * common::kMilli;
-  resilience.breaker_threshold = 1000;  // never trips in this test
-  ResilientChannel channel(&tcp, resilience);
+  ResilientChannel channel(&tcp);
 
   constexpr int kMutations = 25;
   for (int i = 0; i < kMutations; ++i) {
     const std::string payload = "mutation-" + std::to_string(i);
-    const RpcResponse resp = BlockingCall(channel, 1, payload);
+    const RpcResponse resp = CallUntilOk(channel, 1, kEchoOp, payload);
     ASSERT_TRUE(resp.ok()) << "mutation " << i << " code "
                            << static_cast<int>(resp.code);
     EXPECT_EQ(resp.payload, "applied:" + payload);
@@ -558,12 +590,7 @@ TEST(ResilientChannelTest, BatchMkdirRepliesExactlyOnceThroughFaultyServer) {
   TcpChannel tcp(channel_options);
   tcp.Register(1, server.host(), server.port());
 
-  ResilienceOptions resilience;
-  resilience.max_attempts = 10;
-  resilience.backoff_base_ns = common::kMilli;
-  resilience.backoff_cap_ns = 5 * common::kMilli;
-  resilience.breaker_threshold = 1000;
-  ResilientChannel channel(&tcp, resilience);
+  ResilientChannel channel(&tcp);
 
   const fs::Identity id{1000, 1000};
   for (int round = 0; round < 20; ++round) {
@@ -574,10 +601,9 @@ TEST(ResilientChannelTest, BatchMkdirRepliesExactlyOnceThroughFaultyServer) {
                                 std::uint64_t{static_cast<std::uint64_t>(
                                     round + 1)}));
     }
-    RpcResponse resp;
-    channel.CallAsync(1, core::proto::kDmsBatchMkdir,
-                      wire::EncodeBatchRequest(subops),
-                      [&](RpcResponse r) { resp = std::move(r); });
+    const RpcResponse resp =
+        CallUntilOk(channel, 1, core::proto::kDmsBatchMkdir,
+                    wire::EncodeBatchRequest(subops));
     ASSERT_TRUE(resp.ok()) << "round " << round;
     std::vector<wire::BatchItem> items;
     ASSERT_TRUE(wire::DecodeBatchResponse(resp.payload, &items));

@@ -100,9 +100,7 @@ TEST(DedupWindowTest, EligibilityFiltersOpcodes) {
 }
 
 TEST(DedupWindowTest, EvictionForgetsOldEntries) {
-  DedupWindow::Options options;
-  options.capacity = 4;
-  DedupWindow window({7}, options);
+  DedupWindow window({7});
   auto run = [&](int i) {
     const std::string key =
         DedupWindow::Key(Header(7, static_cast<std::uint64_t>(i)), "p");
@@ -115,22 +113,25 @@ TEST(DedupWindowTest, EvictionForgetsOldEntries) {
     }
     return outcome;
   };
-  for (int i = 0; i < 16; ++i) ASSERT_EQ(run(i), DedupWindow::Outcome::kExecute);
-  // The oldest entries fell out of the window: re-running them executes
-  // again (the window is a best-effort bound, not a permanent log).
+  constexpr int kKeys = static_cast<int>(DedupWindow::kCapacity) + 1;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(run(i), DedupWindow::Outcome::kExecute);
+  }
+  // The oldest entry fell out of the window: re-running it executes again
+  // (the window is a best-effort bound, not a permanent log).
   EXPECT_EQ(run(0), DedupWindow::Outcome::kExecute);
   // The newest is still cached.
-  EXPECT_EQ(run(15), DedupWindow::Outcome::kReplay);
+  EXPECT_EQ(run(kKeys - 1), DedupWindow::Outcome::kReplay);
 }
 
 TEST(DedupWindowTest, EvictionOrderSurvivesRehash) {
-  // The eviction queue refers to the map's own keys; 5,000 inserts rehash
-  // the map several times, and the FIFO order must come through intact.
-  DedupWindow::Options options;
-  options.capacity = 4096;
-  DedupWindow window({7}, options);
-  constexpr int kKeys = 5000;
-  constexpr int kEvicted = kKeys - 4096;
+  // The eviction queue refers to the map's own keys; filling the window
+  // rehashes the map several times, and the FIFO order must come through
+  // intact.
+  DedupWindow window({7});
+  constexpr int kCapacity = static_cast<int>(DedupWindow::kCapacity);
+  constexpr int kEvicted = kCapacity / 4;
+  constexpr int kKeys = kCapacity + kEvicted;
   auto run = [&](int i) {
     const std::string key = DedupWindow::Key(
         Header(7, static_cast<std::uint64_t>(i)), "payload-" + std::to_string(i));
@@ -148,11 +149,12 @@ TEST(DedupWindowTest, EvictionOrderSurvivesRehash) {
   for (int i = 0; i < kKeys; ++i) {
     ASSERT_EQ(run(i), DedupWindow::Outcome::kExecute) << i;
   }
-  // The newest 4096 replay their own responses (a replay inserts nothing).
+  // The newest kCapacity replay their own responses (a replay inserts
+  // nothing).
   for (int i = kEvicted; i < kKeys; ++i) {
     ASSERT_EQ(run(i), DedupWindow::Outcome::kReplay) << i;
   }
-  // The oldest 904 were evicted and execute again.
+  // The oldest kEvicted were evicted and execute again.
   for (int i = 0; i < kEvicted; ++i) {
     ASSERT_EQ(run(i), DedupWindow::Outcome::kExecute) << i;
   }
@@ -217,22 +219,23 @@ TEST(DedupWindowTest, NonWaitingBeginReportsARunningOriginal) {
   EXPECT_EQ(dup_slot, nullptr);
   EXPECT_EQ(window.replays(), 1u);
 
-  // The kRunning probes left nothing behind: with room for one completed
-  // entry, one newer request evicts the owner's, and the key executes anew.
-  DedupWindow::Options options;
-  options.capacity = 1;
-  DedupWindow small({7}, options);
-  ASSERT_EQ(small.Begin(key, &code, &cached, &slot, DedupWindow::Wait::kNo),
+  // The kRunning probes left nothing behind: once kCapacity newer requests
+  // complete after the owner's, its entry is evicted and the key executes
+  // anew.
+  DedupWindow fresh({7});
+  ASSERT_EQ(fresh.Begin(key, &code, &cached, &slot, DedupWindow::Wait::kNo),
             DedupWindow::Outcome::kExecute);
-  EXPECT_EQ(small.Begin(key, &dup_code, &dup_cached, &dup_slot,
+  EXPECT_EQ(fresh.Begin(key, &dup_code, &dup_cached, &dup_slot,
                         DedupWindow::Wait::kNo),
             DedupWindow::Outcome::kRunning);
-  small.Complete(slot, ErrCode::kOk, "first");
-  const std::string other = DedupWindow::Key(Header(7, 79), "other");
-  ASSERT_EQ(small.Begin(other, &code, &cached, &slot),
-            DedupWindow::Outcome::kExecute);
-  small.Complete(slot, ErrCode::kOk, "second");
-  EXPECT_EQ(small.Begin(key, &code, &cached, &slot, DedupWindow::Wait::kNo),
+  fresh.Complete(slot, ErrCode::kOk, "first");
+  for (std::uint64_t i = 0; i < DedupWindow::kCapacity; ++i) {
+    const std::string other = DedupWindow::Key(Header(7, 1000 + i), "other");
+    ASSERT_EQ(fresh.Begin(other, &code, &cached, &slot),
+              DedupWindow::Outcome::kExecute);
+    fresh.Complete(slot, ErrCode::kOk, "newer");
+  }
+  EXPECT_EQ(fresh.Begin(key, &code, &cached, &slot, DedupWindow::Wait::kNo),
             DedupWindow::Outcome::kExecute);
 }
 

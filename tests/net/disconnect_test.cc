@@ -147,8 +147,6 @@ TEST(DisconnectTest, NotifyDisconnectFiresWhenStreamDrops) {
   listener_options.host = server.host();
   listener_options.port = server.port();
   listener_options.client_id = 9;
-  listener_options.backoff_base_ns = 10 * common::kMilli;
-  listener_options.backoff_cap_ns = 100 * common::kMilli;
   auto listener = std::make_unique<NotifyListener>(
       listener_options, [](const NotifyEvent&) {});
   ASSERT_TRUE(listener->Start().ok());

@@ -133,17 +133,6 @@ TEST(FaultInjectorTest, KvPutFailCertainty) {
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(injector.FailKvPut());
 }
 
-TEST(FaultInjectorTest, ClientSendDelay) {
-  auto spec = FaultSpec::Parse("delay=1,delay_ms=4");
-  ASSERT_TRUE(spec.ok());
-  FaultInjector injector(*spec);
-  EXPECT_EQ(injector.OnClientSend(), 4 * common::kMilli);
-  auto inert = FaultSpec::Parse("drop=0.5");
-  ASSERT_TRUE(inert.ok());
-  FaultInjector quiet(*inert);
-  EXPECT_EQ(quiet.OnClientSend(), 0);
-}
-
 // ---------------------------------------------------------------------------
 // DedupWindow
 // ---------------------------------------------------------------------------
@@ -192,26 +181,26 @@ TEST(DedupWindowTest, FirstExecutesDuplicateReplays) {
 }
 
 TEST(DedupWindowTest, EvictsCompletedEntriesFifo) {
-  DedupWindow::Options options;
-  options.capacity = 2;
-  DedupWindow window({kEchoOp}, options);
+  DedupWindow window({kEchoOp});
   ErrCode code = ErrCode::kOk;
   std::string payload;
   DedupWindow::Slot slot = nullptr;
   const auto key = [](std::uint64_t trace) {
     return DedupWindow::Key(MakeHeader(kEchoOp, 1, trace), "p");
   };
-  for (std::uint64_t trace : {10u, 11u, 12u}) {
+  constexpr std::uint64_t kFirst = 10;
+  constexpr std::uint64_t kLast = kFirst + DedupWindow::kCapacity;
+  for (std::uint64_t trace = kFirst; trace <= kLast; ++trace) {
     ASSERT_EQ(window.Begin(key(trace), &code, &payload, &slot),
               DedupWindow::Outcome::kExecute);
     window.Complete(slot, ErrCode::kOk, "r");
   }
-  // Key 10 was evicted (capacity 2), so its retry executes again; key 12 is
-  // still cached and replays.
-  EXPECT_EQ(window.Begin(key(10), &code, &payload, &slot),
+  // One completion past capacity evicted the first key, so its retry
+  // executes again; the last key is still cached and replays.
+  EXPECT_EQ(window.Begin(key(kFirst), &code, &payload, &slot),
             DedupWindow::Outcome::kExecute);
   window.Complete(slot, ErrCode::kOk, "r");
-  EXPECT_EQ(window.Begin(key(12), &code, &payload, &slot),
+  EXPECT_EQ(window.Begin(key(kLast), &code, &payload, &slot),
             DedupWindow::Outcome::kReplay);
 }
 

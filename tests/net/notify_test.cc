@@ -100,8 +100,6 @@ NotifyListener::Options ListenerOptions(const TcpServer& server,
   options.host = server.host();
   options.port = server.port();
   options.client_id = client_id;
-  options.backoff_base_ns = 10 * common::kMilli;
-  options.backoff_cap_ns = 100 * common::kMilli;
   return options;
 }
 
@@ -237,8 +235,6 @@ TEST(NotifyListenerTest, RefusedHelloRedialsWithBackoff) {
   options.host = "127.0.0.1";
   options.port = stub.port();
   options.client_id = 42;
-  options.backoff_base_ns = 10 * common::kMilli;
-  options.backoff_cap_ns = 100 * common::kMilli;
   EventLog log;
   NotifyListener listener(options,
                           [&log](const NotifyEvent& e) { log.Add(e); });
@@ -252,11 +248,12 @@ TEST(NotifyListenerTest, RefusedHelloRedialsWithBackoff) {
   EXPECT_FALSE(ever_connected);
   EXPECT_FALSE(listener.connected());
   EXPECT_TRUE(log.Snapshot().empty()) << "no stream, so no stream events";
-  // Each failed cycle doubles the backoff from the 10 ms base: the waits
-  // before redials 2, 3 and 4 are at least 20, 40 and 80 ms.
+  // Each failed cycle doubles the backoff from its base: the waits before
+  // redials 2, 3 and 4 are at least 2, 4 and 8 times kBackoffBaseNs.
   const auto at = stub.accepted_at();
   ASSERT_GE(at.size(), 4u);
-  EXPECT_GE(at[3] - at[0], std::chrono::milliseconds(140));
+  EXPECT_GE(at[3] - at[0],
+            std::chrono::nanoseconds(14 * NotifyListener::kBackoffBaseNs));
 }
 
 TEST(NotifyListenerTest, ReconnectAfterServerRestartForcesResync) {
@@ -270,8 +267,6 @@ TEST(NotifyListenerTest, ReconnectAfterServerRestartForcesResync) {
   options.host = server->host();
   options.port = port;
   options.client_id = 9;
-  options.backoff_base_ns = 10 * common::kMilli;
-  options.backoff_cap_ns = 50 * common::kMilli;
   NotifyListener listener(options,
                           [&log](const NotifyEvent& e) { log.Add(e); });
   ASSERT_TRUE(listener.Start().ok());

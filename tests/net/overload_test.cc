@@ -29,7 +29,9 @@ namespace {
 
 constexpr std::uint16_t kEchoOp = 7;
 constexpr std::uint16_t kGateOp = 100;
-constexpr std::uint16_t kBigOp = 101;  // tiny request, 64 KB response
+// Tiny request, a response one byte over the hard output cap.
+constexpr std::uint16_t kBigOp = 101;
+constexpr std::size_t kBigReplyBytes = 2 * TcpServer::kMaxConnOutputBytes + 1;
 
 // Echoes payloads; kGateOp blocks inside the handler until Release() — with
 // one worker that wedges the dispatch pool so everything behind it queues.
@@ -37,7 +39,7 @@ class GateHandler final : public RpcHandler {
  public:
   RpcResponse Handle(std::uint16_t opcode, std::string_view payload) override {
     if (opcode == kBigOp) {
-      return RpcResponse{ErrCode::kOk, std::string(64 * 1024, 'b')};
+      return RpcResponse{ErrCode::kOk, std::string(kBigReplyBytes, 'b')};
     }
     if (opcode == kGateOp) {
       std::unique_lock<std::mutex> lock(mu_);
@@ -323,9 +325,7 @@ TEST(OverloadTest, QueueFullFaultForcesShedding) {
 // and disconnected at the hard cap instead of ballooning server memory.
 TEST(OverloadTest, SlowClientHitsOutputCapAndIsDisconnected) {
   GateHandler handler;
-  TcpServer::Options options;
-  options.max_conn_output_bytes = 512;
-  TcpServer server(&handler, options);
+  TcpServer server(&handler);
   ASSERT_TRUE(server.Start().ok());
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -337,9 +337,9 @@ TEST(OverloadTest, SlowClientHitsOutputCapAndIsDisconnected) {
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
 
-  // Two tiny amplifying requests: each 64 KB response dwarfs the 1 KB hard
-  // cap (2 x max_conn_output_bytes), so the output deque trips it no matter
-  // how much the kernel socket buffers absorb.
+  // Two tiny amplifying requests: each response exceeds the hard cap
+  // (2 x kMaxConnOutputBytes) on its own, so the output deque trips it no
+  // matter how much the kernel socket buffers absorb.
   std::string burst;
   for (int i = 0; i < 2; ++i) {
     wire::FrameHeader header;

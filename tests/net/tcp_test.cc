@@ -363,12 +363,11 @@ TEST(TcpTest, OversizedRequestPayloadRejectedClientSide) {
   EchoHandler handler;
   TcpServer server(&handler);
   ASSERT_TRUE(server.Start().ok());
-  TcpChannelOptions options;
-  options.max_payload_bytes = 1024;
-  TcpChannel channel(options);
+  TcpChannel channel;
   channel.Register(1, server.host(), server.port());
 
-  const RpcResponse r = BlockingCall(channel, 1, 7, std::string(4096, 'x'));
+  const RpcResponse r = BlockingCall(
+      channel, 1, 7, std::string(std::size_t{wire::kMaxPayloadBytes} + 1, 'x'));
   EXPECT_EQ(r.code, ErrCode::kInvalid);
 }
 

@@ -89,7 +89,9 @@ int main(int argc, char** argv) {
   // repair that must not double-apply goes through the same server-side
   // dedup window as everything else, but failing loud beats retrying here),
   // and no notify plane (nothing holds leases, so nothing to invalidate).
-  client_options->WithCache(false).WithResilience(false).WithNotify(false);
+  client_options->cache_enabled = false;
+  client_options->resilience = false;
+  client_options->notify = false;
   auto mount = core::Connect(*client_options);
   if (!mount.ok()) {
     std::fprintf(stderr, "loco_fsck: connect failed: %s\n",
